@@ -18,8 +18,10 @@ Two pieces live here:
 Everything is deterministic: the cache is strict LRU over insertion-
 ordered dicts, and the network link is a single ``busy_until`` queue like
 the controller/channel stages, so fast/reference replays stay
-bit-identical (the batched fast path simply disables itself when a
-remote tier is present — see ``repro.sim.engine``).
+bit-identical.  The engine's batched fast path replays this tier inline
+(``Engine._run_section_batched``): it probes and fills the cache's set
+dicts in place and mirrors the probe counters and network link, so any
+change to the semantics here must be mirrored there.
 """
 
 from __future__ import annotations

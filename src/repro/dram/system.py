@@ -446,7 +446,9 @@ class DramSystem:
         per-node network link, pays the propagation delay both ways, and
         runs the ordinary controller/channel/bank pipeline at the far end;
         the fetched line is installed in the DRAM cache (clean LRU
-        eviction).
+        eviction).  ``Engine._run_section_batched`` inlines this method
+        (and the disaggregated leg of :meth:`writeback`); keep the two in
+        lockstep.
         """
         bank_color, node, chan, bank = route
         cache = self._remote_caches[node]

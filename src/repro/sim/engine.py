@@ -64,6 +64,18 @@ class MemorySystem:
         self.hierarchy.reset()
 
 
+def _plan_fallback(reason: str) -> None:
+    """Count one section :meth:`Engine._batch_plan` could not plan.
+
+    Recorded as ``engine.plan_fallback{reason=...}`` only when a metrics
+    registry is active; returns None (the "no plan" result) either way.
+    """
+    mreg = obs_metrics.active()
+    if mreg is not None:
+        mreg.counter("engine.plan_fallback", reason=reason).inc()
+    return None
+
+
 class Engine:
     """Runs :class:`~repro.sim.barrier.Program` objects over a team.
 
@@ -235,7 +247,8 @@ class Engine:
            every page of the section to be resident (compute sections
            after the faulting init sections) and no prefetchers.
         2. :meth:`_run_section_batched` replays the residual *stateful*
-           work — LRU content, bank/queue occupancies, the merge order
+           work — LRU content, bank/queue occupancies, the disaggregated
+           tier's DRAM-cache sets and network links, the merge order
            itself — through a lean scalar loop over the precomputed
            plan, bit-identical to the reference loop.
 
@@ -245,24 +258,17 @@ class Engine:
         fast loop.  Per-stage wall time is recorded in the ambient
         metrics registry (``engine.kernel_ns{kind=decode|replay|
         scalar_replay}``) so ``repro.obs top`` shows where replay time
-        goes.
+        goes, and each fallback is counted by reason
+        (``engine.plan_fallback{reason=fault|prefetch|row_layout}``).
         """
         mreg = obs_metrics.active()
-        # A disaggregated tier makes latency depend on DRAM-cache state,
-        # which the stateless batched precompute cannot model — those
-        # machines replay through the scalar loop (still bit-identical
-        # to the reference path: both call the same dram.access).
-        batchable = (
-            self.memory.hierarchy.prefetchers is None
-            and not self.memory.dram._remote_caches
-        )
         if mreg is None:
-            plan = self._batch_plan(section) if batchable else None
+            plan = self._batch_plan(section)
             if plan is not None:
                 return self._run_section_batched(section, start, metrics, plan)
             return self._run_section_scalar(section, start, metrics)
         t0 = time.perf_counter()
-        plan = self._batch_plan(section) if batchable else None
+        plan = self._batch_plan(section)
         t1 = time.perf_counter()
         mreg.histogram("engine.kernel_ns", kind="decode").observe(
             (t1 - t0) * 1e9
@@ -289,23 +295,30 @@ class Engine:
         core's cache bindings.  All of it is stateless address math, so
         it can leave the replay loop; everything computed here is
         bit-identical to what the scalar paths derive per access.
+        Accesses to a disaggregated node carry hops = -1: they bypass
+        the mesh (their propagation and occupancy entries are unused)
+        and replay through the remote-tier branch of
+        :meth:`_run_section_batched`.
 
         Returns None — caller falls back to :meth:`_run_section_scalar`
-        — when any page of the section is unmapped (the access would
-        demand-fault mid-replay, which is inherently sequential) or the
-        row layout puts row bits inside the line offset.
+        — when prefetchers are on (their fills are not modelled by the
+        batched loop), any page of the section is unmapped (the access
+        would demand-fault mid-replay, which is inherently sequential),
+        or the row layout puts row bits inside the line offset.  Each
+        such fallback is counted by reason when a metrics registry is
+        active.
         """
+        hierarchy = self.memory.hierarchy
+        if hierarchy.prefetchers is not None:
+            return _plan_fallback("prefetch")
         mapping = self.kernel.mapping
         page_bits = mapping.page_bits
         page_mask = (1 << page_bits) - 1
-        hierarchy = self.memory.hierarchy
         dram = self.memory.dram
         line_bits = hierarchy._line_bits
         row_shift = dram._row_shift
         if row_shift < line_bits:
-            return None
-        if dram._remote_caches:
-            return None
+            return _plan_fallback("row_layout")
         page_line_shift = page_bits - line_bits
         row_line_shift = row_shift - line_bits
         topo = hierarchy.topology
@@ -315,6 +328,7 @@ class Engine:
         llc_mask = hierarchy._llc_mask
         ic = dram.interconnect
         num_nodes = mapping.num_nodes
+        far_nodes = list(dram._remote_caches)
         page_table_get = self.space.page_table.get
         handles = self.team.handles
         plans: dict[int, tuple] = {}
@@ -325,14 +339,16 @@ class Engine:
             uvpn, inv = np.unique(va >> page_bits, return_inverse=True)
             upfns = [page_table_get(v) for v in uvpn.tolist()]
             if None in upfns:
-                return None
+                return _plan_fallback("fault")
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
             )
             bc_u, node_u, chan_u = dram.route_batch(pfns_u)
             core = handles[tidx].core
-            hops_u = np.asarray(ic._hops[core], dtype=np.int64)[node_u]
+            node_hops = np.asarray(ic._hops[core], dtype=np.int64)
+            node_hops[far_nodes] = -1
+            hops_u = node_hops[node_u]
             prop_u = np.asarray(ic._prop[core], dtype=np.float64)[node_u]
             occ_u = np.asarray(ic._occupancy[core], dtype=np.float64)[node_u]
             writes = trace.writes.tolist()
@@ -384,10 +400,15 @@ class Engine:
         is inlined (no :class:`HierarchyResult`/``AccessResult``
         allocation), and shared accumulators — DRAM statistics, bank
         row-buffer state, LLC counters, dirty-eviction and
-        remote-transfer counts — live in section-local mirrors that are
-        loaded once, mutated in execution order (so every float
-        accumulation chain is unchanged), and stored back once.  Keep
-        the replay semantics in lockstep with the reference loop and
+        remote-transfer counts, the disaggregated tier's network-link
+        occupancy and DRAM-cache probe counts — live in section-local
+        mirrors that are loaded once, mutated in execution order (so
+        every float accumulation chain is unchanged), and stored back
+        once.  An LLC miss takes one of three inlined DRAM branches,
+        chosen by the plan's hop count: local controller (0), across
+        the mesh (> 0), or a disaggregated node (-1, which probes the
+        DRAM cache before crossing the network).  Keep the replay
+        semantics in lockstep with the reference loop and
         ``_run_section_traced``.
         """
         hierarchy = self.memory.hierarchy
@@ -459,11 +480,30 @@ class Engine:
         s_local = stats.local_accesses
         s_writebacks = stats.writebacks
         per_node = stats.per_node_accesses
-        pn_n = [0] * len(ctrl_busy)
+        num_nodes = len(ctrl_busy)
+        pn_n = [0] * num_nodes
         de_n = hierarchy.dirty_evictions
         remote_tr_n = ic.remote_transfers
+        # Disaggregated tier, indexed by node (None / unused for nodes
+        # without one): DRAM-cache set tables (mutated in place),
+        # network-link occupancy, and per-node probe counts.
+        r_sets: list[list[dict] | None] = [None] * num_nodes
+        net_busy = [0.0] * num_nodes
+        rc_hit_n = [0] * num_nodes
+        rc_miss_n = [0] * num_nodes
+        remote_caches = dram._remote_caches
+        for ndx, rcache in remote_caches.items():
+            r_sets[ndx] = rcache._sets
+            net_busy[ndx] = dram._net_busy[ndx]
+        tier = dram.remote
+        if tier is not None:
+            r_mask = tier.num_sets - 1
+            r_ways = tier.cache_ways
+            net_ns = tier.network_ns
+            net_service = tier.network_service_ns
+            cache_hit_ns = tier.cache_hit_ns
 
-        wb_memo: dict[int, tuple[int, int, int]] = {}
+        wb_memo: dict[int, tuple] = {}
         wb_memo_get = wb_memo.get
 
         def wb(old: int, now: float) -> None:
@@ -478,9 +518,27 @@ class Engine:
                 route = frame_route_get(wpfn)
                 if route is None:
                     route = dram_route(wpfn)
-                info = (route[2], route[0], old >> row_line_shift)
+                wnd = route[1]
+                node_sets = r_sets[wnd]
+                info = (
+                    route[2], route[0], old >> row_line_shift, wnd,
+                    None if node_sets is None else node_sets[old & r_mask],
+                )
                 wb_memo[old] = info
-            wch, wbc, wrow = info
+            wch, wbc, wrow, wnd, rset = info
+            if rset is not None:
+                # Disaggregated node: the DRAM cache absorbs the write if
+                # it holds the line (LRU touch); otherwise it crosses the
+                # network link and lands at the far bank.
+                if old in rset:
+                    del rset[old]
+                    rset[old] = None
+                    s_writebacks += 1
+                    return
+                busy = net_busy[wnd]
+                wstart = now if now > busy else busy
+                net_busy[wnd] = wstart + net_service
+                now = wstart + net_ns
             busy = chan_busy[wch]
             chan_busy[wch] = (now if now > busy else busy) + channel_service
             busy = bank_busy[wbc]
@@ -602,11 +660,64 @@ class Engine:
                             lat = llc_hit_t
                         else:
                             # LLC miss -> DRAM (DramSystem.access inlined
-                            # over the plan's precomputed route).
+                            # over the plan's precomputed route).  Each
+                            # branch leaves the latency and the four queue
+                            # waits for the shared stats update below.
                             s_llc_misses += 1
                             nd = nds[i]
                             hp = hops[i]
-                            if hp:
+                            if not hp:
+                                # Local controller: no link stage.
+                                busy = ctrl_busy[nd]
+                                ctrl_start = clock if clock > busy else busy
+                                ctrl_busy[nd] = ctrl_start + ctrl_service
+                                after_ctrl = ctrl_start + ctrl_overhead
+                                ch = chs[i]
+                                busy = chan_busy[ch]
+                                chan_start = (
+                                    after_ctrl if after_ctrl > busy else busy
+                                )
+                                chan_busy[ch] = chan_start + channel_service
+                                bc = bcs[i]
+                                busy = bank_busy[bc]
+                                bank_start = (
+                                    chan_start if chan_start > busy else busy
+                                )
+                                epoch = int(bank_start // refresh_interval)
+                                row = rows[i]
+                                if epoch != bank_epoch[bc]:
+                                    bank_epoch[bc] = epoch
+                                    service = row_miss_ns
+                                    bank_miss_n[bc] += 1
+                                    s_row_misses += 1
+                                else:
+                                    orow = bank_row[bc]
+                                    if orow is None:
+                                        service = row_miss_ns
+                                        bank_miss_n[bc] += 1
+                                        s_row_misses += 1
+                                    elif orow == row:
+                                        service = row_hit_ns
+                                        bank_hit_n[bc] += 1
+                                        s_row_hits += 1
+                                    else:
+                                        service = row_conflict_ns
+                                        bank_conf_n[bc] += 1
+                                        s_row_conflicts += 1
+                                        conflict_n += 1
+                                bank_row[bc] = row
+                                bank_busy[bc] = bank_start + (
+                                    service + (write_recovery if is_w else 0.0)
+                                )
+                                dram_lat = bank_start + service - clock
+                                w_link = 0.0
+                                w_ctrl = ctrl_start - clock
+                                w_chan = chan_start - after_ctrl
+                                w_bank = bank_start - chan_start
+                                s_local += 1
+                            elif hp > 0:
+                                # Across the mesh: queue on the directed
+                                # link, propagate, and return.
                                 key = lkeys[nd]
                                 busy = link_busy_get(key, 0.0)
                                 lstart = busy if busy > clock else clock
@@ -614,64 +725,139 @@ class Engine:
                                 link_busy[key] = lstart + occs[i]
                                 remote_tr_n += 1
                                 arrival = lstart + pr
-                            else:
-                                arrival = clock
-                            busy = ctrl_busy[nd]
-                            ctrl_start = arrival if arrival > busy else busy
-                            ctrl_busy[nd] = ctrl_start + ctrl_service
-                            after_ctrl = ctrl_start + ctrl_overhead
-                            ch = chs[i]
-                            busy = chan_busy[ch]
-                            chan_start = (
-                                after_ctrl if after_ctrl > busy else busy
-                            )
-                            chan_busy[ch] = chan_start + channel_service
-                            bc = bcs[i]
-                            busy = bank_busy[bc]
-                            bank_start = (
-                                chan_start if chan_start > busy else busy
-                            )
-                            epoch = int(bank_start // refresh_interval)
-                            row = rows[i]
-                            if epoch != bank_epoch[bc]:
-                                bank_epoch[bc] = epoch
-                                service = row_miss_ns
-                                bank_miss_n[bc] += 1
-                                s_row_misses += 1
-                            else:
-                                orow = bank_row[bc]
-                                if orow is None:
+                                busy = ctrl_busy[nd]
+                                ctrl_start = (
+                                    arrival if arrival > busy else busy
+                                )
+                                ctrl_busy[nd] = ctrl_start + ctrl_service
+                                after_ctrl = ctrl_start + ctrl_overhead
+                                ch = chs[i]
+                                busy = chan_busy[ch]
+                                chan_start = (
+                                    after_ctrl if after_ctrl > busy else busy
+                                )
+                                chan_busy[ch] = chan_start + channel_service
+                                bc = bcs[i]
+                                busy = bank_busy[bc]
+                                bank_start = (
+                                    chan_start if chan_start > busy else busy
+                                )
+                                epoch = int(bank_start // refresh_interval)
+                                row = rows[i]
+                                if epoch != bank_epoch[bc]:
+                                    bank_epoch[bc] = epoch
                                     service = row_miss_ns
                                     bank_miss_n[bc] += 1
                                     s_row_misses += 1
-                                elif orow == row:
-                                    service = row_hit_ns
-                                    bank_hit_n[bc] += 1
-                                    s_row_hits += 1
                                 else:
-                                    service = row_conflict_ns
-                                    bank_conf_n[bc] += 1
-                                    s_row_conflicts += 1
-                                    conflict_n += 1
-                            bank_row[bc] = row
-                            bank_busy[bc] = bank_start + (
-                                service + (write_recovery if is_w else 0.0)
-                            )
-                            if hp:
-                                done = bank_start + service + pr
+                                    orow = bank_row[bc]
+                                    if orow is None:
+                                        service = row_miss_ns
+                                        bank_miss_n[bc] += 1
+                                        s_row_misses += 1
+                                    elif orow == row:
+                                        service = row_hit_ns
+                                        bank_hit_n[bc] += 1
+                                        s_row_hits += 1
+                                    else:
+                                        service = row_conflict_ns
+                                        bank_conf_n[bc] += 1
+                                        s_row_conflicts += 1
+                                        conflict_n += 1
+                                bank_row[bc] = row
+                                bank_busy[bc] = bank_start + (
+                                    service + (write_recovery if is_w else 0.0)
+                                )
+                                dram_lat = bank_start + service + pr - clock
                                 w_link = arrival - clock - pr
                                 if w_link < 0.0:
                                     w_link = 0.0
+                                w_ctrl = ctrl_start - arrival
+                                w_chan = chan_start - after_ctrl
+                                w_bank = bank_start - chan_start
                                 remote_n += 1
                                 s_remote += 1
                             else:
-                                done = bank_start + service + 0.0
-                                w_link = 0.0
-                                s_local += 1
-                            dram_lat = done - clock
-                            w_ctrl = ctrl_start - arrival
-                            w_chan = chan_start - after_ctrl
-                            w_bank = bank_start - chan_start
+                                # Disaggregated node (hops = -1 in the
+                                # plan; DramSystem._remote_access): probe
+                                # the compute-side DRAM cache first.
+                                rset = r_sets[nd][line & r_mask]
+                                if line in rset:
+                                    # Hit: flat service, booked as a local
+                                    # row hit.  Its zero waits leave the
+                                    # (never -0.0) wait sums unchanged.
+                                    del rset[line]
+                                    rset[line] = None
+                                    rc_hit_n[nd] += 1
+                                    s_row_hits += 1
+                                    s_local += 1
+                                    dram_lat = cache_hit_ns
+                                    w_link = w_ctrl = w_chan = w_bank = 0.0
+                                else:
+                                    # Miss: network link, the far node's
+                                    # controller/channel/bank, the return
+                                    # trip, then a clean-evicting fill.
+                                    rc_miss_n[nd] += 1
+                                    busy = net_busy[nd]
+                                    lstart = clock if clock > busy else busy
+                                    net_busy[nd] = lstart + net_service
+                                    arrival = lstart + net_ns
+                                    busy = ctrl_busy[nd]
+                                    ctrl_start = (
+                                        arrival if arrival > busy else busy
+                                    )
+                                    ctrl_busy[nd] = ctrl_start + ctrl_service
+                                    after_ctrl = ctrl_start + ctrl_overhead
+                                    ch = chs[i]
+                                    busy = chan_busy[ch]
+                                    chan_start = (
+                                        after_ctrl if after_ctrl > busy else busy
+                                    )
+                                    chan_busy[ch] = chan_start + channel_service
+                                    bc = bcs[i]
+                                    busy = bank_busy[bc]
+                                    bank_start = (
+                                        chan_start if chan_start > busy else busy
+                                    )
+                                    epoch = int(bank_start // refresh_interval)
+                                    row = rows[i]
+                                    if epoch != bank_epoch[bc]:
+                                        bank_epoch[bc] = epoch
+                                        service = row_miss_ns
+                                        bank_miss_n[bc] += 1
+                                        s_row_misses += 1
+                                    else:
+                                        orow = bank_row[bc]
+                                        if orow is None:
+                                            service = row_miss_ns
+                                            bank_miss_n[bc] += 1
+                                            s_row_misses += 1
+                                        elif orow == row:
+                                            service = row_hit_ns
+                                            bank_hit_n[bc] += 1
+                                            s_row_hits += 1
+                                        else:
+                                            service = row_conflict_ns
+                                            bank_conf_n[bc] += 1
+                                            s_row_conflicts += 1
+                                            conflict_n += 1
+                                    bank_row[bc] = row
+                                    bank_busy[bc] = bank_start + (
+                                        service
+                                        + (write_recovery if is_w else 0.0)
+                                    )
+                                    if len(rset) >= r_ways:
+                                        del rset[next(iter(rset))]
+                                    rset[line] = None
+                                    dram_lat = (
+                                        bank_start + service + net_ns - clock
+                                    )
+                                    w_link = lstart - clock
+                                    w_ctrl = ctrl_start - arrival
+                                    w_chan = chan_start - after_ctrl
+                                    w_bank = bank_start - chan_start
+                                    remote_n += 1
+                                    s_remote += 1
                             s_wait_link += w_link
                             s_wait_ctrl += w_ctrl
                             s_wait_chan += w_chan
@@ -781,6 +967,12 @@ class Engine:
         stats.writebacks = s_writebacks
         hierarchy.dirty_evictions = de_n
         ic.remote_transfers = remote_tr_n
+        for ndx, rcache in remote_caches.items():
+            dram._net_busy[ndx] = net_busy[ndx]
+            rcache.hits += rc_hit_n[ndx]
+            rcache.misses += rc_miss_n[ndx]
+        stats.remote_cache_hits += sum(rc_hit_n)
+        stats.remote_cache_misses += sum(rc_miss_n)
         per_node_get = per_node.get
         for ndx, cnt in enumerate(pn_n):
             if cnt:
@@ -1058,13 +1250,13 @@ class Engine:
     def _run_section_traced(
         self, section: Section, start: float, metrics: RunMetrics
     ) -> dict[int, float]:
-        """`_run_section_fast` with observability hooks.
+        """:meth:`_run_section_reference` with observability hooks.
 
         Adds, per access: the observer's sim-time cursor (so kernel
         events carry timestamps), a span per page-fault service, and the
         counter-sampling cadence check.  DRAM transaction spans are
         emitted by :class:`~repro.dram.system.DramSystem` itself.  Keep
-        the replay logic in lockstep with `_run_section_fast`.
+        the replay logic in lockstep with `_run_section_reference`.
         """
         states: dict[int, list] = {}
         heap: list[tuple[float, int]] = []

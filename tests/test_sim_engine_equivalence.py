@@ -20,13 +20,17 @@ import dataclasses
 import pytest
 
 from repro.alloc.policies import Policy
+from repro.core.session import ColoredTeam
+from repro.core.tintmalloc import TintMalloc
 from repro.experiments.configs import CONFIGS
 from repro.experiments.runner import (
     _fresh_environment,
     profile_machine,
     profile_scale,
 )
+from repro.kernel.kernel import Kernel
 from repro.obs import Observer
+from repro.sim.engine import Engine, MemorySystem
 from repro.sim.metrics import RunMetrics
 from repro.util.rng import RngStream
 from repro.workloads.base import build_spmd_program
@@ -138,9 +142,8 @@ def test_platform_traced_matches_reference(preset):
     assert traced == ref
 
 
-def test_disagg_disables_batched_plan():
-    """A disaggregated preset must fall back to the scalar replay loop —
-    the batched precompute cannot model DRAM-cache state."""
+def _disagg_lbm():
+    """A fresh disagg_2n engine (buddy) and its lbm program."""
     from repro.experiments.configs import configs_for
     from repro.machine.presets import platform
     from repro.util.units import MIB
@@ -154,8 +157,205 @@ def test_disagg_disables_batched_plan():
     program = build_spmd_program(
         spec, team, RngStream(0, "lbm", config.name)
     )
-    section = next(s for s in program.sections if s.kind == "parallel")
-    assert engine._batch_plan(section) is None
+    return engine, program
+
+
+def test_disagg_takes_batched_plan():
+    """A disaggregated preset replays its compute sections through the
+    batched plan; only the first-touch init section, whose accesses
+    demand-fault, still falls back to the scalar loop."""
+    engine, program = _disagg_lbm()
+    planned: dict[str, bool] = {}
+    batch_plan = engine._batch_plan
+
+    def spy(section):
+        plan = batch_plan(section)
+        planned[section.label] = plan is not None
+        return plan
+
+    engine._batch_plan = spy
+    metrics = engine.run(program)
+    faulting = {s.label for s in metrics.sections if s.faults}
+    assert faulting == {"parallel-init"}
+    assert planned == {
+        s.label: s.label not in faulting for s in program.sections
+    }
+
+
+def test_disagg_plan_fallbacks_are_faults_only():
+    """engine.plan_fallback counts each unplannable section by reason; on
+    disagg_2n the only reason left is the init section's demand faults."""
+    from repro.obs import metrics as obs_metrics
+
+    engine, program = _disagg_lbm()
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        engine.run(program)
+    fallbacks = {
+        c["labels"]["reason"]: c["value"]
+        for c in reg.snapshot()["counters"]
+        if c["name"] == "engine.plan_fallback"
+    }
+    assert fallbacks == {"fault": 1}
+
+
+def _tiny_disagg_builder(write_fraction: float, engines: list):
+    """sanitize.diff builder: four threads on the tiny disaggregated
+    machine (node 1 remote, 8192-line DRAM cache behind a 4096-line LLC)
+    replaying a hot/cold mix over 2 MiB, so far-node reuse lands both
+    inside and beyond the DRAM cache.  The traced leg runs under a
+    ``cheap`` sanitizer; every engine built is appended to ``engines``."""
+    import numpy as np
+
+    from repro.sanitize import SanitizerObserver
+    from repro.sanitize.fuzz import FUZZ_PRESETS
+    from repro.sim.barrier import Program, Section
+    from repro.sim.trace import Trace
+    from repro.util.units import KIB, MIB
+
+    def builder(observer):
+        if observer.enabled:
+            observer = SanitizerObserver.for_level("cheap", inner=observer)
+        machine = FUZZ_PRESETS["tiny_disagg"](16 * MIB)
+        kernel = Kernel(machine, aged=True, age_seed=0, observer=observer)
+        team = ColoredTeam.create(
+            TintMalloc(kernel=kernel), [0, 1, 2, 3], Policy.BUDDY
+        )
+        memory = MemorySystem.for_machine(machine, observer=observer)
+        engine = Engine(team, memory, observer=observer)
+        if observer.enabled:
+            observer.sanitizer.attach_engine(engine)
+        engines.append(engine)
+        rng = np.random.default_rng(7)
+        nlines, n = 512 * KIB // 64, 4000
+        bases = [h.malloc(512 * KIB, label=f"r{t}")
+                 for t, h in enumerate(team.handles)]
+        init = {
+            t: Trace(
+                vaddrs=base + np.arange(nlines, dtype=np.int64) * 64,
+                writes=rng.random(nlines) < write_fraction,
+                think_ns=2.0, label="init",
+            )
+            for t, base in enumerate(bases)
+        }
+        sections = [Section(kind="parallel", traces=init, label="init")]
+        # Two compute sections, so the second one starts from state the
+        # first stored back.
+        for rnd in range(2):
+            traces = {}
+            for t, base in enumerate(bases):
+                hot = rng.integers(0, nlines // 4, n)
+                cold = rng.integers(0, nlines, n)
+                idx = np.where(rng.random(n) < 0.5, hot, cold)
+                traces[t] = Trace(
+                    vaddrs=base + idx.astype(np.int64) * 64,
+                    writes=rng.random(n) < write_fraction,
+                    think_ns=2.0, label=f"compute[{rnd}]",
+                )
+            sections.append(
+                Section(kind="parallel", traces=traces, label=f"compute[{rnd}]")
+            )
+        program = Program(sections=sections, nthreads=4, name="tiny-disagg")
+        return engine, program
+
+    return builder
+
+
+def _dram_state(engine) -> tuple:
+    """The DRAM system's mutable timing and DRAM-cache state."""
+    dram = engine.memory.dram
+    return (
+        dram._ctrl_busy, dram._chan_busy, dram._net_busy,
+        [(b.busy_until, b.open_row, b.refresh_epoch) for b in dram.banks],
+        {node: ([list(s) for s in cache._sets], cache.hits, cache.misses)
+         for node, cache in dram._remote_caches.items()},
+    )
+
+
+@pytest.mark.parametrize("write_fraction", [0.7, 0.1],
+                         ids=["write_heavy", "read_heavy"])
+def test_remote_tier_batched_paths(write_fraction, monkeypatch):
+    """fast == reference == traced (cheap sanitizer) on a small-cache
+    disaggregated machine, with every remote-tier branch of the batched
+    loop exercised: DRAM-cache hits, misses past capacity (LRU
+    evictions), absorbed and link-queued write-backs, and row conflicts
+    at the far node."""
+    from repro.dram.remote import RemoteCache
+    from repro.obs import metrics as obs_metrics
+    from repro.sanitize.diff import differential_run
+    from repro.sanitize.dram_check import DramChecker
+
+    # DramSystem.writeback is the only caller of RemoteCache.touch; its
+    # result splits the reference legs' write-backs into absorbed (True)
+    # and link-queued (False).  The fast leg matches them bit for bit.
+    touches = {True: 0, False: 0}
+    touch = RemoteCache.touch
+
+    def counting_touch(cache, line):
+        hit = touch(cache, line)
+        touches[hit] += 1
+        return hit
+
+    monkeypatch.setattr(RemoteCache, "touch", counting_touch)
+    engines: list = []
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        report = differential_run(
+            _tiny_disagg_builder(write_fraction, engines)
+        )
+    assert report.modes == ("fast", "reference", "traced")
+    assert report.clean, report.describe()
+    # The fast leg faulted its init section and batched both compute ones.
+    snap = reg.snapshot()
+    replays = [
+        h["count"] for h in snap["histograms"]
+        if h["name"] == "engine.kernel_ns" and h["labels"]["kind"] == "replay"
+    ]
+    assert replays == [2]
+    assert obs_metrics.find_metric(
+        snap, "counters", "engine.plan_fallback", reason="fault"
+    )["value"] == 1
+
+    # Beyond the metrics: the fast leg leaves the same DRAM state behind
+    # (occupancies, open rows, DRAM-cache contents in LRU order).
+    fast, ref = engines[0], engines[1]
+    assert _dram_state(fast) == _dram_state(ref)
+    dram = fast.memory.dram
+    DramChecker(dram).check()  # conservation of the stored-back mirrors
+    stats = dram.stats
+    assert stats.remote_cache_hits > 0
+    assert stats.remote_cache_misses > dram.remote.cache_lines
+    assert stats.writebacks > 0
+    assert touches[True] > 0 and touches[False] > 0
+    far = dram.mapping.bank_colors_of_node(1)
+    assert sum(dram.banks[c].conflicts for c in far) > 0
+
+
+def test_prefetch_ablation_falls_back_with_reason():
+    """Prefetchers keep the scalar loop (reason=prefetch), bit-identically."""
+    from repro.obs import metrics as obs_metrics
+
+    def run(fast: bool):
+        machine = profile_machine(PROFILE)
+        tm = TintMalloc(kernel=Kernel(machine))
+        team = ColoredTeam.create(tm, list(CONFIGS[CONFIG].cores),
+                                  Policy.BUDDY)
+        memory = MemorySystem.for_machine(machine, prefetch=True)
+        engine = Engine(team, memory, fast_path=fast)
+        spec = get_workload("blackscholes").scaled(profile_scale(PROFILE))
+        program = build_spmd_program(
+            spec, team, RngStream(0, "blackscholes", CONFIG)
+        )
+        return snapshot(engine.run(program)), len(program.sections)
+
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        fast, nsections = run(True)
+    counters = [
+        c for c in reg.snapshot()["counters"]
+        if c["name"] == "engine.plan_fallback"
+    ]
+    assert [(c["labels"], c["value"]) for c in counters] == [
+        ({"reason": "prefetch"}, nsections)
+    ]
+    assert fast == run(False)[0]
 
 
 def test_fast_path_flag_dispatch():
