@@ -1,12 +1,14 @@
 """Tier-2 guard: observability must cost nothing when disabled.
 
-The engine dispatches to ``_run_section_fast`` — byte-for-byte the seed's
-uninstrumented hot loop — whenever the observer is the default
-NullObserver.  This benchmark reconstructs the seed baseline by binding
-that loop directly (skipping even the dispatch check) and asserts the
-default path's host runtime on the Fig. 10 synthetic benchmark is within
-3% of it.  The tracing-enabled runtime is reported for information but
-not bounded: recording is allowed to cost what it costs.
+The engine dispatches to ``_run_section_fast`` — the uninstrumented
+plan + batched hot loop, which also takes demand faults inline —
+whenever the observer is the default NullObserver.  An enabled observer
+selects the reference loop, which carries the tracing hooks.  This
+benchmark reconstructs the seed baseline by binding the fast loop
+directly (skipping even the dispatch check) and asserts the default
+path's host runtime on the Fig. 10 synthetic benchmark is within 3% of
+it.  The tracing-enabled runtime is reported for information but not
+bounded: recording is allowed to cost what it costs.
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
 """Differential oracle: fast vs reference vs traced paths vs analytic model.
 
-The engine has three replay loops that must be bit-identical
-(``_run_section_fast`` / ``_run_section_reference`` /
-``_run_section_traced``).  The oracle runs the *same* program through all
-of them on fresh machines, snapshots the full
-:class:`~repro.sim.metrics.RunMetrics` tree of each, and reports the
-first divergent field with every path's value — the drift detector for
-future hot-path optimisations.
+The engine has two replay loops that must be bit-identical: the planned,
+batched ``_run_section_fast`` and ``_run_section_reference``, which also
+carries the tracing hooks when an observer is enabled.  The oracle runs
+the *same* program in three modes — fast, reference, and traced (the
+reference loop under a recording observer) — on fresh machines,
+snapshots the full :class:`~repro.sim.metrics.RunMetrics` tree of each,
+and reports the first divergent field with every mode's value — the
+drift detector for future hot-path optimisations.
 
 On top of the cross-path diff, :func:`analytic_violations` checks the
 reference run against the model's closed-form identities (runtime
 decomposition, counter conservation down the memory hierarchy), so a bug
-that corrupts *all three* paths identically is still caught when it
+that corrupts *all three* modes identically is still caught when it
 breaks an identity.
 """
 
@@ -25,7 +26,7 @@ from repro.obs.observer import NULL_OBSERVER, BaseObserver, Observer
 from repro.sanitize.base import SanitizeViolation
 from repro.sim.metrics import RunMetrics
 
-#: Engine paths the oracle compares.
+#: Engine modes the oracle compares.
 MODES = ("fast", "reference", "traced")
 
 #: Relative tolerance of the float identities in the analytic model

@@ -79,18 +79,23 @@ def _plan_fallback(reason: str) -> None:
 class Engine:
     """Runs :class:`~repro.sim.barrier.Program` objects over a team.
 
+    Sections replay through one of two loops: the planned, batched fast
+    loop (:meth:`_run_section_fast`, which demand-faults first touches
+    inline) or the reference loop (:meth:`_run_section_reference`, which
+    also carries the observer's hooks when tracing is on).  Both produce
+    bit-identical :class:`~repro.sim.metrics.RunMetrics`.
+
     Args:
         team: pinned, colored thread team (allocation policy already set).
         memory: the machine's cache/DRAM state.
-        observer: tracing sink; the default NullObserver selects the
-            uninstrumented replay loops.
+        observer: tracing sink; an enabled observer selects the
+            reference loop with its tracing hooks, the default
+            NullObserver the uninstrumented fast loop.
         fast_path: when True (default) and the observer is disabled,
-            sections replay through :meth:`_run_section_fast` — the
-            batched loop with the inlined L1-hit short-circuit.  Set
+            sections replay through :meth:`_run_section_fast`.  Set
             False to force :meth:`_run_section_reference`, the
             straightforward loop kept for equivalence testing and as the
-            perf baseline (``benchmarks/perf_baseline.py``).  Both paths
-            produce bit-identical :class:`~repro.sim.metrics.RunMetrics`.
+            perf baseline (``benchmarks/perf_baseline.py``).
     """
 
     def __init__(
@@ -216,72 +221,68 @@ class Engine:
         """Run one section; returns per-thread end times (Algorithm 3's
         ``end[tid]``).
 
-        Dispatches to the uninstrumented hot loops unless tracing is on —
-        the disabled-observer path must cost nothing per access (guarded
-        by ``benchmarks/test_obs_overhead.py``).  With tracing off, the
-        default is the batched fast path; ``fast_path=False`` selects the
-        reference loop (same results, no short-circuits), which exists so
-        the equivalence test and the perf baseline always have the
-        original engine to compare against.
+        With tracing off and ``fast_path`` set (the default), the section
+        replays through :meth:`_run_section_fast` — the disabled-observer
+        path must cost nothing per access (guarded by
+        ``benchmarks/test_obs_overhead.py``).  Tracing, or
+        ``fast_path=False``, selects :meth:`_run_section_reference`: the
+        straightforward loop (same results, no short-circuits) that the
+        equivalence tests and the perf baseline compare against, and the
+        one that carries the observer's hooks.
         """
-        if self.observer.enabled:
-            return self._run_section_traced(section, start, metrics)
-        if self.fast_path:
+        if self.fast_path and not self.observer.enabled:
             return self._run_section_fast(section, start, metrics)
         return self._run_section_reference(section, start, metrics)
 
     def _run_section_fast(
         self, section: Section, start: float, metrics: RunMetrics
     ) -> dict[int, float]:
-        """The zero-observability fast path: batched replay when possible.
+        """The zero-observability fast path: plan, then batched replay.
 
         Two-stage structure (see docs/PERFORMANCE.md for the model):
 
-        1. :meth:`_batch_plan` tries to vectorise all *stateless*
-           per-access work for the whole section with numpy — address
-           translation (unique-page gather), physical line construction,
-           DRAM route decode (:meth:`AddressMapping.decode_batch` via
+        1. :meth:`_batch_plan` vectorises all *stateless* per-access work
+           for the whole section with numpy — address translation
+           (unique-page gather), physical line construction, DRAM route
+           decode (:meth:`AddressMapping.decode_batch` via
            :meth:`DramSystem.route_batch`), row numbers, interconnect
            constants, and every cache set index
-           (:func:`repro.cache.batch.set_index_batch`).  This requires
-           every page of the section to be resident (compute sections
-           after the faulting init sections) and no prefetchers.
+           (:func:`repro.cache.batch.set_index_batch`).  Pages not yet
+           mapped are left unresolved.
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the disaggregated
-           tier's DRAM-cache sets and network links, the merge order
-           itself — through a lean scalar loop over the precomputed
-           plan, bit-identical to the reference loop.
+           tier's DRAM-cache sets and network links, demand faults of
+           the unresolved pages, the merge order itself — through a lean
+           scalar loop over the plan, bit-identical to the reference
+           loop.
 
-        When the plan cannot be built (a page would fault, prefetch
-        ablation on, or a degenerate row layout), the section runs
-        through :meth:`_run_section_scalar`, the previous-generation
-        fast loop.  Per-stage wall time is recorded in the ambient
-        metrics registry (``engine.kernel_ns{kind=decode|replay|
-        scalar_replay}``) so ``repro.obs top`` shows where replay time
-        goes, and each fallback is counted by reason
-        (``engine.plan_fallback{reason=fault|prefetch|row_layout}``).
+        Only prefetch ablation and a row layout with row bits inside the
+        line offset cannot be planned; those sections replay through
+        :meth:`_run_section_reference`.  Per-stage wall time is recorded
+        in the ambient metrics registry (``engine.kernel_ns{kind=decode|
+        replay|scalar_replay}``) so ``repro.obs top`` shows where replay
+        time goes.  ``replay`` is a batched section whose pages were all
+        resident; ``scalar_replay`` is one that faulted pages in inline
+        or went to the reference loop, so it holds every demand fault of
+        the run.  Each unplannable section is counted by reason
+        (``engine.plan_fallback{reason=prefetch|row_layout}``).
         """
-        mreg = obs_metrics.active()
-        if mreg is None:
-            plan = self._batch_plan(section)
-            if plan is not None:
-                return self._run_section_batched(section, start, metrics, plan)
-            return self._run_section_scalar(section, start, metrics)
         t0 = time.perf_counter()
         plan = self._batch_plan(section)
         t1 = time.perf_counter()
-        mreg.histogram("engine.kernel_ns", kind="decode").observe(
-            (t1 - t0) * 1e9
-        )
-        if plan is not None:
-            ends = self._run_section_batched(section, start, metrics, plan)
-            kind = "replay"
-        else:
-            ends = self._run_section_scalar(section, start, metrics)
+        if plan is None:
+            ends = self._run_section_reference(section, start, metrics)
             kind = "scalar_replay"
-        mreg.histogram("engine.kernel_ns", kind=kind).observe(
-            (time.perf_counter() - t1) * 1e9
-        )
+        else:
+            ends = self._run_section_batched(section, start, metrics, plan)
+            resident = all(p[18] is None for p in plan.values())
+            kind = "replay" if resident else "scalar_replay"
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            t2 = time.perf_counter()
+            hist = mreg.histogram
+            hist("engine.kernel_ns", kind="decode").observe((t1 - t0) * 1e9)
+            hist("engine.kernel_ns", kind=kind).observe((t2 - t1) * 1e9)
         return ends
 
     def _batch_plan(self, section: Section) -> dict[int, tuple] | None:
@@ -294,19 +295,25 @@ class Engine:
         propagation, link occupancy) of every access, plus the issuing
         core's cache bindings.  All of it is stateless address math, so
         it can leave the replay loop; everything computed here is
-        bit-identical to what the scalar paths derive per access.
+        bit-identical to what the reference loop derives per access.
         Accesses to a disaggregated node carry hops = -1: they bypass
         the mesh (their propagation and occupancy entries are unused)
         and replay through the remote-tier branch of
         :meth:`_run_section_batched`.
 
-        Returns None — caller falls back to :meth:`_run_section_scalar`
-        — when prefetchers are on (their fills are not modelled by the
-        batched loop), any page of the section is unmapped (the access
-        would demand-fault mid-replay, which is inherently sequential),
-        or the row layout puts row bits inside the line offset.  Each
-        such fallback is counted by reason when a metrics registry is
-        active.
+        The last slot is None when every page of the trace is mapped.
+        Otherwise unmapped pages are planned as frame 0 (leaving each of
+        their accesses' in-page line offset in the line list) and the
+        slot holds what the batched loop needs to fault them in at first
+        touch: a stack of (vpn, access positions) per page, the stack of
+        their first-touch positions over the trace length, the virtual
+        addresses, the task, and the core's per-node interconnect tables.
+
+        Returns None — the caller replays through
+        :meth:`_run_section_reference` — when prefetchers are on (their
+        fills are not modelled by the batched loop) or the row layout
+        puts row bits inside the line offset.  Each such fallback is
+        counted by reason when a metrics registry is active.
         """
         hierarchy = self.memory.hierarchy
         if hierarchy.prefetchers is not None:
@@ -337,18 +344,32 @@ class Engine:
                 continue
             va = trace.vaddrs
             uvpn, inv = np.unique(va >> page_bits, return_inverse=True)
-            upfns = [page_table_get(v) for v in uvpn.tolist()]
+            vpns = uvpn.tolist()
+            upfns = [page_table_get(v) for v in vpns]
+            core = handles[tidx].core
+            node_hops = list(ic._hops[core])
+            for nd in far_nodes:
+                node_hops[nd] = -1
+            faults = None
             if None in upfns:
-                return _plan_fallback("fault")
+                unmapped = np.array([p is None for p in upfns])
+                pos = np.flatnonzero(unmapped[inv])
+                pages: dict[int, list[int]] = {}
+                for j, k in zip(pos.tolist(), inv[pos].tolist()):
+                    pages.setdefault(k, []).append(j)
+                upfns = [0 if p is None else p for p in upfns]
+                faults = (
+                    [(vpns[k], at) for k, at in reversed(pages.items())],
+                    [len(va)] + [at[0] for at in reversed(pages.values())],
+                    va, handles[tidx].task,
+                    node_hops, ic._prop[core], ic._occupancy[core],
+                )
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
             )
             bc_u, node_u, chan_u = dram.route_batch(pfns_u)
-            core = handles[tidx].core
-            node_hops = np.asarray(ic._hops[core], dtype=np.int64)
-            node_hops[far_nodes] = -1
-            hops_u = node_hops[node_u]
+            hops_u = np.asarray(node_hops, dtype=np.int64)[node_u]
             prop_u = np.asarray(ic._prop[core], dtype=np.float64)[node_u]
             occ_u = np.asarray(ic._occupancy[core], dtype=np.float64)[node_u]
             writes = trace.writes.tolist()
@@ -381,6 +402,7 @@ class Engine:
                 [(src, n) for n in range(num_nodes)],
                 hierarchy.l1[core], hierarchy._l1_sets[core],
                 hierarchy.l2[core], hierarchy._l2_sets[core],
+                faults,
             )
         return plans
 
@@ -407,9 +429,16 @@ class Engine:
         once.  An LLC miss takes one of three inlined DRAM branches,
         chosen by the plan's hop count: local controller (0), across
         the mesh (> 0), or a disaggregated node (-1, which probes the
-        DRAM cache before crossing the network).  Keep the replay
-        semantics in lockstep with the reference loop and
-        ``_run_section_traced``.
+        DRAM cache before crossing the network).
+
+        Pages the plan left unresolved are demand-faulted inline: a
+        thread's next unresolved position is the ``stop`` its
+        end-of-trace compare already tests, so resident accesses pay
+        nothing for it.  When a thread is about to execute a stop, the
+        loop resolves that page (``fault_in``) at the same point of the
+        merge order as the reference loop's page-table lookup, and
+        charges the fault to that one access.  Keep the replay
+        semantics in lockstep with :meth:`_run_section_reference`.
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
@@ -445,8 +474,15 @@ class Engine:
         write_recovery = dram._write_recovery
         wb_scale = dram._wb_scale
         line_bits = hierarchy._line_bits
-        page_line_shift = self.kernel.mapping.page_bits - line_bits
+        page_bits = self.kernel.mapping.page_bits
+        page_line_shift = page_bits - line_bits
         row_line_shift = dram._row_shift - line_bits
+        l1_ib = hierarchy._l1_ib
+        l1_ib2 = l1_ib + l1_ib
+        l1_mask = hierarchy._l1_mask
+        page_table_get = self.space.page_table.get
+        translate = self.space.translate
+        kernel = self.kernel
         ABSENT = _ABSENT
         pop = heapq.heappop
         replace = heapq.heapreplace
@@ -571,30 +607,68 @@ class Engine:
                     wb(old, now)
             llc_set[line] = True
 
+        def fault_in(tidx: int, i: int) -> tuple[float, int]:
+            # Resolve the page of access i (the thread's next stop):
+            # demand-fault it unless another thread, or a huge-page fault,
+            # has mapped it since planning, then fill the plan entries of
+            # its accesses.  Faults touch no cache or DRAM state, so the
+            # mirrors stay valid.  Returns the fault cost (0.0 if none) and
+            # the new stop: the next access while a cost is pending.
+            plan = plans[tidx]
+            pages, stops, va, task, node_hops, node_prop, node_occ = plan[18]
+            vpn, at = pages.pop()
+            stops.pop()
+            pfn = page_table_get(vpn)
+            fault_ns = 0.0
+            if pfn is None:
+                pfn = translate(int(va[i]), task)[0] >> page_bits
+                fault_ns = kernel.last_fault_charge.total_ns
+                tm = threads[tidx]
+                tm.faults += 1
+                tm.fault_ns += fault_ns
+            bc, nd, ch, _ = frame_route_get(pfn) or dram_route(pfn)
+            hp, pr, oc = node_hops[nd], node_prop[nd], node_occ[nd]
+            lines, l1i, l2i, lci = plan[:4]
+            nds, chs, bcs, rows, hops, props, occs = plan[6:13]
+            base = pfn << page_line_shift
+            for j in at:
+                line = base | lines[j]
+                lines[j] = line
+                l1i[j] = (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
+                l2i[j] = (line ^ (line >> l2_ib) ^ (line >> l2_ib2)) & l2_mask
+                lci[j] = line & llc_mask
+                rows[j] = line >> row_line_shift
+                nds[j], chs[j], bcs[j] = nd, ch, bc
+                hops[j], props[j], occs[j] = hp, pr, oc
+            return fault_ns, (i + 1 if fault_ns else stops[-1])
+
         states: dict[int, list] = {}
         heap: list[tuple[float, int]] = []
         for tidx in section.traces:
             plan = plans.get(tidx)
             if plan is None:
                 continue
-            # Mutable per-thread state: cursor, trace length, the plan's
-            # record lists, the core's set tables, and six event
-            # counters flushed into the shared metrics once per section.
-            states[tidx] = [
-                0, len(plan[0]), plan[0], plan[1], plan[2], plan[3],
-                plan[4], plan[5], plan[6], plan[7], plan[8], plan[9],
-                plan[10], plan[11], plan[12], plan[13], plan[15],
-                plan[17], 0, 0, 0, 0, 0, 0,
-            ]
+            faults = plan[18]
+            stops = [len(plan[0])] if faults is None else faults[1]
+            # Mutable per-thread state: cursor, the stack of stops (the
+            # trace length under any first touches still to resolve),
+            # the plan's record lists, the core's set tables, and six
+            # event counters flushed into the shared metrics once per
+            # section.
+            states[tidx] = [0, stops, *plan[:14], plan[15], plan[17]]
+            states[tidx] += [0] * 6
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
             return ends
+        # A pending fault cost is charged right after its access, always
+        # within the burst that took it, so it is 0.0 between bursts.
+        fault_ns = fclock = 0.0
 
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, n, lines, l1i, l2i, lci, writes, thinks, nds, chs, bcs,
+            (i, stops, lines, l1i, l2i, lci, writes, thinks, nds, chs, bcs,
              rows, hops, props, occs, lkeys, l1_sets_c, l2_sets_c,
              dram_n, remote_n, conflict_n, l1_miss_n, l2_hit_n,
              l2_miss_n) = state
@@ -612,6 +686,10 @@ class Engine:
                 horizon = heap[1][0] + slack
             else:
                 horizon = inf
+            stop = stops[-1]
+            if i == stop:
+                fclock = clock
+                fault_ns, stop = fault_in(tidx, i)
 
             while True:
                 line = lines[i]
@@ -619,37 +697,17 @@ class Engine:
                 d = entries.pop(line, ABSENT)
                 if d is not ABSENT:
                     entries[line] = d or writes[i]
-                    clock += thinks[i] + l1_hit_t
+                    lat = l1_hit_t
                 else:
                     l1_miss_n += 1
                     is_w = writes[i]
                     l2_set = l2_sets_c[l2i[i]]
                     d = l2_set.pop(line, ABSENT)
                     if d is not ABSENT:
-                        # L2 hit: refresh LRU, fill the L1 (the probe
-                        # above already proved the line absent there).
+                        # L2 hit: refresh LRU (the L1 fill follows).
                         l2_hit_n += 1
                         l2_set[line] = d or is_w
-                        if len(entries) >= l1_ways:
-                            old = next(iter(entries))
-                            old_dirty = entries.pop(old)
-                            entries[line] = is_w
-                            if old_dirty:
-                                down = l2_sets_c[
-                                    (old ^ (old >> l2_ib) ^ (old >> l2_ib2))
-                                    & l2_mask
-                                ]
-                                if old in down:
-                                    down[old] = True
-                                else:
-                                    sset = llc_sets[old & llc_mask]
-                                    if old in sset:
-                                        sset[old] = True
-                                    else:
-                                        spill_insert(sset, old, clock)
-                        else:
-                            entries[line] = is_w
-                        clock += thinks[i] + l2_hit_t
+                        lat = l2_hit_t
                     else:
                         l2_miss_n += 1
                         llc_set = llc_sets[lci[i]]
@@ -878,8 +936,8 @@ class Engine:
                                     wb(old, clock)
                             llc_set[line] = is_w
                             lat = llc_hit_t + dram_lat
-                        # _fill_private, inlined: L2 insert then L1
-                        # insert (both probes above proved absence).
+                        # _fill_private's L2 insert, inlined (the probe
+                        # above proved absence).
                         if len(l2_set) >= l2_ways:
                             old = next(iter(l2_set))
                             old_dirty = l2_set.pop(old)
@@ -892,32 +950,47 @@ class Engine:
                                     spill_insert(sset, old, clock)
                         else:
                             l2_set[line] = False
-                        if len(entries) >= l1_ways:
-                            old = next(iter(entries))
-                            old_dirty = entries.pop(old)
-                            entries[line] = is_w
-                            if old_dirty:
-                                down = l2_sets_c[
-                                    (old ^ (old >> l2_ib) ^ (old >> l2_ib2))
-                                    & l2_mask
-                                ]
-                                if old in down:
-                                    down[old] = True
+                    # L1 fill after an L2 hit or miss (the probe above
+                    # proved absence): a dirty victim goes down to the L2,
+                    # or to the LLC when the L2 no longer holds it.
+                    if len(entries) >= l1_ways:
+                        old = next(iter(entries))
+                        old_dirty = entries.pop(old)
+                        entries[line] = is_w
+                        if old_dirty:
+                            down = l2_sets_c[
+                                (old ^ (old >> l2_ib) ^ (old >> l2_ib2))
+                                & l2_mask
+                            ]
+                            if old in down:
+                                down[old] = True
+                            else:
+                                sset = llc_sets[old & llc_mask]
+                                if old in sset:
+                                    sset[old] = True
                                 else:
-                                    sset = llc_sets[old & llc_mask]
-                                    if old in sset:
-                                        sset[old] = True
-                                    else:
-                                        spill_insert(sset, old, clock)
-                        else:
-                            entries[line] = is_w
-                        clock += thinks[i] + lat
+                                    spill_insert(sset, old, clock)
+                    else:
+                        entries[line] = is_w
+                clock += thinks[i] + lat
 
                 i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    pop(heap)
-                    break
+                if i >= stop:
+                    if fault_ns:
+                        # The faulting access ran at its pre-fault clock;
+                        # add the fault after its latency, exactly as the
+                        # reference loop sums the two.
+                        clock = fclock + (thinks[i - 1] + lat + fault_ns)
+                        fault_ns = 0.0
+                        stop = stops[-1]
+                    if i == len(lines):
+                        ends[tidx] = clock
+                        pop(heap)
+                        break
+                    if i == stop and clock <= horizon:
+                        fclock = clock
+                        fault_ns, stop = fault_in(tidx, i)
+                        continue
                 if clock > horizon:
                     state[0] = i
                     replace(heap, (clock, tidx))
@@ -936,7 +1009,7 @@ class Engine:
         for tidx, state in states.items():
             plan = plans[tidx]
             tm = threads[tidx]
-            n = state[1]
+            n = len(state[2])
             l1_miss_n = state[21]
             tm.accesses += n
             tm.dram_accesses += state[18]
@@ -989,178 +1062,6 @@ class Engine:
             b.conflicts = conf
         return ends
 
-    def _run_section_scalar(
-        self, section: Section, start: float, metrics: RunMetrics
-    ) -> dict[int, float]:
-        """The scalar fast loop (fallback for sections that may fault).
-
-        Same replay semantics as :meth:`_run_section_reference` — and
-        bit-identical metrics, enforced by
-        ``tests/test_sim_engine_equivalence.py`` — with three
-        engine-level optimisations on top of the shared batching window:
-
-        * **L1-hit short-circuit**: the issuing core's L1 is probed
-          inline (``Cache.lookup`` semantics on the set dicts directly);
-          a hit charges the constant L1 latency without entering
-          :class:`CacheHierarchy` at all.  Misses continue through
-          :meth:`~repro.cache.hierarchy.CacheHierarchy.access_after_l1`
-          (never re-probing the L1).  L1 hit/miss counters batch in
-          locals and flush with the other per-batch counters.
-        * **Batched counter flushes**: integer per-thread counters
-          (accesses, DRAM/remote/row-conflict counts) accumulate in
-          locals and flush to :class:`ThreadMetrics` when the thread
-          leaves its batch — int adds are associative, so totals are
-          exact.  Fault costs stay per-event (floats).
-        * **Local bindings** of every attribute the loop touches, and
-          page/line address components pre-split per trace with numpy
-          (``vpn`` and in-page line offset), so the resident-page path
-          does two int ops per access instead of four.
-
-        NOTE: `_run_section_traced` mirrors the reference loop with
-        tracing hooks; behavioural changes must be applied to all three.
-        """
-        # Local bindings for the hot loop.
-        page_bits = self.kernel.mapping.page_bits
-        page_mask = (1 << page_bits) - 1
-        hierarchy = self.memory.hierarchy
-        line_bits = hierarchy.topology.llc.offset_bits
-        page_line_shift = page_bits - line_bits
-        l1_hit = hierarchy.timing.l1_hit
-        miss_access = hierarchy.access_after_l1
-        page_table = self.space.page_table
-        page_table_get = page_table.get
-        translate = self.space.translate
-        kernel = self.kernel
-        threads = metrics.threads
-        DRAM = MemoryLevel.DRAM
-        CONFLICT = RowKind.CONFLICT
-        push, pop = heapq.heappush, heapq.heappop
-        slack = self.BATCH_SLACK_NS
-        inf = float("inf")
-
-        # L1 probe parameters (one geometry for every core's L1); the
-        # probe itself is Cache.lookup inlined on the set dicts.
-        l1_ib = hierarchy.topology.l1.index_bits
-        l1_ib2 = l1_ib + l1_ib
-        l1_mask = hierarchy.topology.l1.num_sets - 1
-        ABSENT = _ABSENT
-
-        # Per-thread replay state.  vpn/off_line are vectorised off the
-        # trace once (small ints, unlike the boxed 48-bit vaddrs); the
-        # replayed physical line address is then
-        # ``(pfn << page_line_shift) | off_line`` — identical bits to the
-        # reference loop's paddr construction + shift.
-        states: dict[int, list] = {}
-        heap: list[tuple[float, int]] = []
-        l1 = hierarchy.l1
-        for tidx, trace in section.traces.items():
-            if len(trace) == 0:
-                continue
-            vaddrs, writes, thinks = trace.as_lists()
-            va = trace.vaddrs
-            vpns = (va >> page_bits).tolist()
-            off_lines = ((va & page_mask) >> line_bits).tolist()
-            handle = self.team.handles[tidx]
-            l1_cache = l1[handle.core]
-            states[tidx] = [0, vaddrs, vpns, off_lines, writes, thinks,
-                            handle.task, handle.core, l1_cache,
-                            l1_cache._sets]
-            heapq.heappush(heap, (start, tidx))
-        ends: dict[int, float] = {tidx: start for tidx in section.traces}
-        if not heap:
-            return ends
-
-        while heap:
-            clock, tidx = pop(heap)
-            state = states[tidx]
-            (i, vaddrs, vpns, off_lines, writes, thinks, task, core,
-             l1_cache, l1_sets) = state
-            tm = threads[tidx]
-            n = len(vaddrs)
-            # Run this thread until it overtakes the next-soonest thread
-            # (plus slack) or finishes its trace; counters batch in
-            # locals for the whole run.
-            horizon = (heap[0][0] + slack) if heap else inf
-            i0 = i
-            dram_n = 0
-            remote_n = 0
-            conflict_n = 0
-            l1_misses = 0
-
-            while True:
-                pfn = page_table_get(vpns[i])
-                if pfn is None:
-                    # Demand fault under the faulting task's policy.
-                    paddr, _ = translate(vaddrs[i], task)
-                    fault_ns = kernel.last_fault_charge.total_ns
-                    tm.faults += 1
-                    tm.fault_ns += fault_ns
-                    line = paddr >> line_bits
-                    entries = l1_sets[
-                        (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
-                    ]
-                    d = entries.pop(line, ABSENT)
-                    if d is not ABSENT:
-                        entries[line] = d or writes[i]
-                        clock += thinks[i] + l1_hit + fault_ns
-                    else:
-                        l1_misses += 1
-                        result = miss_access(
-                            line, paddr, core, clock, writes[i]
-                        )
-                        if result.level is DRAM:
-                            dram = result.dram
-                            dram_n += 1
-                            if dram.hops:
-                                remote_n += 1
-                            if dram.row_kind is CONFLICT:
-                                conflict_n += 1
-                        clock += thinks[i] + result.latency + fault_ns
-                else:
-                    line = (pfn << page_line_shift) | off_lines[i]
-                    entries = l1_sets[
-                        (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
-                    ]
-                    d = entries.pop(line, ABSENT)
-                    if d is not ABSENT:
-                        entries[line] = d or writes[i]
-                        clock += thinks[i] + l1_hit
-                    else:
-                        l1_misses += 1
-                        # Byte offsets below the line never matter past
-                        # L1, so line << line_bits is the paddr the
-                        # hierarchy needs (page, row, bank all agree).
-                        result = miss_access(
-                            line, line << line_bits, core, clock, writes[i]
-                        )
-                        if result.level is DRAM:
-                            dram = result.dram
-                            dram_n += 1
-                            if dram.hops:
-                                remote_n += 1
-                            if dram.row_kind is CONFLICT:
-                                conflict_n += 1
-                        clock += thinks[i] + result.latency
-
-                i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    break
-                if clock > horizon:
-                    state[0] = i
-                    push(heap, (clock, tidx))
-                    break
-            # Batch counter flush; the access count is the index delta,
-            # and every non-hit probe was counted in l1_misses.
-            accesses = i - i0
-            tm.accesses += accesses
-            tm.dram_accesses += dram_n
-            tm.remote_accesses += remote_n
-            tm.row_conflicts += conflict_n
-            l1_cache.hits += accesses - l1_misses
-            l1_cache.misses += l1_misses
-        return ends
-
     def _run_section_reference(
         self, section: Section, start: float, metrics: RunMetrics
     ) -> dict[int, float]:
@@ -1168,11 +1069,19 @@ class Engine:
 
         This is the engine as it existed before the fast path: every
         access enters :meth:`CacheHierarchy.access`, and per-thread
-        counters update one access at a time.  It is kept (verbatim) as
-        the behavioural reference: ``tests/test_sim_engine_equivalence.py``
+        counters update one access at a time.  It is kept as the
+        behavioural reference: ``tests/test_sim_engine_equivalence.py``
         asserts the fast path reproduces its :class:`RunMetrics`
         bit-for-bit, and ``benchmarks/perf_baseline.py`` measures the
-        fast path's speedup against it.
+        fast path's speedup against it.  It also replays the sections
+        the fast path cannot plan (prefetch ablation, row bits inside
+        the line offset).
+
+        With tracing on it adds the observability hooks, per access: the
+        observer's sim-time cursor (so kernel events carry timestamps), a
+        span per page-fault service, and the counter-sampling cadence
+        check.  DRAM transaction spans are emitted by
+        :class:`~repro.dram.system.DramSystem` itself.
         """
         # Per-thread replay state.
         states: dict[int, list] = {}
@@ -1201,6 +1110,8 @@ class Engine:
         push, pop = heapq.heappush, heapq.heappop
         slack = self.BATCH_SLACK_NS
         inf = float("inf")
+        obs = self.observer
+        tracing = obs.enabled
 
         while heap:
             clock, tidx = pop(heap)
@@ -1219,10 +1130,18 @@ class Engine:
                 fault_ns = 0.0
                 if pfn is None:
                     # Demand fault under the faulting task's policy.
+                    if tracing:
+                        obs.now = clock
                     paddr, _ = translate(vaddr, task)
                     fault_ns = kernel.last_fault_charge.total_ns
                     tm.faults += 1
                     tm.fault_ns += fault_ns
+                    if tracing:
+                        obs.span(
+                            "fault", clock, clock + fault_ns,
+                            track="threads", tid=tidx,
+                            args={"vpn": vpn, "core": core},
+                        )
                 else:
                     paddr = (pfn << page_bits) | (vaddr & page_mask)
 
@@ -1237,95 +1156,8 @@ class Engine:
                         tm.row_conflicts += 1
 
                 clock += thinks[i] + result.latency + fault_ns
-                i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    break
-                if clock > horizon:
-                    state[0] = i
-                    push(heap, (clock, tidx))
-                    break
-        return ends
-
-    def _run_section_traced(
-        self, section: Section, start: float, metrics: RunMetrics
-    ) -> dict[int, float]:
-        """:meth:`_run_section_reference` with observability hooks.
-
-        Adds, per access: the observer's sim-time cursor (so kernel
-        events carry timestamps), a span per page-fault service, and the
-        counter-sampling cadence check.  DRAM transaction spans are
-        emitted by :class:`~repro.dram.system.DramSystem` itself.  Keep
-        the replay logic in lockstep with `_run_section_reference`.
-        """
-        states: dict[int, list] = {}
-        heap: list[tuple[float, int]] = []
-        for tidx, trace in section.traces.items():
-            if len(trace) == 0:
-                continue
-            vaddrs, writes, thinks = trace.as_lists()
-            handle = self.team.handles[tidx]
-            states[tidx] = [0, vaddrs, writes, thinks, handle.task, handle.core]
-            heapq.heappush(heap, (start, tidx))
-        ends: dict[int, float] = {tidx: start for tidx in section.traces}
-        if not heap:
-            return ends
-
-        page_bits = self.kernel.mapping.page_bits
-        page_mask = (1 << page_bits) - 1
-        page_table = self.space.page_table
-        translate = self.space.translate
-        access = self.memory.hierarchy.access
-        kernel = self.kernel
-        threads = metrics.threads
-        DRAM = MemoryLevel.DRAM
-        CONFLICT = RowKind.CONFLICT
-        push, pop = heapq.heappush, heapq.heappop
-        slack = self.BATCH_SLACK_NS
-        inf = float("inf")
-        obs = self.observer
-        obs_span = obs.span
-        obs_sample = obs.maybe_sample
-
-        while heap:
-            clock, tidx = pop(heap)
-            state = states[tidx]
-            i, vaddrs, writes, thinks, task, core = state
-            tm = threads[tidx]
-            n = len(vaddrs)
-            horizon = (heap[0][0] + slack) if heap else inf
-
-            while True:
-                vaddr = vaddrs[i]
-                vpn = vaddr >> page_bits
-                pfn = page_table.get(vpn)
-                fault_ns = 0.0
-                if pfn is None:
-                    obs.now = clock
-                    paddr, _ = translate(vaddr, task)
-                    fault_ns = kernel.last_fault_charge.total_ns
-                    tm.faults += 1
-                    tm.fault_ns += fault_ns
-                    obs_span(
-                        "fault", clock, clock + fault_ns,
-                        track="threads", tid=tidx,
-                        args={"vpn": vpn, "core": core},
-                    )
-                else:
-                    paddr = (pfn << page_bits) | (vaddr & page_mask)
-
-                result = access(paddr, core, clock, writes[i])
-                tm.accesses += 1
-                if result.level is DRAM:
-                    dram = result.dram
-                    tm.dram_accesses += 1
-                    if dram.hops:
-                        tm.remote_accesses += 1
-                    if dram.row_kind is CONFLICT:
-                        tm.row_conflicts += 1
-
-                clock += thinks[i] + result.latency + fault_ns
-                obs_sample(clock)
+                if tracing:
+                    obs.maybe_sample(clock)
                 i += 1
                 if i >= n:
                     ends[tidx] = clock

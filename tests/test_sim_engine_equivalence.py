@@ -161,9 +161,9 @@ def _disagg_lbm():
 
 
 def test_disagg_takes_batched_plan():
-    """A disaggregated preset replays its compute sections through the
-    batched plan; only the first-touch init section, whose accesses
-    demand-fault, still falls back to the scalar loop."""
+    """A disaggregated preset replays every section through the batched
+    plan, the first-touch init section included: its demand faults are
+    taken inline by the batched loop."""
     engine, program = _disagg_lbm()
     planned: dict[str, bool] = {}
     batch_plan = engine._batch_plan
@@ -177,25 +177,48 @@ def test_disagg_takes_batched_plan():
     metrics = engine.run(program)
     faulting = {s.label for s in metrics.sections if s.faults}
     assert faulting == {"parallel-init"}
-    assert planned == {
-        s.label: s.label not in faulting for s in program.sections
+    assert planned == {s.label: True for s in program.sections}
+
+
+def _kernel_ns_counts(snap: dict) -> dict[str, int]:
+    """Sections recorded per ``engine.kernel_ns`` kind."""
+    return {
+        h["labels"]["kind"]: h["count"] for h in snap["histograms"]
+        if h["name"] == "engine.kernel_ns"
     }
 
 
-def test_disagg_plan_fallbacks_are_faults_only():
+def test_disagg_records_no_plan_fallbacks():
     """engine.plan_fallback counts each unplannable section by reason; on
-    disagg_2n the only reason left is the init section's demand faults."""
+    disagg_2n every section is planned, so none is recorded."""
     from repro.obs import metrics as obs_metrics
 
     engine, program = _disagg_lbm()
     with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
         engine.run(program)
-    fallbacks = {
-        c["labels"]["reason"]: c["value"]
-        for c in reg.snapshot()["counters"]
+    assert [
+        c for c in reg.snapshot()["counters"]
         if c["name"] == "engine.plan_fallback"
+    ] == []
+
+
+def test_disagg_faulting_sections_record_scalar_replay():
+    """A section that faults inline is recorded as ``scalar_replay``, so
+    that stage holds every demand fault of the run; fully resident
+    sections are ``replay``."""
+    from repro.obs import metrics as obs_metrics
+
+    engine, program = _disagg_lbm()
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        metrics = engine.run(program)
+    faulting = sum(1 for s in metrics.sections if s.faults)
+    assert faulting == 1
+    counts = _kernel_ns_counts(reg.snapshot())
+    assert counts == {
+        "decode": len(program.sections),
+        "scalar_replay": faulting,
+        "replay": len(program.sections) - faulting,
     }
-    assert fallbacks == {"fault": 1}
 
 
 def _tiny_disagg_builder(write_fraction: float, engines: list):
@@ -303,16 +326,11 @@ def test_remote_tier_batched_paths(write_fraction, monkeypatch):
         )
     assert report.modes == ("fast", "reference", "traced")
     assert report.clean, report.describe()
-    # The fast leg faulted its init section and batched both compute ones.
-    snap = reg.snapshot()
-    replays = [
-        h["count"] for h in snap["histograms"]
-        if h["name"] == "engine.kernel_ns" and h["labels"]["kind"] == "replay"
-    ]
-    assert replays == [2]
-    assert obs_metrics.find_metric(
-        snap, "counters", "engine.plan_fallback", reason="fault"
-    )["value"] == 1
+    # The fast leg took its init section's faults inline and batched
+    # both compute sections from resident pages.
+    counts = _kernel_ns_counts(reg.snapshot())
+    assert counts["replay"] == 2
+    assert counts["scalar_replay"] == 1
 
     # Beyond the metrics: the fast leg leaves the same DRAM state behind
     # (occupancies, open rows, DRAM-cache contents in LRU order).
@@ -330,7 +348,8 @@ def test_remote_tier_batched_paths(write_fraction, monkeypatch):
 
 
 def test_prefetch_ablation_falls_back_with_reason():
-    """Prefetchers keep the scalar loop (reason=prefetch), bit-identically."""
+    """Prefetchers send every section to the reference loop
+    (reason=prefetch), bit-identically."""
     from repro.obs import metrics as obs_metrics
 
     def run(fast: bool):
@@ -358,15 +377,11 @@ def test_prefetch_ablation_falls_back_with_reason():
     assert fast == run(False)[0]
 
 
-def test_fast_path_flag_dispatch():
-    """fast_path=False must actually select the reference loop."""
-    team, engine = _fresh_environment(
-        CONFIGS[CONFIG], Policy.BUDDY, profile_machine(PROFILE), age_seed=0
-    )
-    assert engine.fast_path  # default on
-    engine.fast_path = False
+def _dispatched(engine, team) -> list[str]:
+    """Which loop ``engine._run_section`` picks for one section."""
     seen = []
     engine._run_section_reference = lambda *a, **k: seen.append("ref") or {}
+    engine._run_section_fast = lambda *a, **k: seen.append("fast") or {}
     engine._run_section(
         next(iter(build_spmd_program(
             get_workload("blackscholes").scaled(profile_scale(PROFILE)),
@@ -375,4 +390,200 @@ def test_fast_path_flag_dispatch():
         0.0,
         RunMetrics(name="x", policy="buddy", nthreads=team.nthreads),
     )
-    assert seen == ["ref"]
+    return seen
+
+
+def test_fast_path_flag_dispatch():
+    """fast_path=False must actually select the reference loop."""
+    team, engine = _fresh_environment(
+        CONFIGS[CONFIG], Policy.BUDDY, profile_machine(PROFILE), age_seed=0
+    )
+    assert engine.fast_path  # default on
+    engine.fast_path = False
+    assert _dispatched(engine, team) == ["ref"]
+
+
+def test_enabled_observer_dispatches_to_reference():
+    """An enabled observer selects the reference loop, which carries the
+    tracing hooks, even with fast_path on."""
+    team, engine = _fresh_environment(
+        CONFIGS[CONFIG], Policy.BUDDY, profile_machine(PROFILE), age_seed=0,
+        observer=Observer(),
+    )
+    assert engine.fast_path
+    assert _dispatched(engine, team) == ["ref"]
+
+
+# ------------------------------------------------------- inline demand faults
+def _inline_fault_builder(engines: list):
+    """sanitize.diff builder: four threads on the tiny machine whose
+    sections demand-fault inside the batched loop.
+
+    * ``race``: threads 0 and 1 first-touch the same 16 pages, every line
+      of each in a shuffled order, so whichever reaches a page first
+      faults it and the other finds it mapped.
+    * ``huge``: threads 2 and 3 touch 8 pages of a 2 MiB huge-page
+      mapping; the first access maps all of them with one fault.
+    * ``warm-init`` then ``mixed``: every thread first-touches its own
+      region, then a compute section mixes it (resident) with a shared
+      region nobody has touched yet (unmapped).
+
+    Every engine built is appended to ``engines``.
+    """
+    import numpy as np
+
+    from repro.machine.presets import tiny_machine
+    from repro.sim.barrier import Program, Section
+    from repro.sim.trace import Trace
+    from repro.util.units import KIB, MIB
+
+    def trace(vaddrs, rng, label):
+        # Fractional think times, so a reassociated clock sum rounds
+        # differently from the reference loop's.
+        return Trace(
+            vaddrs=np.asarray(vaddrs, dtype=np.int64),
+            writes=rng.random(len(vaddrs)) < 0.5,
+            think_ns=rng.random(len(vaddrs)) * 3.0, label=label,
+        )
+
+    def builder(observer):
+        machine = tiny_machine(16 * MIB)
+        kernel = Kernel(machine, observer=observer)
+        team = ColoredTeam.create(
+            TintMalloc(kernel=kernel), [0, 1, 2, 3], Policy.MEM_LLC
+        )
+        memory = MemorySystem.for_machine(machine, observer=observer)
+        engine = Engine(team, memory, observer=observer)
+        engines.append(engine)
+        rng = np.random.default_rng(11)
+        lines = np.arange(4096 // 64, dtype=np.int64) * 64
+        h0 = team.handles[0]
+        shared = h0.malloc(64 * KIB, label="shared")
+        huge = h0.malloc(2 * MIB, label="huge", huge=True)
+        cold = h0.malloc(128 * KIB, label="cold")
+        own = [h.malloc(128 * KIB, label=f"own{t}")
+               for t, h in enumerate(team.handles)]
+        race = {
+            t: trace(
+                np.concatenate([
+                    shared + page * 4096 + rng.permutation(lines)
+                    for page in range(16)
+                ]), rng, "race",
+            )
+            for t in (0, 1)
+        }
+        huge_pages = huge + np.arange(8, dtype=np.int64) * 4096
+        huge_traces = {
+            t: trace(
+                rng.choice(huge_pages, 300) + rng.choice(lines, 300), rng,
+                "huge",
+            )
+            for t in (2, 3)
+        }
+        warm = {
+            t: trace(base + np.arange(128 * KIB // 64) * 64, rng, "warm-init")
+            for t, base in enumerate(own)
+        }
+        mixed = {}
+        for t, base in enumerate(own):
+            n = 2000
+            hot = base + rng.integers(0, 128 * KIB // 64, n) * 64
+            new = cold + rng.integers(0, 128 * KIB // 64, n) * 64
+            mixed[t] = trace(
+                np.where(rng.random(n) < 0.8, hot, new), rng, "mixed"
+            )
+        program = Program(
+            sections=[
+                Section(kind="parallel", traces=race, label="race"),
+                Section(kind="parallel", traces=huge_traces, label="huge"),
+                Section(kind="parallel", traces=warm, label="warm-init"),
+                Section(kind="parallel", traces=mixed, label="mixed"),
+            ],
+            nthreads=4, name="inline-faults",
+        )
+        return engine, program
+
+    return builder
+
+
+def test_inline_faults_fast_equals_reference():
+    """fast == reference == traced on sections that demand-fault inside
+    the batched loop, and both untraced legs leave the same page table
+    and first-toucher map behind."""
+    from repro.sanitize.diff import differential_run
+
+    engines: list = []
+    report = differential_run(_inline_fault_builder(engines))
+    assert report.modes == ("fast", "reference", "traced")
+    assert report.clean, report.describe()
+    fast, ref = engines[0].space, engines[1].space
+    assert fast.page_table == ref.page_table
+    assert fast.first_toucher == ref.first_toucher
+
+
+def test_inline_faults_take_the_batched_loop():
+    """The crafted sections are all planned, and each faults as the
+    docstring of its builder says."""
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.observer import NULL_OBSERVER
+
+    engine, program = _inline_fault_builder([])(NULL_OBSERVER)
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        metrics = engine.run(program)
+    faults = {s.label: s.faults for s in metrics.sections}
+    # race: one fault per shared page, the two threads sharing the
+    # first touches between them.
+    assert faults["race"] == 16
+    space = engine.space
+    race = program.sections[0].traces
+    first = {space.first_toucher[v] for v in set(race[0].vaddrs >> 12)}
+    assert first == {engine.team.handles[t].task.tid for t in race}
+    # huge: one fault maps every page the section touches.
+    assert faults["huge"] == 1
+    assert faults["warm-init"] == 4 * 32
+    assert 0 < faults["mixed"] <= 32
+    snap = reg.snapshot()
+    assert _kernel_ns_counts(snap) == {"decode": 4, "scalar_replay": 4}
+    assert not [c for c in snap["counters"]
+                if c["name"] == "engine.plan_fallback"]
+
+
+def test_inline_fault_oom_matches_reference():
+    """An out-of-memory fault partway through a section surfaces from the
+    fast loop with the reference loop's type and message, after the same
+    pages were faulted in."""
+    import numpy as np
+
+    from repro.kernel.kernel import OutOfMemory
+    from repro.machine.presets import tiny_machine
+    from repro.sim.barrier import Program, Section
+    from repro.sim.trace import Trace
+    from repro.util.units import MIB
+
+    def run(fast: bool):
+        machine = tiny_machine(1 * MIB)
+        team = ColoredTeam.create(
+            TintMalloc(kernel=Kernel(machine)), [0, 1], Policy.BUDDY
+        )
+        engine = Engine(team, MemorySystem.for_machine(machine),
+                        fast_path=fast)
+        # Two threads first-touch 2 MiB between them: twice the frames.
+        base = team.handles[0].malloc(2 * MIB, label="big")
+        traces = {
+            t: Trace(
+                vaddrs=base + t * MIB + np.arange(256, dtype=np.int64) * 4096,
+                writes=np.ones(256, dtype=bool), think_ns=2.0,
+            )
+            for t in (0, 1)
+        }
+        program = Program(
+            sections=[Section(kind="parallel", traces=traces, label="init")],
+            nthreads=2, name="oom",
+        )
+        with pytest.raises(OutOfMemory) as err:
+            engine.run(program)
+        return type(err.value), str(err.value), dict(engine.space.page_table)
+
+    fast, ref = run(True), run(False)
+    assert fast == ref
+    assert 0 < len(fast[2]) < 512
