@@ -14,15 +14,6 @@ telemetry on — and reports what the telemetry plane measured:
   (client.submit -> sched.job -> sched.attempt -> worker.attempt) is
   verified before the numbers are reported.
 
-With ``--fleet N`` the harness measures *fleet capacity* instead: it
-boots the line-JSON TCP server with the fleet executor, spawns N real
-``python -m repro.service worker`` processes, and drives a seeded
-open-loop :class:`~repro.service.loadgen.LoadGen` schedule (Poisson
-arrivals, zipf popularity, burst phases) through the shared scheduler.
-The same seed means the exact same byte-canonical schedule at every
-fleet size, so trajectory points at ``workers=1`` and ``workers=3``
-are directly comparable — that pair is the fleet-capacity curve.
-
 Results are appended as one trajectory point to ``BENCH_service.json``
 at the repo root with ``--update``; otherwise they go to
 ``benchmarks/out/BENCH_service.json`` (the CI artifact) and stdout.
@@ -31,7 +22,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf_service.py            # measure
     PYTHONPATH=src python benchmarks/perf_service.py --update   # + append
-    PYTHONPATH=src python benchmarks/perf_service.py --fleet 3  # capacity
 
 The default workload is a tiny synthetic spec per job (mini profile),
 so the harness measures *service* overhead — queueing, forking, result
@@ -42,14 +32,10 @@ piping, store round-trips — rather than simulator throughput, which
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import os
 import platform
-import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -69,31 +55,9 @@ from repro.obs.stitch import (  # noqa: E402
 )
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.jobs import JobSpec  # noqa: E402
-from repro.service.loadgen import LoadGen  # noqa: E402
-from repro.service.server import ServiceServer  # noqa: E402
 
 SHARDS = 4
 UNIQUE_JOBS = 32  # x2 submissions = 64 jobs through the scheduler
-
-# Fleet-capacity load: a burst profile fast enough that one worker
-# saturates (so adding workers moves the needle), identical at every
-# fleet size because the seed pins the schedule bytes.  Jobs are
-# latency-bound sleep jobs — fleet capacity is a property of the
-# dispatch plane (queueing, leases, result piping), and CPU-bound jobs
-# would instead measure how many cores the benchmark host has.
-FLEET_JOBS = 64
-FLEET_CATALOG = 64
-FLEET_ZIPF_S = 0.5
-FLEET_JOB_KIND = "sleep"
-FLEET_JOB_CONFIG = "80ms"
-# Fleet attempts hold a shard thread for their whole remote round trip,
-# so the shard count is the in-flight ceiling; 12 keeps the scheduler
-# from capping a 3-worker fleet (the same count is used at every fleet
-# size so the trajectory compares worker capacity, not shard budget).
-FLEET_SHARDS = 12
-FLEET_PHASES = ((0.5, 32.0), (1.0, 96.0), (0.5, 48.0))
-FLEET_SEED = 1311
-
 
 def _specs(unique: int) -> list[JobSpec]:
     """Distinct tiny synthetic specs (distinct digests via rep/seed)."""
@@ -231,131 +195,6 @@ def measure(unique: int = UNIQUE_JOBS, shards: int = SHARDS) -> dict:
     }
 
 
-def _serve_in_thread(client: ServiceClient):
-    """Run a ServiceServer on a background event loop; returns
-    ``(server, stop_fn)`` with the bound port already resolved."""
-    server = ServiceServer(client, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def _runner() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        loop.run_until_complete(server.serve_forever())
-        loop.close()
-
-    thread = threading.Thread(target=_runner, name="bench-server",
-                              daemon=True)
-    thread.start()
-    if not started.wait(timeout=10):
-        raise RuntimeError("TCP server failed to start")
-
-    def _stop() -> None:
-        loop.call_soon_threadsafe(server._stop.set)
-        thread.join(timeout=10)
-
-    return server, _stop
-
-
-def _spawn_worker(port: int) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "worker",
-         "--connect", f"127.0.0.1:{port}", "--poll-timeout", "1.0"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
-def measure_fleet(workers: int, jobs: int = FLEET_JOBS,
-                  shards: int = SHARDS, seed: int = FLEET_SEED) -> dict:
-    """Drive the seeded loadgen schedule through a real worker fleet."""
-    registry = MetricsRegistry()
-    collector = TraceCollector()
-    gen = LoadGen(seed=seed, jobs=jobs, catalog=FLEET_CATALOG,
-                  zipf_s=FLEET_ZIPF_S, phases=FLEET_PHASES,
-                  kind=FLEET_JOB_KIND, config=FLEET_JOB_CONFIG)
-    load_stats = gen.stats()
-    print(f"fleet load: {load_stats} digest={gen.schedule_digest()[:12]}")
-    procs: list[subprocess.Popen] = []
-    stop = None
-    try:
-        with ServiceClient(store=":memory:", shards=shards,
-                           executor="fleet", metrics=registry,
-                           traces=collector) as client:
-            server, stop = _serve_in_thread(client)
-            procs = [_spawn_worker(server.port) for _ in range(workers)]
-            deadline = time.monotonic() + 30
-            while client.fleet.stats()["live_workers"] < workers:
-                if time.monotonic() > deadline:
-                    raise RuntimeError("workers failed to register")
-                time.sleep(0.05)
-
-            handles = []
-            t0 = time.perf_counter()
-            gen.run(lambda spec, arrival: handles.append(
-                client.submit(spec)))
-            for handle in handles:
-                handle.result(timeout=300)
-            client.drain(timeout=120)
-            wall_s = time.perf_counter() - t0
-            cache_hits = sum(1 for h in handles if h.from_cache)
-            fleet_stats = client.fleet.stats()
-    finally:
-        for proc in procs:
-            proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-        if stop is not None:
-            stop()
-
-    snapshot = registry.snapshot()
-    spans = collector.spans()
-    out_dir = Path(__file__).parent / "out"
-    out_dir.mkdir(exist_ok=True)
-    trace_path = out_dir / f"service_trace_fleet{workers}.json"
-    write_stitched_perfetto(spans, str(trace_path))
-    verify_stitching(spans, expected_jobs=load_stats["distinct_specs"])
-    print(f"stitched trace: {trace_path}")
-
-    attempt = _merged_attempt_hist(snapshot)
-    if attempt is None:
-        raise AssertionError("no sched.attempt_s samples recorded")
-    served = len(handles)
-    per_worker = {
-        wid: w["completed"]
-        for wid, w in fleet_stats.get("workers", {}).items()
-    }
-    return {
-        "shards": shards,
-        "executor": "fleet",
-        "workers": workers,
-        "load_seed": seed,
-        "load_digest": gen.schedule_digest()[:16],
-        "load": load_stats,
-        "jobs_submitted": served,
-        # All submissions that completed, including cache hits ("completed"
-        # from the submitter's view); distinct_completed is the number of
-        # distinct specs the workers actually executed.
-        "jobs_completed": served,
-        "distinct_completed": int(fleet_stats["completed_ok"]),
-        "cache_hits": cache_hits,
-        "cache_hit_rate": round(cache_hits / served, 3) if served else 0.0,
-        "requeued": int(fleet_stats["requeued"]),
-        "per_worker_completed": per_worker,
-        "wall_s": round(wall_s, 3),
-        "jobs_per_s": round(served / wall_s, 2) if wall_s else 0.0,
-        "attempt_p50_s": round(quantile_from_snapshot(attempt, 0.50), 6),
-        "attempt_p99_s": round(quantile_from_snapshot(attempt, 0.99), 6),
-        "attempt_mean_s": round(attempt["sum"] / attempt["count"], 6),
-        "stitched_spans": len(spans),
-    }
-
-
 def _provenance() -> dict:
     try:
         commit = subprocess.run(
@@ -378,18 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         help=f"unique specs; each is submitted twice (default {UNIQUE_JOBS})",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help=f"scheduler shards (default {SHARDS}, "
-             f"or {FLEET_SHARDS} with --fleet)",
-    )
-    parser.add_argument(
-        "--fleet", type=int, default=None, metavar="N",
-        help="measure fleet capacity with N real worker processes "
-             "instead of the two-pass cache load",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=FLEET_SEED,
-        help=f"loadgen seed for --fleet runs (default {FLEET_SEED})",
+        "--shards", type=int, default=SHARDS,
+        help=f"scheduler shards (default {SHARDS})",
     )
     parser.add_argument(
         "--update", action="store_true",
@@ -397,53 +226,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.fleet is not None:
-        measured = measure_fleet(args.fleet,
-                                 shards=args.shards or FLEET_SHARDS,
-                                 seed=args.seed)
-    else:
-        measured = measure(args.jobs, args.shards or SHARDS)
-    entry = {**_provenance(), **measured}
+    entry = {**_provenance(), **measure(args.jobs, args.shards)}
     print(json.dumps(entry, indent=2))
 
     out_dir = Path(__file__).parent / "out"
     out_dir.mkdir(exist_ok=True)
-    suffix = f"_fleet{args.fleet}" if args.fleet is not None else ""
-    (out_dir / f"BENCH_service{suffix}.json").write_text(
-        json.dumps(entry, indent=2))
-
-    # Counter-semantics note appended to (and refreshed in) the stored
-    # description: fleet entries before it was added reported the number
-    # of distinct executed specs under "jobs_completed".
-    _NOTE = (
-        " NOTE: in fleet entries, jobs_completed counts every completed "
-        "submission including cache hits; distinct_completed counts the "
-        "distinct specs workers executed. Fleet entries predating the "
-        "distinct_completed field used jobs_completed for the latter."
-    )
+    (out_dir / "BENCH_service.json").write_text(json.dumps(entry, indent=2))
 
     if args.update:
         bench_file = REPO_ROOT / "BENCH_service.json"
         doc = json.loads(bench_file.read_text()) if bench_file.exists() else {
             "benchmark": "service_load",
             "description": (
-                "Simulation-job service throughput. Two load shapes "
-                "share this trajectory: (a) executor=process points "
-                "measure the chaos-free two-pass cache load (unique "
-                "mini synthetic specs x2, 4 shards); (b) executor="
-                "fleet points measure fleet capacity -- a seeded "
-                "open-loop Poisson/zipf/burst LoadGen schedule of "
-                "latency-bound sleep jobs drained by N real "
-                "pull-worker processes over TCP. Equal load_seed "
-                "means byte-identical schedules, so workers=1 vs "
-                "workers=3 is the capacity curve. Latency quantiles "
-                "come from the telemetry plane's log-linear "
-                "histograms and the stitched cross-process trace is "
-                "verified first."
+                "Simulation-job service throughput: the chaos-free "
+                "two-pass cache load (unique mini synthetic specs x2, "
+                "4 shards, process executor). Latency quantiles come "
+                "from the telemetry plane's log-linear histograms and "
+                "the stitched cross-process trace is verified first."
             ),
             "trajectory": [],
         }
-        doc["description"] = doc["description"].split(" NOTE:")[0] + _NOTE
         doc["trajectory"].append(entry)
         bench_file.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"appended to {bench_file}")

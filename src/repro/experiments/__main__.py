@@ -13,7 +13,7 @@ The ``tune`` subcommand runs the policy search instead::
 
     python -m repro.experiments tune --bench lbm --budget 48
                                      [--driver grid|evolution]
-                                     [--executor inline|process|fleet]
+                                     [--executor inline|process]
 
 See :mod:`repro.search.tune` for the full flag set.
 

@@ -43,28 +43,6 @@ CAMPAIGN_SITES = (
     "kernel.mmap.fail",
 )
 
-#: Sites a fleet campaign (``executor="fleet"``) reaches: the in-process
-#: :class:`~repro.service.fleet.LocalFleetWorker` fault hooks plus the
-#: store sites, which fire identically under any executor.  Worker
-#: kills are capped per-plan (``max_fires``) so at least one worker
-#: always survives — a fleet with zero workers cannot degrade
-#: gracefully, it can only strand jobs until the requeue budget turns
-#: them into typed crashes.
-FLEET_CAMPAIGN_SITES = (
-    "fleet.worker.kill",
-    "fleet.worker.hang",
-    "fleet.worker.disconnect",
-    "store.get.io",
-    "store.put.io",
-)
-
-#: Workers per fleet campaign case.
-FLEET_WORKERS = 3
-
-#: Lease timeout inside fleet campaign cases: short, so kill/disconnect
-#: recovery cycles complete many times within the case deadline.
-FLEET_LEASE_TIMEOUT_S = 0.3
-
 #: Per-case wall-clock deadline: generous next to the jobs (mini-profile
 #: synthetic runs take ~0.1 s each) so only a genuine hang trips it.
 CASE_DEADLINE_S = 60.0
@@ -97,29 +75,6 @@ def random_plan(seed: int, index: int) -> FaultPlan:
     return FaultPlan(seed=rng.getrandbits(32), rules=tuple(rules))
 
 
-def random_fleet_plan(seed: int, index: int) -> FaultPlan:
-    """Deterministic fleet-mode case generator (fleet + store sites).
-
-    ``fleet.worker.kill`` draws a bounded ``max_fires`` < the worker
-    count so the fleet never empties; ``fleet.worker.hang`` gets a small
-    sleep so stale-result cycles stay well inside the case deadline.
-    """
-    rng = random.Random((seed << 21) ^ index)
-    rules = []
-    for site in rng.sample(FLEET_CAMPAIGN_SITES, k=rng.randint(1, 3)):
-        if site == "fleet.worker.kill":
-            max_fires = rng.choice((1, FLEET_WORKERS - 1))
-        else:
-            max_fires = rng.choice((1, 2, 4, None))
-        rules.append(FaultRule(
-            site=site,
-            probability=rng.choice((0.25, 0.5, 0.75, 1.0)),
-            max_fires=max_fires,
-            arg=0.4 if site == "fleet.worker.hang" else None,
-        ))
-    return FaultPlan(seed=rng.getrandbits(32), rules=tuple(rules))
-
-
 def canonical(record: dict) -> str:
     """Canonical JSON for bit-identity comparison of records."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -142,33 +97,13 @@ def _run_specs(specs, executor: str) -> dict[str, tuple[str, object]]:
     Outcome is ``"ok"`` (payload = record), ``"error"`` (payload = the
     typed :class:`ServiceError`), ``"untyped"`` (payload = any other
     exception — an invariant violation), or ``"hang"`` (deadline hit).
-
-    ``executor="fleet"`` builds a :class:`FleetCoordinator` plus
-    :data:`FLEET_WORKERS` in-process :class:`LocalFleetWorker` threads
-    (which see this process's armed fault plan, unlike worker
-    subprocesses), with a short lease timeout so expiry-driven re-queue
-    actually cycles inside the case deadline.
     """
     from repro.service.scheduler import Scheduler, ServiceError
     from repro.service.store import MemoryStore
 
-    fleet = None
-    workers = []
-    if executor == "fleet":
-        from repro.service.fleet import FleetCoordinator, LocalFleetWorker
-
-        fleet = FleetCoordinator(
-            lease_timeout_s=FLEET_LEASE_TIMEOUT_S, heartbeat_s=0.1,
-            poll_interval_s=0.005, metrics=None,
-        )
-        workers = [LocalFleetWorker(fleet, poll_timeout_s=0.02)
-                   for _ in range(FLEET_WORKERS)]
-        for worker in workers:
-            worker.start()
-
     out: dict[str, tuple[str, object]] = {}
     with Scheduler(
-        store=MemoryStore(), shards=2, executor=executor, fleet=fleet,
+        store=MemoryStore(), shards=2, executor=executor,
         backoff_base_s=0.001, backoff_max_s=0.01,
         breaker_cooldown_s=0.05, store_failure_limit=2,
     ) as sched:
@@ -188,8 +123,6 @@ def _run_specs(specs, executor: str) -> dict[str, tuple[str, object]]:
                 out[handle.digest] = ("error", exc)
             except Exception as exc:  # noqa: BLE001 - the invariant breach
                 out[handle.digest] = ("untyped", exc)
-    for worker in workers:
-        worker.stop(join=True)
     return out
 
 
@@ -205,12 +138,7 @@ def run_case(
     if specs is None:
         specs = campaign_specs()
     if baseline is None:
-        # Fleet baselines come from the inline executor: records are
-        # executor-independent (the drain-identity test pins that), and
-        # a fault-free reference must not depend on fleet scaffolding.
-        baseline = baseline_records(
-            specs, "inline" if executor == "fleet" else executor
-        )
+        baseline = baseline_records(specs, executor)
     with armed(plan):
         results = _run_specs(specs, executor)
     for spec in specs:
@@ -257,14 +185,10 @@ def run_campaign(
     """Run random fault plans until the budget runs out or one fails.
 
     Stops at the first invariant violation and reports the (seed, case
-    index, plan) triple that produced it.  ``executor="fleet"`` draws
-    plans from :func:`random_fleet_plan` (fleet + store sites) and runs
-    each case on a 3-worker in-process fleet.
+    index, plan) triple that produced it.
     """
     specs = campaign_specs()
-    baseline = baseline_records(
-        specs, "inline" if executor == "fleet" else executor
-    )
+    baseline = baseline_records(specs, executor)
     start = time.monotonic()
     index = 0
     while True:
@@ -273,8 +197,7 @@ def run_campaign(
             break
         if max_cases is not None and index >= max_cases:
             break
-        plan = (random_fleet_plan(seed, index) if executor == "fleet"
-                else random_plan(seed, index))
+        plan = random_plan(seed, index)
         if on_case is not None:
             on_case(index, plan)
         detail = run_case(plan, specs, baseline, executor)

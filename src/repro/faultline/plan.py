@@ -40,10 +40,6 @@ SITES = (
     # repro.service.server
     "server.conn.drop",    # connection closed before the response line
     "server.write.partial",  # torn response: half a line, then close
-    # repro.service.fleet (distributed pull workers)
-    "fleet.worker.kill",       # worker vanishes after taking a lease
-    "fleet.worker.hang",       # worker reports only after a long stall
-    "fleet.worker.disconnect",  # lease taken, then lost (never run)
     # repro.kernel
     "kernel.pagealloc.exhaust",  # alloc_pages reports frame exhaustion
     "kernel.mmap.fail",    # sys_mmap raises an injected ENOMEM

@@ -6,8 +6,7 @@ Both drivers speak to the simulator exclusively through an
 :class:`~repro.service.ServiceClient`.  That buys the search everything
 the service plane already guarantees: result caching (repeat genomes,
 and whole repeat *searches*, are free), in-flight dedup by digest,
-crash retry, and any executor — serial inline, process pool, or the
-TCP worker fleet.
+crash retry, and either executor — serial inline or a process pool.
 
 Early stopping is successive halving: every candidate is *screened* at
 ``screen_reps`` repetitions (cheap, noisy), only the top

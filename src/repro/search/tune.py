@@ -3,9 +3,8 @@
 Invoked as ``python -m repro.experiments tune --bench lbm --budget 48``.
 Builds the :class:`~repro.search.space.SearchSpace` for the chosen
 config/profile, a :class:`~repro.service.ServiceClient` on the chosen
-executor (``inline`` serial, ``process`` pool, or ``fleet`` — a real
-TCP server thread plus pull-worker subprocesses, booted and torn down
-here), runs the chosen driver, and writes three artifacts:
+executor (``inline`` serial or ``process`` pool), runs the chosen
+driver, and writes three artifacts:
 
 * ``<out>/<bench>_search.json`` — the deterministic, replayable search
   log (:func:`~repro.search.report.search_log_json`);
@@ -19,14 +18,10 @@ here), runs the chosen driver, and writes three artifacts:
 from __future__ import annotations
 
 import argparse
-import asyncio
 import datetime
 import json
-import os
-import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -57,98 +52,28 @@ def _git_commit() -> str:
         return "unknown"
 
 
-def _serve_in_thread(client: ServiceClient):
-    """Run a ServiceServer on a background loop; (server, stop_fn)."""
-    from repro.service.server import ServiceServer
-
-    server = ServiceServer(client, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def _runner() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        loop.run_until_complete(server.serve_forever())
-        loop.close()
-
-    thread = threading.Thread(target=_runner, name="tune-server", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10):
-        raise RuntimeError("TCP server failed to start")
-
-    def _stop() -> None:
-        loop.call_soon_threadsafe(server._stop.set)
-        thread.join(timeout=10)
-
-    return server, _stop
-
-
-def _spawn_worker(port: int) -> subprocess.Popen:
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[2]
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "worker",
-         "--connect", f"127.0.0.1:{port}", "--poll-timeout", "1.0"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
 def run_search(settings: SearchSettings, driver: str = "evolution",
-               executor: str = "inline", workers: int = 2,
-               store: "str | None" = None, shards: int = 1,
+               executor: str = "inline", store: "str | None" = None,
+               shards: int = 1,
                metrics: MetricsRegistry | None = None) -> SearchOutcome:
-    """Run one search on the chosen executor; returns the outcome.
-
-    ``executor="fleet"`` boots a loopback ServiceServer plus ``workers``
-    pull-worker subprocesses for the duration of the search and tears
-    them down afterwards — the same plumbing production would point at
-    a real cluster.
-    """
+    """Run one search on the chosen executor; returns the outcome."""
     space = SearchSpace(settings.config, settings.profile)
-    procs: list[subprocess.Popen] = []
-    stop = None
-    client_executor = executor
-    client_shards = shards if executor != "inline" else 1
-    try:
-        with ServiceClient(store=store, shards=client_shards,
-                           executor=client_executor,
-                           metrics=metrics) as client:
-            if executor == "fleet":
-                server, stop = _serve_in_thread(client)
-                procs = [_spawn_worker(server.port) for _ in range(workers)]
-                deadline = time.monotonic() + 30
-                while client.fleet.stats()["live_workers"] < workers:
-                    if time.monotonic() > deadline:
-                        raise RuntimeError("fleet workers failed to register")
-                    time.sleep(0.05)
-            evaluator = ServiceEvaluator(client, settings, metrics=metrics)
-            outcome = DRIVERS[driver](
-                space, evaluator, settings, metrics=metrics
-            ).run()
-    finally:
-        for proc in procs:
-            proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-        if stop is not None:
-            stop()
-    return outcome
+    with ServiceClient(store=store,
+                       shards=shards if executor != "inline" else 1,
+                       executor=executor, metrics=metrics) as client:
+        evaluator = ServiceEvaluator(client, settings, metrics=metrics)
+        return DRIVERS[driver](
+            space, evaluator, settings, metrics=metrics
+        ).run()
 
 
-def bench_entry(outcome: SearchOutcome, executor: str, workers: int,
+def bench_entry(outcome: SearchOutcome, executor: str,
                 wall_s: float) -> dict:
     """One BENCH_search.json trajectory entry for this run."""
     executed = outcome.stats.get("jobs_executed", 0)
     cached = outcome.stats.get("jobs_cached", 0)
     total = executed + cached
-    entry = {
+    return {
         "date": datetime.date.today().isoformat(),
         "commit": _git_commit(),
         "python": sys.version.split()[0],
@@ -170,9 +95,6 @@ def bench_entry(outcome: SearchOutcome, executor: str, workers: int,
             for name, result in sorted(outcome.baselines.items())
         },
     }
-    if executor == "fleet":
-        entry["workers"] = workers
-    return entry
 
 
 def update_bench_file(path: Path, entry: dict) -> None:
@@ -224,11 +146,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sanitize", default="off",
                         choices=["off", "cheap", "full"])
     parser.add_argument("--executor", default="inline",
-                        choices=["inline", "process", "fleet"])
-    parser.add_argument("--workers", type=int, default=2,
-                        help="fleet worker processes (fleet executor only)")
+                        choices=["inline", "process"])
     parser.add_argument("--shards", type=int, default=4,
-                        help="scheduler shards (process/fleet executors)")
+                        help="scheduler shards (process executor)")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="content-addressed result store (.jsonl or "
                              ".sqlite); a warm store replays the whole "
@@ -270,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outcome = run_search(
             settings, driver=args.driver, executor=args.executor,
-            workers=args.workers, store=args.cache, shards=args.shards,
+            store=args.cache, shards=args.shards,
             metrics=registry,
         )
     finally:
@@ -297,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         bench_path = Path(args.update_bench)
         update_bench_file(
             bench_path,
-            bench_entry(outcome, args.executor, args.workers, wall_s),
+            bench_entry(outcome, args.executor, wall_s),
         )
         print(f"bench trajectory: {bench_path}")
     if args.metrics_out is not None:

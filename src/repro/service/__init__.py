@@ -12,24 +12,13 @@ Turns the simulator into a long-lived evaluation service:
   retryable event, never a pool failure.
 * :class:`ServiceClient` — the in-process front-end ``sweep()`` rides.
 * :class:`ServiceServer` — line-JSON TCP front-end.
-* :class:`FleetCoordinator` / :class:`RemoteWorker` — the ``"fleet"``
-  executor: consistent-hash routing (:class:`HashRing`) to pull-based
-  worker processes with heartbeat leases and crash re-queue.
-* :class:`GatewayServer` / :class:`AsyncGatewayClient` — HTTP/REST +
-  SSE front-end over a client.
-* :class:`LoadGen` — deterministic open-loop load generator.
 * ``python -m repro.service`` — submit / status / drain / demo /
-  serve / worker.
+  serve.
 """
 
 from repro.service.client import ServiceClient
 from repro.service.clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
-from repro.service.fleet import FleetCoordinator, LocalFleetWorker
-from repro.service.fleetworker import RemoteWorker
-from repro.service.gateway import AsyncGatewayClient, GatewayServer
 from repro.service.jobs import JobSpec, JobStatus
-from repro.service.loadgen import Arrival, LoadGen
-from repro.service.ring import HashRing
 from repro.service.scheduler import (
     BackpressureError,
     CircuitOpenError,
@@ -52,25 +41,17 @@ from repro.service.worker import execute_jobspec
 
 __all__ = [
     "SYSTEM_CLOCK",
-    "Arrival",
-    "AsyncGatewayClient",
     "BackpressureError",
     "CircuitOpenError",
     "Clock",
     "FakeClock",
-    "FleetCoordinator",
-    "GatewayServer",
-    "HashRing",
     "JobCancelled",
     "JobFailed",
     "JobHandle",
     "JobSpec",
     "JobStatus",
     "JsonlStore",
-    "LoadGen",
-    "LocalFleetWorker",
     "MemoryStore",
-    "RemoteWorker",
     "ResultStore",
     "Scheduler",
     "ServiceClient",

@@ -8,18 +8,12 @@ Commands::
     submit  run one job (locally, or against a server via --connect)
     status  print scheduler/store stats (local store or server)
     drain   wait for a server to go idle
-    serve   run the line-JSON TCP server (add ``--executor fleet`` to
-            dispatch jobs to pull workers; ``--http-port`` to also run
-            the HTTP/SSE gateway)
-    worker  run one pull worker attached to a fleet server
+    serve   run the line-JSON TCP server
 
 Examples::
 
     python -m repro.service demo --profile mini --workers 2
     python -m repro.service serve --port 7421 --store results.jsonl
-    python -m repro.service serve --port 7421 --executor fleet \\
-        --http-port 7480
-    python -m repro.service worker --connect 127.0.0.1:7421
     python -m repro.service submit --bench lbm --policy mem+llc \\
         --config 4_threads_4_nodes --connect 127.0.0.1:7421
 """
@@ -157,21 +151,10 @@ def cmd_serve(args) -> int:
         # records without explicit plumbing.
         obs_metrics.install(registry)
 
-    fleet = None
-    if args.executor == "fleet":
-        from repro.service.fleet import FleetCoordinator
-
-        fleet = FleetCoordinator(
-            lease_timeout_s=args.lease_timeout,
-            heartbeat_s=args.heartbeat,
-            metrics=registry,
-            traces=collector,
-        )
-
     async def _serve() -> None:
         with ServiceClient(store=args.store, shards=args.workers,
                            executor=args.executor, metrics=registry,
-                           traces=collector, fleet=fleet) as client:
+                           traces=collector) as client:
             server = ServiceServer(client, host=args.host, port=args.port)
             await server.start()
             telemetry = "off" if args.no_telemetry else "on"
@@ -179,20 +162,7 @@ def cmd_serve(args) -> int:
                   f"(store={args.store or 'memory'}, shards={args.workers}, "
                   f"executor={args.executor}, telemetry={telemetry})",
                   flush=True)
-            gateway = None
-            if args.http_port is not None:
-                from repro.service.gateway import GatewayServer
-
-                gateway = GatewayServer(client, host=args.host,
-                                        port=args.http_port)
-                await gateway.start()
-                print(f"repro.service gateway on "
-                      f"http://{args.host}:{gateway.port}", flush=True)
-            try:
-                await server.serve_forever()
-            finally:
-                if gateway is not None:
-                    await gateway.stop()
+            await server.serve_forever()
 
     try:
         asyncio.run(_serve())
@@ -200,15 +170,6 @@ def cmd_serve(args) -> int:
         if registry is not None:
             obs_metrics.uninstall()
     return 0
-
-
-def cmd_worker(args) -> int:
-    from repro.service.fleetworker import worker_main
-
-    host, port = _parse_connect(args.connect)
-    return worker_main(host, port, worker_id=args.id,
-                       poll_timeout_s=args.poll_timeout,
-                       telemetry=not args.no_telemetry)
 
 
 def _add_job_args(parser: argparse.ArgumentParser) -> None:
@@ -271,30 +232,13 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("serve", help="run the TCP server")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7421)
-    p.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                   help="also serve the HTTP/SSE gateway on this port")
     p.add_argument("--store", default=None)
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--executor", default="process",
-                   choices=["process", "inline", "fleet"])
-    p.add_argument("--lease-timeout", type=float, default=4.0,
-                   help="fleet: seconds of silence before a worker's "
-                        "leases are re-queued")
-    p.add_argument("--heartbeat", type=float, default=1.0,
-                   help="fleet: heartbeat cadence advertised to workers")
+                   choices=["process", "inline"])
     p.add_argument("--no-telemetry", action="store_true",
                    help="disable the metrics registry and trace collector")
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("worker", help="run a fleet pull worker")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--id", default=None,
-                   help="register under a fixed worker id")
-    p.add_argument("--poll-timeout", type=float, default=5.0,
-                   help="long-poll window per worker_poll request")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="do not ship per-job metrics/spans with results")
-    p.set_defaults(fn=cmd_worker)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -37,12 +37,6 @@ class ServiceClient:
             records a ``client.submit`` span whose context parents the
             scheduler job and worker attempt spans.  Export the tree
             with :meth:`export_trace`.
-        fleet: a :class:`~repro.service.fleet.FleetCoordinator` for the
-            ``"fleet"`` executor.  With ``executor="fleet"`` and no
-            coordinator supplied, one is created sharing this client's
-            metrics registry and trace collector (reachable as
-            ``client.fleet`` — the TCP server exposes its worker ops
-            through it).
     """
 
     def __init__(
@@ -56,18 +50,12 @@ class ServiceClient:
         mp_context: str | None = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceCollector | None = None,
-        fleet=None,
         **scheduler_kwargs,
     ) -> None:
         self._owns_store = isinstance(store, str)
         self.store = None if store is None else open_store(store)
         self.metrics = metrics if metrics is not None else obs_metrics.active()
         self.traces = traces
-        if executor == "fleet" and fleet is None:
-            from repro.service.fleet import FleetCoordinator
-
-            fleet = FleetCoordinator(metrics=self.metrics, traces=traces)
-        self.fleet = fleet
         self.scheduler = Scheduler(
             store=self.store,
             shards=shards,
@@ -78,7 +66,6 @@ class ServiceClient:
             mp_context=mp_context,
             metrics=self.metrics,
             traces=traces,
-            fleet=fleet,
             **scheduler_kwargs,
         )
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from repro.alloc.custom import CustomPolicy
 from repro.experiments.runner import PROFILES, SweepJob
+from repro.sanitize import LEVELS as SANITIZE_LEVELS
 from repro.sim.metrics import SCHEMA_VERSION
 
 
@@ -43,29 +44,6 @@ class JobStatus(enum.Enum):
         return self in (
             JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED
         )
-
-
-def parse_sleep_ms(config: str) -> float:
-    """Duration of a ``kind="sleep"`` job from its config, e.g. ``"80ms"``.
-
-    Sleep jobs are the service plane's load-test workload: they hold a
-    worker for a fixed wall-clock time without burning CPU, so fleet
-    capacity benchmarks measure dispatch/queueing rather than host
-    core count.  Raises ValueError for anything but ``"<number>ms"``.
-    """
-    if not config.endswith("ms"):
-        raise ValueError(
-            f'sleep job config must look like "80ms", got {config!r}'
-        )
-    try:
-        duration = float(config[:-2])
-    except ValueError as exc:
-        raise ValueError(
-            f'sleep job config must look like "80ms", got {config!r}'
-        ) from exc
-    if duration < 0:
-        raise ValueError(f"sleep duration must be >= 0, got {config!r}")
-    return duration
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +65,7 @@ class JobSpec:
     ``timeout_s``, ``max_retries``.
     """
 
-    kind: str = "bench"  # "bench" | "synthetic" | "sleep"
+    kind: str = "bench"  # "bench" | "synthetic"
     bench: str = "lbm"
     #: named policy value label (e.g. "mem+llc") or a structured policy
     #: dict — a :class:`~repro.alloc.custom.CustomPolicy` payload (the
@@ -116,12 +94,12 @@ class JobSpec:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bench", "synthetic", "sleep"):
+        if self.kind not in ("bench", "synthetic"):
             raise ValueError(f"unknown job kind {self.kind!r}")
-        if self.kind == "sleep":
-            parse_sleep_ms(self.config)  # validate eagerly, not in the worker
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
+        if self.sanitize not in SANITIZE_LEVELS:
+            raise ValueError(f"unknown sanitize level {self.sanitize!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if isinstance(self.policy, dict):

@@ -24,7 +24,7 @@ Design (one :class:`Scheduler` instance = one service):
   ``max_retries``, then the job fails with its full attempt history.
   Cancellation is honoured queued (immediate) and mid-run (child
   terminated; inline runs finish their attempt, then cancel).
-* **Graceful degradation.**  Three policies keep one failing component
+* **Graceful degradation.**  Two policies keep one failing component
   from sinking the service:
 
   - a **per-shard circuit breaker**: after ``breaker_threshold``
@@ -32,9 +32,6 @@ Design (one :class:`Scheduler` instance = one service):
     with :class:`CircuitOpenError` (a typed ``ServiceError``) instead of
     burning retry budgets; after ``breaker_cooldown_s`` one half-open
     probe job is admitted, and its outcome closes or re-opens the shard.
-  - **hedged retries** for stragglers: with ``hedge_after_s`` set, a
-    process-executor attempt that has not reported by then launches a
-    second child; the first result wins and the loser is terminated.
   - **cache-store fallback**: store errors (I/O faults, corrupt
     payloads) are booked and retried-around; after
     ``store_failure_limit`` consecutive errors the store is *demoted to
@@ -57,7 +54,6 @@ import itertools
 import multiprocessing as mp
 import threading
 import time
-from multiprocessing import connection as _mpc
 
 from repro.faultline import hooks as _fault_hooks
 from repro.faultline.faults import WorkerKillFault
@@ -266,12 +262,8 @@ class Scheduler:
         store: result store for content-addressed reuse (None disables
             caching entirely — every submit runs).
         shards: worker threads / maximum concurrent jobs.
-        executor: ``"process"`` (isolated child per attempt),
-            ``"inline"`` (run in the shard thread), or ``"fleet"``
-            (dispatch to registered remote workers through ``fleet``).
-        fleet: the :class:`~repro.service.fleet.FleetCoordinator`
-            attempts are routed through; required for (and only
-            meaningful with) the ``"fleet"`` executor.
+        executor: ``"process"`` (isolated child per attempt) or
+            ``"inline"`` (run in the shard thread).
         runner: callable ``(JobSpec) -> dict`` executed per attempt;
             defaults to the real simulator worker.  Tests substitute
             fault-injecting runners here.
@@ -290,9 +282,6 @@ class Scheduler:
         breaker_threshold: consecutive attempt failures that open a
             shard's circuit breaker (None disables the breaker).
         breaker_cooldown_s: open-state dwell before a half-open probe.
-        hedge_after_s: launch a hedged second attempt when a
-            process-executor attempt has not reported by then (None
-            disables hedging).
         store_failure_limit: consecutive store errors before the store
             is demoted to miss-only for the scheduler's lifetime.
         metrics: labeled :class:`~repro.obs.metrics.MetricsRegistry`
@@ -322,18 +311,14 @@ class Scheduler:
         clock: Clock = SYSTEM_CLOCK,
         breaker_threshold: int | None = 8,
         breaker_cooldown_s: float = 5.0,
-        hedge_after_s: float | None = None,
         store_failure_limit: int = 3,
         metrics: MetricsRegistry | None = None,
         traces: TraceCollector | None = None,
-        fleet=None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if executor not in ("process", "inline", "fleet"):
+        if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
-        if executor == "fleet" and fleet is None:
-            raise ValueError("the fleet executor needs a FleetCoordinator")
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if breaker_threshold is not None and breaker_threshold < 1:
@@ -343,7 +328,6 @@ class Scheduler:
         self.store = store
         self.shards = shards
         self.executor = executor
-        self.fleet = fleet
         self.runner = runner
         self.queue_capacity = queue_capacity
         self.backoff_base_s = backoff_base_s
@@ -351,7 +335,6 @@ class Scheduler:
         self.poll_interval_s = poll_interval_s
         self.obs = observer
         self.clock = clock
-        self.hedge_after_s = hedge_after_s
         self.store_failure_limit = store_failure_limit
         self.metrics = metrics if metrics is not None else obs_metrics.active()
         self.traces = traces
@@ -383,7 +366,6 @@ class Scheduler:
             "retries": 0, "timeouts": 0, "crashes": 0, "errors": 0,
             "store_errors": 0, "store_demotions": 0,
             "breaker_opens": 0, "breaker_fast_fails": 0,
-            "hedges": 0, "hedge_wins": 0,
         }
         self._register_obs_counters()
 
@@ -811,15 +793,6 @@ class Scheduler:
             return ("crash",
                     "faultline: injected worker kill "
                     f"(attempt {attempt}, digest {job.digest[:12]})")
-        if self.executor == "fleet":
-            # The coordinator re-queues lease expiries transparently;
-            # only exhausted re-queue budgets come back as crashes, and
-            # those flow into the ordinary retry/breaker machinery.
-            return self.fleet.execute(
-                job.spec, job.digest, trace=ctx,
-                cancel_check=lambda: job.cancel_requested,
-                timeout_s=job.spec.timeout_s,
-            )
         if self.executor == "inline":
             begin = now_ns()
             try:
@@ -842,8 +815,16 @@ class Scheduler:
             return outcome
         return self._execute_in_process(job, ctx)
 
-    def _spawn_lane(self, spec: JobSpec, ctx: TraceContext | None) -> list:
-        """Start one attempt child; returns ``[recv_conn, process]``."""
+    def _execute_in_process(
+        self, job: _Job, ctx: TraceContext | None = None
+    ) -> tuple:
+        """Run one attempt in a fresh child process and supervise it.
+
+        The child reports once over a pipe; timeouts and cancellation
+        are enforced by terminating it, and a child that exits without
+        reporting is booked as a crash.
+        """
+        spec = job.spec
         telemetry = None
         if self.metrics is not None or self.traces is not None:
             telemetry = {
@@ -860,46 +841,19 @@ class Scheduler:
         )
         proc.start()
         send.close()
-        return [recv, proc]
-
-    def _execute_in_process(
-        self, job: _Job, ctx: TraceContext | None = None
-    ) -> tuple:
-        """Supervise one process attempt, hedging stragglers if enabled.
-
-        With ``hedge_after_s`` set, a primary child that has not reported
-        by then gets a hedge sibling; the first lane to report wins and
-        every other lane is terminated on the way out.
-        """
-        spec = job.spec
-        lanes = [self._spawn_lane(spec, ctx) + [False]]  # [recv, proc, is_hedge]
-        job.proc = lanes[0][1]
-        start = time.monotonic()
-        deadline = None if spec.timeout_s is None else start + spec.timeout_s
-        hedge_at = (
-            None if self.hedge_after_s is None else start + self.hedge_after_s
+        job.proc = proc
+        deadline = (
+            None if spec.timeout_s is None
+            else time.monotonic() + spec.timeout_s
         )
-        last_exitcode: int | None = None
         try:
             while True:
-                ready = _mpc.wait(
-                    [lane[0] for lane in lanes], timeout=self.poll_interval_s
-                )
-                for conn in ready:
-                    lane = next(ln for ln in lanes if ln[0] is conn)
-                    recv, proc, is_hedge = lane
+                if recv.poll(self.poll_interval_s):
                     try:
                         msg = recv.recv()
                     except EOFError:
-                        proc.join()
-                        last_exitcode = proc.exitcode
-                        lanes.remove(lane)
-                        recv.close()
-                        continue
+                        break
                     proc.join()
-                    if is_hedge:
-                        with self._cv:
-                            self.counters["hedge_wins"] += 1
                     if msg[0] == "ok":
                         if len(msg) > 2:
                             self._absorb_aux(msg[2])
@@ -909,44 +863,20 @@ class Scheduler:
                     return ("err", msg[1])
                 if job.cancel_requested:
                     return ("cancelled", "terminated on cancel request")
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
+                if deadline is not None and time.monotonic() >= deadline:
                     return ("timeout", f"attempt exceeded {spec.timeout_s}s")
-                # Reap lanes that died without ever reporting.
-                for lane in list(lanes):
-                    recv, proc, _ = lane
-                    if not proc.is_alive() and not recv.poll():
-                        proc.join()
-                        last_exitcode = proc.exitcode
-                        lanes.remove(lane)
-                        recv.close()
-                if not lanes:
-                    return ("crash",
-                            f"worker exited with code {last_exitcode} "
-                            "before reporting a result")
-                job.proc = lanes[0][1]
-                if (
-                    hedge_at is not None
-                    and now >= hedge_at
-                    and len(lanes) == 1
-                    and not lanes[0][2]
-                ):
-                    lanes.append(self._spawn_lane(spec, ctx) + [True])
-                    with self._cv:
-                        self.counters["hedges"] += 1
-                    if self.obs.enabled:
-                        self.obs.instant(
-                            f"hedge:{spec.label}", self._now_ns(),
-                            track="service",
-                            args={"after_s": self.hedge_after_s},
-                        )
+                if not proc.is_alive() and not recv.poll():
+                    break
+            proc.join()
+            return ("crash",
+                    f"worker exited with code {proc.exitcode} "
+                    "before reporting a result")
         finally:
             job.proc = None
-            for recv, proc, _ in lanes:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
-                recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
 
     def _finalize(self, job: _Job, status: JobStatus) -> None:
         with self._cv:
@@ -998,8 +928,6 @@ class Scheduler:
             out["executor"] = self.executor
         if self.store is not None:
             out["store"] = self.store.stats()
-        if self.fleet is not None:
-            out["fleet"] = self.fleet.stats()
         return out
 
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:

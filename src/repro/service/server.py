@@ -20,26 +20,6 @@ drain       optional ``timeout``                     drained bool + stats
 shutdown    —                                        ``{"stopping": true}``
 ==========  =======================================  =====================
 
-When the client runs the **fleet executor**, five more ops expose its
-:class:`~repro.service.fleet.FleetCoordinator` to remote pull workers
-(the ``python -m repro.service worker`` loop):
-
-================  ====================================  ==================
-op                request fields                        response payload
-================  ====================================  ==================
-worker_register   optional ``worker_id``, ``pid``       worker_id,
-                                                        heartbeat_s,
-                                                        lease_timeout_s
-worker_poll       ``worker_id``, ``timeout``            ``job`` (lease
-                  (long-poll seconds)                   dict or null)
-worker_result     ``worker_id``, ``token``, ``kind``    ``accepted`` bool
-                  ("ok"/"err"), ``payload``,            (False = stale
-                  optional ``aux`` telemetry            lease, dropped)
-worker_heartbeat  ``worker_id``, ``running``            ``known`` bool
-                  (lease-token list)
-worker_bye        ``worker_id``                         ``removed`` bool
-================  ====================================  ==================
-
 Telemetry crosses the wire in both directions: ``submit`` accepts the
 remote caller's trace context (the server's per-request span becomes
 its child, and the whole scheduler/worker span tree hangs below that),
@@ -241,31 +221,6 @@ class ServiceServer:
                 raise ValueError("trace_push spans must be a list")
             self.client.traces.extend(spans)
             return {"ok": True, "accepted": len(spans)}
-        if op == "worker_register":
-            reply = self._fleet().register(
-                worker_id=request.get("worker_id"), pid=request.get("pid")
-            )
-            return {"ok": True, **reply}
-        if op == "worker_poll":
-            timeout = float(request.get("timeout", 10.0))
-            lease = await asyncio.to_thread(
-                self._fleet().poll, request["worker_id"], timeout
-            )
-            return {"ok": True, "job": lease}
-        if op == "worker_result":
-            accepted = self._fleet().complete(
-                request["worker_id"], request["token"], request["kind"],
-                request.get("payload"), aux=request.get("aux"),
-            )
-            return {"ok": True, "accepted": accepted}
-        if op == "worker_heartbeat":
-            known = self._fleet().heartbeat(
-                request["worker_id"], request.get("running")
-            )
-            return {"ok": True, "known": known}
-        if op == "worker_bye":
-            removed = self._fleet().deregister(request["worker_id"])
-            return {"ok": True, "removed": removed}
         if op == "drain":
             drained = await asyncio.to_thread(
                 self.client.drain, request.get("timeout")
@@ -277,28 +232,12 @@ class ServiceServer:
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def _fleet(self):
-        """The client's fleet coordinator; typed error when not a fleet."""
-        fleet = getattr(self.client, "fleet", None)
-        if fleet is None:
-            raise ServiceError(
-                "this server is not running the fleet executor"
-            )
-        return fleet
-
     async def _await_handle(
         self, handle: JobHandle, timeout: float | None
     ) -> dict:
         try:
             record = await asyncio.to_thread(handle.result, timeout)
-        except ServiceError as exc:
-            return {
-                "ok": False,
-                "digest": handle.digest,
-                "status": handle.status.value,
-                "error": str(exc),
-            }
-        except TimeoutError as exc:
+        except (ServiceError, TimeoutError) as exc:
             return {
                 "ok": False,
                 "digest": handle.digest,

@@ -28,14 +28,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stitch import make_span, now_ns
 from repro.obs.tracectx import TraceContext
-from repro.service.jobs import JobSpec, parse_sleep_ms
+from repro.service.jobs import JobSpec
 
 
 def apply_worker_faults(spec: JobSpec, in_child: bool) -> None:
     """Faultline gate at worker start (no-op unless a plan is armed).
 
-    * ``worker.slow_start`` — sleep before running (straggler; what the
-      scheduler's hedged retry exists to beat).
+    * ``worker.slow_start`` — sleep before running (a straggler).
     * ``worker.kill`` — die before reporting: ``os._exit`` in a child
       (parent sees pipe EOF -> crash) or a typed
       :class:`WorkerKillFault` inline (booked as crash by the shard).
@@ -68,22 +67,7 @@ def execute_jobspec(spec: JobSpec) -> dict:
     delivered it (pickle to a child process, JSON over TCP) and is
     handed to the run functions unchanged, so service workers arm the
     sanitizer exactly like direct calls do.
-
-    ``kind="sleep"`` jobs skip the simulator entirely: they sleep for
-    the duration named by the config (e.g. ``"80ms"``) and return a
-    small deterministic dict — the service plane's load-test workload.
     """
-    if spec.kind == "sleep":
-        duration_ms = parse_sleep_ms(spec.config)
-        time.sleep(duration_ms / 1000.0)
-        return {
-            "kind": "sleep",
-            "bench": spec.bench,
-            "config": spec.config,
-            "rep": spec.rep,
-            "seed": spec.seed,
-            "duration_ms": duration_ms,
-        }
     policy = resolve_policy(spec.policy)
     observer: BaseObserver = Observer() if spec.trace_dir else NULL_OBSERVER
     if spec.kind == "synthetic":

@@ -6,7 +6,7 @@ bit-identical to the fault-free run — or (b) surfaces as a typed
 :class:`ServiceError`; never a hang, never silently-wrong data.
 
 Also covers the degradation machinery itself (circuit breaker,
-hedged retries, cache-store demotion), the ``NO_FAULTS``
+cache-store demotion), the ``NO_FAULTS``
 behaviour-identity guarantee, and the acceptance regression test:
 a serialized plan replayed in a fresh process produces the same
 per-job outcomes (what CI's failing-plan artifact relies on).
@@ -18,7 +18,6 @@ import asyncio
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -56,12 +55,6 @@ REPO = str(Path(__file__).resolve().parent.parent)
 def ok_runner(spec: JobSpec) -> dict:
     """Instant deterministic evaluation (module-level: fork-safe)."""
     return {"bench": spec.bench, "seed": spec.seed, "rep": spec.rep}
-
-
-def slow_runner(spec: JobSpec) -> dict:
-    """An evaluation slow enough to look like a straggler."""
-    time.sleep(0.4)
-    return {"bench": spec.bench, "rep": spec.rep}
 
 
 def stub_spec(rep: int = 0, **kw) -> JobSpec:
@@ -366,16 +359,6 @@ class TestDegradation:
             assert sched.counters["breaker_opens"] == 2
             with pytest.raises(CircuitOpenError):  # and the shard re-shed
                 sched.submit(stub_spec(rep=4, max_retries=0)).result(timeout=30)
-
-    def test_hedged_retry_rescues_a_straggler(self):
-        with Scheduler(executor="process", runner=slow_runner,
-                       hedge_after_s=0.05) as sched:
-            record = sched.submit(
-                stub_spec(timeout_s=30)
-            ).result(timeout=60)
-        assert record["bench"] == "lbm"
-        assert sched.counters["hedges"] >= 1
-        assert sched.counters["completed"] == 1
 
 
 class TestNoFaultsEquivalence:

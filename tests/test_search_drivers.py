@@ -43,8 +43,11 @@ def space() -> SearchSpace:
     return SearchSpace(SETTINGS.config, SETTINGS.profile)
 
 
-def run_search(driver_cls, store, settings=SETTINGS, space_=None):
-    with ServiceClient(store=store, executor="inline") as client:
+def run_search(driver_cls, store, settings=SETTINGS, space_=None,
+               executor="inline"):
+    shards = 1 if executor == "inline" else 2
+    with ServiceClient(store=store, executor=executor,
+                       shards=shards) as client:
         evaluator = ServiceEvaluator(client, settings)
         outcome = driver_cls(
             space_ or SearchSpace(settings.config, settings.profile),
@@ -82,9 +85,14 @@ class TestParetoFront:
 
 
 class TestSearchDeterminismAndCaching:
-    def test_same_seed_rerun_is_identical_and_cache_served(self, tmp_path):
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_same_seed_rerun_is_identical_and_cache_served(
+        self, tmp_path, executor
+    ):
+        """The cold run uses ``executor``, the warm rerun runs inline:
+        the log must not depend on which executor simulated it."""
         store = str(tmp_path / "search.sqlite")
-        out1, ev1 = run_search(EvolutionDriver, store)
+        out1, ev1 = run_search(EvolutionDriver, store, executor=executor)
         doc1 = search_log_json(out1)
         assert ev1.jobs_executed > 0  # cold cache actually simulated
 

@@ -105,6 +105,13 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             JobSpec(kind="nonsense")
+        with pytest.raises(ValueError, match="kind"):
+            JobSpec.from_json({"kind": "sleep", "config": "80ms"})
+
+    def test_unknown_sanitize_rejected(self):
+        with pytest.raises(ValueError, match="sanitize"):
+            JobSpec(kind="synthetic", bench="synthetic", profile="mini",
+                    sanitize="bogus")
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):

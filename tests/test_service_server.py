@@ -113,6 +113,15 @@ def test_server_rejects_bad_spec():
             )
             assert not response["ok"]
             assert "profile" in response["error"]
+            response = await _rpc(
+                reader, writer,
+                {"op": "submit", "spec": {"kind": "synthetic",
+                                          "bench": "synthetic",
+                                          "profile": "mini",
+                                          "sanitize": "bogus"}},
+            )
+            assert not response["ok"]
+            assert "sanitize" in response["error"]
             response = await _rpc(reader, writer, {"op": "shutdown"})
             assert response["ok"]
             writer.close()

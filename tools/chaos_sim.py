@@ -11,14 +11,8 @@ exact replay command is printed.
 Usage::
 
     PYTHONPATH=src python tools/chaos_sim.py --budget 60s --seed 3
-    PYTHONPATH=src python tools/chaos_sim.py --executor fleet --seed 3
+    PYTHONPATH=src python tools/chaos_sim.py --executor process --seed 3
     PYTHONPATH=src python tools/chaos_sim.py --replay chaos_plan.json
-
-``--executor fleet`` chaos-tests the distributed plane: each case runs
-the job set through a :class:`FleetCoordinator` with three in-process
-workers while plans drawn over the ``fleet.worker.*`` sites kill, hang,
-and disconnect them mid-lease; the baseline stays the inline executor,
-so the invariant also proves fleet records match serial ones.
 
 ``--budget`` accepts plain seconds ("30"), seconds with a suffix
 ("120s"), or minutes ("2m").  Exit status: 0 = invariant held for every
@@ -66,11 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-cases", type=int, default=None,
                         help="stop after N cases even if budget remains")
     parser.add_argument("--executor", default="inline",
-                        choices=["inline", "process", "fleet"],
+                        choices=["inline", "process"],
                         help="scheduler executor for campaign jobs "
-                        "(inline is faster; process adds fork isolation; "
-                        "fleet runs a 3-worker in-process fleet and draws "
-                        "plans over the fleet fault sites)")
+                        "(inline is faster; process adds fork isolation)")
     parser.add_argument("--artifact", default="chaos_failing_plan.json",
                         metavar="PATH", help="where to dump a failing "
                         "plan (the replayable CI artifact)")

@@ -8,8 +8,8 @@ ambient metrics of each leg isolated):
    FaultPlan armed — the driver must absorb the injected crashes via
    the scheduler's retries and still produce a front that dominates or
    matches the paper's ``mem+llc`` baseline.
-2. ``evolution`` driver on the ``fleet`` executor (real TCP pull-worker
-   subprocesses), sharing the same result cache.
+2. ``evolution`` driver on the ``process`` executor (one forked child
+   per attempt), sharing the same result cache.
 3. The same evolution search re-run against the warm cache — the log
    document must be byte-identical and >= 95 % of jobs cache hits.
 
@@ -103,17 +103,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     check(fired >= 1, f"faultline injected worker kills (fired={fired})")
 
-    # Leg 2: evolution on the fleet executor (cold-ish cache: the grid
-    # leg shares paper-policy/baseline lines only).
-    run_tune([*base, "--driver", "evolution", "--executor", "fleet",
-              "--workers", "2", "--out", str(out / "evo_fleet")])
+    # Leg 2: evolution on the process executor (cold-ish cache: the
+    # grid leg shares paper-policy/baseline lines only).
+    run_tune([*base, "--driver", "evolution", "--executor", "process",
+              "--out", str(out / "evo_process")])
 
     # Leg 3: same evolution search, warm cache, serial executor —
     # executor choice must not leak into the log.
     run_tune([*base, "--driver", "evolution", "--executor", "inline",
               "--out", str(out / "evo_rerun")])
 
-    log_a = (out / "evo_fleet" / f"{args.bench}_search.json").read_bytes()
+    log_a = (out / "evo_process" / f"{args.bench}_search.json").read_bytes()
     log_b = (out / "evo_rerun" / f"{args.bench}_search.json").read_bytes()
     check(log_a == log_b, "same-seed rerun log is byte-identical")
 
