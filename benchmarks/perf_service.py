@@ -2,17 +2,13 @@
 
 Drives a chaos-free load through the full service plane — a 4-shard
 :class:`~repro.service.client.ServiceClient` with the process executor,
-telemetry on — and reports what the telemetry plane measured:
+metrics on — and reports what the metrics registry measured:
 
 * jobs/s over the drain window (completed + cache hits, wall clock),
 * p50/p99 attempt latency from the ``sched.attempt_s`` log-linear
   histogram registry (not from per-job timers),
 * cache hit rate (each unique spec is submitted twice; the second
-  submission must be served by the content-addressed store),
-* a stitched cross-process Perfetto trace
-  (``benchmarks/out/service_trace.json``) whose per-job parenting chain
-  (client.submit -> sched.job -> sched.attempt -> worker.attempt) is
-  verified before the numbers are reported.
+  submission must be served by the content-addressed store).
 
 Results are appended as one trajectory point to ``BENCH_service.json``
 at the repo root with ``--update``; otherwise they go to
@@ -42,16 +38,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.obs.dashboard import merge_named_histograms  # noqa: E402
 from repro.obs.metrics import (  # noqa: E402
     MetricsRegistry,
     find_metric,
     quantile_from_snapshot,
-)
-from repro.obs.stitch import (  # noqa: E402
-    TraceCollector,
-    span_index,
-    trace_roots,
-    write_stitched_perfetto,
 )
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.jobs import JobSpec  # noqa: E402
@@ -68,81 +59,13 @@ def _specs(unique: int) -> list[JobSpec]:
     ]
 
 
-def _merged_attempt_hist(snapshot: dict) -> dict | None:
-    """All ``sched.attempt_s`` label variants merged into one histogram."""
-    merged: dict | None = None
-    for h in snapshot.get("histograms", ()):
-        if h["name"] != "sched.attempt_s" or not h.get("count"):
-            continue
-        if merged is None:
-            merged = {"sub": h.get("sub", 16), "count": 0, "sum": 0.0,
-                      "zero": 0, "min": None, "max": None, "buckets": {}}
-        merged["count"] += h["count"]
-        merged["sum"] += h["sum"]
-        merged["zero"] += h.get("zero", 0)
-        if h.get("min") is not None:
-            merged["min"] = (h["min"] if merged["min"] is None
-                             else min(merged["min"], h["min"]))
-        if h.get("max") is not None:
-            merged["max"] = (h["max"] if merged["max"] is None
-                             else max(merged["max"], h["max"]))
-        for k, v in h.get("buckets", {}).items():
-            merged["buckets"][k] = merged["buckets"].get(k, 0) + v
-    return merged
-
-
-def verify_stitching(spans: list[dict], expected_jobs: int) -> None:
-    """Assert the cross-process parenting chain holds for every job.
-
-    Every executed job must stitch as one tree:
-    client.submit -> sched.job -> sched.attempt -> worker.attempt, with
-    exactly one root per trace_id.
-    """
-    roots = trace_roots(spans)
-    multi = {t: r for t, r in roots.items() if len(r) != 1}
-    if multi:
-        raise AssertionError(
-            f"{len(multi)} traces have != 1 root (broken stitching)"
-        )
-    index = span_index(spans)
-
-    def parent_name(span: dict) -> str:
-        parent = index.get(span.get("parent_span_id"))
-        return parent["name"].split(":")[0] if parent else "<missing>"
-
-    want = {"sched.job": "client.submit",
-            "sched.attempt": "sched.job",
-            "worker.attempt": "sched.attempt"}
-    checked = 0
-    for span in spans:
-        kind = span["name"].split(":")[0]
-        if kind in want:
-            got = parent_name(span)
-            if got != want[kind]:
-                raise AssertionError(
-                    f"{kind} parented on {got}, expected {want[kind]}"
-                )
-            checked += 1
-    executed = sum(
-        1 for s in spans if s["name"].startswith("worker.attempt")
-    )
-    if executed < expected_jobs:
-        raise AssertionError(
-            f"only {executed} worker attempts stitched, "
-            f"expected >= {expected_jobs}"
-        )
-    print(f"stitching verified: {len(roots)} traces, "
-          f"{checked} parent edges, {executed} worker attempts")
-
-
 def measure(unique: int = UNIQUE_JOBS, shards: int = SHARDS) -> dict:
     """Run the load and compute the trajectory entry (minus provenance)."""
     registry = MetricsRegistry()
-    collector = TraceCollector()
     specs = _specs(unique)
     t0 = time.perf_counter()
     with ServiceClient(store=":memory:", shards=shards, executor="process",
-                       metrics=registry, traces=collector) as client:
+                       metrics=registry) as client:
         first = client.submit_many(specs)
         for handle in first:
             handle.result(timeout=300)
@@ -154,15 +77,6 @@ def measure(unique: int = UNIQUE_JOBS, shards: int = SHARDS) -> dict:
         cache_hits = sum(1 for h in second if h.from_cache)
 
     snapshot = registry.snapshot()
-    spans = collector.spans()
-
-    out_dir = Path(__file__).parent / "out"
-    out_dir.mkdir(exist_ok=True)
-    trace_path = out_dir / "service_trace.json"
-    write_stitched_perfetto(spans, str(trace_path))
-    verify_stitching(spans, expected_jobs=unique)
-    print(f"stitched trace: {trace_path}")
-
     completed = find_metric(snapshot, "counters", "sched.jobs",
                             outcome="completed")
     hit_counter = find_metric(snapshot, "counters", "sched.jobs",
@@ -170,7 +84,7 @@ def measure(unique: int = UNIQUE_JOBS, shards: int = SHARDS) -> dict:
     done = (completed["value"] if completed else 0.0)
     hits = (hit_counter["value"] if hit_counter else 0.0)
     served = done + hits
-    attempt = _merged_attempt_hist(snapshot)
+    attempt = merge_named_histograms(snapshot, "sched.attempt_s")
     if attempt is None:
         raise AssertionError("no sched.attempt_s samples recorded")
     if hits != cache_hits:
@@ -191,7 +105,6 @@ def measure(unique: int = UNIQUE_JOBS, shards: int = SHARDS) -> dict:
         "attempt_p50_s": round(quantile_from_snapshot(attempt, 0.50), 6),
         "attempt_p99_s": round(quantile_from_snapshot(attempt, 0.99), 6),
         "attempt_mean_s": round(attempt["sum"] / attempt["count"], 6),
-        "stitched_spans": len(spans),
     }
 
 
@@ -241,8 +154,7 @@ def main(argv: list[str] | None = None) -> int:
                 "Simulation-job service throughput: the chaos-free "
                 "two-pass cache load (unique mini synthetic specs x2, "
                 "4 shards, process executor). Latency quantiles come "
-                "from the telemetry plane's log-linear histograms and "
-                "the stitched cross-process trace is verified first."
+                "from the metrics registry's log-linear histograms."
             ),
             "trajectory": [],
         }

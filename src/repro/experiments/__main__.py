@@ -109,15 +109,10 @@ def main(argv: list[str] | None = None) -> int:
         if registry is not None:
             from repro.obs import metrics as obs_metrics
 
-            snapshot = registry.snapshot()
-            path = Path(args.metrics_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.suffix == ".prom":
-                path.write_text(obs_metrics.render_prometheus(snapshot))
-            else:
-                path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
-            print(f"metrics snapshot: {path}")
             obs_metrics.uninstall()
+            path = obs_metrics.write_snapshot(args.metrics_out,
+                                              registry.snapshot())
+            print(f"metrics snapshot: {path}")
 
 
 def _run(args, registry) -> int:

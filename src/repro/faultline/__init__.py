@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` — a seed plus typed :class:`FaultRule` schedules —
 arms process-global hook points across the service layer (result
-stores, scheduler attempts, TCP server) and the kernel underneath it
+stores, scheduler attempts, worker processes) and the kernel underneath it
 (frame exhaustion, mmap failure).  Decisions are a pure function of
 (seed, site, scope), so any failing campaign replays bit-for-bit from
 the serialized plan in a fresh process.
@@ -26,11 +26,9 @@ dumps any failing plan as a replayable JSON artifact.
 """
 
 from repro.faultline.faults import (
-    ConnectionDropFault,
     FrameExhaustionFault,
     InjectedFault,
     InjectedMmapError,
-    PartialWriteFault,
     StoreIOFault,
     WorkerKillFault,
 )
@@ -46,14 +44,12 @@ from repro.faultline.plan import (
 __all__ = [
     "NO_FAULTS",
     "SITES",
-    "ConnectionDropFault",
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
     "FrameExhaustionFault",
     "InjectedFault",
     "InjectedMmapError",
-    "PartialWriteFault",
     "StoreIOFault",
     "WorkerKillFault",
     "active",

@@ -45,10 +45,3 @@ class FrameExhaustionFault(InjectedFault):
     reports use the class name to label the fault class.
     """
 
-
-class ConnectionDropFault(InjectedFault):
-    """Marker type for a server-side connection drop (no response sent)."""
-
-
-class PartialWriteFault(InjectedFault):
-    """Marker type for a torn server response (partial line, then close)."""

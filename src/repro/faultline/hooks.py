@@ -1,6 +1,6 @@
 """Process-global arming point for fault injection.
 
-Instrumented layers (service stores, scheduler, server, kernel) call
+Instrumented layers (service stores, scheduler, workers, kernel) call
 :func:`should_fire` at their hook points.  When nothing is armed — the
 production default — ``_ACTIVE`` is None and the call is a single
 attribute load plus an ``is None`` test, the same zero-overhead
@@ -65,9 +65,9 @@ def should_fire(site: str, scope: str) -> FaultRule | None:
     rule = injector.check(site, scope)
     if rule is not None:
         # Book the injection in the ambient metrics registry (by site)
-        # so chaos campaigns show up on the service dashboard.  Firing
-        # is rare by construction; the disarmed fast path above is
-        # untouched.
+        # so a run's --metrics-out snapshot, and the `repro.obs top`
+        # frame rendered from it, count the faults.  Firing is rare by
+        # construction; the disarmed fast path above is untouched.
         registry = _obs_metrics.active()
         if registry is not None:
             registry.counter("faultline.injections", site=site).inc()

@@ -37,9 +37,6 @@ SITES = (
     "worker.kill",         # worker process hard-exits mid-attempt
     "worker.hang",         # worker blocks (parent must enforce timeout_s)
     "worker.slow_start",   # worker stalls briefly before running
-    # repro.service.server
-    "server.conn.drop",    # connection closed before the response line
-    "server.write.partial",  # torn response: half a line, then close
     # repro.kernel
     "kernel.pagealloc.exhaust",  # alloc_pages reports frame exhaustion
     "kernel.mmap.fail",    # sys_mmap raises an injected ENOMEM

@@ -17,14 +17,12 @@ Typical use::
     export_run(obs, "traces", "synthetic_mem_llc")   # open .trace.json
                                                      # in ui.perfetto.dev
 
-The telemetry plane (:mod:`repro.obs.metrics` + :mod:`repro.obs.stitch`
-+ :mod:`repro.obs.tracectx`) adds the service-side layer: labeled
-counters/gauges/log-linear latency histograms in a
-:class:`MetricsRegistry` (installed process-ambient, merged across
-worker processes) and wall-clock span fragments carried by
-:class:`TraceContext` and stitched by :class:`TraceCollector` into one
-Perfetto trace across client, server, scheduler, and worker processes.
-``python -m repro.obs top --connect HOST:PORT`` renders it live.
+The metrics registry (:mod:`repro.obs.metrics`) adds the service-side
+layer: labeled counters/gauges/log-linear latency histograms in a
+:class:`MetricsRegistry`, installed process-ambient and merged across
+worker processes.  ``--metrics-out PATH`` on the experiments and tune
+CLIs writes its final snapshot, and ``python -m repro.obs top PATH``
+renders that file as a dashboard frame.
 """
 
 from repro.obs.events import InstantEvent, RingBuffer, SpanEvent
@@ -41,17 +39,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     quantile_from_snapshot,
     render_prometheus,
-    snapshot_delta,
+    write_snapshot,
 )
 from repro.obs.observer import NULL_OBSERVER, BaseObserver, NullObserver, Observer
-from repro.obs.stitch import (
-    TraceCollector,
-    make_span,
-    now_ns,
-    stitch_perfetto,
-    write_stitched_perfetto,
-)
-from repro.obs.tracectx import TraceContext
 
 __all__ = [
     "InstantEvent",
@@ -62,15 +52,9 @@ __all__ = [
     "Observer",
     "NULL_OBSERVER",
     "MetricsRegistry",
-    "TraceCollector",
-    "TraceContext",
-    "make_span",
-    "now_ns",
     "quantile_from_snapshot",
     "render_prometheus",
-    "snapshot_delta",
-    "stitch_perfetto",
-    "write_stitched_perfetto",
+    "write_snapshot",
     "to_jsonl",
     "to_perfetto",
     "counters_to_csv",

@@ -2,16 +2,14 @@
 
 Commands::
 
-    top     live terminal dashboard against a running service server
-            (``python -m repro.service serve``); polls the ``metrics``
-            and ``status`` ops and redraws every --interval seconds.
-            --once prints a single frame and exits (CI smoke mode).
+    top     render one dashboard frame from a JSON metrics snapshot
+            written by ``--metrics-out`` (experiments or tune)
 
 Examples::
 
-    python -m repro.service serve --port 7421 &
-    python -m repro.obs top --connect 127.0.0.1:7421
-    python -m repro.obs top --connect 127.0.0.1:7421 --once
+    python -m repro.experiments tune --bench lbm --profile mini \\
+        --budget 4 --metrics-out out/metrics.json
+    python -m repro.obs top out/metrics.json
 """
 
 from __future__ import annotations
@@ -19,34 +17,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs.dashboard import run_top
-
-
-def _parse_connect(value: str) -> tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    return host or "127.0.0.1", int(port)
+from repro.obs.dashboard import read_snapshot, render_frame
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.obs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("top", help="live dashboard against a running server")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between polls (default 2)")
-    p.add_argument("--once", action="store_true",
-                   help="print one frame and exit (no screen clearing)")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="exit after N frames (default: run until ^C)")
+    p = sub.add_parser("top", help="render a --metrics-out JSON snapshot")
+    p.add_argument("path", metavar="PATH",
+                   help="JSON snapshot written by --metrics-out")
 
     args = parser.parse_args(argv)
-    host, port = _parse_connect(args.connect)
     try:
-        return run_top(host, port, interval_s=args.interval,
-                       once=args.once, iterations=args.iterations)
-    except KeyboardInterrupt:
-        return 0
+        snapshot = read_snapshot(args.path)
+    except ValueError as exc:
+        print(f"repro.obs top: {exc}", file=sys.stderr)
+        return 1
+    print(render_frame(snapshot))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,26 +1,21 @@
-"""Live terminal dashboard over a running simulation-job server.
+"""Terminal dashboard over a saved metrics snapshot.
 
-``python -m repro.obs top --connect HOST:PORT`` polls the line-JSON
-server's ``metrics`` and ``status`` ops and renders a compact
-service-health frame: job throughput (from counter deltas between two
-polls), attempt-latency quantiles (from the log-linear histograms),
-queue/breaker/store state, and per-op request latency.  Pure stdlib,
-ANSI-only; ``--once`` prints a single frame without clearing the
-screen (what the CI smoke test runs against a live demo server).
+``python -m repro.obs top PATH`` reads the JSON snapshot an
+experiments or tune run wrote with ``--metrics-out PATH`` and renders
+one compact service-health frame: job totals and cache hit rate,
+attempt-latency quantiles (from the log-linear histograms), and the
+final queue/breaker/retry state.  Pure stdlib.
 
-The renderer works from *snapshots* (plain dicts), so tests drive it
-without a server: :func:`render_frame` is deterministic given its
-inputs.
+:func:`render_frame` is deterministic given its snapshot, so tests
+drive it from a registry without touching the filesystem.
 """
 
 from __future__ import annotations
 
-import time
+import json
+from pathlib import Path
 
-from repro.obs.metrics import (
-    quantile_from_snapshot,
-    snapshot_delta,
-)
+from repro.obs.metrics import quantile_from_snapshot
 
 #: gauge value -> breaker state name (mirrors Scheduler._BREAKER_LEVELS).
 _BREAKER_NAMES = {0.0: "closed", 1.0: "half-open", 2.0: "open"}
@@ -94,19 +89,9 @@ def _latency_line(label: str, hist: dict | None) -> str:
             f"p99={_fmt_seconds(p99)} mean={_fmt_seconds(mean)}")
 
 
-def render_frame(
-    snapshot: dict,
-    stats: dict | None = None,
-    previous: dict | None = None,
-    window_s: float | None = None,
-) -> str:
-    """Render one dashboard frame from a metrics snapshot.
-
-    ``previous``/``window_s`` enable rate lines (jobs/s between polls);
-    without them the frame shows lifetime totals only.
-    """
+def render_frame(snapshot: dict) -> str:
+    """Render one dashboard frame from a metrics snapshot (lifetime totals)."""
     lines: list[str] = []
-    window = snapshot_delta(previous, snapshot) if previous else None
 
     lines.append("repro service telemetry")
     lines.append("=" * 64)
@@ -116,13 +101,8 @@ def render_frame(
     hits_total = counter_total(snapshot, "sched.jobs", outcome="cache_hit")
     failed_total = counter_total(snapshot, "sched.jobs", outcome="failed")
     submitted = counter_total(snapshot, "sched.submitted")
-    line = (f"  jobs: submitted={submitted:.0f} completed={done_total:.0f} "
-            f"cache_hit={hits_total:.0f} failed={failed_total:.0f}")
-    if window is not None and window_s:
-        done_w = counter_total(window, "sched.jobs", outcome="completed")
-        hit_w = counter_total(window, "sched.jobs", outcome="cache_hit")
-        line += f"   [{(done_w + hit_w) / window_s:6.1f} jobs/s]"
-    lines.append(line)
+    lines.append(f"  jobs: submitted={submitted:.0f} completed={done_total:.0f} "
+                 f"cache_hit={hits_total:.0f} failed={failed_total:.0f}")
     served = done_total + hits_total
     if served > 0:
         lines.append(f"  cache hit rate: {hits_total / served:.1%} "
@@ -136,13 +116,11 @@ def render_frame(
     lines.append(_latency_line(
         "attempt", merge_named_histograms(snapshot, "sched.attempt_s")))
     lines.append(_latency_line(
-        "server request", merge_named_histograms(snapshot, "server.request_s")))
-    lines.append(_latency_line(
         "store get", merge_named_histograms(snapshot, "store.get_s")))
 
-    # ---- live state -----------------------------------------------------
+    # ---- final state ----------------------------------------------------
     lines.append("")
-    lines.append("live state")
+    lines.append("final state")
     depth = running = None
     breakers = []
     for g in snapshot.get("gauges", ()):
@@ -167,64 +145,26 @@ def render_frame(
     if retries or faults:
         lines.append(f"  retries: {retries:.0f}   "
                      f"faults injected: {faults:.0f}")
-
-    # ---- scheduler stats (from the status op) ---------------------------
-    if stats:
-        lines.append("")
-        lines.append(f"scheduler: shards={stats.get('shards', '?')} "
-                     f"executor={stats.get('executor', '?')}")
-        store = stats.get("store")
-        if store:
-            lines.append(f"  store: entries={store.get('entries', 0)} "
-                         f"hits={store.get('hits', 0)} "
-                         f"misses={store.get('misses', 0)} "
-                         f"corrupt={store.get('corrupt', 0)}")
     return "\n".join(lines)
 
 
-def run_top(
-    host: str,
-    port: int,
-    interval_s: float = 2.0,
-    once: bool = False,
-    iterations: int | None = None,
-) -> int:
-    """Poll a running server and redraw the dashboard until interrupted.
+def read_snapshot(path: "str | Path") -> dict:
+    """Load a JSON snapshot written by ``--metrics-out``.
 
-    Returns a process exit code (1 when the server is unreachable or
-    reports that telemetry is disabled on the first poll).
+    Raises ``ValueError`` with a one-line reason when the file is
+    missing, unreadable, Prometheus text, or not a snapshot.
     """
-    # Imported lazily: repro.service already imports repro.obs, and the
-    # dashboard is the one obs component that talks back to the service.
-    from repro.service.server import TransportError, request_sync
-
-    previous: dict | None = None
-    prev_at: float | None = None
-    drawn = 0
-    while True:
-        try:
-            metrics_resp = request_sync(host, port, {"op": "metrics"})
-            status_resp = request_sync(host, port, {"op": "status"})
-        except (TransportError, OSError) as exc:
-            print(f"repro.obs top: cannot reach {host}:{port}: {exc}")
-            return 1
-        if not metrics_resp.get("ok"):
-            print(f"repro.obs top: server refused metrics: "
-                  f"{metrics_resp.get('error')}")
-            return 1
-        snapshot = metrics_resp["metrics"]
-        now = time.monotonic()
-        frame = render_frame(
-            snapshot,
-            stats=status_resp.get("stats"),
-            previous=previous,
-            window_s=None if prev_at is None else now - prev_at,
+    path = Path(path)
+    if path.suffix == ".prom":
+        raise ValueError(
+            f"{path} is Prometheus text; rerun with a .json --metrics-out"
         )
-        if not once:
-            print("\x1b[2J\x1b[H", end="")
-        print(frame)
-        drawn += 1
-        if once or (iterations is not None and drawn >= iterations):
-            return 0
-        previous, prev_at = snapshot, now
-        time.sleep(interval_s)
+    try:
+        snapshot = json.loads(path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"{path} is not a metrics snapshot")
+    return snapshot

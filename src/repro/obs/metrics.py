@@ -19,8 +19,9 @@ Everything snapshots to plain JSON (:meth:`MetricsRegistry.snapshot`)
 and *merges* (:meth:`MetricsRegistry.merge`): a forked worker records
 into a fresh registry, ships the snapshot back over its result pipe,
 and the scheduler folds it into the service-wide registry — counters
-and histogram buckets add, gauges last-write-win.  ``snapshot_delta``
-subtracts two snapshots for rate computation (the live dashboard).
+and histogram buckets add, gauges last-write-win.  :func:`write_snapshot`
+saves one to disk (what ``--metrics-out`` writes and
+``python -m repro.obs top`` renders).
 
 Ambient installation mirrors :mod:`repro.faultline.hooks`: components
 that cannot be handed a registry explicitly (the engine replay loop,
@@ -35,6 +36,7 @@ import json
 import math
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterator
 
 #: Label key/value pairs frozen into an instrument identity.
@@ -309,54 +311,7 @@ class MetricsRegistry:
                     hist.buckets[k] = hist.buckets.get(k, 0) + v
 
 
-# ----------------------------------------------------------- snapshot algebra
-def _index(snapshot: dict, kind: str) -> dict:
-    return {
-        (m["name"], _label_items(m.get("labels", {}))): m
-        for m in snapshot.get(kind, ())
-    }
-
-
-def snapshot_delta(old: dict, new: dict) -> dict:
-    """``new - old`` for counters and histograms; gauges pass through.
-
-    Instruments absent from ``old`` are taken whole.  The dashboard
-    uses this for rates (jobs/s between two polls); the bench harness
-    for isolating one measurement window.
-    """
-    out: dict = {"counters": [], "gauges": list(new.get("gauges", ())),
-                 "histograms": []}
-    old_c = _index(old, "counters")
-    for c in new.get("counters", ()):
-        key = (c["name"], _label_items(c.get("labels", {})))
-        prev = old_c.get(key)
-        value = c["value"] - (prev["value"] if prev else 0.0)
-        out["counters"].append({**c, "value": value})
-    old_h = _index(old, "histograms")
-    for h in new.get("histograms", ()):
-        key = (h["name"], _label_items(h.get("labels", {})))
-        prev = old_h.get(key)
-        if prev is None or prev.get("count", 0) == 0:
-            out["histograms"].append(dict(h))
-            continue
-        buckets = dict(h.get("buckets", {}))
-        for k, v in prev.get("buckets", {}).items():
-            left = buckets.get(k, 0) - v
-            if left:
-                buckets[k] = left
-            else:
-                buckets.pop(k, None)
-        out["histograms"].append({
-            **h,
-            "count": h["count"] - prev["count"],
-            "sum": h["sum"] - prev["sum"],
-            "zero": h.get("zero", 0) - prev.get("zero", 0),
-            "buckets": buckets,
-            # min/max are not invertible; the window keeps the totals'.
-        })
-    return out
-
-
+# ------------------------------------------------------------------ lookup
 def find_metric(snapshot: dict, kind: str, name: str, **labels) -> dict | None:
     """Look one instrument up in a snapshot (dashboard / test helper)."""
     want = _label_items(labels)
@@ -433,6 +388,23 @@ def render_prometheus(snapshot: dict) -> str:
         lines.append(f"{name}_sum{_prom_labels(labels)} {h.get('sum', 0.0):g}")
         lines.append(f"{name}_count{_prom_labels(labels)} {h.get('count', 0)}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def write_snapshot(path: "str | Path", snapshot: dict) -> Path:
+    """Write ``snapshot`` to ``path``; returns the path written.
+
+    A ``.prom`` suffix writes Prometheus text
+    (:func:`render_prometheus`); anything else writes the JSON snapshot
+    that ``python -m repro.obs top`` reads.  Missing parent directories
+    are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.suffix == ".prom":
+        path.write_text(render_prometheus(snapshot))
+    else:
+        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
+    return path
 
 
 # ----------------------------------------------------------------- JSONL form

@@ -195,6 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     finally:
         obs_metrics.uninstall()
+        if args.metrics_out is not None:
+            path = obs_metrics.write_snapshot(args.metrics_out,
+                                              registry.snapshot())
+            print(f"metrics snapshot: {path}")
     wall_s = time.perf_counter() - t0
 
     out = Path(args.out)
@@ -220,15 +224,6 @@ def main(argv: list[str] | None = None) -> int:
             bench_entry(outcome, args.executor, wall_s),
         )
         print(f"bench trajectory: {bench_path}")
-    if args.metrics_out is not None:
-        path = Path(args.metrics_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        snapshot = registry.snapshot()
-        if path.suffix == ".prom":
-            path.write_text(obs_metrics.render_prometheus(snapshot))
-        else:
-            path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
-        print(f"metrics snapshot: {path}")
     if not len(outcome.front):
         print("warning: empty Pareto front (all candidates errored)")
         return 1

@@ -11,9 +11,7 @@ Turns the simulator into a long-lived evaluation service:
   timeout + retry-with-backoff + cancellation; a worker crash is a
   retryable event, never a pool failure.
 * :class:`ServiceClient` — the in-process front-end ``sweep()`` rides.
-* :class:`ServiceServer` — line-JSON TCP front-end.
-* ``python -m repro.service`` — submit / status / drain / demo /
-  serve.
+* ``python -m repro.service`` — demo / submit / status.
 """
 
 from repro.service.client import ServiceClient
@@ -28,7 +26,6 @@ from repro.service.scheduler import (
     Scheduler,
     ServiceError,
 )
-from repro.service.server import ServiceServer, TransportError, request_sync
 from repro.service.store import (
     JsonlStore,
     MemoryStore,
@@ -56,12 +53,9 @@ __all__ = [
     "Scheduler",
     "ServiceClient",
     "ServiceError",
-    "ServiceServer",
     "SqliteStore",
     "SystemClock",
-    "TransportError",
     "execute_jobspec",
     "open_store",
     "record_checksum",
-    "request_sync",
 ]

@@ -5,35 +5,26 @@ Commands::
     demo    submit a small sweep twice through a fresh service and
             report second-pass cache hits + bit-identity (the service's
             acceptance smoke test; exits nonzero if reuse fails)
-    submit  run one job (locally, or against a server via --connect)
-    status  print scheduler/store stats (local store or server)
-    drain   wait for a server to go idle
-    serve   run the line-JSON TCP server
+    submit  run one job through a local service
+    status  print a result store's stats
 
 Examples::
 
     python -m repro.service demo --profile mini --workers 2
-    python -m repro.service serve --port 7421 --store results.jsonl
     python -m repro.service submit --bench lbm --policy mem+llc \\
-        --config 4_threads_4_nodes --connect 127.0.0.1:7421
+        --config 4_threads_4_nodes --store results.jsonl
+    python -m repro.service status --store results.jsonl
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import time
 
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
-from repro.service.server import ServiceServer, request_sync
-
-
-def _parse_connect(value: str) -> tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    return host or "127.0.0.1", int(port)
 
 
 def _spec_from_args(args) -> JobSpec:
@@ -90,16 +81,6 @@ def cmd_demo(args) -> int:
 
 def cmd_submit(args) -> int:
     spec = _spec_from_args(args)
-    if args.connect:
-        host, port = _parse_connect(args.connect)
-        response = request_sync(
-            host, port,
-            {"op": "submit", "spec": spec.to_json(), "wait": True,
-             "timeout": args.timeout},
-            timeout=max(600.0, args.timeout or 0),
-        )
-        print(json.dumps(response, indent=2, sort_keys=True))
-        return 0 if response.get("ok") else 1
     with ServiceClient(store=args.store, shards=1,
                        executor=args.executor) as client:
         handle = client.submit(spec)
@@ -113,11 +94,6 @@ def cmd_submit(args) -> int:
 
 
 def cmd_status(args) -> int:
-    if args.connect:
-        host, port = _parse_connect(args.connect)
-        response = request_sync(host, port, {"op": "status"})
-        print(json.dumps(response, indent=2, sort_keys=True))
-        return 0 if response.get("ok") else 1
     from repro.service.store import open_store
 
     store = open_store(args.store or ":memory:")
@@ -126,49 +102,6 @@ def cmd_status(args) -> int:
                          indent=2, sort_keys=True))
     finally:
         store.close()
-    return 0
-
-
-def cmd_drain(args) -> int:
-    host, port = _parse_connect(args.connect)
-    response = request_sync(host, port,
-                            {"op": "drain", "timeout": args.timeout},
-                            timeout=max(600.0, args.timeout or 0))
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0 if response.get("ok") and response.get("drained") else 1
-
-
-def cmd_serve(args) -> int:
-    from repro.obs import metrics as obs_metrics
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.stitch import TraceCollector
-
-    registry = None if args.no_telemetry else MetricsRegistry()
-    collector = None if args.no_telemetry else TraceCollector()
-    if registry is not None:
-        # Ambient install so engine/store/faultline instrumentation in
-        # this process (and fork-children via their own fresh registry)
-        # records without explicit plumbing.
-        obs_metrics.install(registry)
-
-    async def _serve() -> None:
-        with ServiceClient(store=args.store, shards=args.workers,
-                           executor=args.executor, metrics=registry,
-                           traces=collector) as client:
-            server = ServiceServer(client, host=args.host, port=args.port)
-            await server.start()
-            telemetry = "off" if args.no_telemetry else "on"
-            print(f"repro.service listening on {args.host}:{server.port} "
-                  f"(store={args.store or 'memory'}, shards={args.workers}, "
-                  f"executor={args.executor}, telemetry={telemetry})",
-                  flush=True)
-            await server.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    finally:
-        if registry is not None:
-            obs_metrics.uninstall()
     return 0
 
 
@@ -216,29 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--store", default=None)
     p.add_argument("--executor", default="process",
                    choices=["process", "inline"])
-    p.add_argument("--connect", default=None, metavar="HOST:PORT")
     p.set_defaults(fn=cmd_submit)
 
-    p = sub.add_parser("status", help="print store/server stats")
+    p = sub.add_parser("status", help="print store stats")
     p.add_argument("--store", default=None)
-    p.add_argument("--connect", default=None, metavar="HOST:PORT")
     p.set_defaults(fn=cmd_status)
-
-    p = sub.add_parser("drain", help="wait for a server to go idle")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT")
-    p.add_argument("--timeout", type=float, default=None)
-    p.set_defaults(fn=cmd_drain)
-
-    p = sub.add_parser("serve", help="run the TCP server")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7421)
-    p.add_argument("--store", default=None)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--executor", default="process",
-                   choices=["process", "inline"])
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="disable the metrics registry and trace collector")
-    p.set_defaults(fn=cmd_serve)
 
     args = parser.parse_args(argv)
     return args.fn(args)

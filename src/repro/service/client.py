@@ -1,7 +1,7 @@
 """In-process front-end: a ServiceClient owning a scheduler + store.
 
-The thin-waist API the experiments layer (``sweep()``), the TCP server,
-and the CLI all share.  A client opens (or adopts) a result store,
+The thin-waist API the experiments layer (``sweep()``), the policy
+search, and the CLI all share.  A client opens (or adopts) a result store,
 builds a scheduler over it, and converts record-JSON results back into
 :class:`~repro.experiments.runner.RunRecord` objects for callers.
 """
@@ -12,8 +12,6 @@ from repro.experiments.runner import RunRecord
 from repro.obs import NULL_OBSERVER, BaseObserver
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stitch import TraceCollector, now_ns, write_stitched_perfetto
-from repro.obs.tracectx import TraceContext
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import JobHandle, Scheduler
 from repro.service.store import ResultStore, open_store
@@ -32,11 +30,6 @@ class ServiceClient:
             mp_context: forwarded to :class:`Scheduler`.
         metrics: labeled metrics registry shared with the scheduler
             (defaults to the process-ambient registry; None = off).
-        traces: :class:`~repro.obs.stitch.TraceCollector` for
-            cross-process span stitching; when set, every ``submit``
-            records a ``client.submit`` span whose context parents the
-            scheduler job and worker attempt spans.  Export the tree
-            with :meth:`export_trace`.
     """
 
     def __init__(
@@ -49,13 +42,11 @@ class ServiceClient:
         observer: BaseObserver = NULL_OBSERVER,
         mp_context: str | None = None,
         metrics: MetricsRegistry | None = None,
-        traces: TraceCollector | None = None,
         **scheduler_kwargs,
     ) -> None:
         self._owns_store = isinstance(store, str)
         self.store = None if store is None else open_store(store)
         self.metrics = metrics if metrics is not None else obs_metrics.active()
-        self.traces = traces
         self.scheduler = Scheduler(
             store=self.store,
             shards=shards,
@@ -65,7 +56,6 @@ class ServiceClient:
             observer=observer,
             mp_context=mp_context,
             metrics=self.metrics,
-            traces=traces,
             **scheduler_kwargs,
         )
 
@@ -75,26 +65,9 @@ class ServiceClient:
         spec: JobSpec,
         block: bool = True,
         timeout: float | None = None,
-        trace: TraceContext | None = None,
     ) -> JobHandle:
-        """Submit one spec (see :meth:`Scheduler.submit`).
-
-        ``trace`` carries a remote submitter's context (e.g. the TCP
-        server's per-request span); without one, a fresh trace root is
-        minted per submission when tracing is on.
-        """
-        if self.traces is None:
-            return self.scheduler.submit(spec, block=block, timeout=timeout)
-        ctx = trace.child() if trace is not None else TraceContext.root()
-        begin = now_ns()
-        handle = self.scheduler.submit(
-            spec, block=block, timeout=timeout, trace=ctx
-        )
-        self.traces.span(
-            f"client.submit:{spec.label}", "client", begin, now_ns(),
-            ctx=ctx, args={"digest": handle.digest[:12]},
-        )
-        return handle
+        """Submit one spec (see :meth:`Scheduler.submit`)."""
+        return self.scheduler.submit(spec, block=block, timeout=timeout)
 
     def submit_many(self, specs: list[JobSpec]) -> list[JobHandle]:
         """Submit specs in order; returns handles in the same order."""
@@ -131,19 +104,6 @@ class ServiceClient:
     def metrics_snapshot(self) -> dict | None:
         """Labeled-metrics snapshot (None when metrics are off)."""
         return None if self.metrics is None else self.metrics.snapshot()
-
-    def export_trace(self, path: str) -> int:
-        """Write the stitched Perfetto trace; returns the span count.
-
-        Stitches every span the collector holds — client submits,
-        scheduler jobs/attempts, and worker-side fragments shipped back
-        over the result pipes — into one ``trace_event`` JSON file.
-        """
-        if self.traces is None:
-            raise ValueError("client was built without a trace collector")
-        spans = self.traces.spans()
-        write_stitched_perfetto(spans, path)
-        return len(spans)
 
     def close(self) -> None:
         """Shut the scheduler down; close the store if this client opened it."""

@@ -60,8 +60,6 @@ from repro.faultline.faults import WorkerKillFault
 from repro.obs import NULL_OBSERVER, BaseObserver
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stitch import TraceCollector, now_ns
-from repro.obs.tracectx import TraceContext
 from repro.service.clock import SYSTEM_CLOCK, Clock
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.store import ResultStore
@@ -164,7 +162,7 @@ class _Job:
     __slots__ = (
         "spec", "digest", "seq", "shard", "status", "attempts", "result",
         "error", "from_cache", "cancel_requested", "done", "proc",
-        "failure_kind", "trace", "enqueued_ns",
+        "failure_kind", "enqueued_ns",
     )
 
     def __init__(self, spec: JobSpec, digest: str, seq: int, shard: int) -> None:
@@ -181,8 +179,7 @@ class _Job:
         self.done = threading.Event()
         self.proc = None  # live child process while a process attempt runs
         self.failure_kind: str | None = None  # "circuit_open" for breaker fails
-        self.trace: TraceContext | None = None  # this job's span identity
-        self.enqueued_ns = 0  # unix-epoch ns at submit (queue-wait metric)
+        self.enqueued_ns = 0  # monotonic ns at submit (queue-wait metric)
 
 
 class JobHandle:
@@ -290,10 +287,6 @@ class Scheduler:
             process-ambient registry (None when metrics are off).
             Worker children record into a fresh registry and their
             snapshots merge here when their attempt reports.
-        traces: :class:`~repro.obs.stitch.TraceCollector` receiving
-            wall-clock span fragments (scheduler job/attempt spans and
-            the worker-side spans shipped back over the result pipe)
-            for cross-process stitching; None disables span recording.
     """
 
     def __init__(
@@ -313,7 +306,6 @@ class Scheduler:
         breaker_cooldown_s: float = 5.0,
         store_failure_limit: int = 3,
         metrics: MetricsRegistry | None = None,
-        traces: TraceCollector | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -337,7 +329,6 @@ class Scheduler:
         self.clock = clock
         self.store_failure_limit = store_failure_limit
         self.metrics = metrics if metrics is not None else obs_metrics.active()
-        self.traces = traces
         if mp_context is None:
             mp_context = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -485,7 +476,6 @@ class Scheduler:
         spec: JobSpec,
         block: bool = True,
         timeout: float | None = None,
-        trace: TraceContext | None = None,
     ) -> JobHandle:
         """Submit one job; returns immediately with a handle.
 
@@ -494,17 +484,9 @@ class Scheduler:
         (``force_run`` specs skip both).  Otherwise the job queues on
         its digest's shard, waiting for queue space per ``block``/
         ``timeout`` (:class:`BackpressureError` when exhausted).
-
-        ``trace`` is the submitter's trace context (from the client /
-        TCP server); the job's own spans become its children, so the
-        stitched trace keeps one causal tree per submission even across
-        process boundaries.
         """
         digest = spec.digest()
-        submitted_ns = now_ns()
-        job_ctx: TraceContext | None = None
-        if self.traces is not None:
-            job_ctx = trace.child() if trace is not None else TraceContext.root()
+        submitted_ns = time.monotonic_ns()
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
             if self._shutdown:
@@ -526,13 +508,6 @@ class Scheduler:
                             self.metrics.counter(
                                 "sched.jobs", outcome="cache_hit"
                             ).inc()
-                        if job_ctx is not None:
-                            self.traces.span(
-                                f"sched.job:{spec.label}", "scheduler",
-                                submitted_ns, now_ns(), ctx=job_ctx,
-                                args={"digest": digest[:12],
-                                      "from_cache": True},
-                            )
                         return JobHandle(job, self)
                     self.counters["cache_misses"] += 1
                 existing = self._inflight.get(digest)
@@ -561,7 +536,6 @@ class Scheduler:
                     raise ServiceError("scheduler is shut down")
             shard = int(digest[:8], 16) % self.shards
             job = _Job(spec, digest, next(self._seq), shard)
-            job.trace = job_ctx
             job.enqueued_ns = submitted_ns
             heapq.heappush(self._queues[shard], (-spec.priority, job.seq, job))
             self._queued += 1
@@ -608,7 +582,7 @@ class Scheduler:
                     self.metrics.gauge("sched.running").set(self._running)
                     self.metrics.histogram(
                         "sched.queue_wait_s", shard=shard
-                    ).observe((now_ns() - job.enqueued_ns) / 1e9)
+                    ).observe((time.monotonic_ns() - job.enqueued_ns) / 1e9)
                 self._cv.notify_all()
                 allowed = self._breakers[shard].allow(self.clock.monotonic())
                 if not allowed:
@@ -654,13 +628,10 @@ class Scheduler:
                 self._finalize(job, JobStatus.CANCELLED)
                 return
             begin_ns = self._now_ns()
-            attempt_ctx = (
-                job.trace.child() if job.trace is not None else None
-            )
             started = time.time()
-            attempt_begin = now_ns()
-            outcome = self._execute_attempt(job, attempt, attempt_ctx)
-            attempt_end = now_ns()
+            attempt_begin = time.monotonic_ns()
+            outcome = self._execute_attempt(job, attempt)
+            attempt_end = time.monotonic_ns()
             record = {
                 "attempt": attempt,
                 "outcome": outcome[0],
@@ -680,13 +651,6 @@ class Scheduler:
                 self.metrics.histogram(
                     "sched.attempt_s", shard=shard, outcome=outcome[0]
                 ).observe((attempt_end - attempt_begin) / 1e9)
-            if attempt_ctx is not None:
-                self.traces.span(
-                    f"sched.attempt:{spec.label}", "scheduler",
-                    attempt_begin, attempt_end, ctx=attempt_ctx, tid=shard,
-                    args={"digest": job.digest[:12], "attempt": attempt,
-                          "outcome": outcome[0], "shard": shard},
-                )
             kind = outcome[0]
             if kind != "cancelled":
                 self._book_breaker(shard, ok=(kind == "ok"))
@@ -762,25 +726,17 @@ class Scheduler:
                 track="service", tid=shard, args={"shard": shard},
             )
 
-    def _absorb_aux(self, aux: dict | None) -> None:
-        """Fold a worker child's telemetry fragment into this process.
+    def _absorb_metrics(self, snapshot: dict | None) -> None:
+        """Merge a worker child's metrics snapshot into this process.
 
-        ``aux`` rides as the final element of the child's result-pipe
-        message: a metrics snapshot (merged additively) and the child's
-        completed wall-clock spans (appended to the collector), so the
-        fork boundary is invisible in the stitched trace and the
-        service-wide histograms.
+        The snapshot rides as the final element of the child's
+        result-pipe message; counters and histogram buckets add, so the
+        service-wide histograms see the child's samples.
         """
-        if not aux:
-            return
-        if self.metrics is not None and aux.get("metrics"):
-            self.metrics.merge(aux["metrics"])
-        if self.traces is not None and aux.get("spans"):
-            self.traces.extend(aux["spans"])
+        if self.metrics is not None and snapshot:
+            self.metrics.merge(snapshot)
 
-    def _execute_attempt(
-        self, job: _Job, attempt: int, ctx: TraceContext | None = None
-    ) -> tuple:
+    def _execute_attempt(self, job: _Job, attempt: int) -> tuple:
         """One attempt: ("ok", result) | ("err"|"crash"|"timeout", msg) |
         ("cancelled", msg)."""
         rule = _fault_hooks.should_fire(
@@ -794,7 +750,6 @@ class Scheduler:
                     "faultline: injected worker kill "
                     f"(attempt {attempt}, digest {job.digest[:12]})")
         if self.executor == "inline":
-            begin = now_ns()
             try:
                 apply_worker_faults(job.spec, in_child=False)
                 result = self.runner(job.spec)
@@ -803,21 +758,10 @@ class Scheduler:
                 outcome = ("crash", f"faultline: {exc}")
             except Exception as exc:  # noqa: BLE001 - booked as attempt outcome
                 outcome = ("err", f"{type(exc).__name__}: {exc}")
-            if ctx is not None:
-                # Inline attempts run in the shard thread; the "worker"
-                # process track is logical, but the parent chain is the
-                # same one the forked executor produces.
-                self.traces.span(
-                    f"worker.attempt:{job.spec.label}", "worker",
-                    begin, now_ns(), ctx=ctx.child(),
-                    args={"executor": "inline", "outcome": outcome[0]},
-                )
             return outcome
-        return self._execute_in_process(job, ctx)
+        return self._execute_in_process(job)
 
-    def _execute_in_process(
-        self, job: _Job, ctx: TraceContext | None = None
-    ) -> tuple:
+    def _execute_in_process(self, job: _Job) -> tuple:
         """Run one attempt in a fresh child process and supervise it.
 
         The child reports once over a pipe; timeouts and cancellation
@@ -825,18 +769,10 @@ class Scheduler:
         reporting is booked as a crash.
         """
         spec = job.spec
-        telemetry = None
-        if self.metrics is not None or self.traces is not None:
-            telemetry = {
-                "metrics": self.metrics is not None,
-                "trace": (
-                    ctx.to_wire()
-                    if ctx is not None and self.traces is not None else None
-                ),
-            }
         recv, send = self._mp.Pipe(duplex=False)
         proc = self._mp.Process(
-            target=child_main, args=(send, self.runner, spec, telemetry),
+            target=child_main,
+            args=(send, self.runner, spec, self.metrics is not None),
             daemon=True,
         )
         proc.start()
@@ -854,13 +790,8 @@ class Scheduler:
                     except EOFError:
                         break
                     proc.join()
-                    if msg[0] == "ok":
-                        if len(msg) > 2:
-                            self._absorb_aux(msg[2])
-                        return ("ok", msg[1])
-                    if len(msg) > 3:
-                        self._absorb_aux(msg[3])
-                    return ("err", msg[1])
+                    self._absorb_metrics(msg[-1])
+                    return (msg[0], msg[1])
                 if job.cancel_requested:
                     return ("cancelled", "terminated on cancel request")
                 if deadline is not None and time.monotonic() >= deadline:
@@ -894,13 +825,6 @@ class Scheduler:
         self.counters[key] += 1
         if self.metrics is not None:
             self.metrics.counter("sched.jobs", outcome=key).inc()
-        if job.trace is not None and self.traces is not None:
-            self.traces.span(
-                f"sched.job:{job.spec.label}", "scheduler",
-                job.enqueued_ns or now_ns(), now_ns(), ctx=job.trace,
-                args={"digest": job.digest[:12], "status": key,
-                      "attempts": len(job.attempts)},
-            )
         job.done.set()
         self._cv.notify_all()
 

@@ -26,8 +26,6 @@ from repro.faultline.plan import DEFAULT_HANG_S, DEFAULT_SLOW_START_S
 from repro.obs import NULL_OBSERVER, BaseObserver, Observer, export_run
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stitch import make_span, now_ns
-from repro.obs.tracectx import TraceContext
 from repro.service.jobs import JobSpec
 
 
@@ -63,10 +61,10 @@ def apply_worker_faults(spec: JobSpec, in_child: bool) -> None:
 def execute_jobspec(spec: JobSpec) -> dict:
     """Run one evaluation described by ``spec``; returns record JSON.
 
-    The ``sanitize`` level rides the spec through whatever transport
-    delivered it (pickle to a child process, JSON over TCP) and is
-    handed to the run functions unchanged, so service workers arm the
-    sanitizer exactly like direct calls do.
+    The ``sanitize`` level rides the spec into the worker (in the shard
+    thread, or pickled to a child process) and is handed to the run
+    functions unchanged, so service workers arm the sanitizer exactly
+    like direct calls do.
     """
     policy = resolve_policy(spec.policy)
     observer: BaseObserver = Observer() if spec.trace_dir else NULL_OBSERVER
@@ -86,59 +84,32 @@ def execute_jobspec(spec: JobSpec) -> dict:
     return record.to_json()
 
 
-def child_main(conn, runner, spec: JobSpec, telemetry: dict | None = None) -> None:
+def child_main(conn, runner, spec: JobSpec, metrics: bool) -> None:
     """Child-process body: run ``runner(spec)``, send the outcome, exit.
 
-    Sends ``("ok", result)`` or ``("err", "Type: msg", traceback)``.
-    If the child dies before sending anything the parent sees EOF and
-    books a crash.
+    Sends ``("ok", result, snapshot)`` or
+    ``("err", "Type: msg", traceback, snapshot)``.  If the child dies
+    before sending anything the parent sees EOF and books a crash.
 
-    With ``telemetry`` (``{"metrics": bool, "trace": wire-ctx|None}``)
-    the child installs a fresh ambient
+    With ``metrics`` the child installs a fresh ambient
     :class:`~repro.obs.metrics.MetricsRegistry` so engine/store
-    instrumentation records locally, wraps the run in a
-    ``worker.attempt`` span parented on the scheduler's attempt context,
-    and appends the fragment — ``{"metrics": snapshot, "spans": [...],
-    "pid": ...}`` — as one extra element on the result message.  The
-    parent merges the snapshot and extends its trace collector, so the
-    fork boundary disappears from the stitched output.  ``None`` keeps
-    the original message shapes (and zero overhead) exactly.
+    instrumentation records locally, and ``snapshot`` is that
+    registry's final snapshot, which the parent merges into its own.
+    Without it ``snapshot`` is None and nothing is recorded.
     """
-    if telemetry is None:
-        try:
-            apply_worker_faults(spec, in_child=True)
-            result = runner(spec)
-            conn.send(("ok", result))
-        except BaseException as exc:  # noqa: BLE001 - must report, not die silent
-            conn.send(("err", f"{type(exc).__name__}: {exc}",
-                       traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    registry = MetricsRegistry() if telemetry.get("metrics") else None
+    registry = MetricsRegistry() if metrics else None
     if registry is not None:
         obs_metrics.install(registry)
-    ctx = TraceContext.from_wire(telemetry.get("trace"))
-    begin_ns = now_ns()
 
-    def _aux(outcome: str) -> dict:
-        aux: dict = {"pid": os.getpid()}
-        if registry is not None:
-            aux["metrics"] = registry.snapshot()
-        if ctx is not None:
-            aux["spans"] = [make_span(
-                f"worker.attempt:{spec.label}", "worker",
-                begin_ns, now_ns(), ctx=ctx.child(), pid=os.getpid(),
-                args={"executor": "process", "outcome": outcome},
-            )]
-        return aux
+    def _snapshot() -> dict | None:
+        return None if registry is None else registry.snapshot()
 
     try:
         apply_worker_faults(spec, in_child=True)
         result = runner(spec)
-        conn.send(("ok", result, _aux("ok")))
+        conn.send(("ok", result, _snapshot()))
     except BaseException as exc:  # noqa: BLE001 - must report, not die silent
         conn.send(("err", f"{type(exc).__name__}: {exc}",
-                   traceback.format_exc(), _aux("err")))
+                   traceback.format_exc(), _snapshot()))
     finally:
         conn.close()

@@ -14,7 +14,6 @@ per-job outcomes (what CI's failing-plan artifact relies on).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import subprocess
 import sys
@@ -41,11 +40,7 @@ from repro.service import (
     JobSpec,
     MemoryStore,
     Scheduler,
-    ServiceClient,
     ServiceError,
-    ServiceServer,
-    TransportError,
-    request_sync,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -252,53 +247,6 @@ class TestKernelFaults:
             assert injector.fire_count(site) == 1
         assert canonical(record) == canonical(baseline)
         assert [a["outcome"] for a in handle.attempts] == ["err", "ok"]
-
-
-class TestServerFaults:
-    def _with_server(self, plan, scope_checks):
-        """Run ``scope_checks(port)`` in a thread against a live server."""
-        async def main() -> None:
-            store = MemoryStore()
-            with ServiceClient(store=store, shards=1, executor="inline",
-                               runner=ok_runner) as client:
-                server = ServiceServer(client, port=0)
-                await server.start()
-                serve_task = asyncio.create_task(server.serve_forever())
-                try:
-                    with armed(plan):
-                        await asyncio.to_thread(scope_checks, server.port)
-                    # Disarmed, the same request works again (the server
-                    # itself survived the drop; only that one connection
-                    # died).
-                    response = await asyncio.to_thread(
-                        request_sync, "127.0.0.1", server.port,
-                        {"op": "ping"}, 10.0,
-                    )
-                    assert response == {"ok": True, "pong": True}
-                finally:
-                    await server.stop()
-                    await serve_task
-        asyncio.run(main())
-
-    def test_connection_drop_surfaces_transport_error(self):
-        plan = plan_of(FaultRule(site="server.conn.drop",
-                                 scopes=("ping#r0",)))
-
-        def check(port: int) -> None:
-            with pytest.raises(TransportError, match="dropped"):
-                request_sync("127.0.0.1", port, {"op": "ping"}, 10.0)
-
-        self._with_server(plan, check)
-
-    def test_partial_write_surfaces_transport_error(self):
-        plan = plan_of(FaultRule(site="server.write.partial",
-                                 scopes=("ping#r0",)))
-
-        def check(port: int) -> None:
-            with pytest.raises(TransportError, match="truncated"):
-                request_sync("127.0.0.1", port, {"op": "ping"}, 10.0)
-
-        self._with_server(plan, check)
 
 
 class TestDegradation:

@@ -33,6 +33,13 @@ class TestFaultRuleValidation:
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultRule(site="store.get.iomsipelled")
 
+    # A plan naming a site with no hook point would silently never fire.
+    @pytest.mark.parametrize("site", ["server.conn.drop",
+                                      "server.write.partial"])
+    def test_removed_server_sites_rejected(self, site):
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultRule(site=site)
+
     def test_probability_bounds_enforced(self):
         with pytest.raises(ValueError, match="probability"):
             FaultRule(site="worker.kill", probability=1.5)

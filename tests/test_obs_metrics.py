@@ -11,9 +11,9 @@ from repro.obs.metrics import (
     find_metric,
     quantile_from_snapshot,
     render_prometheus,
-    snapshot_delta,
     snapshot_from_jsonl,
     snapshot_to_jsonl,
+    write_snapshot,
 )
 
 
@@ -143,30 +143,6 @@ class TestSnapshotAndMerge:
         assert quantile_from_snapshot(snap, 0.5) == pytest.approx(0.01, rel=0.1)
         assert quantile_from_snapshot(snap, 1.0) == 10.0
 
-    def test_snapshot_delta(self):
-        reg = MetricsRegistry()
-        reg.counter("jobs").inc(2)
-        reg.histogram("lat").observe(0.01)
-        old = reg.snapshot()
-        reg.counter("jobs").inc(3)
-        for _ in range(3):
-            reg.histogram("lat").observe(0.02)
-        delta = snapshot_delta(old, reg.snapshot())
-        assert find_metric(delta, "counters", "jobs")["value"] == 3
-        hist = find_metric(delta, "histograms", "lat")
-        assert hist["count"] == 3
-        assert hist["sum"] == pytest.approx(0.06)
-        # Window quantile reflects only the new observations (non-extreme
-        # rank: delta min/max are not invertible and keep the totals').
-        assert quantile_from_snapshot(hist, 0.5) == pytest.approx(0.02, rel=0.1)
-
-    def test_delta_with_new_instrument_taken_whole(self):
-        reg = MetricsRegistry()
-        old = reg.snapshot()
-        reg.counter("fresh").inc(4)
-        delta = snapshot_delta(old, reg.snapshot())
-        assert find_metric(delta, "counters", "fresh")["value"] == 4
-
 
 class TestExposition:
     def test_prometheus_rendering(self):
@@ -196,6 +172,15 @@ class TestExposition:
         ]
         assert counts == sorted(counts)  # cumulative
         assert counts[-1] == 4           # +Inf bucket == count
+
+    def test_write_snapshot_picks_format_by_suffix(self, tmp_path):
+        reg = MetricsRegistry()
+        reg.counter("sched.jobs", outcome="ok").inc(2)
+        snap = reg.snapshot()
+        prom = write_snapshot(tmp_path / "a" / "m.prom", snap)
+        assert prom.read_text() == render_prometheus(snap)
+        doc = write_snapshot(tmp_path / "b" / "m.json", snap)
+        assert json.loads(doc.read_text()) == snap
 
     def test_jsonl_roundtrip(self):
         reg = MetricsRegistry()

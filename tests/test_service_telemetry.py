@@ -1,29 +1,44 @@
-"""Acceptance tests for the service telemetry plane.
+"""Acceptance tests for the service metrics plane.
 
-The headline scenario mirrors the PR's acceptance criterion: a
-chaos-free drain of >= 50 jobs through a 4-shard scheduler yields one
-stitched Perfetto trace with correct cross-process parenting per job,
-and throughput/latency/cache numbers computed from the histogram
-registry (not from ad-hoc timers).
+The headline scenario: a chaos-free drain of >= 50 jobs through a
+4-shard scheduler on the process executor yields throughput/latency/
+cache numbers computed from the histogram registry (not from ad-hoc
+timers), including samples recorded inside the forked workers.  The
+dashboard renders that registry's snapshot, and ``python -m repro.obs
+top`` renders the same snapshot from a ``--metrics-out`` file.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.__main__ import main as experiments_main
 from repro.obs import metrics as obs_metrics
 from repro.obs.dashboard import counter_total, merge_named_histograms, render_frame
 from repro.obs.metrics import MetricsRegistry, find_metric, quantile_from_snapshot
-from repro.obs.stitch import TraceCollector, span_index, stitch_perfetto, trace_roots
-from repro.obs.tracectx import TraceContext
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import Scheduler
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _trivial_runner(spec: JobSpec) -> dict:
     """Module-level (fork/pickle-safe) runner: no simulation, just echo."""
     return {"label": spec.label, "rep": spec.rep}
+
+
+def _metered_runner(spec: JobSpec) -> dict:
+    """Like :func:`_trivial_runner`, but counts itself in the ambient
+    registry, which in a forked worker is the child's own registry."""
+    registry = obs_metrics.active()
+    if registry is not None:
+        registry.counter("test.worker_runs").inc()
+    return _trivial_runner(spec)
 
 
 def _failing_runner(spec: JobSpec) -> dict:
@@ -38,73 +53,27 @@ def _specs(n: int) -> list[JobSpec]:
     ]
 
 
-class TestStitchedDrain:
+class TestProcessDrain:
     """The acceptance drain: 56 jobs, 4 shards, process executor."""
 
     @pytest.fixture(scope="class")
-    def drained(self):
+    def snapshot(self):
         registry = MetricsRegistry()
-        collector = TraceCollector()
-        specs = _specs(56)
         with ServiceClient(store=":memory:", shards=4, executor="process",
-                           runner=_trivial_runner, metrics=registry,
-                           traces=collector) as client:
-            handles = client.submit_many(specs)
+                           runner=_metered_runner,
+                           metrics=registry) as client:
+            handles = client.submit_many(_specs(56))
             for h in handles:
                 h.result(timeout=120)
             assert client.drain(timeout=60)
-        return registry.snapshot(), collector.spans()
+        return registry.snapshot()
 
-    def test_every_job_stitches_one_tree(self, drained):
-        _, spans = drained
-        roots = trace_roots(spans)
-        assert len(roots) == 56
-        assert all(len(r) == 1 for r in roots.values())
-        assert all(r[0]["name"].startswith("client.submit")
-                   for r in roots.values())
-
-    def test_cross_process_parenting_chain(self, drained):
-        _, spans = drained
-        index = span_index(spans)
-        want = {"sched.job": "client.submit",
-                "sched.attempt": "sched.job",
-                "worker.attempt": "sched.attempt"}
-        seen = {k: 0 for k in want}
-        for span in spans:
-            kind = span["name"].split(":")[0]
-            if kind not in want:
-                continue
-            parent = index[span["parent_span_id"]]
-            assert parent["name"].split(":")[0] == want[kind], span["name"]
-            assert parent["trace_id"] == span["trace_id"]
-            seen[kind] += 1
-        assert all(count == 56 for count in seen.values()), seen
-
-    def test_worker_spans_crossed_the_fork(self, drained):
-        _, spans = drained
-        parent_pids = {s["pid"] for s in spans
-                       if s["name"].startswith("sched.")}
-        worker_pids = {s["pid"] for s in spans
-                       if s["name"].startswith("worker.attempt")}
-        assert parent_pids.isdisjoint(worker_pids)  # genuinely other processes
-
-    def test_perfetto_output_is_valid(self, drained):
-        _, spans = drained
-        doc = stitch_perfetto(spans)
-        json.dumps(doc)  # serializable
-        meta_pids = [e["pid"] for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert len(meta_pids) == len(set(meta_pids))
-        per_track: dict[int, list[float]] = {}
-        for e in doc["traceEvents"]:
-            if e["ph"] == "X":
-                per_track.setdefault(e["pid"], []).append(e["ts"])
-        for ts in per_track.values():
-            assert ts == sorted(ts)
-
-    def test_metrics_computed_from_histogram_registry(self, drained):
-        snapshot, _ = drained
+    def test_metrics_computed_from_histogram_registry(self, snapshot):
         assert find_metric(snapshot, "counters", "sched.jobs",
                            outcome="completed")["value"] == 56
+        # Recorded in the forked children, merged over the result pipe.
+        assert find_metric(snapshot, "counters",
+                           "test.worker_runs")["value"] == 56
         attempt = merge_named_histograms(snapshot, "sched.attempt_s")
         assert attempt["count"] == 56
         p50 = quantile_from_snapshot(attempt, 0.50)
@@ -118,22 +87,19 @@ class TestStitchedDrain:
                   if h["name"] == "sched.queue_wait_s"}
         assert shards <= {"0", "1", "2", "3"} and len(shards) >= 2
 
-    def test_dashboard_renders_the_drain(self, drained):
-        snapshot, _ = drained
-        frame = render_frame(snapshot, stats={"shards": 4,
-                                              "executor": "process"})
+    def test_dashboard_renders_the_drain(self, snapshot):
+        frame = render_frame(snapshot)
         assert "completed=56" in frame
         assert "attempt" in frame and "p99=" in frame
 
 
 class TestCacheAndDedupOutcomes:
-    def test_cache_hits_counted_and_spanned(self):
+    def test_cache_hits_counted(self):
         registry = MetricsRegistry()
-        collector = TraceCollector()
         spec = JobSpec(bench="b", policy="buddy", config="cfg")
         with ServiceClient(store=":memory:", shards=1, executor="inline",
-                           runner=_trivial_runner, metrics=registry,
-                           traces=collector) as client:
+                           runner=_trivial_runner,
+                           metrics=registry) as client:
             client.submit(spec).result(timeout=30)
             handle = client.submit(spec)
             assert handle.from_cache
@@ -143,10 +109,6 @@ class TestCacheAndDedupOutcomes:
                            outcome="cache_hit")["value"] == 1
         assert find_metric(snap, "counters", "sched.jobs",
                            outcome="completed")["value"] == 1
-        hits = [s for s in collector.spans()
-                if s["name"].startswith("sched.job")
-                and (s.get("args") or {}).get("from_cache")]
-        assert len(hits) == 1
 
     def test_store_latency_recorded_via_ambient(self):
         spec = JobSpec(bench="b", policy="buddy", config="cfg")
@@ -195,41 +157,20 @@ class TestFailurePathMetrics:
         assert find_metric(snap, "counters", "sched.breaker_transitions",
                            to="open", shard=0)["value"] == 1
 
-    def test_inline_worker_span_still_parented(self):
-        collector = TraceCollector()
-        with Scheduler(shards=1, executor="inline", runner=_trivial_runner,
-                       traces=collector) as sched:
-            sched.submit(JobSpec(bench="b", policy="buddy",
-                                 config="cfg")).result(timeout=30)
-        spans = collector.spans()
-        index = span_index(spans)
-        worker = next(s for s in spans
-                      if s["name"].startswith("worker.attempt"))
-        assert index[worker["parent_span_id"]]["name"].startswith(
-            "sched.attempt")
 
-
-class TestTelemetryOff:
-    def test_no_metrics_no_traces_no_aux(self):
-        """metrics=None + traces=None keeps the legacy message shapes and
-        records nothing anywhere (the zero-overhead discipline)."""
+class TestMetricsOff:
+    def test_metrics_off_records_nothing(self):
+        """With no registry the process path still runs, children get
+        no registry of their own, and nothing becomes ambient."""
         assert obs_metrics.active() is None
         with ServiceClient(store=":memory:", shards=2, executor="process",
-                           runner=_trivial_runner) as client:
+                           runner=_metered_runner) as client:
             handles = client.submit_many(_specs(4))
             for h in handles:
                 h.result(timeout=60)
             assert client.scheduler.metrics is None
-            assert client.scheduler.traces is None
-
-    def test_submit_trace_kwarg_ignored_when_off(self):
-        with Scheduler(shards=1, executor="inline",
-                       runner=_trivial_runner) as sched:
-            handle = sched.submit(
-                JobSpec(bench="b", policy="buddy", config="cfg"),
-                trace=TraceContext.root(),
-            )
-            assert handle.result(timeout=30)["label"]
+            assert client.metrics_snapshot() is None
+        assert obs_metrics.active() is None
 
 
 class TestDashboardHelpers:
@@ -245,10 +186,44 @@ class TestDashboardHelpers:
         frame = render_frame({"counters": [], "gauges": [], "histograms": []})
         assert "no samples" in frame
 
-    def test_render_frame_rates_with_window(self):
-        reg = MetricsRegistry()
-        reg.counter("sched.jobs", outcome="completed").inc(5)
-        old = reg.snapshot()
-        reg.counter("sched.jobs", outcome="completed").inc(10)
-        frame = render_frame(reg.snapshot(), previous=old, window_s=2.0)
-        assert "5.0 jobs/s" in frame
+
+class TestTopFromMetricsFile:
+    """``--metrics-out`` -> ``python -m repro.obs top PATH``, end to end."""
+
+    @staticmethod
+    def _top(path) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "repro.obs", "top", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+
+    def test_frame_from_a_tune_run(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert experiments_main([
+            "tune", "--bench", "lbm", "--profile", "mini", "--budget", "4",
+            "--executor", "inline", "--out", str(tmp_path / "out"),
+            "--metrics-out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        snapshot = json.loads(path.read_text())
+        executed = find_metric(snapshot, "counters", "search.jobs",
+                               result="executed")["value"]
+        assert executed > 0
+        top = self._top(path)
+        assert top.returncode == 0, top.stderr
+        assert f"completed={executed:.0f}" in top.stdout
+        assert "attempt" in top.stdout and "p99=" in top.stdout
+        assert "queue depth" in top.stdout
+
+    @pytest.mark.parametrize("name", ["metrics.prom", "missing.json"])
+    def test_bad_path_is_a_one_line_error(self, tmp_path, name):
+        path = tmp_path / name
+        if path.suffix == ".prom":
+            path.write_text("sched_jobs_total 1\n")
+        top = self._top(path)
+        assert top.returncode != 0
+        assert top.stdout == ""
+        lines = top.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro.obs top: ")
+        assert "Traceback" not in top.stderr

@@ -1,11 +1,11 @@
-"""CI smoke: the live dashboard must render against a real server.
+"""CI smoke: the dashboard must render a real ``--metrics-out`` file.
 
-Boots ``python -m repro.service serve`` (telemetry on, inline executor
-for speed), pushes a few jobs through the TCP front-end, then runs
-``python -m repro.obs top --once`` as a subprocess with a hard timeout
-and asserts the frame carries real numbers (completed jobs, attempt
-latency quantiles).  Exercises the full wire path the dashboard uses:
-``metrics`` + ``status`` ops over line-JSON TCP.
+Runs a tiny ``python -m repro.experiments`` sweep (mini profile, one
+config, one rep) with ``--metrics-out``, then ``python -m repro.obs top
+PATH`` on the snapshot it wrote, each as a subprocess with a hard
+timeout, and asserts the frame carries real numbers (every sweep job
+completed, attempt-latency quantiles, the final queue state).  All
+outputs go to a temporary directory.
 
 Usage::
 
@@ -15,79 +15,58 @@ Usage::
 from __future__ import annotations
 
 import os
-import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.service.jobs import JobSpec  # noqa: E402
-from repro.service.server import request_sync  # noqa: E402
+from repro.alloc.policies import Policy  # noqa: E402
+from repro.workloads.registry import BENCH_ORDER  # noqa: E402
 
-JOBS = 6
-SMOKE_TIMEOUT_S = 60
+#: One rep of every (bench, policy) pair on one config.
+JOBS = len(BENCH_ORDER) * len(Policy)
+SMOKE_TIMEOUT_S = 300
+
+
+def run(cmd: list[str], env: dict) -> subprocess.CompletedProcess:
+    print(f"$ {' '.join(cmd)}")
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          cwd=REPO_ROOT, timeout=SMOKE_TIMEOUT_S)
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="dashboard_smoke_") as out:
+        return smoke(Path(out))
+
+
+def smoke(out: Path) -> int:
+    metrics = out / "metrics.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "serve", "--port", "0",
-         "--executor", "inline", "--store", ":memory:"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-        cwd=REPO_ROOT,
-    )
-    try:
-        banner = server.stdout.readline()
-        match = re.search(r":(\d+) ", banner)
-        if not match:
-            print(f"FAIL: no port in server banner: {banner!r}")
-            return 1
-        port = int(match.group(1))
-        print(f"server up on port {port}")
 
-        for i in range(JOBS):
-            spec = JobSpec(kind="synthetic", bench="synthetic",
-                           policy="buddy", config="4_threads_4_nodes",
-                           rep=i, profile="mini")
-            resp = request_sync("127.0.0.1", port,
-                                {"op": "submit", "spec": spec.to_json(),
-                                 "wait": True, "timeout": 120},
-                                timeout=180)
-            if not resp.get("ok"):
-                print(f"FAIL: submit {i}: {resp}")
-                return 1
-        print(f"{JOBS} jobs completed over TCP")
+    sweep = run([sys.executable, "-m", "repro.experiments",
+                 "--profile", "mini", "--reps", "1",
+                 "--configs", "4_threads_4_nodes", "--out", str(out),
+                 "--metrics-out", str(metrics)], env)
+    if sweep.returncode != 0:
+        print(f"FAIL: experiments exited {sweep.returncode}: "
+              f"{sweep.stderr[-2000:]}")
+        return 1
 
-        top = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "top",
-             "--connect", f"127.0.0.1:{port}", "--once"],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-            timeout=SMOKE_TIMEOUT_S,
-        )
-        print(top.stdout)
-        if top.returncode != 0:
-            print(f"FAIL: top exited {top.returncode}: {top.stderr}")
+    top = run([sys.executable, "-m", "repro.obs", "top", str(metrics)], env)
+    print(top.stdout)
+    if top.returncode != 0:
+        print(f"FAIL: top exited {top.returncode}: {top.stderr}")
+        return 1
+    for needle in (f"completed={JOBS}", "attempt", "p99=", "queue depth"):
+        if needle not in top.stdout:
+            print(f"FAIL: dashboard frame missing {needle!r}")
             return 1
-        frame = top.stdout
-        for needle in (f"completed={JOBS}", "attempt", "p99=",
-                       "queue depth"):
-            if needle not in frame:
-                print(f"FAIL: dashboard frame missing {needle!r}")
-                return 1
-        print("dashboard smoke ok")
-        return 0
-    finally:
-        try:
-            request_sync("127.0.0.1", port, {"op": "shutdown"}, timeout=5)
-        except Exception:  # noqa: BLE001 - teardown best-effort
-            pass
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
+    print("dashboard smoke ok")
+    return 0
 
 
 if __name__ == "__main__":
