@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.kernel.frame import FramePool
 
 
@@ -53,9 +55,43 @@ class ColorMatrix:
     def push_block(self, start_pfn: int, order: int) -> None:
         """Algorithm 2 (``create_color_list``): split a buddy block of
         ``2**order`` frames into single pages appended to their color lists.
+
+        Equivalent to :meth:`push` on each frame in ascending order, done
+        in bulk: the double-push check runs on the whole block before
+        anything is mutated; each (bank, LLC) bucket is extended with its
+        frames in ascending order, and buckets are visited in the order
+        their first frame appears, so both non-empty indexes gain keys in
+        the same insertion order the per-frame loop would give them.
         """
-        for pfn in range(start_pfn, start_pfn + (1 << order)):
-            self.push(pfn)
+        end = start_pfn + (1 << order)
+        pool = self.pool
+        pool.mark_range_colored_free(start_pfn, end)
+        mem = pool.bank_color[start_pfn:end]
+        llc = pool.llc_color[start_pfn:end]
+        keys = mem.astype(np.int32) * self.num_llc + llc
+        perm = np.argsort(keys, kind="stable")
+        sorted_keys = keys[perm]
+        heads = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+        # perm[heads] is each bucket's lowest offset (the sort is stable).
+        firsts = perm[heads]
+        bounds = heads.tolist() + [len(perm)]
+        pfns = (perm + start_pfn).tolist()
+        group_mem = mem[firsts].tolist()
+        group_llc = llc[firsts].tolist()
+        lists = self._lists
+        llc_of_mem = self._llc_of_mem
+        mem_of_llc = self._mem_of_llc
+        for g in np.argsort(firsts).tolist():
+            m = group_mem[g]
+            lc = group_llc[g]
+            key = (m, lc)
+            bucket = lists.get(key)
+            if bucket is None:
+                bucket = lists[key] = deque()
+            bucket.extend(pfns[bounds[g]:bounds[g + 1]])
+            llc_of_mem.setdefault(m, {})[lc] = None
+            mem_of_llc.setdefault(lc, {})[m] = None
+        self.total_free += len(pfns)
 
     # ------------------------------------------------------------------ pop
     def _pop_key(self, key: tuple[int, int]) -> int:

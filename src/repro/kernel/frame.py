@@ -22,6 +22,13 @@ class FrameState(enum.IntEnum):
     ALLOCATED = 2  # handed out to a task
 
 
+# Plain-int aliases for the hot paths: attribute lookups on an enum class
+# are slow, and the state array holds raw int8 values anyway.
+_BUDDY = int(FrameState.BUDDY)
+_COLORED_FREE = int(FrameState.COLORED_FREE)
+_ALLOCATED = int(FrameState.ALLOCATED)
+
+
 class FramePool:
     """All physical frames of the machine with color and state tracking."""
 
@@ -54,7 +61,7 @@ class FramePool:
         self.llc_color: np.ndarray = llc.astype(np.int16)
         #: FrameState per frame.
         self.state: np.ndarray = np.full(
-            self.num_frames, FrameState.BUDDY, dtype=np.int8
+            self.num_frames, _BUDDY, dtype=np.int8
         )
         #: owning task id per frame, -1 when not ALLOCATED.
         self.owner: np.ndarray = np.full(self.num_frames, -1, dtype=np.int32)
@@ -78,27 +85,57 @@ class FramePool:
 
     # --- state transitions, each validating its precondition -----------------
     def mark_allocated(self, pfn: int, owner: int) -> None:
-        if self.state[pfn] == FrameState.ALLOCATED:
+        if self.state[pfn] == _ALLOCATED:
             raise ValueError(f"frame {pfn} already allocated (double alloc)")
-        self.state[pfn] = FrameState.ALLOCATED
+        self.state[pfn] = _ALLOCATED
         self.owner[pfn] = owner
 
     def mark_colored_free(self, pfn: int) -> None:
-        if self.state[pfn] == FrameState.COLORED_FREE:
+        if self.state[pfn] == _COLORED_FREE:
             raise ValueError(f"frame {pfn} already on a color list")
-        self.state[pfn] = FrameState.COLORED_FREE
+        self.state[pfn] = _COLORED_FREE
         self.owner[pfn] = -1
 
     def mark_buddy(self, pfn: int) -> None:
-        self.state[pfn] = FrameState.BUDDY
+        self.state[pfn] = _BUDDY
         self.owner[pfn] = -1
+
+    # --- block transitions: one vectorized precondition, then slice writes ---
+    def mark_range_allocated(self, start: int, end: int, owner: int) -> None:
+        """:meth:`mark_allocated` over frames ``[start, end)``."""
+        _reject_first(start, self.state[start:end] == _ALLOCATED,
+                      "already allocated (double alloc)")
+        self.state[start:end] = _ALLOCATED
+        self.owner[start:end] = owner
+
+    def mark_range_colored_free(self, start: int, end: int) -> None:
+        """:meth:`mark_colored_free` over frames ``[start, end)``."""
+        _reject_first(start, self.state[start:end] == _COLORED_FREE,
+                      "already on a color list")
+        self.state[start:end] = _COLORED_FREE
+        self.owner[start:end] = -1
+
+    def mark_range_freed(self, start: int, end: int) -> None:
+        """Return the ALLOCATED frames ``[start, end)`` to BUDDY."""
+        _reject_first(start, self.state[start:end] != _ALLOCATED,
+                      "is not allocated (freeing a non-allocated block)")
+        self.state[start:end] = _BUDDY
+        self.owner[start:end] = -1
 
     def counts(self) -> dict[str, int]:
         """Frame counts per state (for invariant checks and stats)."""
         values, counts = np.unique(self.state, return_counts=True)
         by_state = dict(zip(values.tolist(), counts.tolist()))
         return {
-            "buddy": by_state.get(int(FrameState.BUDDY), 0),
-            "colored_free": by_state.get(int(FrameState.COLORED_FREE), 0),
-            "allocated": by_state.get(int(FrameState.ALLOCATED), 0),
+            "buddy": by_state.get(_BUDDY, 0),
+            "colored_free": by_state.get(_COLORED_FREE, 0),
+            "allocated": by_state.get(_ALLOCATED, 0),
         }
+
+
+def _reject_first(start: int, bad: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first frame flagged in ``bad`` (a
+    mask over frames ``start, start+1, ...``); callers mutate only after."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ValueError(f"frame {start + int(hits[0])} {what}")

@@ -30,6 +30,8 @@ from repro.kernel.task import TaskStruct
 from repro.machine.topology import MachineTopology
 from repro.obs.observer import NULL_OBSERVER, BaseObserver
 
+_ALLOCATED = int(FrameState.ALLOCATED)
+
 
 @dataclass(frozen=True)
 class AllocOutcome:
@@ -66,9 +68,22 @@ class PageAllocator:
         self._obs_enabled = observer.enabled
         self.colors = ColorMatrix(pool)
         per_node = pool.frames_per_node
+        num_nodes = pool.mapping.num_nodes
         self.node_buddies = [
             BuddyAllocator(node * per_node, per_node)
-            for node in range(pool.mapping.num_nodes)
+            for node in range(num_nodes)
+        ]
+        # The topology is immutable: rank every node by distance from each
+        # core once.  The sort is stable over ascending node ids, so ties
+        # break by node id, and filtering an order keeps it for any subset.
+        self._nodes_by_distance = [
+            tuple(sorted(range(num_nodes),
+                         key=lambda n, c=core: topology.hops(c, n)))
+            for core in range(topology.num_cores)
+        ]
+        self._node_bank_colors = [
+            list(pool.mapping.bank_colors_of_node(node))
+            for node in range(num_nodes)
         ]
         # Stats.
         self.colored_allocs = 0
@@ -105,11 +120,14 @@ class PageAllocator:
         Pages freed by colored tasks go back to the corresponding colored
         free lists (paper §III-C); everything else returns to the buddy.
         """
-        if self.pool.state[pfn] != FrameState.ALLOCATED:
+        if order:
+            self.pool.mark_range_freed(pfn, pfn + (1 << order))
+        elif self.pool.state[pfn] != _ALLOCATED:
             raise ValueError(f"freeing non-allocated frame {pfn}")
+        else:
+            self.pool.mark_buddy(pfn)  # reset state before push validates
         task.pages_freed += 1 << order
         if order == 0 and (task.using_bank or task.using_llc):
-            self.pool.mark_buddy(pfn)  # reset state before push validates
             self.colors.push(pfn)
             if self._obs_enabled:
                 self.obs.instant(
@@ -117,8 +135,6 @@ class PageAllocator:
                     tid=task.tid, args={"pfn": pfn},
                 )
             return
-        for f in range(pfn, pfn + (1 << order)):
-            self.pool.mark_buddy(f)
         node = self.pool.node_of_frame(pfn)
         self.node_buddies[node].free(pfn, order)
 
@@ -137,14 +153,10 @@ class PageAllocator:
             # locality is then best-effort, not guaranteed, which is
             # precisely what MEM coloring adds on top.
             pfn = None
-            nodes = sorted(
-                range(self.pool.mapping.num_nodes),
-                key=lambda n: self.topology.hops(task.core, n),
-            )
-            for node in nodes:
-                node_colors = list(self.pool.mapping.bank_colors_of_node(node))
+            for node in self._nodes_by_distance[task.core]:
                 pfn, extra = self._pop_or_refill(
-                    task, node_colors, llc_c, restrict_nodes=[node]
+                    task, self._node_bank_colors[node], llc_c,
+                    nodes=(node,),
                 )
                 refills += extra
                 if pfn is not None:
@@ -189,10 +201,13 @@ class PageAllocator:
         task: TaskStruct,
         mem_colors: list[int],
         llc_colors: list[int] | None,
-        restrict_nodes: list[int] | None = None,
+        nodes: tuple[int, ...] | None = None,
     ) -> tuple[int | None, int]:
         """Pop a matching frame, refilling color lists from buddy blocks
         (Algorithm 2) until one matches or the candidate nodes run dry.
+
+        Refills pull from ``nodes``; by default, every node owning one of
+        ``mem_colors``, nearest to the task's core first.
 
         Order-0 buddy frames (the common case on an aged system) are
         checked against the constraints directly — only non-matching ones
@@ -202,10 +217,15 @@ class PageAllocator:
         pfn = self.colors.pop_matching(mem_colors, llc_colors)
         if pfn is not None:
             return pfn, refills
+        if nodes is None:
+            per = self.pool.mapping.bank_colors_per_node
+            candidates = {color // per for color in mem_colors}
+            nodes = tuple(n for n in self._nodes_by_distance[task.core]
+                          if n in candidates)
         mem_set = set(mem_colors)
         llc_set = set(llc_colors) if llc_colors is not None else None
         while True:
-            block = self._pull_refill_block(task, mem_colors, restrict_nodes)
+            block = self._pull_refill_block(nodes)
             if block is None:
                 return None, refills
             start, order = block
@@ -225,23 +245,9 @@ class PageAllocator:
             if pfn is not None:
                 return pfn, refills
 
-    def _pull_refill_block(
-        self,
-        task: TaskStruct,
-        mem_colors: list[int],
-        restrict_nodes: list[int] | None = None,
-    ) -> tuple[int, int] | None:
-        """Take the head buddy block of the smallest non-empty order from a
-        node that can produce matching colors."""
-        if restrict_nodes is not None:
-            nodes = restrict_nodes
-        else:
-            per = self.pool.mapping.bank_colors_per_node
-            candidates = {color // per for color in mem_colors}
-            nodes = sorted(
-                candidates,
-                key=lambda n: (self.topology.hops(task.core, n), n),
-            )
+    def _pull_refill_block(self, nodes: tuple[int, ...]) -> tuple[int, int] | None:
+        """Take the head buddy block of the smallest non-empty order from
+        the first of ``nodes`` that has one."""
         for order in range(0, MAX_ORDER + 1):
             for node in nodes:
                 start = self.node_buddies[node].pop_head(order)
@@ -252,19 +258,17 @@ class PageAllocator:
     # ------------------------------------------------------------------ normal
     def _normal_buddy_alloc(self, task: TaskStruct, order: int) -> int | None:
         """Default Linux behaviour: local node, then nearest-first fallback."""
-        nodes = sorted(
-            range(self.pool.mapping.num_nodes),
-            key=lambda n: self.topology.hops(task.core, n),
-        )
-        for node in nodes:
+        for node in self._nodes_by_distance[task.core]:
             pfn = self.node_buddies[node].alloc(order)
             if pfn is not None:
                 return pfn
         return None
 
     def _mark_block_allocated(self, pfn: int, order: int, task: TaskStruct) -> None:
-        for f in range(pfn, pfn + (1 << order)):
-            self.pool.mark_allocated(f, task.tid)
+        if order:
+            self.pool.mark_range_allocated(pfn, pfn + (1 << order), task.tid)
+        else:
+            self.pool.mark_allocated(pfn, task.tid)
         task.pages_allocated += 1 << order
 
     # ------------------------------------------------------------------ info

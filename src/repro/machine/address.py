@@ -186,6 +186,8 @@ class AddressMapping:
         # instance; a *different* mapping is a different object with its
         # own, initially empty cache.
         object.__setattr__(self, "_frame_decode_cache", {})
+        # Memo of compatible_llc_colors (bank color -> tuple), per instance.
+        object.__setattr__(self, "_compat_llc_rows", {})
 
     # --- widths / counts ------------------------------------------------------
     def field_width(self, name: str) -> int:
@@ -331,51 +333,80 @@ class AddressMapping:
         return value
 
     # --- color compatibility ----------------------------------------------------
-    def _field_bit_value(self, name: str, value: int, position: int) -> int:
-        """Bit at physical ``position`` implied by field ``name`` = ``value``."""
-        return (value >> self.fields[name].index(position)) & 1
-
-    def colors_compatible(self, bank_color: int, llc_color: int) -> bool:
-        """Whether any frame carries both ``bank_color`` and ``llc_color``.
+    @property
+    def compatibility_table(self) -> np.ndarray:
+        """Read-only ``bool[num_bank_colors, num_llc_colors]``: entry
+        ``[bc, lc]`` is True when some frame carries both colors.
 
         When the bank field overlaps the LLC color bits (as on the Opteron,
         where bank bits 15/16 lie inside LLC color bits 12-16), the two
         colors must agree on the shared bits; pairs that disagree have no
         physical frames, leaving the 128 x 32 color matrix structurally
-        sparse.
+        sparse.  Built on first use, once per mapping instance.
         """
-        node, channel, rank, bank = self.split_bank_color(bank_color)
-        values = {"node": node, "channel": channel, "rank": rank, "bank": bank}
-        for i, p in enumerate(self.llc_color_positions):
-            for name, positions in self.fields.items():
-                if p in positions:
-                    if self._field_bit_value(name, values[name], p) != (
-                        (llc_color >> i) & 1
-                    ):
-                        return False
-        return True
+        table = self.__dict__.get("_compat_table")
+        if table is None:
+            bc = np.arange(self.num_bank_colors)
+            values = {
+                "bank": bc % self.num_banks,
+                "rank": bc // self.num_banks % self.num_ranks,
+                "channel": (bc // (self.num_banks * self.num_ranks)
+                            % self.num_channels),
+                "node": bc // self.bank_colors_per_node,
+            }
+            lc = np.arange(self.num_llc_colors)
+            table = np.ones((bc.size, lc.size), dtype=bool)
+            for i, p in enumerate(self.llc_color_positions):
+                for name, positions in self.fields.items():
+                    if p in positions:
+                        bank_bit = (values[name] >> positions.index(p)) & 1
+                        table &= bank_bit[:, None] == ((lc >> i) & 1)
+            table.flags.writeable = False
+            object.__setattr__(self, "_compat_table", table)
+        return table
+
+    def _check_colors(self, bank_color: int | None, llc_color: int | None) -> None:
+        if bank_color is not None and not 0 <= bank_color < self.num_bank_colors:
+            raise ValueError(f"bank color {bank_color} out of range")
+        if llc_color is not None and not 0 <= llc_color < self.num_llc_colors:
+            raise ValueError(f"LLC color {llc_color} out of range")
+
+    def colors_compatible(self, bank_color: int, llc_color: int) -> bool:
+        """Whether any frame carries both ``bank_color`` and ``llc_color``
+        (see :attr:`compatibility_table`).
+
+        Raises:
+            ValueError: if either color is out of range.
+        """
+        self._check_colors(bank_color, llc_color)
+        return bool(self.compatibility_table[bank_color, llc_color])
 
     def compatible_llc_colors(self, bank_color: int) -> tuple[int, ...]:
-        """All LLC colors with physical frames of ``bank_color``."""
-        return tuple(
-            lc
-            for lc in range(self.num_llc_colors)
-            if self.colors_compatible(bank_color, lc)
-        )
+        """All LLC colors with physical frames of ``bank_color``, ascending."""
+        cached = self._compat_llc_rows.get(bank_color)
+        if cached is None:
+            self._check_colors(bank_color, None)
+            row = self.compatibility_table[bank_color]
+            cached = self._compat_llc_rows[bank_color] = tuple(
+                np.flatnonzero(row).tolist()
+            )
+        return cached
 
     def compatible_bank_colors(
         self, llc_color: int, node: int | None = None
     ) -> tuple[int, ...]:
         """All bank colors with physical frames of ``llc_color``, optionally
         restricted to one memory node."""
+        self._check_colors(None, llc_color)
+        if node is not None and not 0 <= node < self.num_nodes:
+            raise ValueError(f"node {node} out of range")
         colors = (
             self.bank_colors_of_node(node)
             if node is not None
             else range(self.num_bank_colors)
         )
-        return tuple(
-            bc for bc in colors if self.colors_compatible(bc, llc_color)
-        )
+        column = self.compatibility_table[colors.start:colors.stop, llc_color]
+        return tuple((np.flatnonzero(column) + colors.start).tolist())
 
     @property
     def shared_color_bits(self) -> int:

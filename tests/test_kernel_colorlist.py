@@ -1,5 +1,6 @@
 """Unit + property tests for the colored free-page matrix."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,3 +167,94 @@ class TestPropertyBased:
                 break
             assert int(pool.bank_color[pfn]) == mem_color
         matrix.check_invariants()
+
+
+def _push_block_reference(matrix, start, order):
+    """Algorithm 2 one frame at a time: what push_block must equal."""
+    for pfn in range(start, start + (1 << order)):
+        matrix.push(pfn)
+
+
+def _snapshot(matrix):
+    pool = matrix.pool
+    return (
+        pool.state.copy(),
+        pool.owner.copy(),
+        [(key, list(bucket)) for key, bucket in matrix._lists.items()],
+        [(m, list(llcs)) for m, llcs in matrix._llc_of_mem.items()],
+        [(lc, list(mems)) for lc, mems in matrix._mem_of_llc.items()],
+        matrix.total_free,
+    )
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+    assert a[2:] == b[2:]
+
+
+@st.composite
+def _block_and_prestate(draw):
+    """A (start, order) block in the first 2048 frames of the tiny
+    machine, plus a script of operations building the pre-state."""
+    order = draw(st.integers(0, 7))
+    start = draw(st.integers(0, (2048 >> order) - 1)) << order
+    block = range(start, start + (1 << order))
+    outside = st.integers(0, 2047).filter(lambda p: p not in block)
+    prefill = draw(st.lists(outside, max_size=40, unique=True))
+    pops = draw(st.lists(st.integers(0, 31), max_size=20))
+    readd = draw(st.integers(0, 20))
+    allocated = draw(st.lists(st.integers(0, 2047), max_size=20, unique=True))
+    return start, order, prefill, pops, readd, allocated
+
+
+def _build_prestate(prefill, pops, readd, allocated):
+    pool = FramePool(tiny_machine().mapping)
+    matrix = ColorMatrix(pool)
+    for pfn in prefill:
+        matrix.push(pfn)
+    popped = []
+    for mem in pops:
+        pfn = matrix.pop_matching([mem], None)
+        if pfn is not None:
+            popped.append(pfn)
+    # Re-adding popped frames re-creates keys an earlier pop emptied.
+    for pfn in popped[:readd]:
+        matrix.push(pfn)
+    for pfn in allocated:
+        if pool.state[pfn] != FrameState.COLORED_FREE:
+            pool.mark_allocated(pfn, owner=7)
+    return matrix
+
+
+class TestPushBlockBulk:
+    @settings(max_examples=60, deadline=None)
+    @given(_block_and_prestate())
+    def test_bulk_push_block_equals_loop_of_push(self, case):
+        start, order, *script = case
+        reference = _build_prestate(*script)
+        bulk = _build_prestate(*script)
+        _assert_same(_snapshot(reference), _snapshot(bulk))
+        _push_block_reference(reference, start, order)
+        bulk.push_block(start, order)
+        _assert_same(_snapshot(reference), _snapshot(bulk))
+        bulk.check_invariants()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_colored_free_frame_in_block_rejected_untouched(self, order, data):
+        start = data.draw(st.integers(0, (2048 >> order) - 1)) << order
+        inside = start + data.draw(st.integers(0, (1 << order) - 1))
+        outside = data.draw(st.lists(
+            st.integers(0, 2047).filter(
+                lambda p: not start <= p < start + (1 << order)),
+            max_size=10, unique=True,
+        ))
+        pool = FramePool(tiny_machine().mapping)
+        matrix = ColorMatrix(pool)
+        for pfn in outside + [inside]:
+            matrix.push(pfn)
+        before = _snapshot(matrix)
+        with pytest.raises(ValueError, match=f"frame {inside} "):
+            matrix.push_block(start, order)
+        _assert_same(before, _snapshot(matrix))

@@ -148,6 +148,20 @@ class TestFreePath:
         with pytest.raises(ValueError):
             alloc.free_pages(task, 0, 0)
 
+    def test_block_precondition_checks_every_frame_before_mutating(
+        self, tiny, alloc
+    ):
+        task = TaskStruct(tid=1, core=0)
+        out = alloc.alloc_pages(task, order=4)
+        pool = alloc.pool
+        pool.mark_buddy(out.pfn + 9)  # a hole inside the block
+        state, owner = pool.state.copy(), pool.owner.copy()
+        with pytest.raises(ValueError, match=f"frame {out.pfn + 9} "):
+            alloc.free_pages(task, out.pfn, 4)
+        with pytest.raises(ValueError, match=f"frame {out.pfn} "):
+            pool.mark_range_allocated(out.pfn, out.pfn + 16, owner=2)
+        assert (pool.state == state).all() and (pool.owner == owner).all()
+
     def test_conservation_total(self, tiny, alloc):
         task = colored_task(tiny, core=0, mem=[0, 1], llc=[0, 2])
         total = alloc.pool.num_frames

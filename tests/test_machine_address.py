@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.machine.address import AddressMapping, contiguous
-from repro.machine.presets import opteron_6128, tiny_machine
+from repro.machine.presets import PLATFORMS, opteron_6128, tiny_machine
 
 
 @pytest.fixture
@@ -182,3 +182,63 @@ class TestRow:
 
     def test_contiguous_helper(self):
         assert contiguous(5, 3) == (5, 6, 7)
+
+
+def _bit_oracle(mapping, bank_color, llc_color):
+    """Per-pair reference for colors_compatible: every LLC color bit that
+    a DRAM field also claims must equal that field's bit for bank_color."""
+    node, channel, rank, bank = mapping.split_bank_color(bank_color)
+    values = {"node": node, "channel": channel, "rank": rank, "bank": bank}
+    for i, p in enumerate(mapping.llc_color_positions):
+        for name, positions in mapping.fields.items():
+            if p in positions:
+                field_bit = (values[name] >> positions.index(p)) & 1
+                if field_bit != (llc_color >> i) & 1:
+                    return False
+    return True
+
+
+class TestCompatibilityTable:
+    @pytest.mark.parametrize("name", sorted(PLATFORMS))
+    def test_table_matches_bit_oracle(self, name):
+        m = PLATFORMS[name]().mapping
+        table = m.compatibility_table
+        assert table.shape == (m.num_bank_colors, m.num_llc_colors)
+        assert not table.flags.writeable
+        for bc in range(m.num_bank_colors):
+            expected = [
+                lc for lc in range(m.num_llc_colors) if _bit_oracle(m, bc, lc)
+            ]
+            for lc in range(m.num_llc_colors):
+                assert m.colors_compatible(bc, lc) == (lc in expected)
+            assert m.compatible_llc_colors(bc) == tuple(expected)
+        for lc in range(m.num_llc_colors):
+            assert m.compatible_bank_colors(lc) == tuple(
+                bc for bc in range(m.num_bank_colors) if _bit_oracle(m, bc, lc)
+            )
+
+    @pytest.mark.parametrize("name", sorted(PLATFORMS))
+    def test_every_physical_pair_is_compatible(self, name):
+        m = PLATFORMS[name]().mapping
+        bank, llc = m.frame_color_table()
+        assert m.compatibility_table[bank, llc].all()
+
+    def test_out_of_range_llc_colors_raise(self, mapping):
+        # The Opteron mapping has 32 LLC colors; 32 and 33 used to alias
+        # to colors 0 and 1 because only the low five bits were compared.
+        for bad in (32, 33, -1):
+            with pytest.raises(ValueError):
+                mapping.colors_compatible(0, bad)
+            with pytest.raises(ValueError):
+                mapping.compatible_bank_colors(bad)
+            with pytest.raises(ValueError):
+                mapping.compatible_bank_colors(bad, node=0)
+
+    def test_out_of_range_bank_colors_raise(self, mapping):
+        for bad in (128, -1):
+            with pytest.raises(ValueError):
+                mapping.colors_compatible(bad, 0)
+            with pytest.raises(ValueError):
+                mapping.compatible_llc_colors(bad)
+        with pytest.raises(ValueError):
+            mapping.compatible_bank_colors(0, node=4)
