@@ -24,7 +24,7 @@ class Interconnect:
     """Timing state of the node-to-node links."""
 
     __slots__ = (
-        "topology", "timing", "_hops", "_prop", "_occupancy", "_src_node",
+        "topology", "timing", "_hops", "_prop", "_occupancy", "_link_base",
         "_link_busy", "remote_transfers",
     )
 
@@ -36,7 +36,11 @@ class Interconnect:
         self._hops = [[0] * nnodes for _ in range(ncores)]
         self._prop = [[0.0] * nnodes for _ in range(ncores)]
         self._occupancy = [[0.0] * nnodes for _ in range(ncores)]
-        self._src_node = [topology.node_of_core(c) for c in range(ncores)]
+        # Directed (src_node, dst_node) paths as one flat table: a core's
+        # path to ``node`` is ``_link_base[core] + node``.
+        self._link_base = [
+            topology.node_of_core(c) * nnodes for c in range(ncores)
+        ]
         for core in range(ncores):
             for node in range(nnodes):
                 hops = topology.hops(core, node)
@@ -47,8 +51,8 @@ class Interconnect:
                 self._hops[core][node] = hops
                 self._prop[core][node] = timing.hop_latency * hops * factor
                 self._occupancy[core][node] = timing.link_service * hops * factor
-        # busy_until per directed (src_node, dst_node) path.
-        self._link_busy: dict[tuple[int, int], float] = {}
+        # busy_until per directed path, indexed as above.
+        self._link_busy = [0.0] * (nnodes * nnodes)
         self.remote_transfers = 0
 
     def traverse(self, core: int, node: int, now: float) -> tuple[float, int]:
@@ -61,10 +65,10 @@ class Interconnect:
         hops = self._hops[core][node]
         if hops == 0:
             return now, 0
-        key = (self._src_node[core], node)
-        busy = self._link_busy.get(key, 0.0)
+        link = self._link_base[core] + node
+        busy = self._link_busy[link]
         start = busy if busy > now else now
-        self._link_busy[key] = start + self._occupancy[core][node]
+        self._link_busy[link] = start + self._occupancy[core][node]
         self.remote_transfers += 1
         return start + self._prop[core][node], hops
 

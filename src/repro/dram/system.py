@@ -118,7 +118,8 @@ class DramStats:
         """Plain-dict form (used by :meth:`RunMetrics.to_json`).
 
         ``per_node_accesses`` keys become strings (JSON objects cannot
-        have int keys); :meth:`from_json` converts them back.
+        have int keys), in ascending node order whatever order the run
+        filed them in; :meth:`from_json` converts them back.
         """
         return {
             "accesses": self.accesses,
@@ -138,7 +139,8 @@ class DramStats:
             "wait_chan": self.wait_chan,
             "wait_bank": self.wait_bank,
             "per_node_accesses": {
-                str(node): count for node, count in self.per_node_accesses.items()
+                str(node): count
+                for node, count in sorted(self.per_node_accesses.items())
             },
         }
 
@@ -162,10 +164,10 @@ class DramStats:
             wait_ctrl=float(data["wait_ctrl"]),
             wait_chan=float(data["wait_chan"]),
             wait_bank=float(data["wait_bank"]),
-            per_node_accesses={
-                int(node): int(count)
+            per_node_accesses=dict(sorted(
+                (int(node), int(count))
                 for node, count in data["per_node_accesses"].items()
-            },
+            )),
         )
 
 
@@ -212,6 +214,17 @@ class DramSystem:
         self._frame_route: dict[int, tuple[int, int, int, Bank]] = {}
         self._colors_per_node = mapping.bank_colors_per_node
         self._banks_per_channel = mapping.num_ranks * mapping.num_banks
+        # The bank color (Eq. 1) is mixed-radix with the node most
+        # significant, so it alone fixes the node and the channel bus:
+        # per-color lookup tables for the engine's batched replay.
+        self._bank_node = [
+            bc // self._colors_per_node
+            for bc in range(mapping.num_bank_colors)
+        ]
+        self._bank_chan = [
+            bc // self._banks_per_channel
+            for bc in range(mapping.num_bank_colors)
+        ]
         self._page_bits = mapping.page_bits
         self._row_shift = mapping.row_bits_start
         self._line_bits = mapping.line_bits

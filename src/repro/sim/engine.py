@@ -76,6 +76,88 @@ def _plan_fallback(reason: str) -> None:
     return None
 
 
+# Outcome codes the batched loop records per access (see
+# Engine._run_section_batched): 0 = L1 hit, 1 = L2 hit, 2 = LLC hit,
+# 9 = far-tier DRAM-cache hit.  An access that reaches a bank records
+# its path's base code (3 local controller, 6 across the mesh, 10 far
+# tier) plus its row outcome (+0 miss, +1 hit, +2 conflict).
+_NCODES = 13
+_CACHE_HIT = 9
+_ROW_MISS = [3, 6, 10]
+_ROW_HIT = [4, 7, 11]
+_ROW_CONFLICT = [5, 8, 12]
+_MESH = [6, 7, 8]
+_FAR_MISS = [10, 11, 12]
+_REMOTE = _MESH + _FAR_MISS
+
+
+def _fold_outcomes(dram: DramSystem, llc, threads: list) -> None:
+    """Fold one batched section's outcome codes into the shared counters.
+
+    ``threads`` holds, per replayed thread, its :class:`ThreadMetrics`,
+    its core's L1 and L2 caches, and its outcome codes and bank colors
+    (one per access).  One bincount over ``code * nbanks + bank color``
+    per thread gives every count the reference loop increments one
+    access at a time: per-code totals are its row sums, per-node ones
+    its bank columns summed by node.  Integer sums are exact in any
+    order, so the counters end up identical; new ``per_node_accesses``
+    keys are added in node order.
+    """
+    nbanks = len(dram.banks)
+    tally = np.zeros((_NCODES, nbanks), dtype=np.int64)
+    for tm, l1, l2, outs, bcs in threads:
+        per = np.bincount(
+            np.array(outs, dtype=np.int64) * nbanks
+            + np.array(bcs, dtype=np.int64),
+            minlength=_NCODES * nbanks,
+        ).reshape(_NCODES, nbanks)
+        tally += per
+        c = per.sum(axis=1).tolist()
+        n = len(outs)
+        l1_hits, l2_hits = c[0], c[1]
+        tm.accesses += n
+        tm.dram_accesses += sum(c[3:])
+        tm.remote_accesses += sum(c[k] for k in _REMOTE)
+        tm.row_conflicts += sum(c[k] for k in _ROW_CONFLICT)
+        l1.hits += l1_hits
+        l1.misses += n - l1_hits
+        l2.hits += l2_hits
+        l2.misses += n - l1_hits - l2_hits
+
+    c = tally.sum(axis=1).tolist()
+    dram_n = sum(c[3:])
+    llc.hits += c[2]
+    llc.misses += dram_n
+    stats = dram.stats
+    stats.accesses += dram_n
+    stats.row_hits += c[_CACHE_HIT] + sum(c[k] for k in _ROW_HIT)
+    stats.row_misses += sum(c[k] for k in _ROW_MISS)
+    stats.row_conflicts += sum(c[k] for k in _ROW_CONFLICT)
+    remote = sum(c[k] for k in _REMOTE)
+    stats.remote_accesses += remote
+    stats.local_accesses += dram_n - remote
+    stats.remote_cache_hits += c[_CACHE_HIT]
+    stats.remote_cache_misses += sum(c[k] for k in _FAR_MISS)
+    dram.interconnect.remote_transfers += sum(c[k] for k in _MESH)
+    by_node = tally.reshape(_NCODES, dram.mapping.num_nodes, -1).sum(axis=2)
+    per_node = stats.per_node_accesses
+    for ndx, cnt in enumerate(by_node[3:].sum(axis=0).tolist()):
+        if cnt:
+            per_node[ndx] = per_node.get(ndx, 0) + cnt
+    for ndx, cache in dram._remote_caches.items():
+        cache.hits += int(by_node[_CACHE_HIT, ndx])
+        cache.misses += int(by_node[_FAR_MISS, ndx].sum())
+    for b, hit, miss, conf in zip(
+        dram.banks,
+        tally[_ROW_HIT].sum(axis=0).tolist(),
+        tally[_ROW_MISS].sum(axis=0).tolist(),
+        tally[_ROW_CONFLICT].sum(axis=0).tolist(),
+    ):
+        b.hits += hit
+        b.misses += miss
+        b.conflicts += conf
+
+
 class Engine:
     """Runs :class:`~repro.sim.barrier.Program` objects over a team.
 
@@ -243,18 +325,18 @@ class Engine:
 
         1. :meth:`_batch_plan` vectorises all *stateless* per-access work
            for the whole section with numpy — address translation
-           (unique-page gather), physical line construction, DRAM route
-           decode (:meth:`AddressMapping.decode_batch` via
-           :meth:`DramSystem.route_batch`), row numbers, interconnect
-           constants, and every cache set index
-           (:func:`repro.cache.batch.set_index_batch`).  Pages not yet
-           mapped are left unresolved.
+           (unique-page gather), physical line construction, bank
+           colors (:meth:`AddressMapping.decode_batch` via
+           :meth:`DramSystem.route_batch`), row numbers, and every cache
+           set index (:func:`repro.cache.batch.set_index_batch`).  Pages
+           not yet mapped are left unresolved.
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the disaggregated
            tier's DRAM-cache sets and network links, demand faults of
            the unresolved pages, the merge order itself — through a lean
            scalar loop over the plan, bit-identical to the reference
-           loop.
+           loop.  Its event counts are tallied from per-access outcome
+           codes after the section.
 
         Only prefetch ablation and a row layout with row bits inside the
         line offset cannot be planned; those sections replay through
@@ -275,7 +357,7 @@ class Engine:
             kind = "scalar_replay"
         else:
             ends = self._run_section_batched(section, start, metrics, plan)
-            resident = all(p[18] is None for p in plan.values())
+            resident = all(p[16] is None for p in plan.values())
             kind = "replay" if resident else "scalar_replay"
         mreg = obs_metrics.active()
         if mreg is not None:
@@ -290,15 +372,17 @@ class Engine:
 
         Returns one plan tuple per non-empty trace: plain Python lists
         (fast scalar indexing) of the line address, L1/L2/LLC set index,
-        write flag, think time, DRAM route (node, channel bus, bank
-        color), row number, and interconnect constants (hops,
-        propagation, link occupancy) of every access, plus the issuing
-        core's cache bindings.  All of it is stateless address math, so
-        it can leave the replay loop; everything computed here is
-        bit-identical to what the reference loop derives per access.
-        Accesses to a disaggregated node carry hops = -1: they bypass
-        the mesh (their propagation and occupancy entries are unused)
-        and replay through the remote-tier branch of
+        write flag, think time, bank color and row number of every
+        access, then the issuing core's per-node interconnect rows
+        (hops, propagation, link occupancy), the base of its row of the
+        flat link table, and its cache bindings.  The bank color fixes
+        the node and channel bus (:attr:`DramSystem._bank_node`,
+        :attr:`DramSystem._bank_chan`), so the route needs no other
+        per-access list.  All of it is stateless address math, so it can
+        leave the replay loop; everything computed here is bit-identical
+        to what the reference loop derives per access.  A disaggregated
+        node has hops = -1 in the core's row: its accesses bypass the
+        mesh and replay through the remote-tier branch of
         :meth:`_run_section_batched`.
 
         The last slot is None when every page of the trace is mapped.
@@ -307,7 +391,7 @@ class Engine:
         slot holds what the batched loop needs to fault them in at first
         touch: a stack of (vpn, access positions) per page, the stack of
         their first-touch positions over the trace length, the virtual
-        addresses, the task, and the core's per-node interconnect tables.
+        addresses and the task.
 
         Returns None — the caller replays through
         :meth:`_run_section_reference` — when prefetchers are on (their
@@ -334,7 +418,6 @@ class Engine:
         l2_set_mask = l2_geom.num_sets - 1
         llc_mask = hierarchy._llc_mask
         ic = dram.interconnect
-        num_nodes = mapping.num_nodes
         far_nodes = list(dram._remote_caches)
         page_table_get = self.space.page_table.get
         handles = self.team.handles
@@ -362,16 +445,12 @@ class Engine:
                     [(vpns[k], at) for k, at in reversed(pages.items())],
                     [len(va)] + [at[0] for at in reversed(pages.values())],
                     va, handles[tidx].task,
-                    node_hops, ic._prop[core], ic._occupancy[core],
                 )
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
             )
-            bc_u, node_u, chan_u = dram.route_batch(pfns_u)
-            hops_u = np.asarray(node_hops, dtype=np.int64)[node_u]
-            prop_u = np.asarray(ic._prop[core], dtype=np.float64)[node_u]
-            occ_u = np.asarray(ic._occupancy[core], dtype=np.float64)[node_u]
+            bc_u = dram.route_batch(pfns_u)[0]
             writes = trace.writes.tolist()
             tn = trace.think_ns
             thinks = (
@@ -379,11 +458,8 @@ class Engine:
                 if isinstance(tn, np.ndarray)
                 else [float(tn)] * len(va)
             )
-            src = ic._src_node[core]
-            # Pack the per-access fields into tuples so the replay loop
-            # pays one list index + one unpack per access instead of one
-            # list index per field.  The second record carries the
-            # DRAM-only fields and is touched only on LLC misses.
+            # Plain lists: the replay loop indexes them per access, and
+            # fault_in patches the entries of pages it resolves.
             plans[tidx] = (
                 lines.tolist(),
                 set_index_batch(
@@ -394,12 +470,10 @@ class Engine:
                 ).tolist(),
                 (lines & llc_mask).tolist(),
                 writes, thinks,
-                node_u[inv].tolist(), chan_u[inv].tolist(),
                 bc_u[inv].tolist(),
                 (lines >> row_line_shift).tolist(),
-                hops_u[inv].tolist(), prop_u[inv].tolist(),
-                occ_u[inv].tolist(),
-                [(src, n) for n in range(num_nodes)],
+                node_hops, ic._prop[core], ic._occupancy[core],
+                ic._link_base[core],
                 hierarchy.l1[core], hierarchy._l1_sets[core],
                 hierarchy.l2[core], hierarchy._l2_sets[core],
                 faults,
@@ -418,18 +492,25 @@ class Engine:
         The merge-by-timestamp schedule (heap + batching window) is
         replicated exactly from :meth:`_run_section_reference`; what
         changed is the per-access body: every address-derived value
-        comes from the plan's lists, the whole hierarchy/DRAM call chain
-        is inlined (no :class:`HierarchyResult`/``AccessResult``
-        allocation), and shared accumulators — DRAM statistics, bank
-        row-buffer state, LLC counters, dirty-eviction and
-        remote-transfer counts, the disaggregated tier's network-link
-        occupancy and DRAM-cache probe counts — live in section-local
-        mirrors that are loaded once, mutated in execution order (so
-        every float accumulation chain is unchanged), and stored back
-        once.  An LLC miss takes one of three inlined DRAM branches,
-        chosen by the plan's hop count: local controller (0), across
-        the mesh (> 0), or a disaggregated node (-1, which probes the
-        DRAM cache before crossing the network).
+        comes from the plan, the whole hierarchy/DRAM call chain is
+        inlined (no :class:`HierarchyResult`/``AccessResult``
+        allocation), and the shared timing state — bank row buffers and
+        occupancies, the mesh's link table, the disaggregated tier's
+        network links and DRAM-cache sets — and the float accumulators
+        (queue waits, total latency) live in section-local mirrors that
+        are loaded once, mutated in execution order (so every float
+        accumulation chain is unchanged), and stored back once.  An LLC
+        miss takes one of three inlined DRAM branches, chosen by the
+        hop count of the bank's node: local controller (0), across the
+        mesh (> 0), or a disaggregated node (-1, which probes the DRAM
+        cache before crossing the network).
+
+        Event counts are not kept in the loop.  Each access that misses
+        the L1 records one outcome code (listed above
+        :func:`_fold_outcomes`) in its thread's list, and
+        :func:`_fold_outcomes` tallies the codes by bank after the
+        section.  Integer sums are exact in any order, so the tally
+        equals the reference loop's per-access increments.
 
         Pages the plan left unresolved are demand-faulted inline: a
         thread's next unresolved position is the ``stop`` its
@@ -442,7 +523,6 @@ class Engine:
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
-        ic = dram.interconnect
         stats = dram.stats
         timing = hierarchy.timing
         l1_hit_t = timing.l1_hit
@@ -456,12 +536,12 @@ class Engine:
         l2_mask = hierarchy._l2_mask
         llc_sets = hierarchy._llc_sets
         llc_mask = hierarchy._llc_mask
-        llc = hierarchy.llc
         banks = dram.banks
+        bank_node = dram._bank_node
+        bank_chan = dram._bank_chan
         ctrl_busy = dram._ctrl_busy
         chan_busy = dram._chan_busy
-        link_busy = ic._link_busy
-        link_busy_get = link_busy.get
+        link_busy = dram.interconnect._link_busy
         frame_route_get = dram._frame_route.get
         dram_route = dram._route
         ctrl_service = dram._ctrl_service
@@ -490,43 +570,29 @@ class Engine:
         inf = float("inf")
         threads = metrics.threads
 
-        # Section-local mirrors of every shared accumulator the loop
-        # touches.  Loaded once, updated in exactly the order the
-        # reference loop would update the originals (same int sums, same
-        # float accumulation chains), stored back before returning.
+        # Section-local mirrors of the shared timing state and float
+        # accumulators the loop touches.  Loaded once, updated in exactly
+        # the order the reference loop would update the originals (same
+        # float accumulation chains), stored back before returning.  A
+        # refresh epoch is kept as the float ``start // interval``, which
+        # compares exactly with the int the bank stored.
         bank_busy = [b.busy_until for b in banks]
         bank_row: list[int | None] = [b.open_row for b in banks]
         bank_epoch = [b.refresh_epoch for b in banks]
-        bank_hit_n = [b.hits for b in banks]
-        bank_miss_n = [b.misses for b in banks]
-        bank_conf_n = [b.conflicts for b in banks]
-        s_llc_hits = llc.hits
-        s_llc_misses = llc.misses
         s_wait_link = stats.wait_link
         s_wait_ctrl = stats.wait_ctrl
         s_wait_chan = stats.wait_chan
         s_wait_bank = stats.wait_bank
-        s_accesses = stats.accesses
         s_total_latency = stats.total_latency
         s_total_queue_wait = stats.total_queue_wait
-        s_row_hits = stats.row_hits
-        s_row_misses = stats.row_misses
-        s_row_conflicts = stats.row_conflicts
-        s_remote = stats.remote_accesses
-        s_local = stats.local_accesses
         s_writebacks = stats.writebacks
-        per_node = stats.per_node_accesses
-        num_nodes = len(ctrl_busy)
-        pn_n = [0] * num_nodes
         de_n = hierarchy.dirty_evictions
-        remote_tr_n = ic.remote_transfers
         # Disaggregated tier, indexed by node (None / unused for nodes
-        # without one): DRAM-cache set tables (mutated in place),
-        # network-link occupancy, and per-node probe counts.
+        # without one): DRAM-cache set tables (mutated in place) and
+        # network-link occupancy.
+        num_nodes = len(ctrl_busy)
         r_sets: list[list[dict] | None] = [None] * num_nodes
         net_busy = [0.0] * num_nodes
-        rc_hit_n = [0] * num_nodes
-        rc_miss_n = [0] * num_nodes
         remote_caches = dram._remote_caches
         for ndx, rcache in remote_caches.items():
             r_sets[ndx] = rcache._sets
@@ -579,7 +645,7 @@ class Engine:
             chan_busy[wch] = (now if now > busy else busy) + channel_service
             busy = bank_busy[wbc]
             wstart = now if now > busy else busy
-            epoch = int(wstart // refresh_interval)
+            epoch = wstart // refresh_interval
             if epoch != bank_epoch[wbc]:
                 bank_epoch[wbc] = epoch
                 bank_row[wbc] = None
@@ -615,7 +681,7 @@ class Engine:
             # mirrors stay valid.  Returns the fault cost (0.0 if none) and
             # the new stop: the next access while a cost is pending.
             plan = plans[tidx]
-            pages, stops, va, task, node_hops, node_prop, node_occ = plan[18]
+            pages, stops, va, task = plan[16]
             vpn, at = pages.pop()
             stops.pop()
             pfn = page_table_get(vpn)
@@ -626,10 +692,8 @@ class Engine:
                 tm = threads[tidx]
                 tm.faults += 1
                 tm.fault_ns += fault_ns
-            bc, nd, ch, _ = frame_route_get(pfn) or dram_route(pfn)
-            hp, pr, oc = node_hops[nd], node_prop[nd], node_occ[nd]
-            lines, l1i, l2i, lci = plan[:4]
-            nds, chs, bcs, rows, hops, props, occs = plan[6:13]
+            bc = (frame_route_get(pfn) or dram_route(pfn))[0]
+            lines, l1i, l2i, lci, _, _, bcs, rows = plan[:8]
             base = pfn << page_line_shift
             for j in at:
                 line = base | lines[j]
@@ -638,8 +702,7 @@ class Engine:
                 l2i[j] = (line ^ (line >> l2_ib) ^ (line >> l2_ib2)) & l2_mask
                 lci[j] = line & llc_mask
                 rows[j] = line >> row_line_shift
-                nds[j], chs[j], bcs[j] = nd, ch, bc
-                hops[j], props[j], occs[j] = hp, pr, oc
+                bcs[j] = bc
             return fault_ns, (i + 1 if fault_ns else stops[-1])
 
         states: dict[int, list] = {}
@@ -648,15 +711,14 @@ class Engine:
             plan = plans.get(tidx)
             if plan is None:
                 continue
-            faults = plan[18]
-            stops = [len(plan[0])] if faults is None else faults[1]
+            faults = plan[16]
+            n = len(plan[0])
+            stops = [n] if faults is None else faults[1]
             # Mutable per-thread state: cursor, the stack of stops (the
             # trace length under any first touches still to resolve),
-            # the plan's record lists, the core's set tables, and six
-            # event counters flushed into the shared metrics once per
-            # section.
-            states[tidx] = [0, stops, *plan[:14], plan[15], plan[17]]
-            states[tidx] += [0] * 6
+            # the plan's per-access lists and per-core rows, the core's
+            # set tables, and the outcome code of every access.
+            states[tidx] = [0, stops, *plan[:12], plan[13], plan[15], [0] * n]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
@@ -668,10 +730,9 @@ class Engine:
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, stops, lines, l1i, l2i, lci, writes, thinks, nds, chs, bcs,
-             rows, hops, props, occs, lkeys, l1_sets_c, l2_sets_c,
-             dram_n, remote_n, conflict_n, l1_miss_n, l2_hit_n,
-             l2_miss_n) = state
+            (i, stops, lines, l1i, l2i, lci, writes, thinks, bcs, rows,
+             node_hops, node_prop, node_occ, link_base, l1_sets_c, l2_sets_c,
+             outs) = state
             # Burst window.  The root is peeked, not popped; the heap
             # minimum *after* removing the root is the smaller of the
             # root's two children, so the horizon matches the reference
@@ -699,70 +760,63 @@ class Engine:
                     entries[line] = d or writes[i]
                     lat = l1_hit_t
                 else:
-                    l1_miss_n += 1
                     is_w = writes[i]
                     l2_set = l2_sets_c[l2i[i]]
                     d = l2_set.pop(line, ABSENT)
                     if d is not ABSENT:
                         # L2 hit: refresh LRU (the L1 fill follows).
-                        l2_hit_n += 1
+                        outs[i] = 1
                         l2_set[line] = d or is_w
                         lat = l2_hit_t
                     else:
-                        l2_miss_n += 1
                         llc_set = llc_sets[lci[i]]
                         d = llc_set.pop(line, ABSENT)
                         if d is not ABSENT:
-                            s_llc_hits += 1
+                            outs[i] = 2
                             llc_set[line] = d or is_w
                             lat = llc_hit_t
                         else:
                             # LLC miss -> DRAM (DramSystem.access inlined
-                            # over the plan's precomputed route).  Each
-                            # branch leaves the latency and the four queue
-                            # waits for the shared stats update below.
-                            s_llc_misses += 1
-                            nd = nds[i]
-                            hp = hops[i]
+                            # over the plan's bank color).  Each branch
+                            # records the outcome code and leaves the
+                            # latency and the four queue waits for the
+                            # shared stats update below.
+                            bc = bcs[i]
+                            nd = bank_node[bc]
+                            hp = node_hops[nd]
                             if not hp:
                                 # Local controller: no link stage.
                                 busy = ctrl_busy[nd]
                                 ctrl_start = clock if clock > busy else busy
                                 ctrl_busy[nd] = ctrl_start + ctrl_service
                                 after_ctrl = ctrl_start + ctrl_overhead
-                                ch = chs[i]
+                                ch = bank_chan[bc]
                                 busy = chan_busy[ch]
                                 chan_start = (
                                     after_ctrl if after_ctrl > busy else busy
                                 )
                                 chan_busy[ch] = chan_start + channel_service
-                                bc = bcs[i]
                                 busy = bank_busy[bc]
                                 bank_start = (
                                     chan_start if chan_start > busy else busy
                                 )
-                                epoch = int(bank_start // refresh_interval)
+                                epoch = bank_start // refresh_interval
                                 row = rows[i]
                                 if epoch != bank_epoch[bc]:
                                     bank_epoch[bc] = epoch
                                     service = row_miss_ns
-                                    bank_miss_n[bc] += 1
-                                    s_row_misses += 1
+                                    outs[i] = 3
                                 else:
                                     orow = bank_row[bc]
                                     if orow is None:
                                         service = row_miss_ns
-                                        bank_miss_n[bc] += 1
-                                        s_row_misses += 1
+                                        outs[i] = 3
                                     elif orow == row:
                                         service = row_hit_ns
-                                        bank_hit_n[bc] += 1
-                                        s_row_hits += 1
+                                        outs[i] = 4
                                     else:
                                         service = row_conflict_ns
-                                        bank_conf_n[bc] += 1
-                                        s_row_conflicts += 1
-                                        conflict_n += 1
+                                        outs[i] = 5
                                 bank_row[bc] = row
                                 bank_busy[bc] = bank_start + (
                                     service + (write_recovery if is_w else 0.0)
@@ -772,16 +826,14 @@ class Engine:
                                 w_ctrl = ctrl_start - clock
                                 w_chan = chan_start - after_ctrl
                                 w_bank = bank_start - chan_start
-                                s_local += 1
                             elif hp > 0:
                                 # Across the mesh: queue on the directed
                                 # link, propagate, and return.
-                                key = lkeys[nd]
-                                busy = link_busy_get(key, 0.0)
+                                link = link_base + nd
+                                busy = link_busy[link]
                                 lstart = busy if busy > clock else clock
-                                pr = props[i]
-                                link_busy[key] = lstart + occs[i]
-                                remote_tr_n += 1
+                                pr = node_prop[nd]
+                                link_busy[link] = lstart + node_occ[nd]
                                 arrival = lstart + pr
                                 busy = ctrl_busy[nd]
                                 ctrl_start = (
@@ -789,39 +841,33 @@ class Engine:
                                 )
                                 ctrl_busy[nd] = ctrl_start + ctrl_service
                                 after_ctrl = ctrl_start + ctrl_overhead
-                                ch = chs[i]
+                                ch = bank_chan[bc]
                                 busy = chan_busy[ch]
                                 chan_start = (
                                     after_ctrl if after_ctrl > busy else busy
                                 )
                                 chan_busy[ch] = chan_start + channel_service
-                                bc = bcs[i]
                                 busy = bank_busy[bc]
                                 bank_start = (
                                     chan_start if chan_start > busy else busy
                                 )
-                                epoch = int(bank_start // refresh_interval)
+                                epoch = bank_start // refresh_interval
                                 row = rows[i]
                                 if epoch != bank_epoch[bc]:
                                     bank_epoch[bc] = epoch
                                     service = row_miss_ns
-                                    bank_miss_n[bc] += 1
-                                    s_row_misses += 1
+                                    outs[i] = 6
                                 else:
                                     orow = bank_row[bc]
                                     if orow is None:
                                         service = row_miss_ns
-                                        bank_miss_n[bc] += 1
-                                        s_row_misses += 1
+                                        outs[i] = 6
                                     elif orow == row:
                                         service = row_hit_ns
-                                        bank_hit_n[bc] += 1
-                                        s_row_hits += 1
+                                        outs[i] = 7
                                     else:
                                         service = row_conflict_ns
-                                        bank_conf_n[bc] += 1
-                                        s_row_conflicts += 1
-                                        conflict_n += 1
+                                        outs[i] = 8
                                 bank_row[bc] = row
                                 bank_busy[bc] = bank_start + (
                                     service + (write_recovery if is_w else 0.0)
@@ -833,8 +879,6 @@ class Engine:
                                 w_ctrl = ctrl_start - arrival
                                 w_chan = chan_start - after_ctrl
                                 w_bank = bank_start - chan_start
-                                remote_n += 1
-                                s_remote += 1
                             else:
                                 # Disaggregated node (hops = -1 in the
                                 # plan; DramSystem._remote_access): probe
@@ -846,16 +890,13 @@ class Engine:
                                     # (never -0.0) wait sums unchanged.
                                     del rset[line]
                                     rset[line] = None
-                                    rc_hit_n[nd] += 1
-                                    s_row_hits += 1
-                                    s_local += 1
+                                    outs[i] = 9
                                     dram_lat = cache_hit_ns
                                     w_link = w_ctrl = w_chan = w_bank = 0.0
                                 else:
                                     # Miss: network link, the far node's
                                     # controller/channel/bank, the return
                                     # trip, then a clean-evicting fill.
-                                    rc_miss_n[nd] += 1
                                     busy = net_busy[nd]
                                     lstart = clock if clock > busy else busy
                                     net_busy[nd] = lstart + net_service
@@ -866,39 +907,33 @@ class Engine:
                                     )
                                     ctrl_busy[nd] = ctrl_start + ctrl_service
                                     after_ctrl = ctrl_start + ctrl_overhead
-                                    ch = chs[i]
+                                    ch = bank_chan[bc]
                                     busy = chan_busy[ch]
                                     chan_start = (
                                         after_ctrl if after_ctrl > busy else busy
                                     )
                                     chan_busy[ch] = chan_start + channel_service
-                                    bc = bcs[i]
                                     busy = bank_busy[bc]
                                     bank_start = (
                                         chan_start if chan_start > busy else busy
                                     )
-                                    epoch = int(bank_start // refresh_interval)
+                                    epoch = bank_start // refresh_interval
                                     row = rows[i]
                                     if epoch != bank_epoch[bc]:
                                         bank_epoch[bc] = epoch
                                         service = row_miss_ns
-                                        bank_miss_n[bc] += 1
-                                        s_row_misses += 1
+                                        outs[i] = 10
                                     else:
                                         orow = bank_row[bc]
                                         if orow is None:
                                             service = row_miss_ns
-                                            bank_miss_n[bc] += 1
-                                            s_row_misses += 1
+                                            outs[i] = 10
                                         elif orow == row:
                                             service = row_hit_ns
-                                            bank_hit_n[bc] += 1
-                                            s_row_hits += 1
+                                            outs[i] = 11
                                         else:
                                             service = row_conflict_ns
-                                            bank_conf_n[bc] += 1
-                                            s_row_conflicts += 1
-                                            conflict_n += 1
+                                            outs[i] = 12
                                     bank_row[bc] = row
                                     bank_busy[bc] = bank_start + (
                                         service
@@ -914,19 +949,14 @@ class Engine:
                                     w_ctrl = ctrl_start - arrival
                                     w_chan = chan_start - after_ctrl
                                     w_bank = bank_start - chan_start
-                                    remote_n += 1
-                                    s_remote += 1
                             s_wait_link += w_link
                             s_wait_ctrl += w_ctrl
                             s_wait_chan += w_chan
                             s_wait_bank += w_bank
-                            s_accesses += 1
                             s_total_latency += dram_lat
                             s_total_queue_wait += (
                                 w_link + w_ctrl + w_chan + w_bank
                             )
-                            pn_n[nd] += 1
-                            dram_n += 1
                             # LLC fill: evict the set's LRU line (dirty
                             # victims post write-backs), install the line.
                             if len(llc_set) >= llc_ways:
@@ -995,71 +1025,27 @@ class Engine:
                     state[0] = i
                     replace(heap, (clock, tidx))
                     break
-            state[18] = dram_n
-            state[19] = remote_n
-            state[20] = conflict_n
-            state[21] = l1_miss_n
-            state[22] = l2_hit_n
-            state[23] = l2_miss_n
-
-        # Flush per-thread event counters into the shared metrics
-        # objects (pure integer sums, so a single end-of-section flush
-        # is exact).  Every access of every planned trace completes
-        # within the section, so the access count is the trace length.
-        for tidx, state in states.items():
-            plan = plans[tidx]
-            tm = threads[tidx]
-            n = len(state[2])
-            l1_miss_n = state[21]
-            tm.accesses += n
-            tm.dram_accesses += state[18]
-            tm.remote_accesses += state[19]
-            tm.row_conflicts += state[20]
-            l1_cache = plan[14]
-            l1_cache.hits += n - l1_miss_n
-            l1_cache.misses += l1_miss_n
-            l2_cache = plan[16]
-            l2_cache.hits += state[22]
-            l2_cache.misses += state[23]
 
         # Store the section-local mirrors back into the shared objects.
-        llc.hits = s_llc_hits
-        llc.misses = s_llc_misses
         stats.wait_link = s_wait_link
         stats.wait_ctrl = s_wait_ctrl
         stats.wait_chan = s_wait_chan
         stats.wait_bank = s_wait_bank
-        stats.accesses = s_accesses
         stats.total_latency = s_total_latency
         stats.total_queue_wait = s_total_queue_wait
-        stats.row_hits = s_row_hits
-        stats.row_misses = s_row_misses
-        stats.row_conflicts = s_row_conflicts
-        stats.remote_accesses = s_remote
-        stats.local_accesses = s_local
         stats.writebacks = s_writebacks
         hierarchy.dirty_evictions = de_n
-        ic.remote_transfers = remote_tr_n
-        for ndx, rcache in remote_caches.items():
+        for ndx in remote_caches:
             dram._net_busy[ndx] = net_busy[ndx]
-            rcache.hits += rc_hit_n[ndx]
-            rcache.misses += rc_miss_n[ndx]
-        stats.remote_cache_hits += sum(rc_hit_n)
-        stats.remote_cache_misses += sum(rc_miss_n)
-        per_node_get = per_node.get
-        for ndx, cnt in enumerate(pn_n):
-            if cnt:
-                per_node[ndx] = per_node_get(ndx, 0) + cnt
-        for b, busy, row, ep, hit, miss, conf in zip(
-            banks, bank_busy, bank_row, bank_epoch,
-            bank_hit_n, bank_miss_n, bank_conf_n,
-        ):
+        for b, busy, row, ep in zip(banks, bank_busy, bank_row, bank_epoch):
             b.busy_until = busy
             b.open_row = row
-            b.refresh_epoch = ep
-            b.hits = hit
-            b.misses = miss
-            b.conflicts = conf
+            b.refresh_epoch = int(ep)
+        _fold_outcomes(dram, hierarchy.llc, [
+            (threads[tidx], plans[tidx][12], plans[tidx][14], state[16],
+             state[8])
+            for tidx, state in states.items()
+        ])
         return ends
 
     def _run_section_reference(

@@ -1,11 +1,13 @@
 """Unit tests for the DRAM system facade and interconnect."""
 
+import numpy as np
 import pytest
 
 from repro.dram.bank import RowKind
 from repro.dram.interconnect import Interconnect
 from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
+from repro.machine.presets import PLATFORMS
 
 T = DramTiming()
 
@@ -79,6 +81,19 @@ class TestBankBehaviour:
     def test_writeback_counts(self, tiny, system):
         system.writeback(addr_on(tiny.mapping, 0), now=0.0)
         assert system.stats.writebacks == 1
+
+
+@pytest.mark.parametrize("preset", sorted(PLATFORMS))
+def test_bank_index_routes_every_frame(preset):
+    """The bank color alone fixes a frame's node and channel bus: the
+    batched replay routes DRAM misses from these tables, so a mapping
+    scheme that breaks the invariant must fail here."""
+    spec = PLATFORMS[preset]()
+    dram = DramSystem(spec.mapping, spec.topology, T)
+    pfns = np.arange(spec.mapping.num_frames, dtype=np.int64)
+    bc, node, chan = dram.route_batch(pfns)
+    assert np.array_equal(node, np.asarray(dram._bank_node)[bc])
+    assert np.array_equal(chan, np.asarray(dram._bank_chan)[bc])
 
 
 class TestQueueWaits:

@@ -16,6 +16,8 @@ loosen the comparison.
 from __future__ import annotations
 
 import dataclasses
+import json
+from collections import Counter
 
 import pytest
 
@@ -55,7 +57,10 @@ def snapshot(metrics: RunMetrics) -> dict:
     }
 
 
-def run_fig11(bench: str, policy: Policy, *, fast: bool, traced: bool = False):
+def fig11_engine(bench: str, policy: Policy, *, fast: bool,
+                 traced: bool = False):
+    """A fresh 4-node Opteron engine after one fig. 11 run, and its
+    metrics."""
     observer = Observer() if traced else None
     kwargs = {"observer": observer} if observer is not None else {}
     team, engine = _fresh_environment(
@@ -64,7 +69,11 @@ def run_fig11(bench: str, policy: Policy, *, fast: bool, traced: bool = False):
     engine.fast_path = fast
     spec = get_workload(bench).scaled(profile_scale(PROFILE))
     program = build_spmd_program(spec, team, RngStream(0, bench, CONFIG))
-    return snapshot(engine.run(program))
+    return engine, engine.run(program)
+
+
+def run_fig11(bench: str, policy: Policy, *, fast: bool, traced: bool = False):
+    return snapshot(fig11_engine(bench, policy, fast=fast, traced=traced)[1])
 
 
 def run_fig10(policy: Policy, *, fast: bool):
@@ -80,9 +89,12 @@ def run_fig10(policy: Policy, *, fast: bool):
 @pytest.mark.parametrize("bench", ["lbm", "blackscholes"])
 @pytest.mark.parametrize("policy", [Policy.BUDDY, Policy.MEM_LLC])
 def test_fig11_fast_equals_reference(bench, policy):
-    fast = run_fig11(bench, policy, fast=True)
-    ref = run_fig11(bench, policy, fast=False)
-    assert fast == ref
+    fast = fig11_engine(bench, policy, fast=True)[1]
+    ref = fig11_engine(bench, policy, fast=False)[1]
+    assert snapshot(fast) == snapshot(ref)
+    # Serialized without sorted keys, too: the two loops file
+    # per-node DRAM counts in different orders.
+    assert json.dumps(fast.to_json()) == json.dumps(ref.to_json())
 
 
 @pytest.mark.parametrize("policy", [Policy.BUDDY, Policy.MEM_LLC])
@@ -284,14 +296,43 @@ def _tiny_disagg_builder(write_fraction: float, engines: list):
 
 
 def _dram_state(engine) -> tuple:
-    """The DRAM system's mutable timing and DRAM-cache state."""
+    """The DRAM system's mutable timing, bank counters, interconnect and
+    DRAM-cache state."""
     dram = engine.memory.dram
+    ic = dram.interconnect
+    assert all(type(b.refresh_epoch) is int for b in dram.banks)
     return (
         dram._ctrl_busy, dram._chan_busy, dram._net_busy,
         [(b.busy_until, b.open_row, b.refresh_epoch) for b in dram.banks],
+        [(b.hits, b.misses, b.conflicts) for b in dram.banks],
+        ic._link_busy, ic.remote_transfers,
+        dict(dram.stats.per_node_accesses),
         {node: ([list(s) for s in cache._sets], cache.hits, cache.misses)
          for node, cache in dram._remote_caches.items()},
     )
+
+
+def test_mesh_fast_leaves_reference_dram_state(monkeypatch):
+    """On the 4-node Opteron (buddy lbm) the fast loop leaves the
+    reference loop's bank, link and per-node state behind, with row
+    misses, hits and conflicts all taken across the mesh."""
+    from repro.dram.system import DramSystem
+
+    fast, _ = fig11_engine("lbm", Policy.BUDDY, fast=True)
+    across: Counter = Counter()
+    access = DramSystem.access
+
+    def counting_access(dram, paddr, core, now, is_write=False):
+        result = access(dram, paddr, core, now, is_write)
+        if result.hops:
+            across[result.row_kind.value] += 1
+        return result
+
+    monkeypatch.setattr(DramSystem, "access", counting_access)
+    ref, _ = fig11_engine("lbm", Policy.BUDDY, fast=False)
+    assert set(across) == {"miss", "hit", "conflict"}
+    assert _dram_state(fast) == _dram_state(ref)
+    assert fast.memory.dram.interconnect.remote_transfers > 0
 
 
 @pytest.mark.parametrize("write_fraction", [0.7, 0.1],
