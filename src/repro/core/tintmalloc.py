@@ -136,14 +136,11 @@ class TintMalloc:
             self.kernel = Kernel(self.machine)
         self.process: Process = self.kernel.create_process()
         self.heap = HeapAllocator(self.kernel, self.process)
-        self.threads: list[ThreadHandle] = []
 
     def spawn_thread(self, core: int) -> ThreadHandle:
         """Create a thread pinned to ``core`` (paper: static pinning)."""
         task = self.kernel.create_task(self.process, core)
-        handle = ThreadHandle(tm=self, task=task)
-        self.threads.append(handle)
-        return handle
+        return ThreadHandle(tm=self, task=task)
 
     @property
     def mapping(self):

@@ -205,25 +205,18 @@ class DramSystem:
         self._chan_busy = [0.0] * (mapping.num_nodes * mapping.num_channels)
         self.interconnect = Interconnect(topology, timing)
         self.stats = DramStats()
-        # Hot-path decode memo: pfn -> (bank_color, node, channel index,
-        # Bank object), built lazily on top of the mapping's per-frame
-        # decode cache (:meth:`AddressMapping.frame_decode`).  Decoding
-        # happens once per *touched* frame, not once per access, and the
-        # memo survives :meth:`reset` because the mapping is immutable
-        # and the Bank objects are reused.
-        self._frame_route: dict[int, tuple[int, int, int, Bank]] = {}
-        self._colors_per_node = mapping.bank_colors_per_node
-        self._banks_per_channel = mapping.num_ranks * mapping.num_banks
-        # The bank color (Eq. 1) is mixed-radix with the node most
-        # significant, so it alone fixes the node and the channel bus:
-        # per-color lookup tables for the engine's batched replay.
+        # Routing: a frame's bank color (Eq. 1), read from the mapping's
+        # per-frame table through a memoryview (plain-int indexing, no
+        # copy), indexes its Bank.  The color is mixed-radix with the node
+        # most significant, so it alone fixes the node and the channel
+        # bus: per-color tables, also used by the engine's batched replay.
+        self.frame_bank = memoryview(mapping.frame_color_table()[0])
+        colors = range(mapping.num_bank_colors)
         self._bank_node = [
-            bc // self._colors_per_node
-            for bc in range(mapping.num_bank_colors)
+            bc // mapping.bank_colors_per_node for bc in colors
         ]
         self._bank_chan = [
-            bc // self._banks_per_channel
-            for bc in range(mapping.num_bank_colors)
+            bc // (mapping.num_ranks * mapping.num_banks) for bc in colors
         ]
         self._page_bits = mapping.page_bits
         self._row_shift = mapping.row_bits_start
@@ -252,41 +245,6 @@ class DramSystem:
         self._write_recovery = timing.write_recovery
         self._wb_scale = timing.writeback_occupancy_scale
         self._register_counters(observer)
-
-    def _route(self, pfn: int) -> tuple[int, int, int, Bank]:
-        """Memoized routing of a frame: (bank color, node, channel, bank)."""
-        decoded = self.mapping.frame_decode(pfn)
-        bank_color = decoded.bank_color
-        route = (
-            bank_color,
-            decoded.node,
-            bank_color // self._banks_per_channel,
-            self.banks[bank_color],
-        )
-        self._frame_route[pfn] = route
-        return route
-
-    def route_batch(self, pfns):
-        """Vectorised :meth:`_route` over an array of frame numbers.
-
-        Decodes every frame with :meth:`AddressMapping.decode_batch` and
-        returns ``(bank_color, node, channel)`` as three int64 arrays
-        aligned with ``pfns`` — element ``i`` equals the first three slots
-        of ``_route(pfns[i])``.  The channel is the global channel-bus
-        index (``node * num_channels + channel``), i.e. a direct index
-        into the per-machine channel occupancy table.  Pure and
-        memo-free: the engine's batched replay path routes the unique
-        frames of a section once, instead of one memo lookup per access.
-
-        Args:
-            pfns: integer array of page frame numbers (may be empty).
-
-        Returns:
-            Tuple of int64 arrays ``(bank_color, node, channel)``.
-        """
-        decoded = self.mapping.decode_batch(pfns)
-        bank_color = decoded.bank_color
-        return bank_color, decoded.node, bank_color // self._banks_per_channel
 
     def _register_counters(self, obs: BaseObserver) -> None:
         """Expose aggregate stats and controller occupancy as counters.
@@ -333,12 +291,10 @@ class DramSystem:
             An :class:`AccessResult` with the critical-path latency (ns)
             and the decoded route/row outcome.
         """
-        route = self._frame_route.get(paddr >> self._page_bits)
-        if route is None:
-            route = self._route(paddr >> self._page_bits)
-        bank_color, node, chan, bank = route
+        bank_color = self.frame_bank[paddr >> self._page_bits]
+        node = self._bank_node[bank_color]
         if self._remote_caches and node in self._remote_caches:
-            return self._remote_access(paddr, core, now, is_write, route)
+            return self._remote_access(paddr, core, now, is_write, bank_color)
         row = paddr >> self._row_shift
         interconnect = self.interconnect
 
@@ -360,6 +316,7 @@ class DramSystem:
         after_ctrl = ctrl_start + self._ctrl_overhead
 
         # Channel data bus.
+        chan = self._bank_chan[bank_color]
         chan_busy = self._chan_busy
         busy = chan_busy[chan]
         chan_start = after_ctrl if after_ctrl > busy else busy
@@ -368,6 +325,7 @@ class DramSystem:
         # Bank (row buffer): Bank.access(), manually inlined — queue
         # behind the bank, lazy refresh check, then classify the row
         # outcome (see repro.dram.bank for the readable version).
+        bank = self.banks[bank_color]
         busy = bank.busy_until
         bank_start = chan_start if chan_start > busy else busy
         epoch = int(bank_start // self._refresh_interval)
@@ -447,7 +405,7 @@ class DramSystem:
         core: int,
         now: float,
         is_write: bool,
-        route: tuple[int, int, int, Bank],
+        bank_color: int,
     ) -> AccessResult:
         """Serve a demand access to a disaggregated node.
 
@@ -463,7 +421,7 @@ class DramSystem:
         (and the disaggregated leg of :meth:`writeback`); keep the two in
         lockstep.
         """
-        bank_color, node, chan, bank = route
+        node = self._bank_node[bank_color]
         cache = self._remote_caches[node]
         stats = self.stats
         line = paddr >> self._line_bits
@@ -498,11 +456,13 @@ class DramSystem:
         ctrl_busy[node] = ctrl_start + self._ctrl_service
         after_ctrl = ctrl_start + self._ctrl_overhead
 
+        chan = self._bank_chan[bank_color]
         chan_busy = self._chan_busy
         busy = chan_busy[chan]
         chan_start = after_ctrl if after_ctrl > busy else busy
         chan_busy[chan] = chan_start + self._channel_service
 
+        bank = self.banks[bank_color]
         busy = bank.busy_until
         bank_start = chan_start if chan_start > busy else busy
         epoch = int(bank_start // self._refresh_interval)
@@ -569,10 +529,9 @@ class DramSystem:
         """Serve a prefetch: full bank/channel/controller occupancy, but
         nothing waits on it (latency is off the critical path) and demand
         statistics are untouched."""
-        route = self._frame_route.get(paddr >> self._page_bits)
-        if route is None:
-            route = self._route(paddr >> self._page_bits)
-        _, node, chan, bank = route
+        bc = self.frame_bank[paddr >> self._page_bits]
+        node = self._bank_node[bc]
+        chan = self._bank_chan[bc]
         row = paddr >> self._row_shift
         t = self.timing
         if self._remote_caches and node in self._remote_caches:
@@ -589,34 +548,32 @@ class DramSystem:
         self._ctrl_busy[node] = ctrl_start + t.ctrl_service
         chan_start = max(ctrl_start + t.ctrl_overhead, self._chan_busy[chan])
         self._chan_busy[chan] = chan_start + t.channel_service
-        bank.access(row, chan_start, is_write=False)
+        self.banks[bc].access(row, chan_start, is_write=False)
         self.stats.prefetch_fills += 1
 
     def writeback(self, paddr: int, now: float) -> None:
         """Post an eviction write-back (bank/channel occupancy only)."""
-        route = self._frame_route.get(paddr >> self._page_bits)
-        if route is None:
-            route = self._route(paddr >> self._page_bits)
-        if self._remote_caches and route[1] in self._remote_caches:
-            cache = self._remote_caches[route[1]]
+        bc = self.frame_bank[paddr >> self._page_bits]
+        node = self._bank_node[bc]
+        if self._remote_caches and node in self._remote_caches:
+            cache = self._remote_caches[node]
             if cache.touch(paddr >> self._line_bits):
                 # Absorbed by the compute-side DRAM cache (write-back at
                 # its own eviction is folded into the clean-evict model).
                 self.stats.writebacks += 1
                 return
-            node = route[1]
             busy = self._net_busy[node]
             start = now if now > busy else busy
             self._net_busy[node] = start + self._net_service
             now = start + self._net_ns  # posted write lands at the far end
-        chan = route[2]
+        chan = self._bank_chan[bc]
         chan_busy = self._chan_busy
         busy = chan_busy[chan]
         chan_busy[chan] = (
             (now if now > busy else busy) + self._channel_service
         )
         # Bank.writeback(), manually inlined (probe + scaled occupancy).
-        bank = route[3]
+        bank = self.banks[bc]
         busy = bank.busy_until
         start = now if now > busy else busy
         epoch = int(start // self._refresh_interval)
@@ -638,10 +595,7 @@ class DramSystem:
     # ------------------------------------------------------------------ misc
     def bank_of(self, paddr: int) -> Bank:
         """The :class:`Bank` object a byte address routes to."""
-        route = self._frame_route.get(paddr >> self._page_bits)
-        if route is None:
-            route = self._route(paddr >> self._page_bits)
-        return route[3]
+        return self.banks[self.frame_bank[paddr >> self._page_bits]]
 
     def reset(self) -> None:
         """Clear all timing state and statistics (fresh run)."""

@@ -1,7 +1,7 @@
 """Physical frame pool: per-frame colors and allocation state.
 
-The pool precomputes every frame's bank color (Eq. 1) and LLC color once
-from the address mapping — the analogue of the per-``struct page`` color
+The pool holds every frame's bank color (Eq. 1) and LLC color, computed
+once per address mapping — the analogue of the per-``struct page`` color
 fields the paper's kernel derives from PCI registers at boot.
 """
 
@@ -54,11 +54,10 @@ class FramePool:
             )
         self.mapping = mapping
         self.num_frames = mapping.num_frames
-        bank, llc = mapping.frame_color_table()
-        #: bank color (Eq. 1) per frame, int16 (<= 2**15 colors).
-        self.bank_color: np.ndarray = bank.astype(np.int16)
-        #: LLC color per frame.
-        self.llc_color: np.ndarray = llc.astype(np.int16)
+        #: bank color (Eq. 1) and LLC color per frame: the mapping's
+        #: read-only int16 tables, shared (not copied) with every other
+        #: user of this mapping instance.
+        self.bank_color, self.llc_color = mapping.frame_color_table()
         #: FrameState per frame.
         self.state: np.ndarray = np.full(
             self.num_frames, _BUDDY, dtype=np.int8

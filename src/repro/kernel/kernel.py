@@ -1,13 +1,15 @@
 """Kernel facade: boot, tasks, processes, syscalls, demand paging.
 
 Boot mirrors the paper: the address mapping is **re-derived from the
-simulated PCI registers** (not taken from the preset directly), then the
-frame pool and per-node buddy allocators are initialised with all memory
-on the buddy free lists and the 128x32 color matrix empty.
+simulated PCI registers** and must equal the machine description's (whose
+instance the kernel then shares with the DRAM system), then the frame
+pool and per-node buddy allocators are initialised with all memory on
+the buddy free lists and the 128x32 color matrix empty.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.faultline import hooks as _fault_hooks
@@ -51,6 +53,24 @@ class FaultCharge:
         return self.base_ns + self.refill_ns
 
 
+def _weak_fault_handler(kernel: "Kernel"):
+    """``kernel._handle_fault`` behind a weak reference.
+
+    The kernel owns its processes' address spaces; a bound method there
+    would point back at the kernel and leave a finished run for the
+    cyclic GC instead of freeing it by refcount.
+    """
+    ref = weakref.ref(kernel)
+
+    def fault_handler(task: TaskStruct, vpn: int, order: int = 0) -> int:
+        owner = ref()
+        if owner is None:
+            raise RuntimeError("page fault in a process whose kernel is gone")
+        return owner._handle_fault(task, vpn, order)
+
+    return fault_handler
+
+
 class Kernel:
     """The simulated OS kernel.
 
@@ -79,10 +99,12 @@ class Kernel:
     ) -> None:
         self.machine = machine
         self.topology = machine.topology
-        # Boot-time PCI probe, as in the paper (§III-A).
-        self.mapping = probe_address_mapping(machine.pci)
-        if self.mapping != machine.mapping:
+        # Boot-time PCI probe, as in the paper (§III-A).  Once it agrees,
+        # adopt the machine's own mapping instance, so the kernel, its
+        # frame pool and the DRAM system share one per-frame color table.
+        if probe_address_mapping(machine.pci) != machine.mapping:
             raise RuntimeError("PCI probe disagrees with machine description")
+        self.mapping = machine.mapping
         self.pool = FramePool(self.mapping)
         self.obs = observer
         self.page_allocator = PageAllocator(
@@ -138,7 +160,8 @@ class Kernel:
     # ------------------------------------------------------------------ tasks
     def create_process(self) -> Process:
         space = AddressSpace(
-            page_bits=self.mapping.page_bits, fault_handler=self._handle_fault
+            page_bits=self.mapping.page_bits,
+            fault_handler=_weak_fault_handler(self),
         )
         proc = Process(pid=self._next_pid, address_space=space)
         self._next_pid += 1

@@ -49,15 +49,16 @@ class PhysicalLocation:
 
 
 class DecodedAddress:
-    """Page-invariant decode of one physical frame (hot-path memo entry).
+    """Page-invariant decode of one physical frame (memo entry).
 
     Every DRAM field bit and every LLC color bit of the coloring presets
     lies at or above the page offset (:meth:`AddressMapping.
     frame_colors_invariant`), so *node, channel, rank, bank, bank color,
     LLC color* are properties of the frame, not of the byte address.
     :meth:`AddressMapping.frame_decode` computes this object once per
-    frame and memoizes it; the cache hierarchy and DRAM system then pay a
-    single dict lookup per access instead of re-gathering scattered bits.
+    frame and memoizes it.  It is the documented field-by-field decoder;
+    the DRAM hot paths route from :meth:`AddressMapping.frame_color_table`
+    instead.
 
     Attributes:
         pfn: page frame number this decode belongs to.
@@ -497,9 +498,9 @@ class AddressMapping:
         bit-identical to ``frame_decode(pfn)`` (a property test in
         ``tests/test_address_decode_batch.py`` holds the two together).
         Unlike :meth:`frame_decode` this performs no per-frame memoisation:
-        batch decoding is already one pass of array ops, and callers (the
-        engine's batched replay path) decode each *unique* frame of a
-        trace once per section.
+        batch decoding is already one pass of array ops.  Replay needs
+        only bank colors and gathers them from :meth:`frame_color_table`
+        (:meth:`frame_bank_colors`); this decoder is its test oracle.
 
         Args:
             pfns: integer array of page frame numbers (any shape;
@@ -513,10 +514,7 @@ class AddressMapping:
             ValueError: if any frame number lies outside physical memory.
         """
         pfns = np.asarray(pfns, dtype=np.int64)
-        if pfns.size and (
-            int(pfns.min()) < 0 or int(pfns.max()) >= self.num_frames
-        ):
-            raise ValueError("frame number outside physical memory")
+        self._check_pfns(pfns)
         paddrs = pfns << self.page_bits
         node = self._gather_vec(paddrs, self.fields["node"])
         channel = self._gather_vec(paddrs, self.fields["channel"])
@@ -556,14 +554,38 @@ class AddressMapping:
         return self._gather_vec(paddrs, self.llc_color_positions)
 
     def frame_color_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Precompute (bank_color, llc_color) for every frame in memory.
+        """(bank color, LLC color) of every frame in memory.
 
-        Returns two int64 arrays of length :attr:`num_frames`; the kernel
-        indexes these instead of decoding per allocation.
+        Two read-only ``int16`` arrays of length :attr:`num_frames`,
+        built on first use and memoized per mapping instance (like
+        :attr:`compatibility_table`).  The kernel's frame pool shares
+        them as its per-frame colors, and every DRAM route reads its
+        bank color from the first one: a frame's bank color fixes its
+        node, channel bus and bank.
         """
-        pfns = np.arange(self.num_frames, dtype=np.int64)
-        paddrs = pfns << self.page_bits
-        return self.bank_color_vec(paddrs), self.llc_color_vec(paddrs)
+        tables = self.__dict__.get("_frame_colors")
+        if tables is None:
+            paddrs = np.arange(self.num_frames, dtype=np.int64) << self.page_bits
+            tables = (
+                self.bank_color_vec(paddrs).astype(np.int16),
+                self.llc_color_vec(paddrs).astype(np.int16),
+            )
+            for table in tables:
+                table.flags.writeable = False
+            object.__setattr__(self, "_frame_colors", tables)
+        return tables
+
+    def frame_bank_colors(self, pfns: np.ndarray) -> np.ndarray:
+        """Bank color of each frame in ``pfns``, gathered from
+        :meth:`frame_color_table` (an ``int16`` array shaped like
+        ``pfns``).
+
+        Raises:
+            ValueError: if any frame number lies outside physical memory
+                (a plain gather would wrap negative ones silently).
+        """
+        self._check_pfns(pfns)
+        return self.frame_color_table()[0][pfns]
 
     # --- compose -------------------------------------------------------------
     def compose(
@@ -594,6 +616,12 @@ class AddressMapping:
         if rest >> in_bit:
             raise ValueError("rest value too large for free bits")
         return paddr
+
+    def _check_pfns(self, pfns: np.ndarray) -> None:
+        if pfns.size and (
+            int(pfns.min()) < 0 or int(pfns.max()) >= self.num_frames
+        ):
+            raise ValueError("frame number outside physical memory")
 
     def _check_paddr(self, paddr: int) -> None:
         if not 0 <= paddr < self.memory_bytes:

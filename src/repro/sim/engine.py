@@ -326,10 +326,10 @@ class Engine:
         1. :meth:`_batch_plan` vectorises all *stateless* per-access work
            for the whole section with numpy — address translation
            (unique-page gather), physical line construction, bank
-           colors (:meth:`AddressMapping.decode_batch` via
-           :meth:`DramSystem.route_batch`), row numbers, and every cache
-           set index (:func:`repro.cache.batch.set_index_batch`).  Pages
-           not yet mapped are left unresolved.
+           colors (one gather from the mapping's per-frame table,
+           :meth:`AddressMapping.frame_bank_colors`), row numbers, and
+           every cache set index (:func:`repro.cache.batch.
+           set_index_batch`).  Pages not yet mapped are left unresolved.
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the disaggregated
            tier's DRAM-cache sets and network links, demand faults of
@@ -375,8 +375,10 @@ class Engine:
         write flag, think time, bank color and row number of every
         access, then the issuing core's per-node interconnect rows
         (hops, propagation, link occupancy), the base of its row of the
-        flat link table, and its cache bindings.  The bank color fixes
-        the node and channel bus (:attr:`DramSystem._bank_node`,
+        flat link table, and its cache bindings.  Bank colors are one
+        gather of the trace's unique frames from the mapping's per-frame
+        table (out-of-range frames raise ``ValueError``).  The bank color
+        fixes the node and channel bus (:attr:`DramSystem._bank_node`,
         :attr:`DramSystem._bank_chan`), so the route needs no other
         per-access list.  All of it is stateless address math, so it can
         leave the replay loop; everything computed here is bit-identical
@@ -402,10 +404,10 @@ class Engine:
         hierarchy = self.memory.hierarchy
         if hierarchy.prefetchers is not None:
             return _plan_fallback("prefetch")
-        mapping = self.kernel.mapping
+        dram = self.memory.dram
+        mapping = dram.mapping
         page_bits = mapping.page_bits
         page_mask = (1 << page_bits) - 1
-        dram = self.memory.dram
         line_bits = hierarchy._line_bits
         row_shift = dram._row_shift
         if row_shift < line_bits:
@@ -450,7 +452,7 @@ class Engine:
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
             )
-            bc_u = dram.route_batch(pfns_u)[0]
+            bc_u = mapping.frame_bank_colors(pfns_u)
             writes = trace.writes.tolist()
             tn = trace.think_ns
             thinks = (
@@ -542,8 +544,7 @@ class Engine:
         ctrl_busy = dram._ctrl_busy
         chan_busy = dram._chan_busy
         link_busy = dram.interconnect._link_busy
-        frame_route_get = dram._frame_route.get
-        dram_route = dram._route
+        frame_bank = dram.frame_bank
         ctrl_service = dram._ctrl_service
         ctrl_overhead = dram._ctrl_overhead
         channel_service = dram._channel_service
@@ -605,33 +606,21 @@ class Engine:
             net_service = tier.network_service_ns
             cache_hit_ns = tier.cache_hit_ns
 
-        wb_memo: dict[int, tuple] = {}
-        wb_memo_get = wb_memo.get
-
         def wb(old: int, now: float) -> None:
             # DramSystem.writeback(old << line_bits, now), inlined over
-            # the section-local bank/channel tables.  Route decode is
-            # memoised per line — dirty lines cycle through the LLC, so
-            # repeat write-backs of the same line are the common case.
+            # the section-local bank/channel tables and routed from the
+            # frame's bank color.  No per-line memo: a line is seldom
+            # written back twice in one section (5-21% of write-backs on
+            # the fig. 11 benches), so a memo costs more than it saves.
             nonlocal s_writebacks
-            info = wb_memo_get(old)
-            if info is None:
-                wpfn = old >> page_line_shift
-                route = frame_route_get(wpfn)
-                if route is None:
-                    route = dram_route(wpfn)
-                wnd = route[1]
-                node_sets = r_sets[wnd]
-                info = (
-                    route[2], route[0], old >> row_line_shift, wnd,
-                    None if node_sets is None else node_sets[old & r_mask],
-                )
-                wb_memo[old] = info
-            wch, wbc, wrow, wnd, rset = info
-            if rset is not None:
+            wbc = frame_bank[old >> page_line_shift]
+            wnd = bank_node[wbc]
+            node_sets = r_sets[wnd]
+            if node_sets is not None:
                 # Disaggregated node: the DRAM cache absorbs the write if
                 # it holds the line (LRU touch); otherwise it crosses the
                 # network link and lands at the far bank.
+                rset = node_sets[old & r_mask]
                 if old in rset:
                     del rset[old]
                     rset[old] = None
@@ -641,6 +630,7 @@ class Engine:
                 wstart = now if now > busy else busy
                 net_busy[wnd] = wstart + net_service
                 now = wstart + net_ns
+            wch = bank_chan[wbc]
             busy = chan_busy[wch]
             chan_busy[wch] = (now if now > busy else busy) + channel_service
             busy = bank_busy[wbc]
@@ -654,7 +644,7 @@ class Engine:
                 orow = bank_row[wbc]
                 if orow is None:
                     base = row_miss_ns
-                elif orow == wrow:
+                elif orow == old >> row_line_shift:
                     base = row_hit_ns
                 else:
                     base = row_conflict_ns
@@ -692,7 +682,7 @@ class Engine:
                 tm = threads[tidx]
                 tm.faults += 1
                 tm.fault_ns += fault_ns
-            bc = (frame_route_get(pfn) or dram_route(pfn))[0]
+            bc = frame_bank[pfn]
             lines, l1i, l2i, lci, _, _, bcs, rows = plan[:8]
             base = pfn << page_line_shift
             for j in at:

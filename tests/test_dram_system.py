@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.alloc.policies import Policy
+from repro.core.session import ColoredTeam
+from repro.core.tintmalloc import TintMalloc
 from repro.dram.bank import RowKind
 from repro.dram.interconnect import Interconnect
 from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
+from repro.kernel.kernel import Kernel
 from repro.machine.presets import PLATFORMS
+from repro.sim.barrier import Section
+from repro.sim.engine import Engine, MemorySystem
+from repro.sim.trace import Trace
 
 T = DramTiming()
 
@@ -85,15 +92,76 @@ class TestBankBehaviour:
 
 @pytest.mark.parametrize("preset", sorted(PLATFORMS))
 def test_bank_index_routes_every_frame(preset):
-    """The bank color alone fixes a frame's node and channel bus: the
-    batched replay routes DRAM misses from these tables, so a mapping
-    scheme that breaks the invariant must fail here."""
+    """Every DRAM route reads the frame's bank color from the mapping's
+    per-frame table, and the color alone fixes the node and the channel
+    bus: a table or a mapping scheme that breaks either must fail here."""
     spec = PLATFORMS[preset]()
-    dram = DramSystem(spec.mapping, spec.topology, T)
-    pfns = np.arange(spec.mapping.num_frames, dtype=np.int64)
-    bc, node, chan = dram.route_batch(pfns)
-    assert np.array_equal(node, np.asarray(dram._bank_node)[bc])
-    assert np.array_equal(chan, np.asarray(dram._bank_chan)[bc])
+    mapping = spec.mapping
+    dram = DramSystem(mapping, spec.topology, T)
+    table = mapping.frame_color_table()[0]
+    decoded = mapping.decode_batch(np.arange(mapping.num_frames))
+    assert np.array_equal(table, decoded.bank_color)
+    assert np.array_equal(np.asarray(dram.frame_bank), table)
+    assert np.array_equal(np.asarray(dram._bank_node)[table], decoded.node)
+    assert np.array_equal(
+        np.asarray(dram._bank_chan)[table],
+        decoded.node * mapping.num_channels + decoded.channel,
+    )
+    # Built once per mapping instance, and nobody can write to it.
+    assert mapping.frame_color_table()[0] is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+    with pytest.raises(TypeError):
+        dram.frame_bank[0] = 1
+
+
+def test_bank_index_table_shared_with_kernel(tiny):
+    """The kernel adopts the machine's mapping once the PCI probe agrees,
+    so its frame pool and the DRAM system share one color table."""
+    kernel = Kernel(tiny)
+    dram = DramSystem(tiny.mapping, tiny.topology, T)
+    bank, llc = tiny.mapping.frame_color_table()
+    assert kernel.mapping is tiny.mapping
+    assert kernel.pool.bank_color is bank
+    assert kernel.pool.llc_color is llc
+    assert np.shares_memory(np.asarray(dram.frame_bank), bank)
+
+
+def test_bank_index_routes_survive_reset(tiny, system):
+    """reset() clears timing state, not routes: demand accesses and
+    write-backs reach the same Bank before and after."""
+    addr = addr_on(tiny.mapping, node=1, bank=3)
+    bc = tiny.mapping.frame_bank_color(addr >> tiny.mapping.page_bits)
+    bank = system.bank_of(addr)
+    assert bank is system.banks[bc]
+    for _ in range(2):
+        first = system.access(addr, core=0, now=0.0)
+        assert first.bank_color == bc
+        assert bank.misses == 1
+        system.writeback(addr + 64, now=1e4)
+        assert [b.busy_until > 0.0 for b in system.banks] == [
+            i == bc for i in range(len(system.banks))
+        ]
+        system.reset()
+        assert system.bank_of(addr) is bank
+
+
+def test_bank_index_plan_rejects_out_of_range_frame(tiny):
+    """The plan gathers bank colors from the frame table; a frame number
+    outside memory raises rather than wrapping to another frame."""
+    tm = TintMalloc(kernel=Kernel(tiny))
+    team = ColoredTeam.create(tm, [0], Policy.BUDDY)
+    engine = Engine(team, MemorySystem.for_machine(tiny))
+    va = team.handles[0].malloc(4096)
+    vpn = va >> tiny.mapping.page_bits
+    trace = Trace(vaddrs=np.array([va], dtype=np.int64),
+                  writes=np.zeros(1, dtype=bool), think_ns=1.0)
+    section = Section("parallel", {0: trace})
+    for bad in (tiny.mapping.num_frames, -1):
+        engine.space.page_table[vpn] = bad
+        with pytest.raises(ValueError, match="outside physical memory"):
+            engine._batch_plan(section)
 
 
 class TestQueueWaits:

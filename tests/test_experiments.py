@@ -1,8 +1,13 @@
 """Unit + integration tests for the experiment harness and figure builders."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.alloc.policies import Policy
+from repro.core.session import ColoredTeam
+from repro.core.tintmalloc import TintMalloc
 from repro.experiments.configs import CONFIG_ORDER, CONFIGS
 from repro.experiments.figures import (
     best_other_policy,
@@ -21,7 +26,9 @@ from repro.experiments.runner import (
     run_synthetic,
     sweep,
 )
-from repro.machine.presets import opteron_6128
+from repro.kernel.kernel import Kernel
+from repro.kernel.vm import AddressSpace
+from repro.machine.presets import opteron_6128, tiny_machine
 
 
 class TestConfigs:
@@ -127,6 +134,50 @@ class TestReport:
         ])
         assert "| lbm-runtime | 0.700 | 0.750 | yes |" in t
         assert "| NO | off |" in t
+
+
+class TestRunLifetime:
+    """A finished run is freed by refcount, not left to the cyclic GC
+    (whose timing then decided how many old kernels a sweep kept alive)."""
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_benchmark("lbm", Policy.MEM_LLC, "4_threads_4_nodes",
+                          profile="mini")
+            gc.collect()
+            cyclic = [o for o in gc.garbage
+                      if isinstance(o, (Kernel, TintMalloc, AddressSpace))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert cyclic == []
+
+    def test_fault_handler_works_while_team_alive(self):
+        tm = TintMalloc(tiny_machine())
+        team = ColoredTeam.create(tm, [0, 2], Policy.MEM)
+        space = tm.process.address_space
+        task = team.handles[1].task
+        pfn = space.fault_handler(task, 0, 0)
+        assert tm.kernel.pool.owner[pfn] == task.tid
+        assert tm.kernel.pool.node_of_frame(pfn) == 1
+        # The handler does not keep the kernel alive on its own.
+        kernel = weakref.ref(tm.kernel)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del tm, team, task
+            assert kernel() is None
+        finally:
+            if enabled:
+                gc.enable()
+        with pytest.raises(RuntimeError, match="kernel is gone"):
+            space.fault_handler(None, 1, 0)
 
 
 class TestRunnerIntegration:

@@ -1,11 +1,12 @@
 """The per-frame decode memo: correctness and invalidation.
 
 ``AddressMapping.frame_decode`` caches one :class:`DecodedAddress` per
-touched frame; the whole fast path (DRAM routing, bank coloring) leans on
-it, so it must (a) agree exactly with the scalar decode helpers for any
-address, and (b) never leak entries across mapping instances — a
-*different* mapping decodes the same pfn differently, so the memo is
-strictly per-instance state.
+touched frame.  It is the documented decoder and the oracle the per-frame
+color table (which DRAM routing reads) is tested against, so it must (a)
+agree exactly with the scalar decode helpers for any address, and (b)
+never leak entries across mapping instances — a *different* mapping
+decodes the same pfn differently, so the memo is strictly per-instance
+state.
 """
 
 import pytest
@@ -107,21 +108,3 @@ class TestFrameDecodeCache:
         m1.frame_decode(3)
         assert m1.frame_decode_cache_size == 1
         assert m2.frame_decode_cache_size == 0
-
-
-def test_dram_route_memo_survives_reset():
-    """DramSystem.reset() keeps frame routes (mapping is immutable)."""
-    from repro.dram.system import DramSystem
-    from repro.machine.presets import opteron_6128 as preset
-
-    spec = preset(256 * 1024 * 1024)
-    system = DramSystem(spec.mapping, spec.topology)
-    r1 = system.access(0x10000, core=0, now=0.0)
-    assert system._frame_route  # memo populated
-    routes = dict(system._frame_route)
-    system.reset()
-    assert system._frame_route == routes
-    r2 = system.access(0x10000, core=0, now=0.0)
-    assert (r1.latency, r1.node, r1.bank_color) == (
-        r2.latency, r2.node, r2.bank_color
-    )

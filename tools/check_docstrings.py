@@ -32,8 +32,7 @@ SRC = REPO_ROOT / "src"
 
 #: Packages whose public surface must be documented.  ``repro.cache``
 #: and ``repro.dram`` joined when the batch-kernel API (repro.cache.batch,
-#: DramSystem.route_batch, AddressMapping.decode_batch) became public
-#: engine surface.
+#: AddressMapping.decode_batch) became public engine surface.
 PACKAGES = (
     "repro.core",
     "repro.sim",
