@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.alloc.policies import Policy
 from repro.core.session import ColoredTeam
@@ -49,7 +50,16 @@ PROFILES = {
 }
 
 
+@lru_cache(maxsize=None)
 def profile_machine(profile: str) -> MachineSpec:
+    """The profile's machine preset, built once per process.
+
+    Sharing one instance across runs is safe: a ``MachineSpec`` is
+    frozen, its PCI registers are written only while the preset is
+    built, and all per-run state lives in the ``Kernel`` and the memory
+    system.  Runs then share the mapping's memoized per-frame color and
+    compatibility tables instead of rebuilding them at every boot.
+    """
     factory, memory, _ = PROFILES[profile]
     return factory(memory)
 

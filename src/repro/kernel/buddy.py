@@ -6,15 +6,26 @@ coalescing on free.  The per-CPU page lists ("pcp lists") are absent, as
 the paper disables them so order-0 requests hit ``__rmqueue_smallest``
 directly.
 
-Free lists are insertion-ordered dicts used as ordered sets: FIFO pops
-like Linux's list heads, O(1) removal of a specific block during
-coalescing.
+Each order's free list is a FIFO (a deque) beside one ``start -> order``
+index of every free block: appends and head pops like Linux's list
+heads, and O(1) removal of a named block during coalescing by lazy
+deletion.  A removed block's FIFO entry stays behind as a *stale* entry
+(counted per start) until a head pop skips it or the FIFO is compacted.
+A dict drained from its head would not do: CPython's iteration scans the
+deleted slots from the front on every ``next(iter(d))``, so draining it
+by head pops is quadratic, and an aged node drains 16k frames that way.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 #: Largest block order (2**MAX_ORDER frames), matching Linux's historic 10.
 MAX_ORDER = 10
+
+#: Stale FIFO entries an order may carry beyond its live block count
+#: before it is compacted (bounds memory under split/coalesce churn).
+_STALE_SLACK = 64
 
 
 class BuddyAllocator:
@@ -32,9 +43,11 @@ class BuddyAllocator:
             raise ValueError("num_frames must be positive")
         self.base = base
         self.num_frames = num_frames
-        self.free_lists: list[dict[int, None]] = [
-            {} for _ in range(MAX_ORDER + 1)
-        ]
+        # Per order: the FIFO of block starts (live and stale entries),
+        # stale entry counts per start, and the live block count.
+        self._fifos: list[deque[int]] = [deque() for _ in range(MAX_ORDER + 1)]
+        self._stale: list[dict[int, int]] = [{} for _ in range(MAX_ORDER + 1)]
+        self._live = [0] * (MAX_ORDER + 1)
         # start -> order for every free block (validation + coalescing).
         self._block_order: dict[int, int] = {}
         #: set by fragment(): full coalescing no longer expected.
@@ -54,25 +67,63 @@ class BuddyAllocator:
 
     # ------------------------------------------------------------------ lists
     def _insert(self, start: int, order: int) -> None:
-        self.free_lists[order][start] = None
+        self._fifos[order].append(start)
         self._block_order[start] = order
+        self._live[order] += 1
 
     def _remove(self, start: int, order: int) -> None:
-        del self.free_lists[order][start]
+        """Unlink a named free block; its FIFO entry turns stale."""
         del self._block_order[start]
+        self._live[order] -= 1
+        stale = self._stale[order]
+        stale[start] = stale.get(start, 0) + 1
+        fifo = self._fifos[order]
+        if len(fifo) > 2 * self._live[order] + _STALE_SLACK:
+            live = self.blocks(order)
+            fifo.clear()
+            fifo.extend(live)
+            stale.clear()
 
     def pop_head(self, order: int) -> int | None:
         """Remove and return the first free block of exactly ``order``.
 
         This is the primitive Algorithm 1 uses to feed ``create_color_list``
-        (it takes the "head page of the buddy set" of order *i*).
+        (it takes the "head page of the buddy set" of order *i*).  Amortized
+        O(1): each stale entry it skips was left by one earlier removal.
         """
-        bucket = self.free_lists[order]
-        if not bucket:
+        live = self._live
+        if not live[order]:
             return None
-        start = next(iter(bucket))
-        self._remove(start, order)
+        fifo = self._fifos[order]
+        stale = self._stale[order]
+        start = fifo.popleft()
+        # Every stale entry of a start precedes its live one (a block has
+        # at most one live entry, its latest), so while a start still has
+        # stale entries the one at the head is one of them.
+        while stale and start in stale:
+            left = stale.pop(start) - 1
+            if left:
+                stale[start] = left
+            start = fifo.popleft()
+        del self._block_order[start]
+        live[order] -= 1
+        if not live[order]:
+            fifo.clear()
+            stale.clear()
         return start
+
+    def blocks(self, order: int) -> list[int]:
+        """The free blocks of exactly ``order``, head first (the order
+        :meth:`pop_head` would hand them out)."""
+        stale = dict(self._stale[order])
+        out = []
+        for start in self._fifos[order]:
+            left = stale.get(start)
+            if left:
+                stale[start] = left - 1
+            else:
+                out.append(start)
+        return out
 
     # ------------------------------------------------------------------ alloc
     def alloc(self, order: int) -> int | None:
@@ -149,44 +200,55 @@ class BuddyAllocator:
                 order.  Coalescing on free still works afterwards.
         """
         free: list[int] = []
-        for o, bucket in enumerate(self.free_lists):
-            for start in list(bucket):
+        for o in range(MAX_ORDER + 1):
+            for start in self.blocks(o):
                 free.extend(range(start, start + (1 << o)))
-        if order is not None:
-            if sorted(order) != sorted(free):
-                raise ValueError("fragment order must permute the free frames")
-            free = list(order)
-        for bucket in self.free_lists:
-            bucket.clear()
-        self._block_order.clear()
+        frames = free if order is None else list(order)
+        index = dict.fromkeys(frames, 0)
+        # A permutation: no repeats, as many frames as are free, and every
+        # free frame among them (the free frames are distinct).
+        if order is not None and not (
+            len(index) == len(frames) == len(free)
+            and all(map(index.__contains__, free))
+        ):
+            raise ValueError("fragment order must permute the free frames")
+        for o in range(MAX_ORDER + 1):
+            self._fifos[o].clear()
+            self._stale[o].clear()
+            self._live[o] = 0
+        self._fifos[0].extend(frames)
+        self._live[0] = len(frames)
+        self._block_order = index
         self.fragmented = True
-        for pfn in free:
-            self._insert(pfn, 0)
 
     # ------------------------------------------------------------------ info
     def free_frames(self) -> int:
         """Total frames currently on free lists."""
-        return sum(
-            len(bucket) << order
-            for order, bucket in enumerate(self.free_lists)
-        )
+        return sum(live << order for order, live in enumerate(self._live))
 
     def free_blocks(self, order: int) -> int:
-        return len(self.free_lists[order])
+        return self._live[order]
 
     def is_empty(self, order: int) -> bool:
-        return not self.free_lists[order]
+        return not self._live[order]
 
     def largest_free_order(self) -> int | None:
         for order in range(MAX_ORDER, -1, -1):
-            if self.free_lists[order]:
+            if self._live[order]:
                 return order
         return None
 
     def check_invariants(self) -> None:
         """Assert structural invariants (used by property-based tests)."""
         seen: set[int] = set()
-        for order, bucket in enumerate(self.free_lists):
+        for order in range(MAX_ORDER + 1):
+            bucket = self.blocks(order)
+            if len(bucket) != self._live[order]:
+                raise AssertionError(f"live count out of sync at order {order}")
+            if len(self._fifos[order]) != len(bucket) + sum(
+                self._stale[order].values()
+            ):
+                raise AssertionError(f"stale count out of sync at order {order}")
             for start in bucket:
                 if start % (1 << order) != 0:
                     raise AssertionError(f"misaligned block {start} order {order}")
@@ -213,5 +275,5 @@ class BuddyAllocator:
                         raise AssertionError(
                             f"uncoalesced buddies at {start}/{buddy} order {order}"
                         )
-        if len(self._block_order) != sum(len(b) for b in self.free_lists):
+        if len(self._block_order) != sum(self._live):
             raise AssertionError("block index size mismatch")

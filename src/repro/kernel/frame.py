@@ -114,6 +114,20 @@ class FramePool:
         self.state[start:end] = _COLORED_FREE
         self.owner[start:end] = -1
 
+    def mark_frames_colored_free(self, pfns: list[int]) -> None:
+        """:meth:`mark_colored_free` on each of ``pfns`` in turn, all checked
+        before any is changed.  The error names the frame that loop would
+        stop at (a frame listed twice stops it at its second entry)."""
+        idx = np.asarray(pfns, dtype=np.intp)
+        if (self.state[idx] == _COLORED_FREE).any() or len(set(pfns)) < len(pfns):
+            seen: set[int] = set()
+            for pfn in pfns:
+                if pfn in seen or self.state[pfn] == _COLORED_FREE:
+                    raise ValueError(f"frame {pfn} already on a color list")
+                seen.add(pfn)
+        self.state[idx] = _COLORED_FREE
+        self.owner[idx] = -1
+
     def mark_range_freed(self, start: int, end: int) -> None:
         """Return the ALLOCATED frames ``[start, end)`` to BUDDY."""
         _reject_first(start, self.state[start:end] != _ALLOCATED,

@@ -67,6 +67,8 @@ class PageAllocator:
         self.obs = observer
         self._obs_enabled = observer.enabled
         self.colors = ColorMatrix(pool)
+        self._bank_color = memoryview(pool.bank_color)
+        self._llc_color = memoryview(pool.llc_color)
         per_node = pool.frames_per_node
         num_nodes = pool.mapping.num_nodes
         self.node_buddies = [
@@ -207,16 +209,21 @@ class PageAllocator:
         (Algorithm 2) until one matches or the candidate nodes run dry.
 
         Refills pull from ``nodes``; by default, every node owning one of
-        ``mem_colors``, nearest to the task's core first.
+        ``mem_colors``, nearest to the task's core first.  They take the
+        head block of the smallest non-empty order from the first node
+        that has one, and each block taken counts as one refill.
 
-        Order-0 buddy frames (the common case on an aged system) are
-        checked against the constraints directly — only non-matching ones
-        are filed into the color lists for later requesters.
+        Order-0 heads (the common case on an aged system) come first: one
+        pass over each node's order-0 heads in turn, checking each frame
+        against the constraints until one matches.  The frames that do
+        not match are filed into the color lists for later requesters, in
+        one bulk push after the pass.  Larger blocks are shattered into
+        the color lists whole (:meth:`_pull_refill_block`), then popped
+        from.
         """
-        refills = 0
         pfn = self.colors.pop_matching(mem_colors, llc_colors)
         if pfn is not None:
-            return pfn, refills
+            return pfn, 0
         if nodes is None:
             per = self.pool.mapping.bank_colors_per_node
             candidates = {color // per for color in mem_colors}
@@ -224,31 +231,40 @@ class PageAllocator:
                           if n in candidates)
         mem_set = set(mem_colors)
         llc_set = set(llc_colors) if llc_colors is not None else None
-        while True:
+        bank = self._bank_color
+        llc = self._llc_color
+        misses: list[int] = []
+        for node in nodes:
+            pop_head = self.node_buddies[node].pop_head
+            while (start := pop_head(0)) is not None:
+                if bank[start] in mem_set and (
+                    llc_set is None or llc[start] in llc_set
+                ):
+                    pfn = start
+                    break
+                misses.append(start)
+            if pfn is not None:
+                break
+        refills = len(misses) + (pfn is not None)
+        self.refill_blocks += refills
+        if misses:
+            self.colors.push_frames(misses)
+        while pfn is None:
             block = self._pull_refill_block(nodes)
             if block is None:
-                return None, refills
-            start, order = block
+                break
             refills += 1
             self.refill_blocks += 1
-            if order == 0:
-                if int(self.pool.bank_color[start]) in mem_set and (
-                    llc_set is None
-                    or int(self.pool.llc_color[start]) in llc_set
-                ):
-                    return start, refills
-                self.colors.push(start)
-                continue
             # Algorithm 2: shatter the buddy block into the color lists.
-            self.colors.push_block(start, order)
+            self.colors.push_block(*block)
             pfn = self.colors.pop_matching(mem_colors, llc_colors)
-            if pfn is not None:
-                return pfn, refills
+        return pfn, refills
 
     def _pull_refill_block(self, nodes: tuple[int, ...]) -> tuple[int, int] | None:
-        """Take the head buddy block of the smallest non-empty order from
-        the first of ``nodes`` that has one."""
-        for order in range(0, MAX_ORDER + 1):
+        """Take the head buddy block of the smallest non-empty order >= 1
+        from the first of ``nodes`` that has one (order 0 is drained by
+        :meth:`_pop_or_refill` before any larger block is pulled)."""
+        for order in range(1, MAX_ORDER + 1):
             for node in nodes:
                 start = self.node_buddies[node].pop_head(order)
                 if start is not None:

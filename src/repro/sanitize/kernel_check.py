@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernel.buddy import MAX_ORDER
 from repro.kernel.frame import FrameState
 from repro.kernel.kernel import Kernel
 from repro.sanitize.base import Checker
@@ -73,8 +74,8 @@ class KernelChecker(Checker):
         # Enumerate the free frames each structure claims to hold.
         buddy_frames: set[int] = set()
         for node, buddy in enumerate(pa.node_buddies):
-            for order, bucket in enumerate(buddy.free_lists):
-                for start in bucket:
+            for order in range(MAX_ORDER + 1):
+                for start in buddy.blocks(order):
                     for pfn in range(start, start + (1 << order)):
                         if pfn in buddy_frames:
                             self.fail(
