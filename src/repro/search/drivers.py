@@ -7,6 +7,9 @@ Both drivers speak to the simulator exclusively through an
 the service plane already guarantees: result caching (repeat genomes,
 and whole repeat *searches*, are free), in-flight dedup by digest,
 crash retry, and either executor — serial inline or a process pool.
+A baseline whose planned colors equal a genome's phenotype (the paper
+policies are seeded as genomes) is the same simulation under another
+label, and the scheduler serves it from the genome's stored record.
 
 Early stopping is successive halving: every candidate is *screened* at
 ``screen_reps`` repetitions (cheap, noisy), only the top
@@ -147,9 +150,11 @@ class ServiceEvaluator(Evaluator):
 
     Genomes ride as structured-policy JobSpecs (their phenotype dict);
     baselines ride as the same named-policy strings the figures
-    pipeline submits, so both share cache lines with prior work.
-    Results are memoized per (digest, reps) — drivers may re-request a
-    candidate freely.
+    pipeline submits, so both share cache lines with prior work.  A
+    baseline and its paper-genome twin differ only in label, so they
+    share an evaluation digest: with a store attached, whichever runs
+    second is a cache hit.  Results are memoized per (digest, reps) —
+    drivers may re-request a candidate freely.
     """
 
     def __init__(self, client: ServiceClient, settings: SearchSettings,

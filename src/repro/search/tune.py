@@ -56,9 +56,14 @@ def run_search(settings: SearchSettings, driver: str = "evolution",
                executor: str = "inline", store: "str | None" = None,
                shards: int = 1,
                metrics: MetricsRegistry | None = None) -> SearchOutcome:
-    """Run one search on the chosen executor; returns the outcome."""
+    """Run one search on the chosen executor; returns the outcome.
+
+    Without ``store`` the search still caches in memory for its own
+    lifetime, so a promotion's first reps and the baselines' genome
+    twins are served from results it already has.
+    """
     space = SearchSpace(settings.config, settings.profile)
-    with ServiceClient(store=store,
+    with ServiceClient(store=":memory:" if store is None else store,
                        shards=shards if executor != "inline" else 1,
                        executor=executor, metrics=metrics) as client:
         evaluator = ServiceEvaluator(client, settings, metrics=metrics)

@@ -2,11 +2,21 @@
 
 A *job* is one simulator evaluation — a (machine preset, policy,
 workload, seed) point.  :class:`JobSpec` is the canonical, JSON-native
-description of that point.  Two specs that describe the same evaluation
-produce the same :meth:`JobSpec.digest`, which is what the result store
-keys on and what the scheduler deduplicates in-flight work by.
+description of that point.  Two keys are derived from it:
 
-The digest covers *identity* fields only — everything that changes the
+* :meth:`JobSpec.digest` is the cache line of one (evaluation, label)
+  pair.  It covers the policy's display name, because a stored record
+  carries that name, so a named ``"mem+llc"`` spec and the search
+  genome that plans the same colors under a ``tuned:…`` name have
+  different digests.  The result store keys on it and the scheduler
+  deduplicates in-flight work by it.
+* :meth:`JobSpec.evaluation_digest` identifies the simulation itself:
+  it replaces the policy by what the run applies (planned colors plus
+  the ``aged``/``hugepages`` flags), so those two specs share it and
+  the scheduler runs their simulation once (see
+  :class:`~repro.service.scheduler.Scheduler`).
+
+Both cover *identity* fields only — everything that changes the
 simulated result, including the machine fingerprint the profile resolves
 to (preset name, installed memory, workload scale) so that a profile
 redefinition cannot silently alias old cache entries.  Execution
@@ -23,8 +33,11 @@ import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from repro.alloc.custom import CustomPolicy
-from repro.experiments.runner import PROFILES, SweepJob
+from repro.alloc.custom import POLICY_TYPE, CustomPolicy
+from repro.alloc.planner import plan_colors
+from repro.alloc.policies import Policy
+from repro.experiments.configs import CONFIGS
+from repro.experiments.runner import PROFILES, SweepJob, profile_machine
 from repro.sanitize import LEVELS as SANITIZE_LEVELS
 from repro.sim.metrics import SCHEMA_VERSION
 
@@ -52,6 +65,43 @@ def _machine_fingerprint(profile: str) -> tuple[str, int, float]:
     factory, memory, scale = PROFILES[profile]
     machine = factory(memory)
     return (machine.name, memory, scale)
+
+
+@lru_cache(maxsize=None)
+def _applied_named_policy(policy: str, config: str, profile: str) -> "str | dict":
+    """What a run of named ``policy`` applies on ``config``/``profile``.
+
+    The planned per-thread colors, in the order ``plan_colors`` hands
+    them to the threads, in the key set of ``CustomPolicy.to_json()``
+    without ``name``.  After planning, a run reads a policy only through
+    its ``aged``/``hugepages`` flags and its label, so this is exactly
+    what a structured twin of the same plan applies.  A name that cannot
+    be planned here (a config outside ``CONFIGS``, an unknown policy, a
+    plan the machine cannot satisfy) stays its own key: such a spec has
+    no twin.
+    """
+    if config not in CONFIGS:
+        return policy
+    machine = profile_machine(profile)
+    try:
+        assignments = plan_colors(
+            Policy(policy), list(CONFIGS[config].cores),
+            machine.mapping, machine.topology,
+        )
+    except ValueError:
+        return policy
+    return {
+        "type": POLICY_TYPE,
+        "mem": [list(a.mem_colors) for a in assignments],
+        "llc": [list(a.llc_colors) for a in assignments],
+        "aged": False,
+        "hugepages": False,
+    }
+
+
+def _sha256_json(doc: dict) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -133,9 +183,31 @@ class JobSpec:
         }
 
     def digest(self) -> str:
-        """Stable content digest: sha256 over the canonical identity JSON."""
-        doc = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode()).hexdigest()
+        """Stable content digest: sha256 over the canonical identity JSON.
+
+        The cache line of one (evaluation, label) pair: the policy's
+        display name is part of it.
+        """
+        return _sha256_json(self.identity())
+
+    def evaluation_digest(self) -> str:
+        """sha256 over :meth:`identity` with the policy as the run applies it.
+
+        A structured policy drops its ``name``; a named policy becomes
+        its planned colors on this spec's config and profile.  Specs
+        that differ only in how the same plan is labeled share this
+        digest, and their runs return equal records except ``policy``.
+        """
+        doc = self.identity()
+        if isinstance(self.policy, dict):
+            doc["policy"] = {
+                k: v for k, v in self.policy.items() if k != "name"
+            }
+        else:
+            doc["policy"] = _applied_named_policy(
+                self.policy, self.config, self.profile
+            )
+        return _sha256_json(doc)
 
     # ------------------------------------------------------------- conversion
     def to_json(self) -> dict:

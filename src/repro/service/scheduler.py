@@ -16,6 +16,12 @@ Design (one :class:`Scheduler` instance = one service):
   :class:`~repro.service.store.ResultStore` (hit -> completed handle,
   no work), then the in-flight table (identical digest already queued
   or running -> the same handle is returned and the work happens once).
+* **Twin reuse.**  A store miss whose *twin* has completed under this
+  scheduler — a job with the same
+  :meth:`~repro.service.jobs.JobSpec.evaluation_digest`, i.e. the same
+  simulation under another policy label — is served from the twin's
+  stored record, relabeled with the spec's policy and written through
+  under the spec's own digest.  It is booked as a cache hit.
 * **Backpressure.**  The queue is bounded; ``submit`` blocks until
   space frees (or raises :class:`BackpressureError` with ``block=False``
   or on timeout), so a fast producer cannot grow memory without bound.
@@ -256,8 +262,8 @@ class Scheduler:
     """Sharded job scheduler with caching, retries, and backpressure.
 
     Args:
-        store: result store for content-addressed reuse (None disables
-            caching entirely — every submit runs).
+        store: result store for content-addressed reuse, including twin
+            reuse (None disables caching entirely — every submit runs).
         shards: worker threads / maximum concurrent jobs.
         executor: ``"process"`` (isolated child per attempt) or
             ``"inline"`` (run in the shard thread).
@@ -349,6 +355,8 @@ class Scheduler:
         ]
         self._store_failures = 0   # consecutive; resets on success
         self._store_demoted = False
+        #: evaluation digest -> digest of a completed job (twin reuse).
+        self._twins: dict[str, str] = {}
 
         # Counters (read under _cv or via stats()).
         self.counters = {
@@ -447,6 +455,23 @@ class Scheduler:
         with self._cv:
             self._store_failures = 0
 
+    def _twin_get(self, spec: JobSpec, digest: str) -> dict | None:
+        """The stored record of a completed twin of ``spec``, relabeled.
+
+        Written through under ``digest``, so later lookups of this spec
+        (a warm rerun, another scheduler on the same store) hit directly.
+        None when no twin completed here or its record cannot be read.
+        """
+        twin = self._twins.get(spec.evaluation_digest())
+        if twin is None:
+            return None
+        record = self._store_get(twin)
+        if record is None:
+            return None
+        record = {**record, "policy": spec.policy_label}
+        self._store_put(digest, spec.to_json(), record)
+        return record
+
     def _book_store_error(self, exc: Exception) -> None:
         demoted = False
         with self._cv:
@@ -479,11 +504,12 @@ class Scheduler:
     ) -> JobHandle:
         """Submit one job; returns immediately with a handle.
 
-        Resolution order: result-store hit -> completed handle;
-        identical digest already in flight -> that job's handle
-        (``force_run`` specs skip both).  Otherwise the job queues on
-        its digest's shard, waiting for queue space per ``block``/
-        ``timeout`` (:class:`BackpressureError` when exhausted).
+        Resolution order: result-store hit, or a completed twin's stored
+        record -> completed handle; identical digest already in flight
+        -> that job's handle (``force_run`` specs skip all three).
+        Otherwise the job queues on its digest's shard, waiting for
+        queue space per ``block``/``timeout`` (:class:`BackpressureError`
+        when exhausted).
         """
         digest = spec.digest()
         submitted_ns = time.monotonic_ns()
@@ -497,6 +523,8 @@ class Scheduler:
             if not spec.force_run:
                 if self.store is not None:
                     cached = self._store_get(digest)
+                    if cached is None:
+                        cached = self._twin_get(spec, digest)
                     if cached is not None:
                         self.counters["cache_hits"] += 1
                         job = _Job(spec, digest, next(self._seq), shard=-1)
@@ -657,6 +685,10 @@ class Scheduler:
             if kind == "ok":
                 result = outcome[1]
                 self._store_put(job.digest, spec.to_json(), result)
+                if self.store is not None:
+                    twin_key = spec.evaluation_digest()
+                    with self._cv:
+                        self._twins[twin_key] = job.digest
                 job.result = result
                 self._finalize(job, JobStatus.COMPLETED)
                 return

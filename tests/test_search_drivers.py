@@ -30,6 +30,7 @@ from repro.search.report import (
     verdict_vs_baseline,
 )
 from repro.search.space import SearchSpace
+from repro.search.tune import run_search as tune_run_search
 from repro.service.client import ServiceClient
 
 SETTINGS = SearchSettings(
@@ -107,6 +108,26 @@ class TestSearchDeterminismAndCaching:
         assert ev2.jobs_cached / total >= 0.95, (
             f"rerun executed {ev2.jobs_executed} of {total} jobs"
         )
+
+    def test_storeless_search_simulates_each_evaluation_once(self, tmp_path):
+        """Without a store the search still caches for its own lifetime:
+        promotions reuse their screens' reps and the baselines reuse
+        their paper-genome twins, as with a SQLite store, and the log
+        does not depend on which store served it."""
+        settings = SearchSettings(
+            bench="lbm", config="16_threads_4_nodes", profile="mini",
+            seed=0, budget=24, full_reps=2, population=8,
+        )
+        bare = tune_run_search(settings)
+        stored = tune_run_search(settings, store=str(tmp_path / "s.sqlite"))
+        assert bare.stats["jobs_executed"] == 25
+        assert stored.stats["jobs_executed"] == 25
+
+        def log_text(outcome) -> str:
+            return json.dumps(search_log_json(outcome), indent=1,
+                              sort_keys=True)
+
+        assert log_text(bare) == log_text(stored)
 
     def test_log_is_json_native_and_free_of_wall_clock(self, tmp_path):
         out, _ = run_search(GridDriver, str(tmp_path / "g.sqlite"))

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.alloc.custom import CustomPolicy
+from repro.alloc.planner import plan_colors
 from repro.alloc.policies import Policy
-from repro.experiments.runner import SweepJob
+from repro.experiments.configs import CONFIGS
+from repro.experiments.runner import SweepJob, profile_machine, run_benchmark
+from repro.search.space import SearchSpace
 from repro.service import JobSpec
 
 
@@ -176,3 +181,99 @@ class TestStructuredPolicy:
             JobSpec(policy={"type": "custom", "name": "x"})  # missing genes
         with pytest.raises(ValueError):
             JobSpec(policy=42)
+
+
+class TestEvaluationDigest:
+    """``digest()`` is the cache line of one (evaluation, label) pair;
+    ``evaluation_digest()`` identifies the simulation, so a named policy
+    and the structured twin that applies its planned colors share it."""
+
+    CONFIG = "16_threads_4_nodes"
+
+    def _named(self, policy: Policy, **kw) -> JobSpec:
+        kw.setdefault("config", self.CONFIG)
+        return JobSpec(bench="lbm", policy=policy.value, profile="mini", **kw)
+
+    def _twin(self, policy: Policy, **kw) -> JobSpec:
+        kw.setdefault("config", self.CONFIG)
+        genome = SearchSpace(kw["config"], "mini").paper_genome(policy)
+        return JobSpec(bench="lbm", policy=genome.phenotype(), profile="mini",
+                       **kw)
+
+    @pytest.mark.parametrize("config,policy", [
+        ("16_threads_4_nodes", Policy.BUDDY),
+        ("16_threads_4_nodes", Policy.MEM_LLC),
+        ("8_threads_2_nodes", Policy.LLC_MEM_PART),
+    ])
+    def test_named_run_equals_run_of_its_planned_phenotype(self, config,
+                                                           policy):
+        # The premise twin reuse rests on: after planning, a run reads
+        # its policy only through the aged/hugepages flags and the label.
+        machine = profile_machine("mini")
+        twin = CustomPolicy(
+            name="twin",
+            assignments=tuple(plan_colors(
+                policy, list(CONFIGS[config].cores),
+                machine.mapping, machine.topology,
+            )),
+        )
+        named = run_benchmark("lbm", policy, config, rep=1, seed=2,
+                              profile="mini")
+        planned = run_benchmark("lbm", twin, config, rep=1, seed=2,
+                                profile="mini")
+        assert planned.policy == "twin"
+        assert dataclasses.replace(planned, policy=named.policy) == named
+
+    @pytest.mark.parametrize("policy", [Policy.BUDDY, Policy.MEM_LLC])
+    def test_paper_genome_shares_evaluation_digest(self, policy):
+        named, twin = self._named(policy), self._twin(policy)
+        assert twin.evaluation_digest() == named.evaluation_digest()
+        assert twin.digest() != named.digest()
+
+    def test_distinct_plans_keep_distinct_evaluation_digests(self):
+        assert self._named(Policy.BUDDY).evaluation_digest() \
+            != self._named(Policy.MEM_LLC).evaluation_digest()
+
+    @pytest.mark.parametrize("change", [
+        {"rep": 1},
+        {"seed": 4},
+        {"sanitize": "cheap"},
+        {"profile": "scaled"},
+    ])
+    def test_identity_fields_change_evaluation_digest(self, change):
+        for spec in (self._named(Policy.MEM_LLC), self._twin(Policy.MEM_LLC)):
+            changed = JobSpec.from_json({**spec.to_json(), **change})
+            assert changed.evaluation_digest() != spec.evaluation_digest()
+
+    @pytest.mark.parametrize("flag", ["aged", "hugepages"])
+    def test_allocator_flags_change_evaluation_digest(self, flag):
+        twin = self._twin(Policy.MEM_LLC)
+        flagged = JobSpec.from_json(
+            {**twin.to_json(), "policy": {**twin.policy, flag: True}}
+        )
+        assert flagged.evaluation_digest() \
+            != self._named(Policy.MEM_LLC).evaluation_digest()
+
+    def test_unplannable_names_key_by_name(self):
+        # A config outside CONFIGS, or a name that is no policy, cannot
+        # be planned: the spec keys by its name and has no twin (its
+        # run fails later, in the worker, as before).
+        buddy = JobSpec(policy="buddy", config="cfg", profile="mini")
+        mem_llc = JobSpec(policy="mem+llc", config="cfg", profile="mini")
+        assert buddy.evaluation_digest() != mem_llc.evaluation_digest()
+        unknown = JobSpec(policy="no-such-policy", config=self.CONFIG,
+                          profile="mini")
+        assert unknown.evaluation_digest() \
+            != self._named(Policy.BUDDY).evaluation_digest()
+
+    def test_digest_did_not_move(self):
+        # Recorded at e27fcd6, before evaluation_digest() existed:
+        # stores written by earlier versions stay valid.
+        assert self._named(Policy.MEM_LLC).digest() == (
+            "5742e4d895ff40a118df8f8cdf623e92102b5912ea754229e21c1ab25728feb3"
+        )
+        twin = self._twin(Policy.BUDDY, rep=1, seed=3)
+        assert twin.policy_label == "tuned:faf241f5"
+        assert twin.digest() == (
+            "aec25b3390c86a09649fcde6c22ca04139afb68f72bc365bad4a57187188731d"
+        )

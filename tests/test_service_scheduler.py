@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro.alloc.policies import Policy
+from repro.search.space import SearchSpace
 from repro.service import (
     BackpressureError,
     FakeClock,
@@ -134,6 +136,113 @@ class TestCachingAndDedup:
             assert not forced.from_cache
             stats = sched.stats()
         assert stats["cache_hits"] == 0
+
+
+class _FailingGetStore(MemoryStore):
+    """A store whose reads always fail (demoted after the first)."""
+
+    def get(self, digest: str):
+        raise OSError("injected store read failure")
+
+
+class _LosingPutStore(MemoryStore):
+    """A store that acknowledges writes but keeps none of them."""
+
+    def put(self, digest: str, spec: dict, record: dict) -> None:
+        pass
+
+
+class TestTwinReuse:
+    """A job whose applied policy already ran under another label is
+    served from the stored record of that run, relabeled."""
+
+    def _twins(self) -> tuple[JobSpec, JobSpec]:
+        genome = SearchSpace("16_threads_4_nodes", "mini").paper_genome(
+            Policy.MEM_LLC
+        )
+        return spec(policy=genome.phenotype()), spec(policy="mem+llc")
+
+    def _counting_runner(self):
+        calls = []
+
+        def runner(s: JobSpec) -> dict:
+            calls.append(s.digest())
+            return {"policy": s.policy_label, "seed": s.seed}
+
+        return calls, runner
+
+    def test_named_spec_reuses_completed_custom_twin(self):
+        custom, named = self._twins()
+        store = MemoryStore()
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner,
+                       store=store) as sched:
+            first = sched.submit(custom)
+            assert first.result(10)["policy"] == custom.policy_label
+            second = sched.submit(named)
+            assert second.from_cache
+            assert second.result(10) == {"policy": "mem+llc", "seed": 0}
+            stats = sched.stats()
+        assert calls == [custom.digest()]
+        assert store.get(named.digest())["policy"] == "mem+llc"
+        assert store.get(custom.digest())["policy"] == custom.policy_label
+        assert stats["cache_hits"] == 1
+        assert stats["cache_misses"] == 1
+
+    def test_custom_spec_reuses_completed_named_twin(self):
+        custom, named = self._twins()
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner,
+                       store=MemoryStore()) as sched:
+            sched.submit(named).result(10)
+            second = sched.submit(custom)
+            assert second.from_cache
+            assert second.result(10)["policy"] == custom.policy_label
+        assert calls == [named.digest()]
+
+    def test_without_store_both_twins_run(self):
+        custom, named = self._twins()
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner) as sched:
+            sched.submit(custom).result(10)
+            assert not sched.submit(named).from_cache
+            sched.drain(10)
+        assert calls == [custom.digest(), named.digest()]
+
+    def test_demoted_store_runs_both_twins(self):
+        custom, named = self._twins()
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner,
+                       store=_FailingGetStore(),
+                       store_failure_limit=1) as sched:
+            sched.submit(custom).result(10)
+            named_handle = sched.submit(named)
+            assert named_handle.result(10)["policy"] == "mem+llc"
+            assert not named_handle.from_cache
+            stats = sched.stats()
+        assert calls == [custom.digest(), named.digest()]
+        assert stats["store_demotions"] == 1
+        assert stats["cache_hits"] == 0
+
+    def test_missing_twin_record_falls_back_to_running(self):
+        custom, named = self._twins()
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner,
+                       store=_LosingPutStore()) as sched:
+            sched.submit(custom).result(10)
+            assert not sched.submit(named).from_cache
+            sched.drain(10)
+        assert calls == [custom.digest(), named.digest()]
+
+    def test_config_outside_configs_still_runs(self):
+        calls, runner = self._counting_runner()
+        with Scheduler(executor="inline", runner=runner,
+                       store=MemoryStore()) as sched:
+            for policy in ("buddy", "mem+llc"):
+                handle = sched.submit(spec(policy=policy, config="cfg"))
+                assert handle.result(10)["policy"] == policy
+                assert not handle.from_cache
+        assert len(calls) == 2
 
 
 class TestPriorityAndBackpressure:
