@@ -28,16 +28,16 @@ from dataclasses import dataclass, field, fields
 #: reference sites listed here — a typo'd site would otherwise silently
 #: never fire and a campaign would "pass" without testing anything.
 SITES = (
-    # repro.service.store
+    # repro.service.store (the scheduler books each as a cache miss)
     "store.get.io",        # lookup raises StoreIOFault
     "store.get.corrupt",   # lookup returns a bit-flipped payload
     "store.put.io",        # persist raises StoreIOFault
-    # repro.service.scheduler / worker
+    # repro.service.scheduler / worker (a crash or timeout is retried)
     "sched.attempt.kill",  # attempt synthesized as a worker crash
     "worker.kill",         # worker process hard-exits mid-attempt
     "worker.hang",         # worker blocks (parent must enforce timeout_s)
     "worker.slow_start",   # worker stalls briefly before running
-    # repro.kernel
+    # repro.kernel (the run raises; the job fails typed, unretried)
     "kernel.pagealloc.exhaust",  # alloc_pages reports frame exhaustion
     "kernel.mmap.fail",    # sys_mmap raises an injected ENOMEM
 )

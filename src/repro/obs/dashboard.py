@@ -4,7 +4,7 @@
 experiments or tune run wrote with ``--metrics-out PATH`` and renders
 one compact service-health frame: job totals and cache hit rate,
 attempt-latency quantiles (from the log-linear histograms), and the
-final queue/breaker/retry state.  Pure stdlib.
+final queue/retry state.  Pure stdlib.
 
 :func:`render_frame` is deterministic given its snapshot, so tests
 drive it from a registry without touching the filesystem.
@@ -17,15 +17,12 @@ from pathlib import Path
 
 from repro.obs.metrics import quantile_from_snapshot
 
-#: gauge value -> breaker state name (mirrors Scheduler._BREAKER_LEVELS).
-_BREAKER_NAMES = {0.0: "closed", 1.0: "half-open", 2.0: "open"}
-
 
 def merge_named_histograms(snapshot: dict, name: str) -> dict | None:
     """Merge every label variant of histogram ``name`` into one dict.
 
     Buckets and counts add; min/max widen.  Lets the dashboard show one
-    attempt-latency distribution across shards and outcomes.
+    attempt-latency distribution across slots and outcomes.
     """
     merged: dict | None = None
     for h in snapshot.get("histograms", ()):
@@ -122,24 +119,13 @@ def render_frame(snapshot: dict) -> str:
     lines.append("")
     lines.append("final state")
     depth = running = None
-    breakers = []
     for g in snapshot.get("gauges", ()):
         if g["name"] == "sched.queue_depth":
             depth = g["value"]
         elif g["name"] == "sched.running":
             running = g["value"]
-        elif g["name"] == "sched.breaker_state":
-            shard = g.get("labels", {}).get("shard", "?")
-            breakers.append(
-                (shard, _BREAKER_NAMES.get(g["value"], str(g["value"])))
-            )
     lines.append(f"  queue depth: {depth if depth is not None else '--'}   "
                  f"running: {running if running is not None else '--'}")
-    if breakers:
-        rendered = " ".join(
-            f"s{shard}:{state}" for shard, state in sorted(breakers)
-        )
-        lines.append(f"  breakers: {rendered}")
     retries = counter_total(snapshot, "sched.retries")
     faults = counter_total(snapshot, "faultline.injections")
     if retries or faults:

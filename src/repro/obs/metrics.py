@@ -6,8 +6,8 @@ instants half lives in :mod:`repro.obs.observer`).  A
 
 * :class:`Counter` — monotonically increasing totals (requests served,
   retries, faults injected).
-* :class:`Gauge` — a value that goes both ways (queue depth, breaker
-  state, running jobs).
+* :class:`Gauge` — a value that goes both ways (queue depth, running
+  jobs).
 * :class:`Histogram` — an HDR-style log-linear distribution recorder:
   base-2 octaves split into ``sub`` linear buckets each, so relative
   error is bounded (~``1/sub``) across the full dynamic range while
@@ -70,7 +70,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (queue depth, breaker state, ...)."""
+    """A point-in-time value (queue depth, running jobs, ...)."""
 
     __slots__ = ("name", "labels", "value", "_lock")
 
@@ -229,7 +229,7 @@ class MetricsRegistry:
     Instruments are created on first use and identified by
     ``(name, sorted label items)``; repeated calls return the same
     object, so call sites never cache instruments unless they are hot.
-    Keep label cardinality *bounded* (shard index, op name, outcome —
+    Keep label cardinality *bounded* (slot index, op name, outcome —
     never digests, hostnames, or timestamps): every label combination
     is a live instrument until the process exits.
     """

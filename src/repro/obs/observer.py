@@ -169,7 +169,7 @@ class Observer(BaseObserver):
         Re-registering an existing name *replaces* its callback in
         place (same sample-row column, new closure) and records a debug
         instant.  This is what makes observers reusable across machine
-        rebuilds: constructing a second :class:`~repro.service.Scheduler`
+        rebuilds: constructing a second :class:`~repro.kernel.Kernel`
         against the same observer, or re-running ``sweep()``, must
         sample the *live* component — the old behavior (raising, or
         silently stacking stale closures) left the ring buffer reading

@@ -1,4 +1,4 @@
-"""repro.service: a sharded simulation-job service with result caching.
+"""repro.service: a result cache and an executor for simulation jobs.
 
 Turns the simulator into a long-lived evaluation service:
 
@@ -6,26 +6,18 @@ Turns the simulator into a long-lived evaluation service:
   over (machine preset, policy, workload, seed).
 * :class:`ResultStore` and friends — content-addressed result cache
   (memory / JSONL / SQLite), versioned by the record schema.
-* :class:`Scheduler` — priority queues sharded over isolated worker
-  processes, in-flight dedup, bounded-queue backpressure, per-job
-  timeout + retry-with-backoff + cancellation; a worker crash is a
-  retryable event, never a pool failure.
+* :class:`Scheduler` — store lookup, twin reuse and in-flight dedup in
+  front of one FIFO drained by N executor slots (isolated worker
+  processes or inline).  An attempt may carry a timeout; a crash or
+  timeout is retried a bounded number of times and never takes down
+  the pool.
 * :class:`ServiceClient` — the in-process front-end ``sweep()`` rides.
 * ``python -m repro.service`` — demo / submit / status.
 """
 
 from repro.service.client import ServiceClient
-from repro.service.clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
 from repro.service.jobs import JobSpec, JobStatus
-from repro.service.scheduler import (
-    BackpressureError,
-    CircuitOpenError,
-    JobCancelled,
-    JobFailed,
-    JobHandle,
-    Scheduler,
-    ServiceError,
-)
+from repro.service.scheduler import JobFailed, JobHandle, Scheduler, ServiceError
 from repro.service.store import (
     JsonlStore,
     MemoryStore,
@@ -37,12 +29,6 @@ from repro.service.store import (
 from repro.service.worker import execute_jobspec
 
 __all__ = [
-    "SYSTEM_CLOCK",
-    "BackpressureError",
-    "CircuitOpenError",
-    "Clock",
-    "FakeClock",
-    "JobCancelled",
     "JobFailed",
     "JobHandle",
     "JobSpec",
@@ -54,7 +40,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "SqliteStore",
-    "SystemClock",
     "execute_jobspec",
     "open_store",
     "record_checksum",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -96,7 +97,11 @@ def cmd_submit(args) -> int:
 def cmd_status(args) -> int:
     from repro.service.store import open_store
 
-    store = open_store(args.store or ":memory:")
+    if not os.path.isfile(args.store):
+        print(f"repro.service status: no store at {args.store}",
+              file=sys.stderr)
+        return 1
+    store = open_store(args.store)
     try:
         print(json.dumps({"ok": True, "store": store.stats()},
                          indent=2, sort_keys=True))
@@ -120,7 +125,8 @@ def _add_job_args(parser: argparse.ArgumentParser) -> None:
                         choices=["off", "cheap", "full"])
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-attempt wall-clock budget, seconds")
-    parser.add_argument("--retries", type=int, default=2)
+    parser.add_argument("--retries", type=int, default=2,
+                        help="extra attempts after a crash or timeout")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,7 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("status", help="print store stats")
-    p.add_argument("--store", default=None)
+    p.add_argument("--store", required=True,
+                   help="an existing store file (.jsonl/.sqlite)")
     p.set_defaults(fn=cmd_status)
 
     args = parser.parse_args(argv)

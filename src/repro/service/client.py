@@ -9,7 +9,6 @@ builds a scheduler over it, and converts record-JSON results back into
 from __future__ import annotations
 
 from repro.experiments.runner import RunRecord
-from repro.obs import NULL_OBSERVER, BaseObserver
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import JobSpec
@@ -26,8 +25,7 @@ class ServiceClient:
             opened via :func:`~repro.service.store.open_store`), or an
             already-open :class:`ResultStore` (shared across clients;
             not closed by this one).
-        shards / executor / queue_capacity / runner / observer /
-            mp_context: forwarded to :class:`Scheduler`.
+        shards / executor / runner: forwarded to :class:`Scheduler`.
         metrics: labeled metrics registry shared with the scheduler
             (defaults to the process-ambient registry; None = off).
     """
@@ -37,12 +35,8 @@ class ServiceClient:
         store: "str | ResultStore | None" = None,
         shards: int = 1,
         executor: str = "process",
-        queue_capacity: int = 1024,
         runner=execute_jobspec,
-        observer: BaseObserver = NULL_OBSERVER,
-        mp_context: str | None = None,
         metrics: MetricsRegistry | None = None,
-        **scheduler_kwargs,
     ) -> None:
         self._owns_store = isinstance(store, str)
         self.store = None if store is None else open_store(store)
@@ -51,23 +45,14 @@ class ServiceClient:
             store=self.store,
             shards=shards,
             executor=executor,
-            queue_capacity=queue_capacity,
             runner=runner,
-            observer=observer,
-            mp_context=mp_context,
             metrics=self.metrics,
-            **scheduler_kwargs,
         )
 
     # ----------------------------------------------------------------- submit
-    def submit(
-        self,
-        spec: JobSpec,
-        block: bool = True,
-        timeout: float | None = None,
-    ) -> JobHandle:
+    def submit(self, spec: JobSpec) -> JobHandle:
         """Submit one spec (see :meth:`Scheduler.submit`)."""
-        return self.scheduler.submit(spec, block=block, timeout=timeout)
+        return self.scheduler.submit(spec)
 
     def submit_many(self, specs: list[JobSpec]) -> list[JobHandle]:
         """Submit specs in order; returns handles in the same order."""
@@ -79,8 +64,8 @@ class ServiceClient:
     ) -> list[RunRecord]:
         """Wait for all handles; typed records in submission order.
 
-        Raises the first failure/cancellation encountered (handle
-        order), like the process-pool ``map`` it replaced.
+        Raises the first failure encountered (handle order), like the
+        process-pool ``map`` it replaced.
         """
         return [
             RunRecord.from_json(handle.result(timeout)) for handle in handles
@@ -107,7 +92,7 @@ class ServiceClient:
 
     def close(self) -> None:
         """Shut the scheduler down; close the store if this client opened it."""
-        self.scheduler.shutdown(wait=True)
+        self.scheduler.shutdown()
         if self.store is not None and self._owns_store:
             self.store.close()
 

@@ -20,9 +20,11 @@ Both cover *identity* fields only — everything that changes the
 simulated result, including the machine fingerprint the profile resolves
 to (preset name, installed memory, workload scale) so that a profile
 redefinition cannot silently alias old cache entries.  Execution
-parameters (priority, timeout, retry budget, trace directory) are *not*
-part of identity: the same evaluation at a different priority must hit
-the same cache line.
+parameters (timeout, retry budget, trace directory) are *not* part of
+identity: the same evaluation under a different retry budget must hit
+the same cache line.  A spec JSON that carries a field this build does
+not know (an older ``priority``, say) loads with that field ignored and
+keeps its digest.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ class JobStatus(enum.Enum):
     RUNNING = "running"
     COMPLETED = "completed"
     FAILED = "failed"
-    CANCELLED = "cancelled"
-
-    @property
-    def terminal(self) -> bool:
-        """Whether the job can no longer change state."""
-        return self in (
-            JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED
-        )
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +105,8 @@ class JobSpec:
     Identity fields (digested): ``kind``, ``bench``, ``policy``,
     ``config``, ``rep``, ``profile``, ``seed``, ``sanitize``, plus the
     machine fingerprint derived from ``profile``.  Execution fields
-    (not digested): ``trace_dir``, ``force_run``, ``priority``,
-    ``timeout_s``, ``max_retries``.
+    (not digested): ``trace_dir``, ``force_run``, ``timeout_s``,
+    ``max_retries``.
     """
 
     kind: str = "bench"  # "bench" | "synthetic"
@@ -136,11 +130,10 @@ class JobSpec:
     #: bypass the result-store lookup (used for traced runs, whose value
     #: is the side-effect files, and for cache-busting reruns).
     force_run: bool = False
-    #: larger runs earlier within a shard.
-    priority: int = 0
-    #: per-attempt wall-clock budget, seconds (None = no limit).
+    #: per-attempt wall-clock budget, seconds (None = no limit); the
+    #: process executor enforces it.
     timeout_s: float | None = None
-    #: additional attempts after the first failure/timeout/crash.
+    #: extra attempts after a crash or timeout (an error is final).
     max_retries: int = 2
 
     def __post_init__(self) -> None:

@@ -20,7 +20,7 @@ checksum over the canonical record JSON; a lookup whose payload fails
 the checksum is booked as a *corrupt miss* instead of being returned,
 so a torn or bit-flipped store entry costs a re-simulation, never a
 wrong result.  Stores count ``hits``/``misses``/``puts``/``corrupt``;
-the scheduler exports these through ``repro.obs`` counters.
+``Scheduler.stats()`` reports them under ``"store"``.
 
 Hook points for :mod:`repro.faultline` cover the failure modes a real
 backing medium has: ``store.get.io`` / ``store.put.io`` raise a typed

@@ -35,10 +35,10 @@ def apply_worker_faults(spec: JobSpec, in_child: bool) -> None:
     * ``worker.slow_start`` — sleep before running (a straggler).
     * ``worker.kill`` — die before reporting: ``os._exit`` in a child
       (parent sees pipe EOF -> crash) or a typed
-      :class:`WorkerKillFault` inline (booked as crash by the shard).
+      :class:`WorkerKillFault` inline (booked as crash by the slot).
     * ``worker.hang`` — sleep far past any deadline; only honoured in a
       child, where the parent's ``timeout_s`` supervision can reap it
-      (an inline hang would stall the shard thread itself).
+      (an inline hang would stall the slot thread itself).
 
     Scopes are digest-prefixed, so a plan targets specific jobs
     deterministically on both sides of the fork boundary.
@@ -61,7 +61,7 @@ def apply_worker_faults(spec: JobSpec, in_child: bool) -> None:
 def execute_jobspec(spec: JobSpec) -> dict:
     """Run one evaluation described by ``spec``; returns record JSON.
 
-    The ``sanitize`` level rides the spec into the worker (in the shard
+    The ``sanitize`` level rides the spec into the worker (in the slot
     thread, or pickled to a child process) and is handed to the run
     functions unchanged, so service workers arm the sanitizer exactly
     like direct calls do.

@@ -107,24 +107,20 @@ class TestCounters:
         assert instants[0].args == {"name": "x"}
 
     def test_reregistration_across_component_rebuilds(self):
-        """Two schedulers sharing one observer must both register their
+        """Two kernels sharing one observer must both register their
         counters; the second rebuild samples the live component."""
-        from repro.service.scheduler import Scheduler
+        from repro.kernel.kernel import Kernel
+        from repro.machine.presets import opteron_6128_scaled
 
+        machine = opteron_6128_scaled(64 * 2**20)
         obs = Observer()
-        with Scheduler(shards=1, executor="inline",
-                       runner=lambda spec: {"ok": 1}, observer=obs):
-            pass
+        Kernel(machine, observer=obs)
         # Second machine against the same observer: replaces, not raises.
-        with Scheduler(shards=1, executor="inline",
-                       runner=lambda spec: {"ok": 1}, observer=obs) as sched2:
-            from repro.service.jobs import JobSpec
-
-            sched2.submit(JobSpec(bench="lbm", policy="buddy",
-                                  config="c")).wait(10)
-            obs.sample(1.0)
+        live = Kernel(machine, observer=obs)
+        live.page_allocator.colored_allocs = 7
+        obs.sample(1.0)
         row = dict(zip(obs.counter_names, obs.samples.last()[1]))
-        assert row["service.submitted"] == 1.0  # live scheduler, not stale
+        assert row["kernel.colored_allocs"] == 7  # live kernel, not stale
 
     def test_sampling_cadence(self):
         """maybe_sample only fires once per interval of sim time."""

@@ -48,7 +48,6 @@ def specs(draw, **fixed):
 
 
 _exec_params = st.fixed_dictionaries({
-    "priority": st.integers(-100, 100),
     "timeout_s": st.one_of(
         st.none(),
         st.floats(min_value=1e-6, max_value=1e6,
@@ -64,7 +63,7 @@ class TestDigestCanonicalization:
     @settings(max_examples=80, deadline=None)
     @given(specs(), _exec_params)
     def test_execution_fields_never_change_the_digest(self, spec, execp):
-        # Same evaluation at a different priority/timeout/retry budget
+        # Same evaluation at a different timeout/retry budget
         # must hit the same cache line.
         variant = JobSpec.from_json({**spec.to_json(), **execp})
         assert variant.digest() == spec.digest()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.service.__main__ import main
 
 SYNTHETIC = ["--kind", "synthetic", "--bench", "synthetic", "--policy",
@@ -28,3 +30,24 @@ def test_local_submit_caches_and_status_reads_the_store(tmp_path, capsys):
     assert second["record"] == first["record"]
     assert main(["status", "--store", store]) == 0
     assert json.loads(capsys.readouterr().out)["store"]["entries"] == 1
+
+
+@pytest.mark.parametrize("name", ["typo.jsonl", "typo.sqlite"])
+def test_status_on_a_missing_store_fails_and_creates_nothing(
+    tmp_path, capsys, name
+):
+    path = tmp_path / "no-such-dir" / name
+    assert main(["status", "--store", str(path)]) != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert not path.parent.exists()
+    assert main(["status", "--store", str(tmp_path / name)]) != 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_status_requires_a_store(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["status"])
+    assert exc.value.code != 0
+    assert "--store" in capsys.readouterr().err

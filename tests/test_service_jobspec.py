@@ -40,7 +40,7 @@ class TestDigest:
         assert changed.digest() != base.digest()
 
     @pytest.mark.parametrize("change", [
-        {"priority": 9},
+        {"priority": 9},  # a field older specs carried; ignored on load
         {"timeout_s": 1.5},
         {"max_retries": 7},
         {"trace_dir": "/tmp/traces"},
@@ -65,12 +65,29 @@ class TestRoundTrip:
         spec = JobSpec(bench="streamcluster", policy="llc+mem(part)",
                        config="8_threads_2_nodes", rep=2, profile="mini",
                        seed=11, sanitize="full", trace_dir="/tmp/t",
-                       force_run=True, priority=3, timeout_s=2.5,
+                       force_run=True, timeout_s=2.5,
                        max_retries=5)
         wire = json.dumps(spec.to_json())
         back = JobSpec.from_json(json.loads(wire))
         assert back == spec
         assert back.digest() == spec.digest()
+
+    def test_older_spec_json_with_priority_keeps_its_digest(self):
+        # Written by a build whose specs carried a ``priority`` execution
+        # field: it loads with the field ignored, under the same digest.
+        older = json.loads(
+            '{"bench": "lbm", "config": "16_threads_4_nodes", '
+            '"force_run": false, "kind": "bench", "max_retries": 2, '
+            '"policy": "mem+llc", "priority": 7, "profile": "mini", '
+            '"rep": 0, "sanitize": "off", "schema_version": 3, "seed": 3, '
+            '"timeout_s": 5.0, "trace_dir": null}'
+        )
+        spec = JobSpec.from_json(older)
+        assert "priority" not in spec.to_json()
+        assert spec.timeout_s == 5.0
+        assert spec.digest() == (
+            "591f0cc4076bb6378c76c582ac1b37f2d02c291c5b19de8645e44ad56ffb940d"
+        )
 
     def test_sanitize_level_survives_round_trip(self):
         """Satellite: --sanitize must survive the job-spec round trip so

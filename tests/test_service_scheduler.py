@@ -1,4 +1,4 @@
-"""Scheduler semantics: dedup, priority, backpressure, failure paths.
+"""Scheduler semantics: caching, dedup, FIFO order, failure paths.
 
 Fault injection happens at the ``runner`` seam: the scheduler executes
 an arbitrary ``(JobSpec) -> dict`` callable per attempt, so tests
@@ -16,11 +16,9 @@ import time
 import pytest
 
 from repro.alloc.policies import Policy
+from repro.faultline.faults import WorkerKillFault
 from repro.search.space import SearchSpace
 from repro.service import (
-    BackpressureError,
-    FakeClock,
-    JobCancelled,
     JobFailed,
     JobSpec,
     JobStatus,
@@ -70,22 +68,13 @@ class TestHappyPath:
             assert handle.status is JobStatus.COMPLETED
             stats = sched.stats()
         assert stats["completed"] == 1
-        assert stats["failed"] == stats["cancelled"] == 0
+        assert stats["failed"] == 0
 
     def test_results_keyed_by_submission_not_completion(self):
         with Scheduler(executor="inline", runner=ok_runner, shards=4) as sched:
             handles = [sched.submit(spec(i)) for i in range(8)]
             results = [h.result(10) for h in handles]
         assert [r["seed"] for r in results] == list(range(8))
-
-    def test_shard_routing_is_digest_stable(self):
-        with Scheduler(executor="inline", runner=ok_runner, shards=3) as sched:
-            a = sched.submit(spec(1))
-            a.result(10)
-        with Scheduler(executor="inline", runner=ok_runner, shards=3) as sched:
-            b = sched.submit(spec(1))
-            b.result(10)
-        assert a.digest == b.digest
 
 
 class TestCachingAndDedup:
@@ -139,7 +128,7 @@ class TestCachingAndDedup:
 
 
 class _FailingGetStore(MemoryStore):
-    """A store whose reads always fail (demoted after the first)."""
+    """A store whose reads always fail."""
 
     def get(self, digest: str):
         raise OSError("injected store read failure")
@@ -209,19 +198,19 @@ class TestTwinReuse:
             sched.drain(10)
         assert calls == [custom.digest(), named.digest()]
 
-    def test_demoted_store_runs_both_twins(self):
+    def test_failing_store_runs_both_twins(self):
         custom, named = self._twins()
         calls, runner = self._counting_runner()
         with Scheduler(executor="inline", runner=runner,
-                       store=_FailingGetStore(),
-                       store_failure_limit=1) as sched:
+                       store=_FailingGetStore()) as sched:
             sched.submit(custom).result(10)
             named_handle = sched.submit(named)
             assert named_handle.result(10)["policy"] == "mem+llc"
             assert not named_handle.from_cache
             stats = sched.stats()
         assert calls == [custom.digest(), named.digest()]
-        assert stats["store_demotions"] == 1
+        # The custom lookup, the named lookup and the twin's record read.
+        assert stats["store_errors"] == 3
         assert stats["cache_hits"] == 0
 
     def test_missing_twin_record_falls_back_to_running(self):
@@ -245,8 +234,8 @@ class TestTwinReuse:
         assert len(calls) == 2
 
 
-class TestPriorityAndBackpressure:
-    def test_higher_priority_runs_first(self):
+class TestFifo:
+    def test_single_slot_runs_in_submission_order(self):
         gate = threading.Event()
         order = []
 
@@ -257,79 +246,45 @@ class TestPriorityAndBackpressure:
                 order.append(s.seed)
             return {}
 
-        with Scheduler(executor="inline", runner=recording,
-                       shards=1) as sched:
-            blocker = sched.submit(spec(0, bench="gate"))
-            deadline = time.monotonic() + 5
-            while blocker.status is JobStatus.QUEUED:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            low = sched.submit(spec(1, priority=0))
-            high = sched.submit(spec(2, priority=10))
-            gate.set()
-            low.result(10)
-            high.result(10)
-        assert order == [2, 1]
-
-    def test_bounded_queue_backpressure(self):
-        gate = threading.Event()
-
-        def gated(s: JobSpec) -> dict:
-            gate.wait(10)
-            return {}
-
         try:
-            with Scheduler(executor="inline", runner=gated, shards=1,
-                           queue_capacity=1) as sched:
-                running = sched.submit(spec(1))
+            with Scheduler(executor="inline", runner=recording,
+                           shards=1) as sched:
+                blocker = sched.submit(spec(0, bench="gate"))
                 deadline = time.monotonic() + 5
-                while running.status is JobStatus.QUEUED:
+                while blocker.status is JobStatus.QUEUED:
                     assert time.monotonic() < deadline
                     time.sleep(0.005)
-                queued = sched.submit(spec(2))  # fills the bounded queue
-                with pytest.raises(BackpressureError):
-                    sched.submit(spec(3), block=False)
-                with pytest.raises(BackpressureError):
-                    sched.submit(spec(3), timeout=0.05)
+                seeds = [5, 1, 4, 2, 3]
+                handles = [sched.submit(spec(seed)) for seed in seeds]
+                assert sched.stats()["queue_depth"] == len(seeds)
                 gate.set()
-                running.result(10)
-                queued.result(10)
-                # Space freed: the same spec now submits fine.
-                assert sched.submit(spec(3)).result(10) == {}
+                for handle in handles:
+                    handle.result(10)
         finally:
             gate.set()
+        assert order == seeds
 
 
 class TestFailurePaths:
-    def test_error_retries_with_backoff_then_fails(self):
+    def test_error_runs_once_and_is_not_retried(self):
         calls = []
 
         def flaky(s: JobSpec) -> dict:
             calls.append(s.seed)
             raise ValueError("always fails")
 
-        # Deflaked: backoff flows through an injected FakeClock, so the
-        # test asserts the exact exponential *schedule* instead of
-        # measuring real sleeps (which flake on loaded CI hosts).  A
-        # poll interval above backoff_max_s makes each backoff a single
-        # virtual sleep.
-        base = 0.05
-        clock = FakeClock()
-        with Scheduler(executor="inline", runner=flaky, clock=clock,
-                       backoff_base_s=base, poll_interval_s=10.0) as sched:
+        # A deterministic simulation that raised raises again: an err
+        # outcome is final, whatever the retry budget.
+        with Scheduler(executor="inline", runner=flaky) as sched:
             handle = sched.submit(spec(1, max_retries=2))
-            with pytest.raises(JobFailed) as exc:
+            with pytest.raises(JobFailed, match="always fails") as exc:
                 handle.result(20)
             stats = sched.stats()
-        # Attempt history is ordered and complete: 1 initial + 2 retries.
-        assert [a["outcome"] for a in exc.value.attempts] == ["err"] * 3
-        assert [a["attempt"] for a in exc.value.attempts] == [0, 1, 2]
-        assert len(calls) == 3
-        # Backoff ordering: virtual gaps follow the exponential schedule
-        # exactly (base * 2**attempt).
-        assert clock.sleeps == pytest.approx([base, 2 * base])
-        assert stats["retries"] == 2
-        assert stats["errors"] == 3
+        assert [a["outcome"] for a in exc.value.attempts] == ["err"]
+        assert [a["attempt"] for a in exc.value.attempts] == [0]
+        assert len(calls) == 1
+        assert stats["retries"] == 0
+        assert stats["errors"] == 1
         assert stats["failed"] == 1
 
     def test_retry_recovers_after_transient_error(self):
@@ -338,18 +293,17 @@ class TestFailurePaths:
         def transient(s: JobSpec) -> dict:
             attempts.append(s.seed)
             if len(attempts) < 2:
-                raise ValueError("transient")
+                raise WorkerKillFault("worker.kill", "test")  # a crash
             return {"recovered": True}
 
-        with Scheduler(executor="inline", runner=transient,
-                       backoff_base_s=0.01) as sched:
+        with Scheduler(executor="inline", runner=transient) as sched:
             handle = sched.submit(spec(1, max_retries=2))
             assert handle.result(20) == {"recovered": True}
-            assert [a["outcome"] for a in handle.attempts] == ["err", "ok"]
+            assert [a["outcome"] for a in handle.attempts] == ["crash", "ok"]
+            assert sched.stats()["retries"] == 1
 
     def test_job_timeout_enforced_and_counted(self):
-        with Scheduler(executor="process", runner=sleep_runner,
-                       backoff_base_s=0.01) as sched:
+        with Scheduler(executor="process", runner=sleep_runner) as sched:
             handle = sched.submit(spec(1, timeout_s=0.2, max_retries=1))
             with pytest.raises(JobFailed) as exc:
                 handle.result(30)
@@ -358,104 +312,10 @@ class TestFailurePaths:
         assert stats["timeouts"] == 2
         assert "0.2" in str(exc.value)
 
-    def test_cancel_queued_job(self):
-        gate = threading.Event()
-
-        def gated(s: JobSpec) -> dict:
-            gate.wait(10)
-            return {}
-
-        try:
-            with Scheduler(executor="inline", runner=gated, shards=1) as sched:
-                blocker = sched.submit(spec(1))
-                deadline = time.monotonic() + 5
-                while blocker.status is JobStatus.QUEUED:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.005)
-                queued = sched.submit(spec(2))
-                assert queued.cancel()
-                assert queued.status is JobStatus.CANCELLED
-                with pytest.raises(JobCancelled):
-                    queued.result(1)
-                gate.set()
-                blocker.result(10)
-                stats = sched.stats()
-            assert stats["cancelled"] == 1
-            assert stats["completed"] == 1
-        finally:
-            gate.set()
-
-    def test_cancel_mid_run_terminates_worker(self):
-        with Scheduler(executor="process", runner=sleep_runner) as sched:
-            handle = sched.submit(spec(1))
-            deadline = time.monotonic() + 5
-            while handle.status is not JobStatus.RUNNING:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            t0 = time.monotonic()
-            assert handle.cancel()
-            with pytest.raises(JobCancelled):
-                handle.result(10)
-            # Termination, not the runner's 30 s sleep.
-            assert time.monotonic() - t0 < 5
-            assert sched.stats()["cancelled"] == 1
-
-    def test_cancel_terminal_job_returns_false(self):
-        with Scheduler(executor="inline", runner=ok_runner) as sched:
-            handle = sched.submit(spec(1))
-            handle.result(10)
-            assert not handle.cancel()
-
-
-class TestObservability:
-    def test_counters_and_spans_exported_via_obs(self):
-        from repro.obs import Observer, SpanEvent
-
-        observer = Observer(sample_interval_ns=0.0)
-        store = MemoryStore()
-        with Scheduler(executor="inline", runner=ok_runner, store=store,
-                       observer=observer) as sched:
-            sched.submit(spec(1)).result(10)
-            sched.submit(spec(1)).result(10)  # cache hit
-            names = observer.counter_names
-            assert "service.cache_hits" in names
-            assert "service.cache_misses" in names
-            assert "service.store.entries" in names
-            observer.sample(1.0)
-            row = dict(zip(names, observer.samples.last()[1]))
-        assert row["service.cache_hits"] == 1.0
-        assert row["service.cache_misses"] == 1.0
-        assert row["service.completed"] == 1.0
-        assert row["service.store.entries"] == 1.0
-        spans = [e for e in observer.events if isinstance(e, SpanEvent)
-                 and e.track == "service"]
-        assert len(spans) == 1  # one execution attempt, cache hit adds none
-        assert spans[0].args["outcome"] == "ok"
-
-    def test_retry_emits_instant_events(self):
-        from repro.obs import InstantEvent, Observer
-
-        observer = Observer(sample_interval_ns=0.0)
-
-        def flaky(s: JobSpec) -> dict:
-            if len([e for e in observer.events
-                    if isinstance(e, InstantEvent)]) == 0:
-                raise ValueError("first attempt fails")
-            return {}
-
-        with Scheduler(executor="inline", runner=flaky, observer=observer,
-                       backoff_base_s=0.01) as sched:
-            sched.submit(spec(1, max_retries=1)).result(10)
-        retries = [e for e in observer.events
-                   if isinstance(e, InstantEvent) and e.track == "service"]
-        assert len(retries) == 1
-        assert retries[0].args["reason"] == "err"
-
 
 class TestWorkerCrashIsolation:
     def test_crash_is_retried_and_recovers(self, tmp_path):
-        with Scheduler(executor="process", runner=crash_once_runner,
-                       backoff_base_s=0.01) as sched:
+        with Scheduler(executor="process", runner=crash_once_runner) as sched:
             handle = sched.submit(
                 spec(1, trace_dir=str(tmp_path), force_run=True,
                      max_retries=2)
@@ -475,8 +335,7 @@ class TestWorkerCrashIsolation:
                 return crash_once_runner(s)
             return {"bench": s.bench, "seed": s.seed}
 
-        with Scheduler(executor="process", runner=mixed, shards=2,
-                       backoff_base_s=0.01) as sched:
+        with Scheduler(executor="process", runner=mixed, shards=2) as sched:
             handles = []
             for i in range(3):
                 handles.append(sched.submit(
@@ -494,8 +353,7 @@ class TestWorkerCrashIsolation:
         assert stats["failed"] == 0
 
     def test_exhausted_crash_retries_fail_cleanly(self):
-        with Scheduler(executor="process", runner=crash_runner,
-                       backoff_base_s=0.01) as sched:
+        with Scheduler(executor="process", runner=crash_runner) as sched:
             handle = sched.submit(spec(1, max_retries=1))
             with pytest.raises(JobFailed) as exc:
                 handle.result(30)

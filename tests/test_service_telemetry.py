@@ -41,8 +41,9 @@ def _metered_runner(spec: JobSpec) -> dict:
     return _trivial_runner(spec)
 
 
-def _failing_runner(spec: JobSpec) -> dict:
-    raise RuntimeError("boom")
+def _crashing_runner(spec: JobSpec) -> dict:
+    """Die without reporting, like a worker killed mid-attempt."""
+    os._exit(13)
 
 
 def _specs(n: int) -> list[JobSpec]:
@@ -128,34 +129,21 @@ class TestCacheAndDedupOutcomes:
 class TestFailurePathMetrics:
     def test_retries_and_failed_outcome(self):
         registry = MetricsRegistry()
-        with Scheduler(shards=1, executor="inline", runner=_failing_runner,
-                       metrics=registry, breaker_threshold=None) as sched:
+        with Scheduler(shards=1, executor="process", runner=_crashing_runner,
+                       metrics=registry) as sched:
             spec = JobSpec(bench="b", policy="buddy", config="cfg",
-                           max_retries=2)
+                           max_retries=1)
             handle = sched.submit(spec)
-            handle.wait(30)
+            handle.wait(60)
         snap = registry.snapshot()
         assert find_metric(snap, "counters", "sched.retries",
-                           reason="err")["value"] == 2
+                           reason="crash")["value"] == 1
         assert find_metric(snap, "counters", "sched.jobs",
                            outcome="failed")["value"] == 1
-        assert find_metric(snap, "histograms", "sched.backoff_s")["count"] == 2
         attempts = merge_named_histograms(snap, "sched.attempt_s")
-        assert attempts["count"] == 3
-
-    def test_breaker_state_gauge_tracks_open(self):
-        registry = MetricsRegistry()
-        with Scheduler(shards=1, executor="inline", runner=_failing_runner,
-                       metrics=registry, breaker_threshold=2,
-                       breaker_cooldown_s=60.0) as sched:
-            for i in range(2):
-                sched.submit(JobSpec(bench=f"b{i}", policy="buddy",
-                                     config="cfg", max_retries=0)).wait(30)
-        snap = registry.snapshot()
-        assert find_metric(snap, "gauges", "sched.breaker_state",
-                           shard=0)["value"] == 2.0  # open
-        assert find_metric(snap, "counters", "sched.breaker_transitions",
-                           to="open", shard=0)["value"] == 1
+        assert attempts["count"] == 2
+        assert find_metric(snap, "histograms", "sched.attempt_s",
+                           shard=0, outcome="crash")["count"] == 2
 
 
 class TestMetricsOff:
