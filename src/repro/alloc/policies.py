@@ -35,42 +35,6 @@ class Policy(enum.Enum):
     LLC_MEM_PART = "llc+mem(part)"
 
     @property
-    def colors_memory(self) -> bool:
-        """Whether tasks receive bank (memory) colors under this policy."""
-        return self in (
-            Policy.BPM,
-            Policy.MEM,
-            Policy.MEM_LLC,
-            Policy.MEM_LLC_PART,
-            Policy.LLC_MEM_PART,
-        )
-
-    @property
-    def colors_llc(self) -> bool:
-        """Whether tasks receive LLC colors under this policy."""
-        return self in (
-            Policy.BPM,
-            Policy.LLC,
-            Policy.MEM_LLC,
-            Policy.MEM_LLC_PART,
-            Policy.LLC_MEM_PART,
-        )
-
-    @property
-    def controller_aware(self) -> bool:
-        """Whether bank colors are constrained to each thread's local node.
-
-        This is TintMalloc's distinguishing property; BPM colors banks but
-        ignores the controller.
-        """
-        return self in (
-            Policy.MEM,
-            Policy.MEM_LLC,
-            Policy.MEM_LLC_PART,
-            Policy.LLC_MEM_PART,
-        )
-
-    @property
     def label(self) -> str:
         return self.value
 

@@ -2,7 +2,7 @@
 
 from repro.analysis.charts import bar_chart, grouped_bar_chart, series_table
 from repro.analysis.compare import Comparison, compare, comparison_table
-from repro.analysis.stats import Aggregate, aggregate, normalize_to
+from repro.analysis.stats import Aggregate, aggregate
 
 __all__ = [
     "bar_chart",
@@ -13,5 +13,4 @@ __all__ = [
     "comparison_table",
     "Aggregate",
     "aggregate",
-    "normalize_to",
 ]

@@ -49,13 +49,6 @@ def aggregate(values: Sequence[float]) -> Aggregate:
     )
 
 
-def normalize_to(agg: Aggregate, base: float) -> Aggregate:
-    """Normalise an aggregate by a baseline value (e.g. buddy's mean)."""
-    if base <= 0:
-        raise ValueError("baseline must be positive")
-    return agg.scaled(1.0 / base)
-
-
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")

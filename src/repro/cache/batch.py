@@ -44,29 +44,3 @@ def set_index_batch(
         return lines & set_mask
     return (lines ^ (lines >> index_bits) ^ (lines >> (2 * index_bits))) \
         & set_mask
-
-
-def cold_miss_mask(lines: np.ndarray) -> np.ndarray:
-    """Bulk-classify guaranteed cold misses in a line-address sequence.
-
-    Element ``i`` is True when ``lines[i]`` appears for the first time in
-    the sequence.  Against an *initially empty* cache (and absent
-    prefetching), a first touch can never hit at any level, so this mask
-    is an exact bulk lower bound on misses; repeat touches remain
-    "unknown" (their outcome depends on LRU state) and must be replayed.
-    Used for trace analysis and coverage accounting (how much of a
-    section is classifiable without state), not on the replay hot path —
-    the replay must walk repeat touches anyway.
-
-    Args:
-        lines: int64 array of line addresses in access order.
-
-    Returns:
-        Boolean array aligned with ``lines``; True = first occurrence.
-    """
-    lines = np.asarray(lines, dtype=np.int64)
-    mask = np.zeros(lines.shape, dtype=bool)
-    if lines.size:
-        _, first = np.unique(lines, return_index=True)
-        mask[first] = True
-    return mask

@@ -76,14 +76,6 @@ class Cache:
             return folded & self._set_mask
         return line_addr & self._set_mask
 
-    def set_index_of(self, paddr: int) -> int:
-        """Set index of a byte address."""
-        return self.set_of_line(paddr >> self._offset_bits)
-
-    def line_addr_of(self, paddr: int) -> int:
-        """Line address (tag) of a byte address."""
-        return paddr >> self._offset_bits
-
     # ------------------------------------------------------------------ ops
     def lookup(self, line_addr: int, is_write: bool) -> bool:
         """Probe the cache; on a hit refresh LRU and maybe set dirty."""

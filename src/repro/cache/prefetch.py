@@ -58,11 +58,6 @@ class StridePrefetcher:
         self._last_line = line_addr
         return prefetches
 
-    @property
-    def accuracy_hint(self) -> float:
-        """Fraction of issued prefetches later hit by demand accesses."""
-        return self.useful / self.issued if self.issued else 0.0
-
     def reset(self) -> None:
         """Forget the stride history and zero the issue counters."""
         self._last_line = None

@@ -71,7 +71,3 @@ class Interconnect:
         self._link_busy[link] = start + self._occupancy[core][node]
         self.remote_transfers += 1
         return start + self._prop[core][node], hops
-
-    def return_latency(self, core: int, node: int) -> float:
-        """One-way latency of the response path (no queueing modelled)."""
-        return self._prop[core][node]

@@ -35,41 +35,6 @@ def write_csv(records: Sequence[RunRecord], path: str) -> None:
         fh.write(records_to_csv(records))
 
 
-def read_csv(path: str) -> list[RunRecord]:
-    """Load run records back from a CSV written by :func:`write_csv`.
-
-    Per-thread vectors are not serialised to CSV; records read back carry
-    single-element tuples holding the mean, which is sufficient for the
-    aggregate figures (11/12) but not the per-thread ones (13/14).
-    """
-    records = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            runtime = float(row["runtime"])
-            idle = float(row["total_idle"])
-            records.append(
-                RunRecord(
-                    bench=row["bench"],
-                    policy=row["policy"],
-                    config=row["config"],
-                    rep=int(row["rep"]),
-                    runtime=runtime,
-                    parallel_runtime=float(row["parallel_runtime"]),
-                    serial_runtime=float(row["serial_runtime"]),
-                    total_idle=idle,
-                    thread_runtimes=(runtime,),
-                    thread_idles=(idle,),
-                    remote_fraction=float(row["remote_fraction"]),
-                    row_hit_rate=float(row["row_hit_rate"]),
-                    row_conflicts=int(row["row_conflicts"]),
-                    llc_miss_rate=float(row["llc_miss_rate"]),
-                    dram_accesses=int(row["dram_accesses"]),
-                    faults=int(row["faults"]),
-                )
-            )
-    return records
-
-
 @dataclass(frozen=True)
 class Claim:
     """One paper claim checked against the reproduction.

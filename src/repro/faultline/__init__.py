@@ -26,7 +26,6 @@ dumps any failing plan as a replayable JSON artifact.
 """
 
 from repro.faultline.faults import (
-    FrameExhaustionFault,
     InjectedFault,
     InjectedMmapError,
     StoreIOFault,
@@ -47,7 +46,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FrameExhaustionFault",
     "InjectedFault",
     "InjectedMmapError",
     "StoreIOFault",

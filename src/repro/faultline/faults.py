@@ -34,14 +34,3 @@ class WorkerKillFault(InjectedFault):
 
 class InjectedMmapError(InjectedFault, OSError):
     """Simulated ``mmap()`` failure (the kernel's ENOMEM path)."""
-
-
-class FrameExhaustionFault(InjectedFault):
-    """Marker type for simulated frame-pool exhaustion.
-
-    The page-allocator hook does not raise this — it makes
-    ``alloc_pages`` return None so the kernel's real
-    ``OutOfMemory``/``OutOfColoredMemory`` handling runs — but campaign
-    reports use the class name to label the fault class.
-    """
-

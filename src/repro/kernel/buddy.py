@@ -229,9 +229,6 @@ class BuddyAllocator:
     def free_blocks(self, order: int) -> int:
         return self._live[order]
 
-    def is_empty(self, order: int) -> bool:
-        return not self._live[order]
-
     def largest_free_order(self) -> int | None:
         for order in range(MAX_ORDER, -1, -1):
             if self._live[order]:

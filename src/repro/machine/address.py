@@ -27,8 +27,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.util.intmath import mask
-
 #: Decode order used by the controller and by Eq. (1)'s mixed radix.
 DRAM_FIELDS = ("node", "channel", "rank", "bank")
 
@@ -42,101 +40,6 @@ class PhysicalLocation:
     rank: int
     bank: int
     row: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        """Return ``(node, channel, rank, bank, row)`` as a plain tuple."""
-        return (self.node, self.channel, self.rank, self.bank, self.row)
-
-
-class DecodedAddress:
-    """Page-invariant decode of one physical frame (memo entry).
-
-    Every DRAM field bit and every LLC color bit of the coloring presets
-    lies at or above the page offset (:meth:`AddressMapping.
-    frame_colors_invariant`), so *node, channel, rank, bank, bank color,
-    LLC color* are properties of the frame, not of the byte address.
-    :meth:`AddressMapping.frame_decode` computes this object once per
-    frame and memoizes it.  It is the documented field-by-field decoder;
-    the DRAM hot paths route from :meth:`AddressMapping.frame_color_table`
-    instead.
-
-    Attributes:
-        pfn: page frame number this decode belongs to.
-        node: memory controller (0 .. num_nodes-1).
-        channel: channel within the controller.
-        rank: rank within the channel.
-        bank: bank within the rank.
-        bank_color: Eq. (1) mixed-radix color over (node, channel, rank,
-            bank); globally unique bank identifier.
-        llc_color: LLC page color (the paper's 32-color set-index slice).
-    """
-
-    __slots__ = ("pfn", "node", "channel", "rank", "bank", "bank_color",
-                 "llc_color")
-
-    def __init__(
-        self, pfn: int, node: int, channel: int, rank: int, bank: int,
-        bank_color: int, llc_color: int,
-    ) -> None:
-        self.pfn = pfn
-        self.node = node
-        self.channel = channel
-        self.rank = rank
-        self.bank = bank
-        self.bank_color = bank_color
-        self.llc_color = llc_color
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DecodedAddress(pfn={self.pfn:#x}, node={self.node}, "
-            f"channel={self.channel}, rank={self.rank}, bank={self.bank}, "
-            f"bank_color={self.bank_color}, llc_color={self.llc_color})"
-        )
-
-
-class DecodedBatch:
-    """Array-of-frames analogue of :class:`DecodedAddress` (slots class).
-
-    Produced by :meth:`AddressMapping.decode_batch`; every attribute is an
-    int64 numpy array aligned with the input frame array.  Element ``i``
-    carries exactly the values ``frame_decode(pfns[i])`` would.
-
-    Attributes:
-        pfns: the decoded frame numbers (as passed in, int64).
-        node: memory controller per frame.
-        channel: channel within the controller, per frame.
-        rank: rank within the channel, per frame.
-        bank: bank within the rank, per frame.
-        bank_color: Eq. (1) mixed-radix bank color per frame.
-        llc_color: LLC page color per frame.
-    """
-
-    __slots__ = ("pfns", "node", "channel", "rank", "bank", "bank_color",
-                 "llc_color")
-
-    def __init__(
-        self, pfns: np.ndarray, node: np.ndarray, channel: np.ndarray,
-        rank: np.ndarray, bank: np.ndarray, bank_color: np.ndarray,
-        llc_color: np.ndarray,
-    ) -> None:
-        self.pfns = pfns
-        self.node = node
-        self.channel = channel
-        self.rank = rank
-        self.bank = bank
-        self.bank_color = bank_color
-        self.llc_color = llc_color
-
-    def __len__(self) -> int:
-        return len(self.pfns)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DecodedBatch(n={len(self.pfns)})"
-
-
-def _field_extractor(positions: tuple[int, ...]):
-    """Build masks/shifts to gather scattered bit ``positions`` (LSB-first)."""
-    return tuple((1 << p, p, i) for i, p in enumerate(positions))
 
 
 @dataclass(frozen=True)
@@ -182,11 +85,6 @@ class AddressMapping:
         # Row: bits above the highest field bit, by default.
         start = self.row_bits_start or (max(seen) + 1 if seen else self.page_bits)
         object.__setattr__(self, "row_bits_start", start)
-        # Per-instance frame-decode memo (pfn -> DecodedAddress).  The
-        # mapping itself is immutable, so entries never go stale for this
-        # instance; a *different* mapping is a different object with its
-        # own, initially empty cache.
-        object.__setattr__(self, "_frame_decode_cache", {})
         # Memo of compatible_llc_colors (bank color -> tuple), per instance.
         object.__setattr__(self, "_compat_llc_rows", {})
 
@@ -279,8 +177,8 @@ class AddressMapping:
     def decode(self, paddr: int) -> PhysicalLocation:
         """Full field extraction -> (node, channel, rank, bank, row).
 
-        Per-call scalar decode; steady-state code should use
-        :meth:`frame_decode`, which memoizes per frame.
+        Per-call scalar decode: the reference that the vectorised frame
+        color table (:meth:`frame_color_table`) is tested against.
         """
         self._check_paddr(paddr)
         return PhysicalLocation(
@@ -440,99 +338,7 @@ class AddressMapping:
         """LLC color of frame ``pfn``."""
         return self.llc_color(pfn << self.page_bits)
 
-    # --- memoized per-frame decode ----------------------------------------------
-    def frame_decode(self, pfn: int) -> DecodedAddress:
-        """Decode frame ``pfn`` once; later calls return the memo entry.
-
-        All DRAM field bits and LLC color bits of the coloring presets are
-        page-invariant, so the result is exact for every byte address
-        inside the frame.  Row numbers are *not* included — with
-        ``row_bits_start`` below ``page_bits`` they could vary within a
-        frame, and the row is a single shift for the caller anyway.
-
-        Entries are cached per :class:`AddressMapping` instance in a plain
-        dict (only frames actually touched are decoded).  The cache needs
-        no time-based invalidation because the mapping is frozen; swapping
-        in a different mapping (a re-probed machine) swaps in a fresh,
-        empty cache with it.
-
-        Args:
-            pfn: page frame number (``paddr >> page_bits``).
-
-        Returns:
-            The memoized :class:`DecodedAddress` for the frame.
-        """
-        cached = self._frame_decode_cache.get(pfn)
-        if cached is not None:
-            return cached
-        paddr = pfn << self.page_bits
-        self._check_paddr(paddr)
-        node = self.extract(paddr, "node")
-        channel = self.extract(paddr, "channel")
-        rank = self.extract(paddr, "rank")
-        bank = self.extract(paddr, "bank")
-        decoded = DecodedAddress(
-            pfn=pfn, node=node, channel=channel, rank=rank, bank=bank,
-            bank_color=self.compose_bank_color(node, channel, rank, bank),
-            llc_color=self.llc_color(paddr),
-        )
-        self._frame_decode_cache[pfn] = decoded
-        return decoded
-
-    @property
-    def frame_decode_cache_size(self) -> int:
-        """Number of frames currently memoized by :meth:`frame_decode`."""
-        return len(self._frame_decode_cache)
-
-    def clear_frame_decode_cache(self) -> None:
-        """Drop all memoized frame decodes (frees memory; never required
-        for correctness, since the mapping is immutable)."""
-        self._frame_decode_cache.clear()
-
     # --- vectorised decode -------------------------------------------------------
-    def decode_batch(self, pfns: np.ndarray) -> "DecodedBatch":
-        """Vectorised :meth:`frame_decode` over an array of frame numbers.
-
-        Decodes every frame in ``pfns`` with numpy bit arithmetic — the
-        same gather/compose math as the scalar path, so each element is
-        bit-identical to ``frame_decode(pfn)`` (a property test in
-        ``tests/test_address_decode_batch.py`` holds the two together).
-        Unlike :meth:`frame_decode` this performs no per-frame memoisation:
-        batch decoding is already one pass of array ops.  Replay needs
-        only bank colors and gathers them from :meth:`frame_color_table`
-        (:meth:`frame_bank_colors`); this decoder is its test oracle.
-
-        Args:
-            pfns: integer array of page frame numbers (any shape;
-                duplicates allowed; may be empty).
-
-        Returns:
-            A :class:`DecodedBatch` of int64 arrays, one entry per input
-            frame, in input order.
-
-        Raises:
-            ValueError: if any frame number lies outside physical memory.
-        """
-        pfns = np.asarray(pfns, dtype=np.int64)
-        self._check_pfns(pfns)
-        paddrs = pfns << self.page_bits
-        node = self._gather_vec(paddrs, self.fields["node"])
-        channel = self._gather_vec(paddrs, self.fields["channel"])
-        rank = self._gather_vec(paddrs, self.fields["rank"])
-        bank = self._gather_vec(paddrs, self.fields["bank"])
-        bank_color = (
-            (node * self.num_channels + channel) * self.num_ranks + rank
-        ) * self.num_banks + bank
-        return DecodedBatch(
-            pfns=pfns,
-            node=node,
-            channel=channel,
-            rank=rank,
-            bank=bank,
-            bank_color=bank_color,
-            llc_color=self._gather_vec(paddrs, self.llc_color_positions),
-        )
-
     def _gather_vec(self, paddrs: np.ndarray, positions: Iterable[int]) -> np.ndarray:
         out = np.zeros(paddrs.shape, dtype=np.int64)
         for i, p in enumerate(positions):
@@ -663,9 +469,10 @@ class MappingScheme:
     which the kernel's per-node frame ranges rely on
     (:meth:`node_field_on_top`).
 
-    :meth:`build` returns an ordinary :class:`AddressMapping`, so scalar
-    :meth:`AddressMapping.frame_decode` and vectorised
-    :meth:`AddressMapping.decode_batch` work unchanged for every scheme.
+    :meth:`build` returns an ordinary :class:`AddressMapping`, so the
+    scalar :meth:`AddressMapping.decode` and the per-frame
+    :meth:`AddressMapping.frame_color_table` work unchanged for every
+    scheme.
     """
 
     name: str

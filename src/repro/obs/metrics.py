@@ -146,10 +146,6 @@ class Histogram:
             self.buckets[index] = self.buckets.get(index, 0) + 1
 
     # ------------------------------------------------------------- quantiles
-    def _bucket_mid(self, index: int) -> float:
-        e, s = divmod(index, self.sub)
-        return math.ldexp(1.0 + (s + 0.5) / self.sub, e - 1)
-
     def quantile(self, q: float) -> float | None:
         """The q-quantile (0..1) from bucket counts, or None when empty.
 
@@ -405,32 +401,6 @@ def write_snapshot(path: "str | Path", snapshot: dict) -> Path:
     else:
         path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
     return path
-
-
-# ----------------------------------------------------------------- JSONL form
-def snapshot_to_jsonl(snapshot: dict) -> str:
-    """One instrument per line (archival / diff-friendly form)."""
-    lines = []
-    for kind, type_name in (("counters", "counter"), ("gauges", "gauge"),
-                            ("histograms", "histogram")):
-        for m in snapshot.get(kind, ()):
-            lines.append(json.dumps({"type": type_name, **m}, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def snapshot_from_jsonl(text: str) -> dict:
-    """Inverse of :func:`snapshot_to_jsonl` (round-trips exactly)."""
-    out: dict = {"counters": [], "gauges": [], "histograms": []}
-    kinds = {"counter": "counters", "gauge": "gauges",
-             "histogram": "histograms"}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        doc = json.loads(line)
-        kind = kinds[doc.pop("type")]
-        out[kind].append(doc)
-    return out
 
 
 # ------------------------------------------------------------------- ambient

@@ -261,38 +261,3 @@ def differential_run(
         total_divergent=total,
         analytic=analytic_violations(reference_metrics),
     )
-
-
-def differential_benchmark(
-    bench: str,
-    policy,
-    config: str = "16_threads_4_nodes",
-    profile: str = "mini",
-    seed: int = 0,
-) -> DiffReport:
-    """Differential-run one registered benchmark (fig. 10/11 workloads).
-
-    Imports the experiment runner locally: ``experiments.runner`` imports
-    this package for its ``--sanitize`` flag, so a module-level import
-    here would be a cycle.
-    """
-    from repro.experiments.configs import CONFIGS
-    from repro.experiments.runner import (
-        _fresh_environment,
-        profile_machine,
-        profile_scale,
-    )
-    from repro.util.rng import RngStream
-    from repro.workloads.base import build_spmd_program
-    from repro.workloads.registry import get_workload
-
-    def builder(observer: BaseObserver):
-        team, engine = _fresh_environment(
-            CONFIGS[config], policy, profile_machine(profile),
-            age_seed=seed, observer=observer,
-        )
-        spec = get_workload(bench).scaled(profile_scale(profile))
-        program = build_spmd_program(spec, team, RngStream(seed, bench, config))
-        return engine, program
-
-    return differential_run(builder)

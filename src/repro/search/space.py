@@ -189,14 +189,6 @@ class SearchSpace:
             self.mapping, self.topology, nthreads=self.nthreads
         )
 
-    def is_valid(self, genome: Genome) -> bool:
-        """Whether :meth:`validate` passes (no exception)."""
-        try:
-            self.validate(genome)
-        except ValueError:
-            return False
-        return True
-
     # ----------------------------------------------------------- seed points
     def paper_genome(self, policy: Policy) -> Genome:
         """Encode one of the paper's named policies as a genome."""

@@ -235,10 +235,12 @@ class Scheduler:
 
         Written through under ``digest``, so later lookups of this spec
         (a warm rerun, another scheduler on the same store) hit directly.
-        None when no twin completed here or its record cannot be read.
+        None when no twin completed here or its record cannot be read;
+        also when the twin is ``spec`` itself, whose entry the caller's
+        own lookup just missed.
         """
         twin = self._twins.get(spec.evaluation_digest())
-        if twin is None:
+        if twin is None or twin == digest:
             return None
         record = self._store_get(twin)
         if record is None:

@@ -11,7 +11,6 @@ from repro.sim.barrier import Program, Section
 from repro.sim.engine import Engine, MemorySystem
 from repro.sim.metrics import RunMetrics, SectionMetrics, ThreadMetrics
 from repro.sim.trace import Trace
-from repro.sim.tracefile import load_program, rebase_program, save_program
 
 __all__ = [
     "Program",
@@ -22,7 +21,4 @@ __all__ = [
     "SectionMetrics",
     "ThreadMetrics",
     "Trace",
-    "load_program",
-    "rebase_program",
-    "save_program",
 ]

@@ -57,33 +57,3 @@ class Trace:
         else:
             think = [float(self.think_ns)] * len(self)
         return self.vaddrs.tolist(), self.writes.tolist(), think
-
-    @staticmethod
-    def concat(traces: "list[Trace]", label: str | None = None) -> "Trace":
-        """Concatenate traces back-to-back (per-access think preserved).
-
-        An explicitly passed ``label`` (including ``""``) always names
-        the result; only when omitted are the input labels joined with
-        ``+``.  Empty and non-empty inputs follow the same rule.
-        """
-        if label is None:
-            label = "+".join(filter(None, (t.label for t in traces)))
-        if not traces:
-            return Trace(np.empty(0, np.int64), np.empty(0, bool), 0.0, label)
-        thinks = []
-        for t in traces:
-            if isinstance(t.think_ns, np.ndarray):
-                thinks.append(np.asarray(t.think_ns, dtype=float))
-            else:
-                thinks.append(np.full(len(t), float(t.think_ns)))
-        return Trace(
-            vaddrs=np.concatenate([t.vaddrs for t in traces]),
-            writes=np.concatenate([t.writes for t in traces]),
-            think_ns=np.concatenate(thinks),
-            label=label,
-        )
-
-
-def empty_trace(label: str = "") -> Trace:
-    """A zero-access trace (placeholder for threads idle in a section)."""
-    return Trace(np.empty(0, np.int64), np.empty(0, bool), 0.0, label)

@@ -1,12 +1,15 @@
-"""Property tests pinning ``decode_batch`` to scalar ``frame_decode``.
+"""Property tests pinning the batched frame colors to the scalar decode.
 
 The batched engine plans whole sections through
-:meth:`AddressMapping.decode_batch`; its bit-identity contract is that
-every element of every output array equals the corresponding scalar
-:meth:`AddressMapping.frame_decode` field.  These tests enforce that
-across all machine presets with hypothesis-generated frame batches, plus
-the empty-batch and single-element edge cases the vectorized path is
-most likely to get wrong.
+:meth:`AddressMapping.frame_bank_colors`, a gather from the per-frame
+:meth:`AddressMapping.frame_color_table`; its bit-identity contract is
+that every element equals the bank color composed from the scalar
+:meth:`AddressMapping.decode` of the frame's base address, and that the
+LLC color table equals the scalar :meth:`AddressMapping.llc_color`.
+These tests enforce that across all machine presets with
+hypothesis-generated frame batches, plus the empty-batch,
+single-element and out-of-range edge cases a vectorized gather is most
+likely to get wrong.
 """
 
 import numpy as np
@@ -35,23 +38,21 @@ def mapping_fixture(request):
 
 
 def assert_matches_scalar(mapping, pfns):
-    """Every batch field must equal the scalar decode, element-wise."""
-    batch = mapping.decode_batch(np.asarray(pfns, dtype=np.int64))
-    assert len(batch) == len(pfns)
+    """Every batched color must equal the scalar decode, element-wise."""
+    bank_colors = mapping.frame_bank_colors(np.asarray(pfns, dtype=np.int64))
+    _, llc_table = mapping.frame_color_table()
+    assert len(bank_colors) == len(pfns)
     for i, pfn in enumerate(pfns):
-        scalar = mapping.frame_decode(pfn)
-        assert batch.pfns[i] == scalar.pfn
-        assert batch.node[i] == scalar.node
-        assert batch.channel[i] == scalar.channel
-        assert batch.rank[i] == scalar.rank
-        assert batch.bank[i] == scalar.bank
-        assert batch.bank_color[i] == scalar.bank_color
-        assert batch.llc_color[i] == scalar.llc_color
+        loc = mapping.decode(pfn << mapping.page_bits)
+        assert bank_colors[i] == mapping.compose_bank_color(
+            loc.node, loc.channel, loc.rank, loc.bank
+        )
+        assert llc_table[pfn] == mapping.llc_color(pfn << mapping.page_bits)
 
 
 class TestDecodeBatchProperties:
-    # The mapping fixture is frozen (decode memo aside), so reusing it
-    # across generated examples is sound.
+    # The mapping fixture is frozen (color-table memo aside), so reusing
+    # it across generated examples is sound.
     @settings(
         max_examples=40,
         deadline=None,
@@ -81,13 +82,8 @@ class TestDecodeBatchProperties:
         assert_matches_scalar(mapping, [pfn])
 
     def test_empty_batch(self, mapping):
-        batch = mapping.decode_batch(np.asarray([], dtype=np.int64))
-        assert len(batch) == 0
-        for field in (
-            batch.pfns, batch.node, batch.channel, batch.rank,
-            batch.bank, batch.bank_color, batch.llc_color,
-        ):
-            assert field.size == 0
+        bank_colors = mapping.frame_bank_colors(np.asarray([], dtype=np.int64))
+        assert bank_colors.size == 0
 
     def test_boundary_frames(self, mapping):
         """First and last frames of physical memory decode correctly."""
@@ -95,14 +91,15 @@ class TestDecodeBatchProperties:
 
     def test_duplicate_frames_decode_identically(self, mapping):
         pfn = mapping.num_frames // 2
-        batch = mapping.decode_batch(np.asarray([pfn, pfn], dtype=np.int64))
-        assert batch.bank_color[0] == batch.bank_color[1]
-        assert batch.llc_color[0] == batch.llc_color[1]
+        bank_colors = mapping.frame_bank_colors(
+            np.asarray([pfn, pfn], dtype=np.int64)
+        )
+        assert bank_colors[0] == bank_colors[1]
 
     def test_out_of_range_rejected(self, mapping):
-        with pytest.raises(ValueError):
-            mapping.decode_batch(
+        with pytest.raises(ValueError, match="outside physical memory"):
+            mapping.frame_bank_colors(
                 np.asarray([mapping.num_frames], dtype=np.int64)
             )
-        with pytest.raises(ValueError):
-            mapping.decode_batch(np.asarray([-1], dtype=np.int64))
+        with pytest.raises(ValueError, match="outside physical memory"):
+            mapping.frame_bank_colors(np.asarray([-1], dtype=np.int64))

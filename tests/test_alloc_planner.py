@@ -160,13 +160,3 @@ class TestValidation:
     def test_empty_team_rejected(self, machine):
         with pytest.raises(ValueError):
             plan(Policy.MEM, [], machine)
-
-
-class TestPolicyFlags:
-    def test_flags_match_definitions(self):
-        assert Policy.BUDDY.colors_memory is False
-        assert Policy.BPM.colors_memory and Policy.BPM.colors_llc
-        assert not Policy.BPM.controller_aware
-        assert Policy.MEM_LLC.controller_aware
-        assert Policy.LLC.colors_llc and not Policy.LLC.colors_memory
-        assert Policy.MEM.colors_memory and not Policy.MEM.colors_llc

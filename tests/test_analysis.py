@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.charts import bar_chart, grouped_bar_chart, series_table
-from repro.analysis.stats import Aggregate, aggregate, mean, normalize_to
+from repro.analysis.stats import aggregate, mean
 
 
 class TestAggregate:
@@ -23,15 +23,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
-
-    def test_normalize(self):
-        a = normalize_to(aggregate([2.0, 4.0]), base=2.0)
-        assert a.mean == 1.5
-        assert a.min == 1.0
-
-    def test_normalize_bad_base(self):
-        with pytest.raises(ValueError):
-            normalize_to(aggregate([1.0]), 0.0)
 
     def test_mean_helper(self):
         assert mean([1.0, 3.0]) == 2.0

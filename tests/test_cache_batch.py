@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.batch import cold_miss_mask, set_index_batch
+from repro.cache.batch import set_index_batch
 from repro.cache.cache import Cache
 from repro.machine.topology import CacheGeometry
 
@@ -44,20 +44,3 @@ class TestSetIndexBatch:
     def test_empty(self):
         got = set_index_batch(np.asarray([], dtype=np.int64), 4, 15, True)
         assert got.size == 0
-
-
-class TestColdMissMask:
-    @settings(max_examples=60, deadline=None)
-    @given(lines=LINE_ADDRS)
-    def test_marks_exactly_first_occurrences(self, lines):
-        mask = cold_miss_mask(np.asarray(lines, dtype=np.int64))
-        seen: set[int] = set()
-        for line, flag in zip(lines, mask.tolist()):
-            assert flag == (line not in seen)
-            seen.add(line)
-
-    def test_empty(self):
-        assert cold_miss_mask(np.asarray([], dtype=np.int64)).size == 0
-
-    def test_all_unique(self):
-        assert cold_miss_mask(np.asarray([3, 1, 2], dtype=np.int64)).all()

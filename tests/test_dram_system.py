@@ -99,13 +99,25 @@ def test_bank_index_routes_every_frame(preset):
     mapping = spec.mapping
     dram = DramSystem(mapping, spec.topology, T)
     table = mapping.frame_color_table()[0]
-    decoded = mapping.decode_batch(np.arange(mapping.num_frames))
-    assert np.array_equal(table, decoded.bank_color)
+    paddrs = np.arange(mapping.num_frames, dtype=np.int64) << mapping.page_bits
+
+    def field(name):
+        out = np.zeros(paddrs.shape, dtype=np.int64)
+        for i, p in enumerate(mapping.fields[name]):
+            out |= ((paddrs >> p) & 1) << i
+        return out
+
+    node, channel = field("node"), field("channel")
+    bank_color = (
+        (node * mapping.num_channels + channel) * mapping.num_ranks
+        + field("rank")
+    ) * mapping.num_banks + field("bank")
+    assert np.array_equal(table, bank_color)
     assert np.array_equal(np.asarray(dram.frame_bank), table)
-    assert np.array_equal(np.asarray(dram._bank_node)[table], decoded.node)
+    assert np.array_equal(np.asarray(dram._bank_node)[table], node)
     assert np.array_equal(
         np.asarray(dram._bank_chan)[table],
-        decoded.node * mapping.num_channels + decoded.channel,
+        node * mapping.num_channels + channel,
     )
     # Built once per mapping instance, and nobody can write to it.
     assert mapping.frame_color_table()[0] is table

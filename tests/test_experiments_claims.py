@@ -1,5 +1,7 @@
 """Unit tests for the claims evaluator and EXPERIMENTS.md generator."""
 
+import csv
+
 import pytest
 
 from repro.experiments.claims import (
@@ -8,7 +10,7 @@ from repro.experiments.claims import (
     evaluate_main_claims,
 )
 from repro.experiments.experiments_md import write_experiments_md
-from repro.experiments.report import read_csv, write_csv
+from repro.experiments.report import write_csv
 from repro.experiments.runner import RunRecord
 
 
@@ -141,8 +143,16 @@ class TestCsvRoundtrip:
         records = [record("lbm", "buddy", 123.0)]
         path = tmp_path / "r.csv"
         write_csv(records, str(path))
-        back = read_csv(str(path))
-        assert len(back) == 1
-        assert back[0].bench == "lbm"
-        assert back[0].runtime == pytest.approx(123.0)
-        assert back[0].faults == 5
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "bench", "policy", "config", "rep", "runtime", "parallel_runtime",
+            "serial_runtime", "total_idle", "remote_fraction", "row_hit_rate",
+            "row_conflicts", "llc_miss_rate", "dram_accesses", "faults",
+        ]
+        assert len(rows) == 1
+        assert rows[0]["bench"] == "lbm"
+        assert rows[0]["policy"] == "buddy"
+        assert float(rows[0]["runtime"]) == pytest.approx(123.0)
+        assert rows[0]["faults"] == "5"

@@ -9,6 +9,8 @@ names every claim ID the evaluators produce.
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from repro.alloc.policies import Policy
@@ -25,7 +27,7 @@ from repro.experiments.figures import (
     fig13,
     fig14,
 )
-from repro.experiments.report import claims_table, read_csv, write_csv
+from repro.experiments.report import claims_table, write_csv
 from repro.experiments.runner import run_synthetic, sweep
 
 CONFIG = "4_threads_4_nodes"
@@ -81,13 +83,18 @@ class TestReportSmoke:
     def test_csv_roundtrip_preserves_aggregates(self, tiny_sweep, tmp_path):
         path = str(tmp_path / "sweep.csv")
         write_csv(tiny_sweep, path)
-        back = read_csv(path)
-        assert len(back) == len(tiny_sweep)
-        for orig, loaded in zip(tiny_sweep, back):
-            assert loaded.bench == orig.bench
-            assert loaded.policy == orig.policy
-            assert loaded.runtime == pytest.approx(orig.runtime)
-            assert loaded.dram_accesses == orig.dram_accesses
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames[:5] == [
+            "bench", "policy", "config", "rep", "runtime",
+        ]
+        assert len(rows) == len(tiny_sweep)
+        for orig, row in zip(tiny_sweep, rows):
+            assert row["bench"] == orig.bench
+            assert row["policy"] == orig.policy
+            assert float(row["runtime"]) == pytest.approx(orig.runtime)
+            assert int(row["dram_accesses"]) == orig.dram_accesses
 
     def test_claims_table_contains_every_claim_id(
         self, tiny_sweep, fig10_records

@@ -93,9 +93,9 @@ class TestStoreFaults:
                 # Every lookup fails, so even a resubmission that would
                 # have been a cache hit runs again; no job fails.
                 assert sched.submit(stub_spec(rep=0)).result(timeout=30)
-        # Three lookups, plus the resubmission's read of its completed
-        # twin (the first rep=0 run).
-        assert sched.counters["store_errors"] == 4
+        # Three lookups.  The resubmission's completed twin is the first
+        # rep=0 run, i.e. its own digest, so it is not read a second time.
+        assert sched.counters["store_errors"] == 3
         assert sched.counters["cache_hits"] == 0
         assert sched.counters["completed"] == 3
         assert len(store) == 2  # writes still land

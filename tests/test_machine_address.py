@@ -121,11 +121,23 @@ class TestFrameColors:
         )
         assert not m.frame_colors_invariant()
 
-    def test_frame_color_table_matches_scalar(self, mapping):
-        bank, llc = mapping.frame_color_table()
-        for pfn in (0, 1, 7777, mapping.num_frames - 1):
-            assert bank[pfn] == mapping.frame_bank_color(pfn)
-            assert llc[pfn] == mapping.frame_llc_color(pfn)
+    def test_frame_color_table_matches_scalar(self):
+        """Every platform's table and gather agree with the scalar codec."""
+        for name in sorted(PLATFORMS):
+            mapping = PLATFORMS[name]().mapping
+            bank, llc = mapping.frame_color_table()
+            sample = np.random.default_rng(0).integers(mapping.num_frames, size=64)
+            pfns = [0, 1, mapping.num_frames - 1, *sample.tolist()]
+            for pfn in pfns:
+                assert bank[pfn] == mapping.frame_bank_color(pfn), name
+                assert llc[pfn] == mapping.frame_llc_color(pfn), name
+            assert mapping.frame_bank_colors(np.asarray(pfns)).tolist() == [
+                mapping.frame_bank_color(pfn) for pfn in pfns
+            ], name
+            assert mapping.frame_bank_colors(np.asarray([], np.int64)).size == 0
+            for bad in (-1, mapping.num_frames):
+                with pytest.raises(ValueError, match="outside physical memory"):
+                    mapping.frame_bank_colors(np.asarray([bad]))
 
     def test_color_distribution_uniform(self):
         mapping = tiny_machine().mapping

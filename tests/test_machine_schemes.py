@@ -1,12 +1,13 @@
 """Property suite for the mapping-scheme layer and the platform family.
 
 For every scheme x preset: decode∘compose round-trips, DRAM field bits
-are mutually disjoint, scalar ``frame_decode`` agrees element-wise with
-the vectorised ``decode_batch``, and the bank-color space is exactly the
-node x channel x rank x bank product.  Scheme-built mappings additionally
-pin the structural contract the kernel relies on (node field on top, LLC
-colors contiguous at the page offset), and the ``OpteronFig5`` scheme
-must reproduce the paper's literal Fig. 5 bit placement.
+are mutually disjoint, the scalar decode agrees element-wise with the
+vectorised colors and the per-frame color table, and the bank-color
+space is exactly the node x channel x rank x bank product.  Scheme-built
+mappings additionally pin the structural contract the kernel relies on
+(node field on top, LLC colors contiguous at the page offset), and the
+``OpteronFig5`` scheme must reproduce the paper's literal Fig. 5 bit
+placement.
 """
 
 from __future__ import annotations
@@ -107,17 +108,14 @@ class TestPresetMappings:
 
     def test_frame_decode_matches_decode_batch(self, preset):
         m = PRESET_MAPPINGS[preset]
+        bank, llc = m.frame_color_table()
         rng = np.random.default_rng(13)
-        pfns = rng.integers(m.num_frames, size=256, dtype=np.int64)
-        batch = m.decode_batch(pfns)
-        for i, pfn in enumerate(pfns.tolist()):
-            d = m.frame_decode(pfn)
-            assert d.node == batch.node[i]
-            assert d.channel == batch.channel[i]
-            assert d.rank == batch.rank[i]
-            assert d.bank == batch.bank[i]
-            assert d.bank_color == batch.bank_color[i]
-            assert d.llc_color == batch.llc_color[i]
+        for pfn in rng.integers(m.num_frames, size=256).tolist():
+            loc = m.decode(pfn << m.page_bits)
+            assert bank[pfn] == m.compose_bank_color(
+                loc.node, loc.channel, loc.rank, loc.bank
+            )
+            assert llc[pfn] == m.llc_color(pfn << m.page_bits)
 
     def test_pci_probe_roundtrip(self, preset):
         """Every family mapping must survive the BIOS encode / boot probe."""
@@ -159,21 +157,15 @@ class TestSchemeBuilder:
         assert (loc.node, loc.channel, loc.rank, loc.bank) == (
             node, ch, rank, bank
         )
-        pfns = np.asarray(
-            data.draw(st.lists(
-                st.integers(0, m.num_frames - 1), min_size=1, max_size=64
-            )),
-            dtype=np.int64,
-        )
-        batch = m.decode_batch(pfns)
-        for i, pfn in enumerate(pfns.tolist()):
-            d = m.frame_decode(pfn)
-            assert (d.node, d.channel, d.rank, d.bank) == (
-                int(batch.node[i]), int(batch.channel[i]),
-                int(batch.rank[i]), int(batch.bank[i]),
-            )
-            assert d.bank_color == int(batch.bank_color[i])
-            assert d.llc_color == int(batch.llc_color[i])
+        pfns = data.draw(st.lists(
+            st.integers(0, m.num_frames - 1), min_size=1, max_size=64
+        ))
+        paddrs = np.asarray(pfns, dtype=np.int64) << m.page_bits
+        bank_colors = m.bank_color_vec(paddrs).tolist()
+        llc_colors = m.llc_color_vec(paddrs).tolist()
+        for i, p in enumerate(paddrs.tolist()):
+            assert bank_colors[i] == m.bank_color(p)
+            assert llc_colors[i] == m.llc_color(p)
 
     def test_opteron_fig5_scheme_reproduces_paper_layout(self):
         m = build_mapping(

@@ -1,6 +1,7 @@
 """Focused tests for smaller units: TaskStruct, DramStats, Policy,
 ColorMatrix counters, empty-trace sections."""
 
+import numpy as np
 import pytest
 
 from repro.alloc.policies import ALL_POLICIES, TINT_VARIANTS, Policy
@@ -11,7 +12,7 @@ from repro.kernel.frame import FramePool
 from repro.kernel.task import TaskStruct
 from repro.machine.presets import tiny_machine
 from repro.sim.barrier import Program, Section
-from repro.sim.trace import empty_trace
+from repro.sim.trace import Trace
 
 
 class TestTaskStruct:
@@ -88,15 +89,6 @@ class TestPolicyEnum:
         assert Policy.MEM_LLC not in TINT_VARIANTS
         assert len(TINT_VARIANTS) == 4
 
-    def test_bpm_colors_but_not_controller_aware(self):
-        assert Policy.BPM.colors_memory
-        assert Policy.BPM.colors_llc
-        assert not Policy.BPM.controller_aware
-
-    def test_buddy_colors_nothing(self):
-        assert not Policy.BUDDY.colors_memory
-        assert not Policy.BUDDY.colors_llc
-
 
 class TestColorMatrixCounters:
     def test_free_counts(self):
@@ -122,8 +114,9 @@ class TestEmptyTraceSections:
         tm = TintMalloc(machine=machine)
         team = ColoredTeam.create(tm, [0, 1], P.BUDDY)
         memory = MemorySystem.for_machine(machine)
+        empty = Trace(np.empty(0, np.int64), np.empty(0, bool), 0.0)
         program = Program(
-            sections=[Section("parallel", {0: empty_trace(), 1: empty_trace()})],
+            sections=[Section("parallel", {0: empty, 1: empty})],
             nthreads=2,
         )
         m = Engine(team, memory).run(program)

@@ -11,8 +11,6 @@ from repro.obs.metrics import (
     find_metric,
     quantile_from_snapshot,
     render_prometheus,
-    snapshot_from_jsonl,
-    snapshot_to_jsonl,
     write_snapshot,
 )
 
@@ -112,8 +110,6 @@ class TestSnapshotAndMerge:
         snap = MetricsRegistry().snapshot()
         assert snap == {"counters": [], "gauges": [], "histograms": []}
         assert render_prometheus(snap) == ""
-        assert snapshot_to_jsonl(snap) == ""
-        assert snapshot_from_jsonl("") == snap
 
     def test_merge_adds_counters_and_buckets(self):
         a, b = self._loaded(), self._loaded()
@@ -181,14 +177,6 @@ class TestExposition:
         assert prom.read_text() == render_prometheus(snap)
         doc = write_snapshot(tmp_path / "b" / "m.json", snap)
         assert json.loads(doc.read_text()) == snap
-
-    def test_jsonl_roundtrip(self):
-        reg = MetricsRegistry()
-        reg.counter("a", k="v").inc()
-        reg.gauge("b").set(2)
-        reg.histogram("c").observe(1.5)
-        snap = reg.snapshot()
-        assert snapshot_from_jsonl(snapshot_to_jsonl(snap)) == snap
 
 
 class TestAmbient:

@@ -1,13 +1,8 @@
-"""Hypothesis properties: memoized frame decode and LRU cache semantics.
+"""Hypothesis properties: LRU cache semantics.
 
-Two independent oracles:
-
-* :meth:`AddressMapping.frame_decode` (the engine's hot-path memo) must
-  agree with the non-memoized scalar decode for every frame — including
-  re-queries, which hit the memo dict rather than recomputing.
-* :class:`repro.cache.cache.Cache` (insertion-ordered dict tricks,
-  ``_ABSENT`` sentinel, inlined index math) must behave exactly like a
-  brute-force LRU model written with plain lists.
+:class:`repro.cache.cache.Cache` (insertion-ordered dict tricks,
+``_ABSENT`` sentinel, inlined index math) must behave exactly like a
+brute-force LRU model written with plain lists.
 """
 
 from __future__ import annotations
@@ -16,46 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
-from repro.machine.presets import opteron_6128, tiny_machine
 from repro.machine.topology import CacheGeometry
-from repro.util.units import MIB
-
-from tests.test_properties_address import mappings
-
-
-class TestFrameDecodeMemo:
-    @settings(max_examples=40, deadline=None)
-    @given(mappings(), st.data())
-    def test_roundtrip_vs_scalar_decode(self, m, data):
-        """Memoized frame decode == scalar decode, first call and re-query."""
-        pfns = data.draw(st.lists(
-            st.integers(0, m.num_frames - 1), min_size=1, max_size=32
-        ))
-        for pfn in pfns + pfns:  # second pass re-queries the memo
-            got = m.frame_decode(pfn)
-            loc = m.decode(pfn << m.page_bits)
-            assert got.pfn == pfn
-            assert (got.node, got.channel, got.rank, got.bank) == (
-                loc.node, loc.channel, loc.rank, loc.bank
-            )
-            assert got.bank_color == m.frame_bank_color(pfn)
-            assert got.llc_color == m.frame_llc_color(pfn)
-        assert m.frame_decode_cache_size == len(set(pfns))
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.data())
-    def test_preset_mappings_roundtrip(self, data):
-        """Same property on the shipped presets the experiments run on."""
-        machine = data.draw(st.sampled_from([
-            tiny_machine(), opteron_6128(memory_bytes=128 * MIB),
-        ]))
-        m = machine.mapping
-        pfn = data.draw(st.integers(0, m.num_frames - 1))
-        got = m.frame_decode(pfn)
-        loc = m.decode(pfn << m.page_bits)
-        assert (got.node, got.channel, got.rank, got.bank) == (
-            loc.node, loc.channel, loc.rank, loc.bank
-        )
 
 
 class ModelLRU:

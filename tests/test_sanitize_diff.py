@@ -16,7 +16,6 @@ from repro.sanitize.diff import (
     FieldDiff,
     analytic_violations,
     diff_trees,
-    differential_benchmark,
     differential_run,
     flatten_tree,
     metrics_snapshot,
@@ -106,10 +105,6 @@ class TestDifferentialRun:
         assert report.first is not None
         with pytest.raises(SanitizeViolation):
             report.raise_on_divergence()
-
-    def test_benchmark_oracle_clean(self):
-        report = differential_benchmark("lbm", Policy.MEM_LLC)
-        assert report.clean, report.describe()
 
 
 class TestAnalyticModel:

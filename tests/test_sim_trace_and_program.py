@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.barrier import Program, Section
-from repro.sim.trace import Trace, empty_trace
+from repro.sim.trace import Trace
 
 
 def make_trace(n=10, think=1.0):
@@ -38,32 +38,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(np.zeros(3, np.int64), np.zeros(3, bool),
                   think_ns=np.array([1.0]))
-
-    def test_concat(self):
-        t = Trace.concat([make_trace(3, 1.0), make_trace(2, 5.0)])
-        assert len(t) == 5
-        assert t.total_think_ns == 3 * 1.0 + 2 * 5.0
-
-    def test_concat_empty(self):
-        assert len(Trace.concat([])) == 0
-
-    def test_concat_joins_labels_when_label_omitted(self):
-        a, b = make_trace(2), make_trace(2)
-        a.label, b.label = "a", "b"
-        assert Trace.concat([a, b]).label == "a+b"
-
-    def test_concat_explicit_label_always_wins(self):
-        """Regression: an explicit label (even "") must override joining."""
-        a, b = make_trace(2), make_trace(2)
-        a.label, b.label = "a", "b"
-        assert Trace.concat([a, b], label="joined").label == "joined"
-        assert Trace.concat([a, b], label="").label == ""
-        # Empty input behaves identically.
-        assert Trace.concat([], label="joined").label == "joined"
-        assert Trace.concat([]).label == ""
-
-    def test_empty_trace(self):
-        assert len(empty_trace()) == 0
 
 
 class TestSection:

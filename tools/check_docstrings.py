@@ -32,7 +32,7 @@ SRC = REPO_ROOT / "src"
 
 #: Packages whose public surface must be documented.  ``repro.cache``
 #: and ``repro.dram`` joined when the batch-kernel API (repro.cache.batch,
-#: AddressMapping.decode_batch) became public engine surface.
+#: AddressMapping.frame_color_table) became public engine surface.
 PACKAGES = (
     "repro.core",
     "repro.sim",
