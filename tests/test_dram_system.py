@@ -12,9 +12,11 @@ from repro.dram.system import DramSystem
 from repro.dram.timing import DramTiming
 from repro.kernel.kernel import Kernel
 from repro.machine.presets import PLATFORMS
+from repro.sanitize.fuzz import FUZZ_PRESETS
 from repro.sim.barrier import Section
 from repro.sim.engine import Engine, MemorySystem
 from repro.sim.trace import Trace
+from repro.util.units import MIB
 
 T = DramTiming()
 
@@ -202,6 +204,78 @@ class TestReset:
         assert all(b.open_row is None for b in system.banks)
         r = system.access(addr_on(tiny.mapping, 0), 0, 0.0)
         assert r.queue_wait == 0.0
+
+
+class TestFarTier:
+    """The reference path's disaggregated tier, on an idle machine whose
+    node 1 sits behind the network and a compute-side DRAM cache."""
+
+    @pytest.fixture
+    def far(self):
+        machine = FUZZ_PRESETS["tiny_disagg"](16 * MIB)
+        dram = DramSystem(
+            machine.mapping, machine.topology, T, remote=machine.remote
+        )
+        return dram, addr_on(machine.mapping, node=1)
+
+    @staticmethod
+    def _cached(dram, addr) -> bool:
+        line = addr >> dram.mapping.line_bits
+        cache = dram._remote_caches[1]
+        return line in cache._sets[line & (cache._num_sets - 1)]
+
+    @staticmethod
+    def _banks(dram) -> list:
+        return [
+            (b.busy_until, b.open_row, b.refresh_epoch, b.hits, b.misses,
+             b.conflicts)
+            for b in dram.banks
+        ]
+
+    def test_cold_miss_crosses_the_network(self, far):
+        dram, addr = far
+        tier = dram.remote
+        r = dram.access(addr, core=0, now=0.0)
+        assert r.latency == 2 * tier.network_ns + T.ctrl_overhead + T.row_miss
+        assert r.hops == 1
+        assert r.row_kind is RowKind.MISS
+        assert dram.stats.remote_cache_misses == 1
+        assert dram.stats.remote_accesses == 1
+        assert self._cached(dram, addr)
+
+    def test_repeat_is_a_dram_cache_hit(self, far):
+        dram, addr = far
+        dram.access(addr, core=0, now=0.0)
+        banks = self._banks(dram)
+        net_busy = dict(dram._net_busy)
+        r = dram.access(addr, core=0, now=1000.0)
+        assert r.latency == dram.remote.cache_hit_ns
+        assert r.hops == 0 and r.queue_wait == 0.0
+        assert dram.stats.remote_cache_hits == 1
+        assert dram.stats.row_hits == 1
+        assert self._banks(dram) == banks
+        assert dram._net_busy == net_busy
+
+    def test_writeback_to_cached_line_is_absorbed(self, far):
+        dram, addr = far
+        dram.access(addr, core=0, now=0.0)
+        banks = self._banks(dram)
+        net_busy = dict(dram._net_busy)
+        dram.writeback(addr, now=1000.0)
+        assert dram.stats.writebacks == 1
+        assert self._banks(dram) == banks
+        assert dram._net_busy == net_busy
+
+    def test_writeback_to_uncached_line_queues_on_the_link(self, far):
+        dram, addr = far
+        tier = dram.remote
+        dram.writeback(addr, now=1000.0)
+        assert dram.stats.writebacks == 1
+        assert dram._net_busy[1] == 1000.0 + tier.network_service_ns
+        assert not self._cached(dram, addr)
+        # The posted write lands at the far bank one network trip later.
+        assert dram.bank_of(addr).busy_until > 1000.0 + tier.network_ns
+        assert dram.stats.remote_cache_misses == 0
 
 
 class TestInterconnect:

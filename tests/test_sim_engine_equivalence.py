@@ -628,3 +628,85 @@ def test_inline_fault_oom_matches_reference():
     fast, ref = run(True), run(False)
     assert fast == ref
     assert 0 < len(fast[2]) < 512
+
+
+def test_first_touch_on_the_burst_horizon_faults_inline():
+    """A first touch whose clock exactly equals the burst horizon is
+    faulted inside the burst, as the reference loop does: the horizon
+    ends a burst only when the clock passes it.
+
+    Integer think times and integer latencies make the tie exact.  Both
+    threads start the ``tie`` section at the same clock, so thread 0's
+    burst runs to the horizon ``start + BATCH_SLACK_NS``; its first
+    access hits the L1 with a think time that lands the clock on the
+    horizon, and its second access is the first touch of a fresh page.
+    """
+    import numpy as np
+
+    from repro.cache.hierarchy import CacheTiming
+    from repro.dram.timing import DramTiming
+    from repro.machine.presets import tiny_machine
+    from repro.sanitize.diff import differential_run
+    from repro.sim.barrier import Program, Section
+    from repro.sim.trace import Trace
+    from repro.util.units import MIB
+
+    l1_hit = 1.0
+    slack = Engine.BATCH_SLACK_NS
+    observers: list = []
+
+    def trace(vaddrs, thinks):
+        return Trace(
+            vaddrs=np.asarray(vaddrs, dtype=np.int64),
+            writes=np.zeros(len(vaddrs), dtype=bool),
+            think_ns=np.asarray(thinks, dtype=np.int64),
+        )
+
+    def builder(observer):
+        observers.append(observer)
+        machine = tiny_machine(16 * MIB)
+        team = ColoredTeam.create(
+            TintMalloc(kernel=Kernel(machine, observer=observer)), [0, 1],
+            Policy.BUDDY,
+        )
+        memory = MemorySystem.for_machine(
+            machine,
+            dram_timing=DramTiming(writeback_occupancy_scale=1.0),
+            cache_timing=CacheTiming(l1_hit=l1_hit, l2_hit=4.0, llc_hit=14.0),
+            observer=observer,
+        )
+        engine = Engine(team, memory, observer=observer)
+        base = team.handles[0].malloc(2 * 4096, label="pair")
+        other = team.handles[1].malloc(4096, label="other")
+        fresh = base + 4096  # the page after base's: untouched until "tie"
+        warm = {0: trace([base], [1]), 1: trace([other], [1])}
+        tie = {
+            0: trace([base, fresh, fresh + 64], [slack - l1_hit, 1, 1]),
+            1: trace([other, other + 64], [1, 1]),
+        }
+        program = Program(
+            sections=[
+                Section(kind="parallel", traces=warm, label="warm"),
+                Section(kind="parallel", traces=tie, label="tie"),
+            ],
+            nthreads=2, name="horizon-tie",
+        )
+        return engine, program
+
+    report = differential_run(builder)
+    assert report.modes == ("fast", "reference", "traced")
+    assert report.clean, report.describe()
+
+    # The tie really occurs: the traced leg took the fresh page's fault
+    # at exactly the horizon of thread 0's first "tie" burst.
+    traced = observers[2]
+    tie_start = next(
+        e.begin for e in traced.events
+        if e.name == "tie" and e.track == "engine"
+    )
+    assert tie_start == int(tie_start)
+    faults = [
+        e.begin for e in traced.events
+        if e.name == "fault" and e.tid == 0 and e.begin >= tie_start
+    ]
+    assert faults == [tie_start + slack]
