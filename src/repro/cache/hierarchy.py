@@ -186,11 +186,9 @@ class CacheHierarchy:
     ) -> HierarchyResult:
         """Continue an access whose L1 lookup already missed.
 
-        The engine's fast path probes the issuing core's L1 directly
-        (``hierarchy.l1[core].lookup``) and only enters the hierarchy on a
-        miss; this entry point avoids a second L1 probe, which would
-        double-count misses and perturb LRU state.  ``line`` must equal
-        ``paddr >> line_bits`` for the hierarchy's line size.
+        :meth:`access` calls it after its own L1 probe; a second L1
+        probe would double-count misses and perturb LRU state.  ``line``
+        must equal ``paddr >> line_bits`` for the hierarchy's line size.
         """
         # L2 probe (Cache.lookup, inlined: hashed set index, pop+reinsert
         # refreshes LRU, dirty |= is_write; counters live on the Cache).

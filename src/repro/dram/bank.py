@@ -48,22 +48,6 @@ class Bank:
     misses: int = field(default=0)
     conflicts: int = field(default=0)
 
-    def _apply_refresh(self, now: float) -> None:
-        epoch = int(now // self.timing.refresh_interval)
-        if epoch != self.refresh_epoch:
-            # Crossing a refresh boundary closed the row buffer.
-            self.refresh_epoch = epoch
-            self.open_row = None
-
-    def probe(self, row: int, now: float) -> RowKind:
-        """Classify what a request to ``row`` at ``now`` would experience."""
-        self._apply_refresh(now)
-        if self.open_row is None:
-            return RowKind.MISS
-        if self.open_row == row:
-            return RowKind.HIT
-        return RowKind.CONFLICT
-
     def access(self, row: int, now: float, is_write: bool) -> tuple[float, float, RowKind]:
         """Serve a demand request.
 
@@ -73,15 +57,13 @@ class Bank:
         """
         start = max(now, self.busy_until)
         t = self.timing
-        # probe(), manually inlined (hot path): refresh check + classify.
+        # Crossing a refresh boundary closes the row buffer (the epoch is
+        # maintained lazily), then the open row classifies the request.
         epoch = int(start // t.refresh_interval)
         if epoch != self.refresh_epoch:
             self.refresh_epoch = epoch
             self.open_row = None
-            kind = RowKind.MISS
-            service = t.row_miss
-            self.misses += 1
-        elif self.open_row is None:
+        if self.open_row is None:
             kind = RowKind.MISS
             service = t.row_miss
             self.misses += 1
@@ -107,14 +89,12 @@ class Bank:
         """
         start = max(now, self.busy_until)
         t = self.timing
-        # probe(), manually inlined (hot path for write-heavy workloads):
-        # the old dict-literal dispatch built a fresh dict per call.
+        # Same refresh rule as access(); the write opens no row.
         epoch = int(start // t.refresh_interval)
         if epoch != self.refresh_epoch:
             self.refresh_epoch = epoch
             self.open_row = None
-            base = t.row_miss
-        elif self.open_row is None:
+        if self.open_row is None:
             base = t.row_miss
         elif self.open_row == row:
             base = t.row_hit

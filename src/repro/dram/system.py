@@ -22,7 +22,6 @@ from repro.obs.observer import NULL_OBSERVER, BaseObserver
 #: lookups on the per-access stats update below).
 _HIT = RowKind.HIT
 _MISS = RowKind.MISS
-_CONFLICT = RowKind.CONFLICT
 
 
 class AccessResult:
@@ -238,12 +237,6 @@ class DramSystem:
         self._ctrl_service = timing.ctrl_service
         self._ctrl_overhead = timing.ctrl_overhead
         self._channel_service = timing.channel_service
-        self._refresh_interval = timing.refresh_interval
-        self._row_hit_ns = timing.row_hit
-        self._row_miss_ns = timing.row_miss
-        self._row_conflict_ns = timing.row_conflict
-        self._write_recovery = timing.write_recovery
-        self._wb_scale = timing.writeback_occupancy_scale
         self._register_counters(observer)
 
     def _register_counters(self, obs: BaseObserver) -> None:
@@ -281,6 +274,19 @@ class DramSystem:
     ) -> AccessResult:
         """Serve an LLC-miss demand access and return its latency.
 
+        Every path runs one pipeline.  A disaggregated node first probes
+        its compute-side DRAM cache: a hit is a flat
+        :attr:`RemoteTier.cache_hit_ns` that never crosses the fabric or
+        reaches a far bank (booked as a *local* row hit, and counted in
+        ``remote_cache_hits`` so the sanitizer's bank-conservation
+        identity stays checkable).  Otherwise one front leg reaches the
+        node's controller: none for the local node, the interconnect mesh
+        for another socket's node, the network link for a disaggregated
+        one (whose fetched line then fills the DRAM cache, clean LRU
+        eviction).  The controller, channel and bank stages follow, then
+        the return leg.  ``Engine._run_section_batched`` replays the same
+        pipeline inline; keep the two in lockstep.
+
         Args:
             paddr: physical byte address of the missing line.
             core: requesting core (selects the interconnect path).
@@ -293,81 +299,77 @@ class DramSystem:
         """
         bank_color = self.frame_bank[paddr >> self._page_bits]
         node = self._bank_node[bank_color]
-        if self._remote_caches and node in self._remote_caches:
-            return self._remote_access(paddr, core, now, is_write, bank_color)
-        row = paddr >> self._row_shift
-        interconnect = self.interconnect
-
-        # Outbound interconnect (queues on the link for remote accesses).
-        # Local accesses (0 hops) bypass the traverse/return calls — both
-        # are exact no-ops then (arrival = now, return latency = 0.0).
-        hops = interconnect._hops[core][node]
-        if hops:
-            arrival, hops = interconnect.traverse(core, node, now)
+        stats = self.stats
+        per_node = stats.per_node_accesses
+        cache = self._remote_caches.get(node)
+        if cache is not None:
+            line = paddr >> self._line_bits
+            if cache.lookup(line):
+                latency = self._cache_hit_ns
+                stats.remote_cache_hits += 1
+                stats.accesses += 1
+                stats.total_latency += latency
+                stats.row_hits += 1
+                stats.local_accesses += 1
+                per_node[node] = per_node.get(node, 0) + 1
+                if self._obs_enabled:
+                    self.obs.span(
+                        "dram.remote_cache_hit", now, now + latency,
+                        track="dram", tid=node,
+                        args={"bank": bank_color, "core": core,
+                              "write": is_write},
+                    )
+                return AccessResult(latency, _HIT, node, bank_color, 0, 0.0)
+            # Network link: one busy-until queue per remote node; one
+            # fabric crossing (hops=1) that bypasses the mesh.
+            busy = self._net_busy[node]
+            link_start = now if now > busy else busy
+            self._net_busy[node] = link_start + self._net_service
+            back = self._net_ns
+            arrival = link_start + back
+            w_link = link_start - now
+            hops = 1
         else:
-            arrival = now
+            # Local accesses (0 hops) bypass the traverse call, an exact
+            # no-op for them (arrival = now, return latency = 0.0).
+            interconnect = self.interconnect
+            hops = interconnect._hops[core][node]
+            if hops:
+                arrival, hops = interconnect.traverse(core, node, now)
+                back = interconnect._prop[core][node]
+                w_link = arrival - now - back
+                if w_link < 0.0:
+                    w_link = 0.0
+            else:
+                arrival = now
+                back = w_link = 0.0
 
-        # Controller front-end queue.  (max(), written as conditionals
-        # throughout this method: same floats, no builtin call.)
+        # Controller front-end queue, then the channel data bus.  (max(),
+        # written as conditionals: same floats, no builtin call.)
         ctrl_busy = self._ctrl_busy
         busy = ctrl_busy[node]
         ctrl_start = arrival if arrival > busy else busy
         ctrl_busy[node] = ctrl_start + self._ctrl_service
         after_ctrl = ctrl_start + self._ctrl_overhead
-
-        # Channel data bus.
         chan = self._bank_chan[bank_color]
         chan_busy = self._chan_busy
         busy = chan_busy[chan]
         chan_start = after_ctrl if after_ctrl > busy else busy
         chan_busy[chan] = chan_start + self._channel_service
-
-        # Bank (row buffer): Bank.access(), manually inlined — queue
-        # behind the bank, lazy refresh check, then classify the row
-        # outcome (see repro.dram.bank for the readable version).
-        bank = self.banks[bank_color]
-        busy = bank.busy_until
-        bank_start = chan_start if chan_start > busy else busy
-        epoch = int(bank_start // self._refresh_interval)
-        if epoch != bank.refresh_epoch:
-            bank.refresh_epoch = epoch
-            kind = _MISS
-            service = self._row_miss_ns
-            bank.misses += 1
-        elif bank.open_row is None:
-            kind = _MISS
-            service = self._row_miss_ns
-            bank.misses += 1
-        elif bank.open_row == row:
-            kind = _HIT
-            service = self._row_hit_ns
-            bank.hits += 1
-        else:
-            kind = _CONFLICT
-            service = self._row_conflict_ns
-            bank.conflicts += 1
-        bank.open_row = row
-        bank.busy_until = bank_start + (
-            service + (self._write_recovery if is_write else 0.0)
+        bank_start, service, kind = self.banks[bank_color].access(
+            paddr >> self._row_shift, chan_start, is_write
         )
+        if cache is not None:
+            cache.insert(line)
 
-        if hops:
-            return_lat = interconnect._prop[core][node]
-            done = bank_start + service + return_lat
-            w_link = arrival - now - return_lat
-        else:
-            done = bank_start + service + 0.0
-            w_link = 0.0
+        done = bank_start + service + back
         latency = done - now
-        if w_link < 0.0:
-            w_link = 0.0
         w_ctrl = ctrl_start - arrival
         w_chan = chan_start - after_ctrl
         w_bank = bank_start - chan_start
         queue_wait = w_link + w_ctrl + w_chan + w_bank
         # DramStats.record(), manually inlined (hot path): one fused
         # counter update instead of a method call over the result object.
-        stats = self.stats
         stats.wait_link += w_link
         stats.wait_ctrl += w_ctrl
         stats.wait_chan += w_chan
@@ -385,145 +387,19 @@ class DramSystem:
             stats.remote_accesses += 1
         else:
             stats.local_accesses += 1
-        per_node = stats.per_node_accesses
+        if cache is not None:
+            stats.remote_cache_misses += 1
         per_node[node] = per_node.get(node, 0) + 1
-        result = AccessResult(latency, kind, node, bank_color, hops, queue_wait)
         if self._obs_enabled:
+            args = {"bank": bank_color, "row": kind.value}
+            if cache is None:
+                args["hops"] = hops
+            args.update(core=core, queue_wait=queue_wait, write=is_write)
             self.obs.span(
-                "dram.access", now, done, track="dram", tid=node,
-                args={
-                    "bank": bank_color, "row": kind.value, "hops": hops,
-                    "core": core, "queue_wait": queue_wait,
-                    "write": is_write,
-                },
+                "dram.access" if cache is None else "dram.remote_access",
+                now, done, track="dram", tid=node, args=args,
             )
-        return result
-
-    def _remote_access(
-        self,
-        paddr: int,
-        core: int,
-        now: float,
-        is_write: bool,
-        bank_color: int,
-    ) -> AccessResult:
-        """Serve a demand access to a disaggregated node.
-
-        A compute-side DRAM-cache hit is a flat :attr:`RemoteTier.cache_hit_ns`
-        — it never crosses the fabric and never reaches a far bank (it is
-        a *local* row hit in the stats; ``remote_cache_hits`` records how
-        many accesses short-circuited this way, keeping the sanitizer's
-        bank-conservation identity checkable).  A miss queues on the
-        per-node network link, pays the propagation delay both ways, and
-        runs the ordinary controller/channel/bank pipeline at the far end;
-        the fetched line is installed in the DRAM cache (clean LRU
-        eviction).  ``Engine._run_section_batched`` inlines this method
-        (and the disaggregated leg of :meth:`writeback`); keep the two in
-        lockstep.
-        """
-        node = self._bank_node[bank_color]
-        cache = self._remote_caches[node]
-        stats = self.stats
-        line = paddr >> self._line_bits
-        if cache.lookup(line):
-            latency = self._cache_hit_ns
-            stats.remote_cache_hits += 1
-            stats.accesses += 1
-            stats.total_latency += latency
-            stats.row_hits += 1
-            stats.local_accesses += 1
-            per_node = stats.per_node_accesses
-            per_node[node] = per_node.get(node, 0) + 1
-            result = AccessResult(latency, _HIT, node, bank_color, 0, 0.0)
-            if self._obs_enabled:
-                self.obs.span(
-                    "dram.remote_cache_hit", now, now + latency,
-                    track="dram", tid=node,
-                    args={"bank": bank_color, "core": core, "write": is_write},
-                )
-            return result
-
-        # Network link: single busy-until queue per remote node.
-        busy = self._net_busy[node]
-        link_start = now if now > busy else busy
-        self._net_busy[node] = link_start + self._net_service
-        arrival = link_start + self._net_ns
-
-        row = paddr >> self._row_shift
-        ctrl_busy = self._ctrl_busy
-        busy = ctrl_busy[node]
-        ctrl_start = arrival if arrival > busy else busy
-        ctrl_busy[node] = ctrl_start + self._ctrl_service
-        after_ctrl = ctrl_start + self._ctrl_overhead
-
-        chan = self._bank_chan[bank_color]
-        chan_busy = self._chan_busy
-        busy = chan_busy[chan]
-        chan_start = after_ctrl if after_ctrl > busy else busy
-        chan_busy[chan] = chan_start + self._channel_service
-
-        bank = self.banks[bank_color]
-        busy = bank.busy_until
-        bank_start = chan_start if chan_start > busy else busy
-        epoch = int(bank_start // self._refresh_interval)
-        if epoch != bank.refresh_epoch:
-            bank.refresh_epoch = epoch
-            kind = _MISS
-            service = self._row_miss_ns
-            bank.misses += 1
-        elif bank.open_row is None:
-            kind = _MISS
-            service = self._row_miss_ns
-            bank.misses += 1
-        elif bank.open_row == row:
-            kind = _HIT
-            service = self._row_hit_ns
-            bank.hits += 1
-        else:
-            kind = _CONFLICT
-            service = self._row_conflict_ns
-            bank.conflicts += 1
-        bank.open_row = row
-        bank.busy_until = bank_start + (
-            service + (self._write_recovery if is_write else 0.0)
-        )
-        cache.insert(line)
-
-        done = bank_start + service + self._net_ns  # data return trip
-        latency = done - now
-        w_link = link_start - now
-        w_ctrl = ctrl_start - arrival
-        w_chan = chan_start - after_ctrl
-        w_bank = bank_start - chan_start
-        queue_wait = w_link + w_ctrl + w_chan + w_bank
-        stats.wait_link += w_link
-        stats.wait_ctrl += w_ctrl
-        stats.wait_chan += w_chan
-        stats.wait_bank += w_bank
-        stats.accesses += 1
-        stats.total_latency += latency
-        stats.total_queue_wait += queue_wait
-        if kind is _HIT:
-            stats.row_hits += 1
-        elif kind is _MISS:
-            stats.row_misses += 1
-        else:
-            stats.row_conflicts += 1
-        stats.remote_accesses += 1
-        stats.remote_cache_misses += 1
-        per_node = stats.per_node_accesses
-        per_node[node] = per_node.get(node, 0) + 1
-        # hops=1: one fabric crossing (the interconnect mesh is bypassed).
-        result = AccessResult(latency, kind, node, bank_color, 1, queue_wait)
-        if self._obs_enabled:
-            self.obs.span(
-                "dram.remote_access", now, done, track="dram", tid=node,
-                args={
-                    "bank": bank_color, "row": kind.value, "core": core,
-                    "queue_wait": queue_wait, "write": is_write,
-                },
-            )
-        return result
+        return AccessResult(latency, kind, node, bank_color, hops, queue_wait)
 
     def prefetch_fill(self, paddr: int, core: int, now: float) -> None:
         """Serve a prefetch: full bank/channel/controller occupancy, but
@@ -534,7 +410,7 @@ class DramSystem:
         chan = self._bank_chan[bc]
         row = paddr >> self._row_shift
         t = self.timing
-        if self._remote_caches and node in self._remote_caches:
+        if node in self._remote_caches:
             # Prefetchers fill the LLC straight from the far DRAM — the
             # compute-side DRAM cache is demand-filled only, so the fill
             # pays network link occupancy instead of the mesh traverse.
@@ -555,8 +431,8 @@ class DramSystem:
         """Post an eviction write-back (bank/channel occupancy only)."""
         bc = self.frame_bank[paddr >> self._page_bits]
         node = self._bank_node[bc]
-        if self._remote_caches and node in self._remote_caches:
-            cache = self._remote_caches[node]
+        cache = self._remote_caches.get(node)
+        if cache is not None:
             if cache.touch(paddr >> self._line_bits):
                 # Absorbed by the compute-side DRAM cache (write-back at
                 # its own eviction is folded into the clean-evict model).
@@ -572,24 +448,7 @@ class DramSystem:
         chan_busy[chan] = (
             (now if now > busy else busy) + self._channel_service
         )
-        # Bank.writeback(), manually inlined (probe + scaled occupancy).
-        bank = self.banks[bc]
-        busy = bank.busy_until
-        start = now if now > busy else busy
-        epoch = int(start // self._refresh_interval)
-        if epoch != bank.refresh_epoch:
-            bank.refresh_epoch = epoch
-            bank.open_row = None
-            base = self._row_miss_ns
-        elif bank.open_row is None:
-            base = self._row_miss_ns
-        elif bank.open_row == (paddr >> self._row_shift):
-            base = self._row_hit_ns
-        else:
-            base = self._row_conflict_ns
-        bank.busy_until = start + (
-            (base + self._write_recovery) * self._wb_scale
-        )
+        self.banks[bc].writeback(paddr >> self._row_shift, now)
         self.stats.writebacks += 1
 
     # ------------------------------------------------------------------ misc

@@ -502,10 +502,14 @@ class Engine:
         (queue waits, total latency) live in section-local mirrors that
         are loaded once, mutated in execution order (so every float
         accumulation chain is unchanged), and stored back once.  An LLC
-        miss takes one of three inlined DRAM branches, chosen by the
-        hop count of the bank's node: local controller (0), across the
-        mesh (> 0), or a disaggregated node (-1, which probes the DRAM
-        cache before crossing the network).
+        miss runs :meth:`DramSystem.access`'s pipeline, inlined once: a
+        disaggregated node's DRAM-cache hit short-circuits, otherwise
+        the hop count of the bank's node picks a front leg — none for
+        the local controller (0), the directed link across the mesh
+        (> 0), the network link of a disaggregated node (-1) — and one
+        controller -> channel -> bank chain serves all three.  Posted
+        write-backs (``wb``) keep their own leg: no controller stage, a
+        scaled bank occupancy, and no row opened.
 
         Event counts are not kept in the loop.  Each access that misses
         the L1 records one outcome code (listed above
@@ -545,15 +549,16 @@ class Engine:
         chan_busy = dram._chan_busy
         link_busy = dram.interconnect._link_busy
         frame_bank = dram.frame_bank
-        ctrl_service = dram._ctrl_service
-        ctrl_overhead = dram._ctrl_overhead
-        channel_service = dram._channel_service
-        refresh_interval = dram._refresh_interval
-        row_hit_ns = dram._row_hit_ns
-        row_miss_ns = dram._row_miss_ns
-        row_conflict_ns = dram._row_conflict_ns
-        write_recovery = dram._write_recovery
-        wb_scale = dram._wb_scale
+        dt = dram.timing
+        ctrl_service = dt.ctrl_service
+        ctrl_overhead = dt.ctrl_overhead
+        channel_service = dt.channel_service
+        refresh_interval = dt.refresh_interval
+        row_hit_ns = dt.row_hit
+        row_miss_ns = dt.row_miss
+        row_conflict_ns = dt.row_conflict
+        write_recovery = dt.write_recovery
+        wb_scale = dt.writeback_occupancy_scale
         line_bits = hierarchy._line_bits
         page_bits = self.kernel.mapping.page_bits
         page_line_shift = page_bits - line_bits
@@ -639,15 +644,13 @@ class Engine:
             if epoch != bank_epoch[wbc]:
                 bank_epoch[wbc] = epoch
                 bank_row[wbc] = None
+            orow = bank_row[wbc]
+            if orow is None:
                 base = row_miss_ns
+            elif orow == old >> row_line_shift:
+                base = row_hit_ns
             else:
-                orow = bank_row[wbc]
-                if orow is None:
-                    base = row_miss_ns
-                elif orow == old >> row_line_shift:
-                    base = row_hit_ns
-                else:
-                    base = row_conflict_ns
+                base = row_conflict_ns
             bank_busy[wbc] = wstart + ((base + write_recovery) * wb_scale)
             s_writebacks += 1
 
@@ -767,178 +770,97 @@ class Engine:
                             lat = llc_hit_t
                         else:
                             # LLC miss -> DRAM (DramSystem.access inlined
-                            # over the plan's bank color).  Each branch
-                            # records the outcome code and leaves the
-                            # latency and the four queue waits for the
-                            # shared stats update below.
+                            # over the plan's bank color): a far node's
+                            # DRAM-cache hit short-circuits; otherwise one
+                            # front leg per path (hops 0 local, > 0 mesh,
+                            # -1 far tier) sets the arrival, the return
+                            # leg, the link wait and the outcome code's
+                            # base, and one controller -> channel -> bank
+                            # chain follows.
                             bc = bcs[i]
                             nd = bank_node[bc]
                             hp = node_hops[nd]
-                            if not hp:
-                                # Local controller: no link stage.
-                                busy = ctrl_busy[nd]
-                                ctrl_start = clock if clock > busy else busy
-                                ctrl_busy[nd] = ctrl_start + ctrl_service
-                                after_ctrl = ctrl_start + ctrl_overhead
-                                ch = bank_chan[bc]
-                                busy = chan_busy[ch]
-                                chan_start = (
-                                    after_ctrl if after_ctrl > busy else busy
-                                )
-                                chan_busy[ch] = chan_start + channel_service
-                                busy = bank_busy[bc]
-                                bank_start = (
-                                    chan_start if chan_start > busy else busy
-                                )
-                                epoch = bank_start // refresh_interval
-                                row = rows[i]
-                                if epoch != bank_epoch[bc]:
-                                    bank_epoch[bc] = epoch
-                                    service = row_miss_ns
-                                    outs[i] = 3
-                                else:
-                                    orow = bank_row[bc]
-                                    if orow is None:
-                                        service = row_miss_ns
-                                        outs[i] = 3
-                                    elif orow == row:
-                                        service = row_hit_ns
-                                        outs[i] = 4
-                                    else:
-                                        service = row_conflict_ns
-                                        outs[i] = 5
-                                bank_row[bc] = row
-                                bank_busy[bc] = bank_start + (
-                                    service + (write_recovery if is_w else 0.0)
-                                )
-                                dram_lat = bank_start + service - clock
-                                w_link = 0.0
-                                w_ctrl = ctrl_start - clock
-                                w_chan = chan_start - after_ctrl
-                                w_bank = bank_start - chan_start
-                            elif hp > 0:
-                                # Across the mesh: queue on the directed
-                                # link, propagate, and return.
-                                link = link_base + nd
-                                busy = link_busy[link]
-                                lstart = busy if busy > clock else clock
-                                pr = node_prop[nd]
-                                link_busy[link] = lstart + node_occ[nd]
-                                arrival = lstart + pr
-                                busy = ctrl_busy[nd]
-                                ctrl_start = (
-                                    arrival if arrival > busy else busy
-                                )
-                                ctrl_busy[nd] = ctrl_start + ctrl_service
-                                after_ctrl = ctrl_start + ctrl_overhead
-                                ch = bank_chan[bc]
-                                busy = chan_busy[ch]
-                                chan_start = (
-                                    after_ctrl if after_ctrl > busy else busy
-                                )
-                                chan_busy[ch] = chan_start + channel_service
-                                busy = bank_busy[bc]
-                                bank_start = (
-                                    chan_start if chan_start > busy else busy
-                                )
-                                epoch = bank_start // refresh_interval
-                                row = rows[i]
-                                if epoch != bank_epoch[bc]:
-                                    bank_epoch[bc] = epoch
-                                    service = row_miss_ns
-                                    outs[i] = 6
-                                else:
-                                    orow = bank_row[bc]
-                                    if orow is None:
-                                        service = row_miss_ns
-                                        outs[i] = 6
-                                    elif orow == row:
-                                        service = row_hit_ns
-                                        outs[i] = 7
-                                    else:
-                                        service = row_conflict_ns
-                                        outs[i] = 8
-                                bank_row[bc] = row
-                                bank_busy[bc] = bank_start + (
-                                    service + (write_recovery if is_w else 0.0)
-                                )
-                                dram_lat = bank_start + service + pr - clock
-                                w_link = arrival - clock - pr
-                                if w_link < 0.0:
-                                    w_link = 0.0
-                                w_ctrl = ctrl_start - arrival
-                                w_chan = chan_start - after_ctrl
-                                w_bank = bank_start - chan_start
+                            if hp < 0 and line in (
+                                rset := r_sets[nd][line & r_mask]
+                            ):
+                                # Flat service, booked as a local row
+                                # hit.  Its zero waits leave the (never
+                                # -0.0) wait sums unchanged.
+                                del rset[line]
+                                rset[line] = None
+                                outs[i] = 9
+                                dram_lat = cache_hit_ns
+                                w_link = w_ctrl = w_chan = w_bank = 0.0
                             else:
-                                # Disaggregated node (hops = -1 in the
-                                # plan; DramSystem._remote_access): probe
-                                # the compute-side DRAM cache first.
-                                rset = r_sets[nd][line & r_mask]
-                                if line in rset:
-                                    # Hit: flat service, booked as a local
-                                    # row hit.  Its zero waits leave the
-                                    # (never -0.0) wait sums unchanged.
-                                    del rset[line]
-                                    rset[line] = None
-                                    outs[i] = 9
-                                    dram_lat = cache_hit_ns
-                                    w_link = w_ctrl = w_chan = w_bank = 0.0
+                                if not hp:
+                                    arrival = clock
+                                    back = w_link = 0.0
+                                    code = 3
+                                elif hp > 0:
+                                    # Queue on the directed mesh link.
+                                    link = link_base + nd
+                                    busy = link_busy[link]
+                                    lstart = busy if busy > clock else clock
+                                    back = node_prop[nd]
+                                    link_busy[link] = lstart + node_occ[nd]
+                                    arrival = lstart + back
+                                    w_link = arrival - clock - back
+                                    if w_link < 0.0:
+                                        w_link = 0.0
+                                    code = 6
                                 else:
-                                    # Miss: network link, the far node's
-                                    # controller/channel/bank, the return
-                                    # trip, then a clean-evicting fill.
+                                    # Queue on the network link; the
+                                    # fetched line fills the DRAM cache
+                                    # (clean LRU eviction).
                                     busy = net_busy[nd]
                                     lstart = clock if clock > busy else busy
                                     net_busy[nd] = lstart + net_service
-                                    arrival = lstart + net_ns
-                                    busy = ctrl_busy[nd]
-                                    ctrl_start = (
-                                        arrival if arrival > busy else busy
-                                    )
-                                    ctrl_busy[nd] = ctrl_start + ctrl_service
-                                    after_ctrl = ctrl_start + ctrl_overhead
-                                    ch = bank_chan[bc]
-                                    busy = chan_busy[ch]
-                                    chan_start = (
-                                        after_ctrl if after_ctrl > busy else busy
-                                    )
-                                    chan_busy[ch] = chan_start + channel_service
-                                    busy = bank_busy[bc]
-                                    bank_start = (
-                                        chan_start if chan_start > busy else busy
-                                    )
-                                    epoch = bank_start // refresh_interval
-                                    row = rows[i]
-                                    if epoch != bank_epoch[bc]:
-                                        bank_epoch[bc] = epoch
-                                        service = row_miss_ns
-                                        outs[i] = 10
-                                    else:
-                                        orow = bank_row[bc]
-                                        if orow is None:
-                                            service = row_miss_ns
-                                            outs[i] = 10
-                                        elif orow == row:
-                                            service = row_hit_ns
-                                            outs[i] = 11
-                                        else:
-                                            service = row_conflict_ns
-                                            outs[i] = 12
-                                    bank_row[bc] = row
-                                    bank_busy[bc] = bank_start + (
-                                        service
-                                        + (write_recovery if is_w else 0.0)
-                                    )
+                                    back = net_ns
+                                    arrival = lstart + back
+                                    w_link = lstart - clock
                                     if len(rset) >= r_ways:
                                         del rset[next(iter(rset))]
                                     rset[line] = None
-                                    dram_lat = (
-                                        bank_start + service + net_ns - clock
-                                    )
-                                    w_link = lstart - clock
-                                    w_ctrl = ctrl_start - arrival
-                                    w_chan = chan_start - after_ctrl
-                                    w_bank = bank_start - chan_start
+                                    code = 10
+                                busy = ctrl_busy[nd]
+                                ctrl_start = arrival if arrival > busy else busy
+                                ctrl_busy[nd] = ctrl_start + ctrl_service
+                                after_ctrl = ctrl_start + ctrl_overhead
+                                ch = bank_chan[bc]
+                                busy = chan_busy[ch]
+                                chan_start = (
+                                    after_ctrl if after_ctrl > busy else busy
+                                )
+                                chan_busy[ch] = chan_start + channel_service
+                                busy = bank_busy[bc]
+                                bank_start = (
+                                    chan_start if chan_start > busy else busy
+                                )
+                                # Row outcome: code + 0 miss, 1 hit,
+                                # 2 conflict.
+                                epoch = bank_start // refresh_interval
+                                row = rows[i]
+                                orow = bank_row[bc]
+                                if epoch != bank_epoch[bc]:
+                                    bank_epoch[bc] = epoch
+                                    orow = None
+                                if orow is None:
+                                    service = row_miss_ns
+                                elif orow == row:
+                                    service = row_hit_ns
+                                    code += 1
+                                else:
+                                    service = row_conflict_ns
+                                    code += 2
+                                outs[i] = code
+                                bank_row[bc] = row
+                                bank_busy[bc] = bank_start + (
+                                    service + (write_recovery if is_w else 0.0)
+                                )
+                                dram_lat = bank_start + service + back - clock
+                                w_ctrl = ctrl_start - arrival
+                                w_chan = chan_start - after_ctrl
+                                w_bank = bank_start - chan_start
                             s_wait_link += w_link
                             s_wait_ctrl += w_ctrl
                             s_wait_chan += w_chan

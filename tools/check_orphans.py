@@ -49,10 +49,6 @@ ALLOWED: dict[str, str] = {
     "repro.machine.address.AddressMapping.frame_llc_color":
         "scalar oracle for frame_color_table()[1]",
     # The fast/reference differential oracle and its report.
-    "repro.sanitize.diff.differential_run":
-        "runs the fast/reference equivalence grid",
-    "repro.sanitize.diff.DiffReport.describe":
-        "the equivalence grid's failure message",
     "repro.sanitize.diff.DiffReport.raise_on_divergence":
         "typed failure of a differential run",
     "repro.alloc.planner.plan_is_disjoint":
@@ -63,7 +59,6 @@ ALLOWED: dict[str, str] = {
     "repro.alloc.heap.HeapAllocator.allocation_at": "heap state accessor",
     "repro.cache.cache.Cache.occupancy_of_set": "cache state accessor",
     "repro.cache.hierarchy.CacheHierarchy.core_stats": "cache state accessor",
-    "repro.dram.bank.Bank.probe": "side-effect-free row-buffer query",
     "repro.dram.system.DramSystem.bank_of": "DRAM state accessor",
     "repro.faultline.plan.FaultInjector.fire_count": "fault-plan state accessor",
     "repro.kernel.buddy.BuddyAllocator.free_blocks": "buddy state accessor",
