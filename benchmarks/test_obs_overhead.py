@@ -1,8 +1,8 @@
 """Tier-2 guard: observability must cost nothing when disabled.
 
 The engine dispatches to ``_run_section_fast`` — the uninstrumented
-plan + batched hot loop, which also takes demand faults inline —
-whenever the observer is the default NullObserver.  An enabled observer
+plan + batched hot loop for resident sections — whenever the observer
+is the default NullObserver.  An enabled observer
 selects the reference loop, which carries the tracing hooks.  This
 benchmark reconstructs the seed baseline by binding the fast loop
 directly (skipping even the dispatch check) and asserts the default

@@ -71,10 +71,3 @@ def _validate(colors: Sequence[int], limit: int, kind: str) -> None:
     for c in colors:
         if not 0 <= c < limit:
             raise ValueError(f"{kind} color {c} out of range [0, {limit})")
-
-
-def mem_colors_local_to(
-    mapping: AddressMapping, node: int
-) -> tuple[int, ...]:
-    """All bank colors served by ``node``'s controller (locality helper)."""
-    return tuple(mapping.bank_colors_of_node(node))

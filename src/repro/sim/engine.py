@@ -162,10 +162,11 @@ class Engine:
     """Runs :class:`~repro.sim.barrier.Program` objects over a team.
 
     Sections replay through one of two loops: the planned, batched fast
-    loop (:meth:`_run_section_fast`, which demand-faults first touches
-    inline) or the reference loop (:meth:`_run_section_reference`, which
-    also carries the observer's hooks when tracing is on).  Both produce
-    bit-identical :class:`~repro.sim.metrics.RunMetrics`.
+    loop (:meth:`_run_section_fast`, for sections whose pages are all
+    resident) or the reference loop (:meth:`_run_section_reference`,
+    which takes every demand fault and carries the observer's hooks when
+    tracing is on).  Both produce bit-identical
+    :class:`~repro.sim.metrics.RunMetrics`.
 
     Args:
         team: pinned, colored thread team (allocation policy already set).
@@ -329,25 +330,23 @@ class Engine:
            colors (one gather from the mapping's per-frame table,
            :meth:`AddressMapping.frame_bank_colors`), row numbers, and
            every cache set index (:func:`repro.cache.batch.
-           set_index_batch`).  Pages not yet mapped are left unresolved.
+           set_index_batch`).
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the disaggregated
-           tier's DRAM-cache sets and network links, demand faults of
-           the unresolved pages, the merge order itself — through a lean
-           scalar loop over the plan, bit-identical to the reference
-           loop.  Its event counts are tallied from per-access outcome
-           codes after the section.
+           tier's DRAM-cache sets and network links, the merge order
+           itself — through a lean scalar loop over the plan,
+           bit-identical to the reference loop.  Its event counts are
+           tallied from per-access outcome codes after the section.
 
-        Only prefetch ablation and a row layout with row bits inside the
-        line offset cannot be planned; those sections replay through
-        :meth:`_run_section_reference`.  Per-stage wall time is recorded
+        A section that first-touches a page, prefetch ablation and a row
+        layout with row bits inside the line offset cannot be planned;
+        those sections replay through :meth:`_run_section_reference`,
+        which takes every demand fault.  Per-stage wall time is recorded
         in the ambient metrics registry (``engine.kernel_ns{kind=decode|
         replay|scalar_replay}``) so ``repro.obs top`` shows where replay
-        time goes.  ``replay`` is a batched section whose pages were all
-        resident; ``scalar_replay`` is one that faulted pages in inline
-        or went to the reference loop, so it holds every demand fault of
-        the run.  Each unplannable section is counted by reason
-        (``engine.plan_fallback{reason=prefetch|row_layout}``).
+        time goes: ``replay`` is the batched loop, ``scalar_replay`` the
+        reference loop.  Each unplannable section is counted by reason
+        (``engine.plan_fallback{reason=fault|prefetch|row_layout}``).
         """
         t0 = time.perf_counter()
         plan = self._batch_plan(section)
@@ -357,8 +356,7 @@ class Engine:
             kind = "scalar_replay"
         else:
             ends = self._run_section_batched(section, start, metrics, plan)
-            resident = all(p[16] is None for p in plan.values())
-            kind = "replay" if resident else "scalar_replay"
+            kind = "replay"
         mreg = obs_metrics.active()
         if mreg is not None:
             t2 = time.perf_counter()
@@ -387,19 +385,13 @@ class Engine:
         mesh and replay through the remote-tier branch of
         :meth:`_run_section_batched`.
 
-        The last slot is None when every page of the trace is mapped.
-        Otherwise unmapped pages are planned as frame 0 (leaving each of
-        their accesses' in-page line offset in the line list) and the
-        slot holds what the batched loop needs to fault them in at first
-        touch: a stack of (vpn, access positions) per page, the stack of
-        their first-touch positions over the trace length, the virtual
-        addresses and the task.
-
         Returns None — the caller replays through
-        :meth:`_run_section_reference` — when prefetchers are on (their
-        fills are not modelled by the batched loop) or the row layout
-        puts row bits inside the line offset.  Each such fallback is
-        counted by reason when a metrics registry is active.
+        :meth:`_run_section_reference` — when a trace touches a page not
+        yet mapped (the reference loop takes the demand fault), when
+        prefetchers are on (their fills are not modelled by the batched
+        loop) or when the row layout puts row bits inside the line
+        offset.  Each such fallback is counted by reason when a metrics
+        registry is active.
         """
         hierarchy = self.memory.hierarchy
         if hierarchy.prefetchers is not None:
@@ -429,25 +421,13 @@ class Engine:
                 continue
             va = trace.vaddrs
             uvpn, inv = np.unique(va >> page_bits, return_inverse=True)
-            vpns = uvpn.tolist()
-            upfns = [page_table_get(v) for v in vpns]
+            upfns = [page_table_get(v) for v in uvpn.tolist()]
+            if None in upfns:
+                return _plan_fallback("fault")
             core = handles[tidx].core
             node_hops = list(ic._hops[core])
             for nd in far_nodes:
                 node_hops[nd] = -1
-            faults = None
-            if None in upfns:
-                unmapped = np.array([p is None for p in upfns])
-                pos = np.flatnonzero(unmapped[inv])
-                pages: dict[int, list[int]] = {}
-                for j, k in zip(pos.tolist(), inv[pos].tolist()):
-                    pages.setdefault(k, []).append(j)
-                upfns = [0 if p is None else p for p in upfns]
-                faults = (
-                    [(vpns[k], at) for k, at in reversed(pages.items())],
-                    [len(va)] + [at[0] for at in reversed(pages.values())],
-                    va, handles[tidx].task,
-                )
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
@@ -460,8 +440,7 @@ class Engine:
                 if isinstance(tn, np.ndarray)
                 else [float(tn)] * len(va)
             )
-            # Plain lists: the replay loop indexes them per access, and
-            # fault_in patches the entries of pages it resolves.
+            # Plain lists: the replay loop indexes them per access.
             plans[tidx] = (
                 lines.tolist(),
                 set_index_batch(
@@ -478,7 +457,6 @@ class Engine:
                 ic._link_base[core],
                 hierarchy.l1[core], hierarchy._l1_sets[core],
                 hierarchy.l2[core], hierarchy._l2_sets[core],
-                faults,
             )
         return plans
 
@@ -518,14 +496,10 @@ class Engine:
         section.  Integer sums are exact in any order, so the tally
         equals the reference loop's per-access increments.
 
-        Pages the plan left unresolved are demand-faulted inline: a
-        thread's next unresolved position is the ``stop`` its
-        end-of-trace compare already tests, so resident accesses pay
-        nothing for it.  When a thread is about to execute a stop, the
-        loop resolves that page (``fault_in``) at the same point of the
-        merge order as the reference loop's page-table lookup, and
-        charges the fault to that one access.  Keep the replay
-        semantics in lockstep with :meth:`_run_section_reference`.
+        Every page the section touches is resident (:meth:`_batch_plan`
+        plans no section that would fault), so no access takes a fault.
+        Keep the replay semantics in lockstep with
+        :meth:`_run_section_reference`.
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
@@ -560,15 +534,8 @@ class Engine:
         write_recovery = dt.write_recovery
         wb_scale = dt.writeback_occupancy_scale
         line_bits = hierarchy._line_bits
-        page_bits = self.kernel.mapping.page_bits
-        page_line_shift = page_bits - line_bits
+        page_line_shift = dram.mapping.page_bits - line_bits
         row_line_shift = dram._row_shift - line_bits
-        l1_ib = hierarchy._l1_ib
-        l1_ib2 = l1_ib + l1_ib
-        l1_mask = hierarchy._l1_mask
-        page_table_get = self.space.page_table.get
-        translate = self.space.translate
-        kernel = self.kernel
         ABSENT = _ABSENT
         pop = heapq.heappop
         replace = heapq.heapreplace
@@ -666,64 +633,26 @@ class Engine:
                     wb(old, now)
             llc_set[line] = True
 
-        def fault_in(tidx: int, i: int) -> tuple[float, int]:
-            # Resolve the page of access i (the thread's next stop):
-            # demand-fault it unless another thread, or a huge-page fault,
-            # has mapped it since planning, then fill the plan entries of
-            # its accesses.  Faults touch no cache or DRAM state, so the
-            # mirrors stay valid.  Returns the fault cost (0.0 if none) and
-            # the new stop: the next access while a cost is pending.
-            plan = plans[tidx]
-            pages, stops, va, task = plan[16]
-            vpn, at = pages.pop()
-            stops.pop()
-            pfn = page_table_get(vpn)
-            fault_ns = 0.0
-            if pfn is None:
-                pfn = translate(int(va[i]), task)[0] >> page_bits
-                fault_ns = kernel.last_fault_charge.total_ns
-                tm = threads[tidx]
-                tm.faults += 1
-                tm.fault_ns += fault_ns
-            bc = frame_bank[pfn]
-            lines, l1i, l2i, lci, _, _, bcs, rows = plan[:8]
-            base = pfn << page_line_shift
-            for j in at:
-                line = base | lines[j]
-                lines[j] = line
-                l1i[j] = (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
-                l2i[j] = (line ^ (line >> l2_ib) ^ (line >> l2_ib2)) & l2_mask
-                lci[j] = line & llc_mask
-                rows[j] = line >> row_line_shift
-                bcs[j] = bc
-            return fault_ns, (i + 1 if fault_ns else stops[-1])
-
         states: dict[int, list] = {}
         heap: list[tuple[float, int]] = []
         for tidx in section.traces:
             plan = plans.get(tidx)
             if plan is None:
                 continue
-            faults = plan[16]
             n = len(plan[0])
-            stops = [n] if faults is None else faults[1]
-            # Mutable per-thread state: cursor, the stack of stops (the
-            # trace length under any first touches still to resolve),
-            # the plan's per-access lists and per-core rows, the core's
-            # set tables, and the outcome code of every access.
-            states[tidx] = [0, stops, *plan[:12], plan[13], plan[15], [0] * n]
+            # Mutable per-thread state: cursor, trace length, the plan's
+            # per-access lists and per-core rows, the core's set tables,
+            # and the outcome code of every access.
+            states[tidx] = [0, n, *plan[:12], plan[13], plan[15], [0] * n]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
             return ends
-        # A pending fault cost is charged right after its access, always
-        # within the burst that took it, so it is 0.0 between bursts.
-        fault_ns = fclock = 0.0
 
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, stops, lines, l1i, l2i, lci, writes, thinks, bcs, rows,
+            (i, n, lines, l1i, l2i, lci, writes, thinks, bcs, rows,
              node_hops, node_prop, node_occ, link_base, l1_sets_c, l2_sets_c,
              outs) = state
             # Burst window.  The root is peeked, not popped; the heap
@@ -740,10 +669,6 @@ class Engine:
                 horizon = heap[1][0] + slack
             else:
                 horizon = inf
-            stop = stops[-1]
-            if i == stop:
-                fclock = clock
-                fault_ns, stop = fault_in(tidx, i)
 
             while True:
                 line = lines[i]
@@ -917,22 +842,10 @@ class Engine:
                 clock += thinks[i] + lat
 
                 i += 1
-                if i >= stop:
-                    if fault_ns:
-                        # The faulting access ran at its pre-fault clock;
-                        # add the fault after its latency, exactly as the
-                        # reference loop sums the two.
-                        clock = fclock + (thinks[i - 1] + lat + fault_ns)
-                        fault_ns = 0.0
-                        stop = stops[-1]
-                    if i == len(lines):
-                        ends[tidx] = clock
-                        pop(heap)
-                        break
-                    if i == stop and clock <= horizon:
-                        fclock = clock
-                        fault_ns, stop = fault_in(tidx, i)
-                        continue
+                if i == n:
+                    ends[tidx] = clock
+                    pop(heap)
+                    break
                 if clock > horizon:
                     state[0] = i
                     replace(heap, (clock, tidx))
@@ -972,8 +885,8 @@ class Engine:
         asserts the fast path reproduces its :class:`RunMetrics`
         bit-for-bit, and ``benchmarks/perf_baseline.py`` measures the
         fast path's speedup against it.  It also replays the sections
-        the fast path cannot plan (prefetch ablation, row bits inside
-        the line offset).
+        the fast path cannot plan (first touches, prefetch ablation, row
+        bits inside the line offset).
 
         With tracing on it adds the observability hooks, per access: the
         observer's sim-time cursor (so kernel events carry timestamps), a

@@ -1,18 +1,10 @@
 """Shared utilities: integer bit math, units, seeded RNG streams."""
 
-from repro.util.intmath import (
-    bit_slice,
-    deposit_bits,
-    is_power_of_two,
-    log2_exact,
-    mask,
-)
+from repro.util.intmath import is_power_of_two, log2_exact, mask
 from repro.util.rng import RngStream, derive_seed
-from repro.util.units import GIB, KIB, MIB, parse_size
+from repro.util.units import GIB, KIB, MIB
 
 __all__ = [
-    "bit_slice",
-    "deposit_bits",
     "is_power_of_two",
     "log2_exact",
     "mask",
@@ -21,5 +13,4 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "parse_size",
 ]

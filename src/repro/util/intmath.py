@@ -19,33 +19,6 @@ def mask(nbits: int) -> int:
     return (1 << nbits) - 1
 
 
-def bit_slice(value: int, lo: int, hi: int) -> int:
-    """Extract bits ``lo..hi`` (inclusive, LSB-numbered) from ``value``.
-
-    >>> bit_slice(0b101100, 2, 4)
-    3
-    """
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid bit slice [{lo}, {hi}]")
-    return (value >> lo) & mask(hi - lo + 1)
-
-
-def deposit_bits(value: int, field: int, lo: int, hi: int) -> int:
-    """Return ``value`` with bits ``lo..hi`` replaced by ``field``.
-
-    The inverse of :func:`bit_slice`; ``field`` must fit in the slice.
-
-    >>> deposit_bits(0, 0b11, 2, 3)
-    12
-    """
-    width = hi - lo + 1
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid bit slice [{lo}, {hi}]")
-    if field < 0 or field > mask(width):
-        raise ValueError(f"field {field} does not fit in {width} bits")
-    return (value & ~(mask(width) << lo)) | (field << lo)
-
-
 def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0

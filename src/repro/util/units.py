@@ -1,48 +1,10 @@
-"""Byte-size units and parsing."""
+"""Byte-size units and formatting."""
 
 from __future__ import annotations
 
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-
-_SUFFIXES = {
-    "b": 1,
-    "k": KIB,
-    "kb": KIB,
-    "kib": KIB,
-    "m": MIB,
-    "mb": MIB,
-    "mib": MIB,
-    "g": GIB,
-    "gb": GIB,
-    "gib": GIB,
-}
-
-
-def parse_size(text: str | int) -> int:
-    """Parse a human size string (``"4KB"``, ``"12MiB"``) into bytes.
-
-    Integers pass through unchanged so call sites can accept either form.
-
-    >>> parse_size("4KB")
-    4096
-    >>> parse_size(512)
-    512
-    """
-    if isinstance(text, int):
-        return text
-    s = text.strip().lower()
-    i = len(s)
-    while i > 0 and not s[i - 1].isdigit():
-        i -= 1
-    number, suffix = s[:i], s[i:].strip()
-    if not number:
-        raise ValueError(f"no numeric part in size {text!r}")
-    factor = _SUFFIXES.get(suffix, None) if suffix else 1
-    if factor is None:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
-    return int(number) * factor
 
 
 def format_size(nbytes: int) -> str:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc.policies import Policy
-from repro.core.coloring import color_capacity, mem_colors_local_to
+from repro.core.coloring import color_capacity
 from repro.core.session import ColoredTeam
 from repro.core.tintmalloc import TintMalloc
 from repro.kernel.kernel import OutOfColoredMemory
@@ -90,10 +90,6 @@ class TestColorCapacity:
         with pytest.raises(ValueError):
             color_capacity(tiny.mapping, [9999], None)
 
-    def test_local_colors_helper(self, tiny):
-        colors = mem_colors_local_to(tiny.mapping, 1)
-        assert all(tiny.mapping.node_of_bank_color(c) == 1 for c in colors)
-
 
 class TestColoredTeam:
     def test_team_applies_policy(self, tm):
@@ -110,3 +106,67 @@ class TestColoredTeam:
     def test_master_is_thread_zero(self, tm):
         team = ColoredTeam.create(tm, cores=[3, 1], policy=Policy.BUDDY)
         assert team.master.core == 3
+
+
+class TestLlcMemPartMatchesLlc:
+    """``llc+mem(part)`` gives each thread all of its local node's bank
+    colors and the LLC share ``llc`` gives it, and an LLC-only refill
+    starts at the local node.  So the two policies take the same frames
+    while the local node has free frames of the thread's LLC colors, and
+    part ways only once those run out: ``llc`` spills to the next node,
+    ``llc+mem(part)`` has no other bank color to take."""
+
+    @staticmethod
+    def _touch_pages(policy: Policy, memory: int, pages: int) -> list:
+        """Touch ``pages`` pages from thread 0 of a team on cores 0 and 1
+        (node 0), one at a time; returns each page's (frame, node), and
+        the exception that stopped the loop, if one did."""
+        tm = TintMalloc(machine=tiny_machine(memory_bytes=memory))
+        handle = ColoredTeam.create(tm, cores=[0, 1], policy=policy).master
+        page = tm.mapping.page_bytes
+        buf = handle.malloc(pages * page)
+        frames = []
+        for k in range(pages):
+            try:
+                pfn = handle.touch(buf + k * page) // page
+            except OutOfColoredMemory as err:
+                frames.append(err)
+                break
+            frames.append((pfn, tm.kernel.pool.node_of_frame(pfn)))
+        return frames
+
+    def test_same_frames_while_local_node_has_free_frames(self):
+        llc = self._touch_pages(Policy.LLC, 64 * MIB, 1024)
+        part = self._touch_pages(Policy.LLC_MEM_PART, 64 * MIB, 1024)
+        assert part == llc
+        assert len(set(llc)) == 1024
+        assert {node for _, node in llc} == {0}
+
+    @pytest.mark.parametrize("bench", ["lbm", "art"])
+    @pytest.mark.parametrize(
+        "config", ["16_threads_4_nodes", "4_threads_1_nodes"]
+    )
+    def test_run_records_differ_only_in_policy(self, bench, config):
+        from dataclasses import asdict
+
+        from repro.experiments.runner import run_benchmark
+
+        llc, part = (
+            asdict(run_benchmark(bench, policy, config, profile="mini"))
+            for policy in (Policy.LLC, Policy.LLC_MEM_PART)
+        )
+        assert (llc.pop("policy"), part.pop("policy")) == (
+            "llc", "llc+mem(part)"
+        )
+        assert part == llc
+
+    def test_part_ways_once_local_node_is_exhausted(self):
+        # 4 MiB: 512 frames per node, half of them in thread 0's two of
+        # the four LLC colors, so 384 pages outrun node 0 but not both.
+        llc = self._touch_pages(Policy.LLC, 4 * MIB, 384)
+        part = self._touch_pages(Policy.LLC_MEM_PART, 4 * MIB, 384)
+        k = len(part) - 1
+        assert isinstance(part[k], OutOfColoredMemory)
+        assert part[:k] == llc[:k]
+        assert {node for _, node in llc[:k]} == {0}
+        assert len(llc) == 384 and {node for _, node in llc[k:]} == {1}

@@ -36,11 +36,11 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
     )
     # A caller for an allowlisted orphan makes its entry stale.
     (tmp_path / "examples" / "planted_caller.py").write_text(
-        "from repro.util.units import parse_size\n\nparse_size('4KB')\n"
+        "from repro.faultline.hooks import disarm\n\ndisarm()\n"
     )
     proc = _check(tmp_path)
     assert proc.returncode == 1
     assert "function repro.util.units.planted_orphan" in proc.stdout
-    assert "ALLOWED entry repro.util.units.parse_size is not an orphan" in (
+    assert "ALLOWED entry repro.faultline.hooks.disarm is not an orphan" in (
         proc.stdout
     )

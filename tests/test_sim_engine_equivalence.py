@@ -173,9 +173,9 @@ def _disagg_lbm():
 
 
 def test_disagg_takes_batched_plan():
-    """A disaggregated preset replays every section through the batched
-    plan, the first-touch init section included: its demand faults are
-    taken inline by the batched loop."""
+    """A disaggregated preset replays every resident section through the
+    batched plan; the first-touch init section, the one that faults, is
+    not planned and takes the reference loop."""
     engine, program = _disagg_lbm()
     planned: dict[str, bool] = {}
     batch_plan = engine._batch_plan
@@ -189,7 +189,9 @@ def test_disagg_takes_batched_plan():
     metrics = engine.run(program)
     faulting = {s.label for s in metrics.sections if s.faults}
     assert faulting == {"parallel-init"}
-    assert planned == {s.label: True for s in program.sections}
+    assert planned == {
+        s.label: s.label not in faulting for s in program.sections
+    }
 
 
 def _kernel_ns_counts(snap: dict) -> dict[str, int]:
@@ -200,24 +202,30 @@ def _kernel_ns_counts(snap: dict) -> dict[str, int]:
     }
 
 
-def test_disagg_records_no_plan_fallbacks():
+def _plan_fallbacks(snap: dict) -> dict[str, float]:
+    """Sections counted per ``engine.plan_fallback`` reason."""
+    return {
+        c["labels"]["reason"]: c["value"] for c in snap["counters"]
+        if c["name"] == "engine.plan_fallback"
+    }
+
+
+def test_disagg_records_one_fault_fallback():
     """engine.plan_fallback counts each unplannable section by reason; on
-    disagg_2n every section is planned, so none is recorded."""
+    disagg_2n only the first-touch init section is unplanned, counted
+    once as ``reason=fault``."""
     from repro.obs import metrics as obs_metrics
 
     engine, program = _disagg_lbm()
     with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
         engine.run(program)
-    assert [
-        c for c in reg.snapshot()["counters"]
-        if c["name"] == "engine.plan_fallback"
-    ] == []
+    assert _plan_fallbacks(reg.snapshot()) == {"fault": 1}
 
 
 def test_disagg_faulting_sections_record_scalar_replay():
-    """A section that faults inline is recorded as ``scalar_replay``, so
-    that stage holds every demand fault of the run; fully resident
-    sections are ``replay``."""
+    """A section that faults takes the reference loop, recorded as
+    ``scalar_replay``, so that stage holds every demand fault of the
+    run; fully resident sections are ``replay``."""
     from repro.obs import metrics as obs_metrics
 
     engine, program = _disagg_lbm()
@@ -367,8 +375,8 @@ def test_remote_tier_batched_paths(write_fraction, monkeypatch):
         )
     assert report.modes == ("fast", "reference", "traced")
     assert report.clean, report.describe()
-    # The fast leg took its init section's faults inline and batched
-    # both compute sections from resident pages.
+    # The fast leg replayed its faulting init section through the
+    # reference loop and batched both compute sections.
     counts = _kernel_ns_counts(reg.snapshot())
     assert counts["replay"] == 2
     assert counts["scalar_replay"] == 1
@@ -458,7 +466,7 @@ def test_enabled_observer_dispatches_to_reference():
 # ------------------------------------------------------- inline demand faults
 def _inline_fault_builder(engines: list):
     """sanitize.diff builder: four threads on the tiny machine whose
-    sections demand-fault inside the batched loop.
+    sections demand-fault partway through.
 
     * ``race``: threads 0 and 1 first-touch the same 16 pages, every line
       of each in a shuffled order, so whichever reaches a page first
@@ -548,8 +556,8 @@ def _inline_fault_builder(engines: list):
 
 
 def test_inline_faults_fast_equals_reference():
-    """fast == reference == traced on sections that demand-fault inside
-    the batched loop, and both untraced legs leave the same page table
+    """fast == reference == traced on sections that demand-fault
+    partway through, and both untraced legs leave the same page table
     and first-toucher map behind."""
     from repro.sanitize.diff import differential_run
 
@@ -562,9 +570,10 @@ def test_inline_faults_fast_equals_reference():
     assert fast.first_toucher == ref.first_toucher
 
 
-def test_inline_faults_take_the_batched_loop():
-    """The crafted sections are all planned, and each faults as the
-    docstring of its builder says."""
+def test_inline_fault_sections_take_the_reference_loop():
+    """None of the crafted sections is planned: each touches an unmapped
+    page, so each is counted as ``reason=fault`` and replays through the
+    reference loop, faulting as the docstring of its builder says."""
     from repro.obs import metrics as obs_metrics
     from repro.obs.observer import NULL_OBSERVER
 
@@ -585,8 +594,7 @@ def test_inline_faults_take_the_batched_loop():
     assert 0 < faults["mixed"] <= 32
     snap = reg.snapshot()
     assert _kernel_ns_counts(snap) == {"decode": 4, "scalar_replay": 4}
-    assert not [c for c in snap["counters"]
-                if c["name"] == "engine.plan_fallback"]
+    assert _plan_fallbacks(snap) == {"fault": 4}
 
 
 def test_inline_fault_oom_matches_reference():
@@ -630,22 +638,28 @@ def test_inline_fault_oom_matches_reference():
     assert 0 < len(fast[2]) < 512
 
 
-def test_first_touch_on_the_burst_horizon_faults_inline():
-    """A first touch whose clock exactly equals the burst horizon is
-    faulted inside the burst, as the reference loop does: the horizon
-    ends a burst only when the clock passes it.
+def test_burst_horizon_tie_matches_reference():
+    """An access whose clock exactly equals the burst horizon runs inside
+    the burst: the horizon ends a burst only when the clock passes it.
+    fast == reference == traced, once where the access at the tie is a
+    first touch (a faulting section, so both legs replay it through the
+    reference loop) and once where it is resident (the batched loop).
 
     Integer think times and integer latencies make the tie exact.  Both
-    threads start the ``tie`` section at the same clock, so thread 0's
-    burst runs to the horizon ``start + BATCH_SLACK_NS``; its first
-    access hits the L1 with a think time that lands the clock on the
-    horizon, and its second access is the first touch of a fresh page.
+    threads start each section at the same clock, so thread 0's burst
+    runs to the horizon ``start + BATCH_SLACK_NS``; its first access hits
+    the L1 with a think time that lands the clock on the horizon.  In
+    ``tie`` its second access is the first touch of a fresh page.  In
+    ``tie-resident`` it is a DRAM access that books the node's controller
+    before thread 1's earlier-clocked one, which then queues behind it;
+    ending the burst at the tie would book them the other way round.
     """
     import numpy as np
 
     from repro.cache.hierarchy import CacheTiming
     from repro.dram.timing import DramTiming
     from repro.machine.presets import tiny_machine
+    from repro.obs import metrics as obs_metrics
     from repro.sanitize.diff import differential_run
     from repro.sim.barrier import Program, Section
     from repro.sim.trace import Trace
@@ -684,29 +698,54 @@ def test_first_touch_on_the_burst_horizon_faults_inline():
             0: trace([base, fresh, fresh + 64], [slack - l1_hit, 1, 1]),
             1: trace([other, other + 64], [1, 1]),
         }
+        # Every page resident; the lines at +128 are in no cache yet.
+        resident = {
+            0: trace([base, fresh + 128], [slack - l1_hit, 1]),
+            1: trace([other + 128], [1]),
+        }
         program = Program(
             sections=[
                 Section(kind="parallel", traces=warm, label="warm"),
                 Section(kind="parallel", traces=tie, label="tie"),
+                Section(kind="parallel", traces=resident,
+                        label="tie-resident"),
             ],
             nthreads=2, name="horizon-tie",
         )
         return engine, program
 
-    report = differential_run(builder)
+    with obs_metrics.installed(obs_metrics.MetricsRegistry()) as reg:
+        report = differential_run(builder)
     assert report.modes == ("fast", "reference", "traced")
     assert report.clean, report.describe()
+    # Only the fast leg plans: the two faulting sections fall back, the
+    # resident one is batched.
+    snap = reg.snapshot()
+    assert _plan_fallbacks(snap) == {"fault": 2}
+    assert _kernel_ns_counts(snap) == {
+        "decode": 3, "scalar_replay": 2, "replay": 1,
+    }
 
-    # The tie really occurs: the traced leg took the fresh page's fault
-    # at exactly the horizon of thread 0's first "tie" burst.
+    # The ties really occur.  In the traced leg, thread 0 took the fresh
+    # page's fault at exactly the horizon of its first "tie" burst ...
     traced = observers[2]
-    tie_start = next(
-        e.begin for e in traced.events
-        if e.name == "tie" and e.track == "engine"
-    )
-    assert tie_start == int(tie_start)
+    starts = {
+        e.name: e.begin for e in traced.events
+        if e.track == "engine" and e.name in ("tie", "tie-resident")
+    }
+    assert starts["tie"] == int(starts["tie"])
     faults = [
         e.begin for e in traced.events
-        if e.name == "fault" and e.tid == 0 and e.begin >= tie_start
+        if e.name == "fault" and e.tid == 0 and e.begin >= starts["tie"]
     ]
-    assert faults == [tie_start + slack]
+    assert faults == [starts["tie"] + slack]
+    # ... and in "tie-resident" its DRAM access at the horizon was served
+    # first, so thread 1's access, issued 60 ns earlier, queued behind it.
+    start = starts["tie-resident"]
+    dram = {
+        e.args["core"]: (e.begin, e.args["queue_wait"])
+        for e in traced.events
+        if e.name == "dram.access" and e.begin >= start
+    }
+    assert dram[0] == (start + slack, 0.0)
+    assert dram[1][0] == start and dram[1][1] > 0.0

@@ -1,16 +1,8 @@
 """Unit tests for integer bit math."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.util.intmath import (
-    bit_slice,
-    deposit_bits,
-    is_power_of_two,
-    log2_exact,
-    mask,
-)
+from repro.util.intmath import is_power_of_two, log2_exact, mask
 
 
 class TestMask:
@@ -26,53 +18,6 @@ class TestMask:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mask(-1)
-
-
-class TestBitSlice:
-    def test_low_bits(self):
-        assert bit_slice(0b1011, 0, 1) == 0b11
-
-    def test_middle(self):
-        assert bit_slice(0b101100, 2, 4) == 0b011
-
-    def test_single_bit(self):
-        assert bit_slice(0b100, 2, 2) == 1
-
-    def test_beyond_value_is_zero(self):
-        assert bit_slice(0b1, 10, 12) == 0
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            bit_slice(5, 3, 1)
-
-    @given(st.integers(0, 2**40), st.integers(0, 30), st.integers(0, 10))
-    def test_matches_shift_mask(self, value, lo, width):
-        hi = lo + width
-        assert bit_slice(value, lo, hi) == (value >> lo) & mask(width + 1)
-
-
-class TestDepositBits:
-    def test_roundtrip_with_slice(self):
-        v = deposit_bits(0, 0b101, 4, 6)
-        assert bit_slice(v, 4, 6) == 0b101
-
-    def test_preserves_other_bits(self):
-        v = deposit_bits(0xFF, 0, 2, 3)
-        assert v == 0xFF & ~0b1100
-
-    def test_field_too_large(self):
-        with pytest.raises(ValueError):
-            deposit_bits(0, 4, 0, 1)
-
-    @given(
-        st.integers(0, 2**40),
-        st.integers(0, 2**5 - 1),
-        st.integers(0, 30),
-    )
-    def test_slice_of_deposit(self, base, field, lo):
-        hi = lo + 4
-        v = deposit_bits(base, field, lo, hi)
-        assert bit_slice(v, lo, hi) == field
 
 
 class TestPowersOfTwo:

@@ -1,38 +1,6 @@
-"""Unit tests for size parsing/formatting."""
+"""Unit tests for size formatting."""
 
-import pytest
-
-from repro.util.units import GIB, KIB, MIB, format_size, parse_size
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("4KB", 4 * KIB),
-            ("4kib", 4 * KIB),
-            ("12MiB", 12 * MIB),
-            ("2g", 2 * GIB),
-            ("512", 512),
-            ("0b", 0),
-        ],
-    )
-    def test_valid(self, text, expected):
-        assert parse_size(text) == expected
-
-    def test_int_passthrough(self):
-        assert parse_size(4096) == 4096
-
-    def test_whitespace(self):
-        assert parse_size("  8 MB ".replace(" ", "")) == 8 * MIB
-
-    def test_unknown_suffix(self):
-        with pytest.raises(ValueError):
-            parse_size("4xb")
-
-    def test_no_number(self):
-        with pytest.raises(ValueError):
-            parse_size("MB")
+from repro.util.units import GIB, KIB, MIB, format_size
 
 
 class TestFormatSize:

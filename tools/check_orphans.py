@@ -91,15 +91,9 @@ ALLOWED: dict[str, str] = {
     # Documented API.
     "repro.obs.metrics.Histogram.quantile": "documented in docs/OBSERVABILITY.md",
     "repro.search.report.replay_front": "documented in docs/SEARCH.md",
-    # Replaced by the paired-difference helper of ROADMAP item 3.
-    "repro.analysis.compare.compare": "replaced under ROADMAP item 3",
-    "repro.analysis.compare.comparison_table": "replaced under ROADMAP item 3",
-    # No caller and no reason to stay: the next deletion pass removes
-    # them with their tests (ROADMAP item 7).
-    "repro.core.coloring.mem_colors_local_to": "deletion candidate",
-    "repro.util.intmath.bit_slice": "deletion candidate",
-    "repro.util.intmath.deposit_bits": "deletion candidate",
-    "repro.util.units.parse_size": "deletion candidate",
+    # Replaced by the paired-difference helper of ROADMAP item 2.
+    "repro.analysis.compare.compare": "replaced under ROADMAP item 2",
+    "repro.analysis.compare.comparison_table": "replaced under ROADMAP item 2",
 }
 
 
