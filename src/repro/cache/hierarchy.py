@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.cache import _ABSENT, Cache
 from repro.cache.prefetch import StridePrefetcher
 from repro.cache.stats import CacheLevelStats
@@ -124,6 +126,13 @@ class CacheHierarchy:
             (self.l2[c], self._l2_sets[c], self._l1_sets[c])
             for c in range(topology.num_cores)
         ]
+        # The same set dicts as 1-D object arrays (per core for L1/L2):
+        # the engine's plan gathers each access's set dict from them with
+        # one numpy index per level.  They hold references, so they stay
+        # valid across Cache.reset() like the lists do.
+        self._l1_set_tables = [np.array(s, dtype=object) for s in self._l1_sets]
+        self._l2_set_tables = [np.array(s, dtype=object) for s in self._l2_sets]
+        self._llc_set_table = np.array(self._llc_sets, dtype=object)
         self._l1_mask = topology.l1.num_sets - 1
         self._l1_ib = topology.l1.index_bits
         self._l1_ways = topology.l1.ways

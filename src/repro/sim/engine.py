@@ -19,7 +19,6 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 
 from repro.cache.batch import set_index_batch
-from repro.cache.cache import _ABSENT
 from repro.cache.hierarchy import CacheHierarchy, CacheTiming, MemoryLevel
 from repro.core.session import ColoredTeam
 from repro.dram.bank import RowKind
@@ -329,8 +328,9 @@ class Engine:
            (unique-page gather), physical line construction, bank
            colors (one gather from the mapping's per-frame table,
            :meth:`AddressMapping.frame_bank_colors`), row numbers, and
-           every cache set index (:func:`repro.cache.batch.
-           set_index_batch`).
+           each access's set dict at every cache level (indices from
+           :func:`repro.cache.batch.set_index_batch`, gathered from the
+           caches' object arrays of sets).
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the disaggregated
            tier's DRAM-cache sets and network links, the merge order
@@ -369,21 +369,27 @@ class Engine:
         """Vectorised per-access precompute for one section, or None.
 
         Returns one plan tuple per non-empty trace: plain Python lists
-        (fast scalar indexing) of the line address, L1/L2/LLC set index,
-        write flag, think time, bank color and row number of every
-        access, then the issuing core's per-node interconnect rows
-        (hops, propagation, link occupancy), the base of its row of the
-        flat link table, and its cache bindings.  Bank colors are one
-        gather of the trace's unique frames from the mapping's per-frame
-        table (out-of-range frames raise ``ValueError``).  The bank color
-        fixes the node and channel bus (:attr:`DramSystem._bank_node`,
-        :attr:`DramSystem._bank_chan`), so the route needs no other
-        per-access list.  All of it is stateless address math, so it can
-        leave the replay loop; everything computed here is bit-identical
-        to what the reference loop derives per access.  A disaggregated
-        node has hops = -1 in the core's row: its accesses bypass the
-        mesh and replay through the remote-tier branch of
-        :meth:`_run_section_batched`.
+        (fast scalar indexing) of the line address, the L1, L2 and LLC
+        set dicts (the core's private sets, the shared LLC's), write
+        flag, think time, bank color and row number of every access,
+        then the issuing core's per-node interconnect rows (hops,
+        propagation, link occupancy), the base of its row of the flat
+        link table, its L1 and L2 caches and its L2 set list (for
+        dirty L1 victims).  The set dicts are one gather per level, at
+        the indices :func:`~repro.cache.batch.set_index_batch`
+        computes, from the hierarchy's object arrays of set dicts,
+        which stay valid because :meth:`MemorySystem.reset` clears the
+        sets in place.
+        Bank colors are one gather of the trace's unique frames from the
+        mapping's per-frame table (out-of-range frames raise
+        ``ValueError``).  The bank color fixes the node and channel bus
+        (:attr:`DramSystem._bank_node`, :attr:`DramSystem._bank_chan`),
+        so the route needs no other per-access list.  All of it is
+        stateless address math, so it can leave the replay loop;
+        everything computed here is bit-identical to what the reference
+        loop derives per access.  A disaggregated node has hops = -1 in
+        the core's row: its accesses bypass the mesh and replay through
+        the remote-tier branch of :meth:`_run_section_batched`.
 
         Returns None — the caller replays through
         :meth:`_run_section_reference` — when a trace touches a page not
@@ -411,6 +417,9 @@ class Engine:
         l1_set_mask = l1_geom.num_sets - 1
         l2_set_mask = l2_geom.num_sets - 1
         llc_mask = hierarchy._llc_mask
+        l1_tables = hierarchy._l1_set_tables
+        l2_tables = hierarchy._l2_set_tables
+        llc_table = hierarchy._llc_set_table
         ic = dram.interconnect
         far_nodes = list(dram._remote_caches)
         page_table_get = self.space.page_table.get
@@ -440,23 +449,25 @@ class Engine:
                 if isinstance(tn, np.ndarray)
                 else [float(tn)] * len(va)
             )
-            # Plain lists: the replay loop indexes them per access.
+            # Plain lists: the replay loop indexes them per access.  The
+            # set lists hold each access's set dict itself, one gather
+            # per level from the cache's object array of sets.
             plans[tidx] = (
                 lines.tolist(),
-                set_index_batch(
+                l1_tables[core][set_index_batch(
                     lines, l1_geom.index_bits, l1_set_mask, True
-                ).tolist(),
-                set_index_batch(
+                )].tolist(),
+                l2_tables[core][set_index_batch(
                     lines, l2_geom.index_bits, l2_set_mask, True
-                ).tolist(),
-                (lines & llc_mask).tolist(),
+                )].tolist(),
+                llc_table[lines & llc_mask].tolist(),
                 writes, thinks,
                 bc_u[inv].tolist(),
                 (lines >> row_line_shift).tolist(),
                 node_hops, ic._prop[core], ic._occupancy[core],
                 ic._link_base[core],
-                hierarchy.l1[core], hierarchy._l1_sets[core],
-                hierarchy.l2[core], hierarchy._l2_sets[core],
+                hierarchy.l1[core], hierarchy.l2[core],
+                hierarchy._l2_sets[core],
             )
         return plans
 
@@ -488,6 +499,17 @@ class Engine:
         controller -> channel -> bank chain serves all three.  Posted
         write-backs (``wb``) keep their own leg: no controller stage, a
         scaled bank occupancy, and no row opened.
+
+        Each thread's state list unpacks the plan tuple (see
+        :meth:`_batch_plan`): the per-access lists — line, L1/L2/LLC set
+        dict, write flag, think time, bank color, row — then the core's
+        interconnect rows and its L2 set list, which L1 victims are
+        written down through.  The loop never computes a set index of
+        the accessed line.  Its probes test ``line in s`` and pop and
+        reinsert only on a hit, and its evictions take the LRU line with
+        ``for old in s: break``; the reference path keeps
+        ``pop(line, _ABSENT)`` and ``next(iter(s))``, so the equivalence
+        tests compare two independently written probe and evict idioms.
 
         Event counts are not kept in the loop.  Each access that misses
         the L1 records one outcome code (listed above
@@ -536,7 +558,6 @@ class Engine:
         line_bits = hierarchy._line_bits
         page_line_shift = dram.mapping.page_bits - line_bits
         row_line_shift = dram._row_shift - line_bits
-        ABSENT = _ABSENT
         pop = heapq.heappop
         replace = heapq.heapreplace
         slack = self.BATCH_SLACK_NS
@@ -627,7 +648,8 @@ class Engine:
             # set's LRU line, write a dirty victim back, insert dirty.
             nonlocal de_n
             if len(llc_set) >= llc_ways:
-                old = next(iter(llc_set))
+                for old in llc_set:
+                    break
                 if llc_set.pop(old):
                     de_n += 1
                     wb(old, now)
@@ -641,9 +663,9 @@ class Engine:
                 continue
             n = len(plan[0])
             # Mutable per-thread state: cursor, trace length, the plan's
-            # per-access lists and per-core rows, the core's set tables,
+            # per-access lists and per-core rows, the core's L2 set list,
             # and the outcome code of every access.
-            states[tidx] = [0, n, *plan[:12], plan[13], plan[15], [0] * n]
+            states[tidx] = [0, n, *plan[:12], plan[14], [0] * n]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
@@ -652,8 +674,8 @@ class Engine:
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, n, lines, l1i, l2i, lci, writes, thinks, bcs, rows,
-             node_hops, node_prop, node_occ, link_base, l1_sets_c, l2_sets_c,
+            (i, n, lines, l1s, l2s, llcs, writes, thinks, bcs, rows,
+             node_hops, node_prop, node_occ, link_base, l2_sets_c,
              outs) = state
             # Burst window.  The root is peeked, not popped; the heap
             # minimum *after* removing the root is the smaller of the
@@ -672,26 +694,23 @@ class Engine:
 
             while True:
                 line = lines[i]
-                entries = l1_sets_c[l1i[i]]
-                d = entries.pop(line, ABSENT)
-                if d is not ABSENT:
-                    entries[line] = d or writes[i]
+                entries = l1s[i]
+                if line in entries:
+                    entries[line] = entries.pop(line) or writes[i]
                     lat = l1_hit_t
                 else:
                     is_w = writes[i]
-                    l2_set = l2_sets_c[l2i[i]]
-                    d = l2_set.pop(line, ABSENT)
-                    if d is not ABSENT:
+                    l2_set = l2s[i]
+                    if line in l2_set:
                         # L2 hit: refresh LRU (the L1 fill follows).
                         outs[i] = 1
-                        l2_set[line] = d or is_w
+                        l2_set[line] = l2_set.pop(line) or is_w
                         lat = l2_hit_t
                     else:
-                        llc_set = llc_sets[lci[i]]
-                        d = llc_set.pop(line, ABSENT)
-                        if d is not ABSENT:
+                        llc_set = llcs[i]
+                        if line in llc_set:
                             outs[i] = 2
-                            llc_set[line] = d or is_w
+                            llc_set[line] = llc_set.pop(line) or is_w
                             lat = llc_hit_t
                         else:
                             # LLC miss -> DRAM (DramSystem.access inlined
@@ -744,7 +763,9 @@ class Engine:
                                     arrival = lstart + back
                                     w_link = lstart - clock
                                     if len(rset) >= r_ways:
-                                        del rset[next(iter(rset))]
+                                        for old in rset:
+                                            break
+                                        del rset[old]
                                     rset[line] = None
                                     code = 10
                                 busy = ctrl_busy[nd]
@@ -797,7 +818,8 @@ class Engine:
                             # LLC fill: evict the set's LRU line (dirty
                             # victims post write-backs), install the line.
                             if len(llc_set) >= llc_ways:
-                                old = next(iter(llc_set))
+                                for old in llc_set:
+                                    break
                                 if llc_set.pop(old):
                                     de_n += 1
                                     wb(old, clock)
@@ -806,7 +828,8 @@ class Engine:
                         # _fill_private's L2 insert, inlined (the probe
                         # above proved absence).
                         if len(l2_set) >= l2_ways:
-                            old = next(iter(l2_set))
+                            for old in l2_set:
+                                break
                             old_dirty = l2_set.pop(old)
                             l2_set[line] = False
                             if old_dirty:
@@ -821,7 +844,8 @@ class Engine:
                     # proved absence): a dirty victim goes down to the L2,
                     # or to the LLC when the L2 no longer holds it.
                     if len(entries) >= l1_ways:
-                        old = next(iter(entries))
+                        for old in entries:
+                            break
                         old_dirty = entries.pop(old)
                         entries[line] = is_w
                         if old_dirty:
@@ -867,7 +891,7 @@ class Engine:
             b.open_row = row
             b.refresh_epoch = int(ep)
         _fold_outcomes(dram, hierarchy.llc, [
-            (threads[tidx], plans[tidx][12], plans[tidx][14], state[16],
+            (threads[tidx], plans[tidx][12], plans[tidx][13], state[15],
              state[8])
             for tidx, state in states.items()
         ])

@@ -118,8 +118,8 @@ PLATFORM_GRID = (
 )
 
 
-def run_platform(preset: str, policy: Policy, *, fast: bool,
-                 traced: bool = False):
+def platform_engine(preset: str, policy: Policy, *, traced: bool = False):
+    """A fresh engine on *preset* and its mini-profile lbm program."""
     from repro.experiments.configs import configs_for
     from repro.machine.presets import platform
     from repro.util.units import MIB
@@ -131,9 +131,15 @@ def run_platform(preset: str, policy: Policy, *, fast: bool,
     team, engine = _fresh_environment(
         config, policy, machine, age_seed=0, **kwargs
     )
-    engine.fast_path = fast
     spec = get_workload("lbm").scaled(profile_scale(PROFILE))
     program = build_spmd_program(spec, team, RngStream(0, "lbm", config.name))
+    return engine, program
+
+
+def run_platform(preset: str, policy: Policy, *, fast: bool,
+                 traced: bool = False):
+    engine, program = platform_engine(preset, policy, traced=traced)
+    engine.fast_path = fast
     return snapshot(engine.run(program))
 
 
@@ -152,6 +158,57 @@ def test_platform_traced_matches_reference(preset):
     ref = run_platform(preset, Policy.MEM_LLC, fast=False)
     traced = run_platform(preset, Policy.MEM_LLC, fast=True, traced=True)
     assert traced == ref
+
+
+def _check_plan_sets(engine, section) -> int:
+    """Plan *section* and assert that each access's three set entries
+    are the dicts ``Cache.set_of_line`` names for its line: the L1 and
+    L2 of the thread's core and the shared LLC.  Returns the number of
+    accesses checked."""
+    hierarchy = engine.memory.hierarchy
+    llc = hierarchy.llc
+    plans = engine._batch_plan(section)
+    assert plans is not None
+    assert plans.keys() == {t for t, tr in section.traces.items() if len(tr)}
+    checked = 0
+    for tidx, plan in plans.items():
+        core = engine.team.handles[tidx].core
+        l1, l2 = hierarchy.l1[core], hierarchy.l2[core]
+        lines, l1s, l2s, llcs = plan[:4]
+        assert len(l1s) == len(l2s) == len(llcs) == len(lines)
+        for line, s1, s2, s3 in zip(lines, l1s, l2s, llcs):
+            assert s1 is l1._sets[l1.set_of_line(line)]
+            assert s2 is l2._sets[l2.set_of_line(line)]
+            assert s3 is llc._sets[llc.set_of_line(line)]
+        checked += len(lines)
+    return checked
+
+
+@pytest.mark.parametrize("preset", PLATFORM_GRID)
+def test_plan_pins_cache_sets(preset):
+    """The plan hands the batched loop each access's set dicts, not
+    their indices: after a run and a ``MemorySystem.reset()`` every
+    section of the program (now all resident) and a one-access trace
+    on the last thread's core plan to the very dicts the caches index."""
+    import numpy as np
+
+    from repro.sim.barrier import Section
+    from repro.sim.trace import Trace
+
+    engine, program = platform_engine(preset, Policy.BUDDY)
+    engine.run(program)
+    engine.memory.reset()
+    assert not any(engine.memory.hierarchy.llc._sets)
+    for section in program.sections:
+        assert _check_plan_sets(engine, section) == section.accesses
+    tidx = engine.team.nthreads - 1
+    va = next(
+        tr.vaddrs[:1] for s in program.sections
+        for t, tr in s.traces.items() if t == tidx and len(tr)
+    )
+    one = Trace(vaddrs=np.asarray(va, dtype=np.int64),
+                writes=np.zeros(1, dtype=bool), think_ns=1.0)
+    assert _check_plan_sets(engine, Section("parallel", {tidx: one})) == 1
 
 
 def _disagg_lbm():
