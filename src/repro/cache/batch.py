@@ -1,18 +1,18 @@
-"""Array-side cache kernels for the engine's batched replay path.
+"""Array-side set indexing for the engine's batched replay path.
 
 The dict-based :class:`~repro.cache.cache.Cache` stays the system of
 record for *stateful* LRU content — per-access hit/miss outcomes depend
 on eviction history and cannot be replayed out of order.  What CAN be
-hoisted out of the per-access loop is everything *stateless* about an
-access: which set it indexes in each level, and whether it is a
-guaranteed cold miss.  These kernels compute those properties for a
-whole trace in a handful of numpy passes; the engine then replays the
-residual stateful work (LRU updates, evictions, DRAM) through plain
-Python with all per-access address math already done.
+hoisted out of the per-access loop is the *stateless* part of an
+access: which set it indexes in each level.  This module holds one
+kernel, :func:`set_index_batch`, which computes that for a whole trace
+in a few numpy passes; the engine then replays the residual stateful
+work (LRU updates, evictions, DRAM) through plain Python with all
+per-access address math already done.
 
-Bit-compatibility contract: each kernel mirrors a scalar method of
-``Cache`` exactly (named in its docstring), and
-``tests/test_cache_batch.py`` pins the two together element by element.
+Bit-compatibility contract: the kernel mirrors
+:meth:`Cache.set_of_line` exactly, and ``tests/test_cache_batch.py``
+pins the two together element by element.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ model is exact regardless of which address bits form the set index.
 Per-set state is one insertion-ordered dict mapping line address -> dirty
 bit, with the MRU entry last: a hit is one ``dict.pop`` + reinsert, an
 eviction is ``next(iter(...))`` — all O(1), no list scans and no control
-flow via exceptions on the miss path (this is the simulator's hottest
-data structure; see docs/ARCHITECTURE.md, "Fast path").
+flow via exceptions on the miss path.  :class:`CacheHierarchy`'s
+reference path is built from these methods; the engine's batched loop
+replays the same rules on the set dicts directly (docs/ARCHITECTURE.md,
+"Fast-path placement").
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ _ABSENT = object()
 
 
 class EvictedLine(NamedTuple):
-    """A line pushed out of a cache by an insertion.
+    """A line pushed out of a cache by an insertion, with its dirty bit.
 
-    A NamedTuple rather than a dataclass: three are constructed per
-    LLC-missing access on the fill path, and tuple construction is
-    several times cheaper than a frozen dataclass ``__init__``.
+    A dirty victim is written down to the next level (the LLC posts it
+    to DRAM); a clean one is dropped.
     """
 
     line_addr: int
@@ -79,13 +80,7 @@ class Cache:
     # ------------------------------------------------------------------ ops
     def lookup(self, line_addr: int, is_write: bool) -> bool:
         """Probe the cache; on a hit refresh LRU and maybe set dirty."""
-        # set_of_line(), manually inlined: this is the simulator's hottest path.
-        if self._hash:
-            ib = self._index_bits
-            idx = (line_addr ^ (line_addr >> ib) ^ (line_addr >> (ib + ib))) & self._set_mask
-        else:
-            idx = line_addr & self._set_mask
-        entries = self._sets[idx]
+        entries = self._sets[self.set_of_line(line_addr)]
         dirty = entries.pop(line_addr, _ABSENT)
         if dirty is _ABSENT:
             self.misses += 1
@@ -99,12 +94,7 @@ class Cache:
 
         Returns the eviction victim (with its dirty state) or None.
         """
-        if self._hash:
-            ib = self._index_bits
-            idx = (line_addr ^ (line_addr >> ib) ^ (line_addr >> (ib + ib))) & self._set_mask
-        else:
-            idx = line_addr & self._set_mask
-        entries = self._sets[idx]
+        entries = self._sets[self.set_of_line(line_addr)]
         victim: EvictedLine | None = None
         present = entries.pop(line_addr, _ABSENT)
         if present is not _ABSENT:

@@ -18,12 +18,6 @@ from repro.machine.address import AddressMapping
 from repro.machine.topology import MachineTopology
 from repro.obs.observer import NULL_OBSERVER, BaseObserver
 
-#: RowKind members bound at module level (skips enum-class attribute
-#: lookups on the per-access stats update below).
-_HIT = RowKind.HIT
-_MISS = RowKind.MISS
-
-
 class AccessResult:
     """Outcome of one DRAM demand access (slots class: hot-path object)."""
 
@@ -230,13 +224,6 @@ class DramSystem:
                     raise ValueError(f"remote node {node} outside mapping")
                 self._remote_caches[node] = remote.make_cache()
                 self._net_busy[node] = 0.0
-            self._net_ns = remote.network_ns
-            self._net_service = remote.network_service_ns
-            self._cache_hit_ns = remote.cache_hit_ns
-        # Timing scalars bound once (immutable), for the per-access path.
-        self._ctrl_service = timing.ctrl_service
-        self._ctrl_overhead = timing.ctrl_overhead
-        self._channel_service = timing.channel_service
         self._register_counters(observer)
 
     def _register_counters(self, obs: BaseObserver) -> None:
@@ -280,12 +267,13 @@ class DramSystem:
         reaches a far bank (booked as a *local* row hit, and counted in
         ``remote_cache_hits`` so the sanitizer's bank-conservation
         identity stays checkable).  Otherwise one front leg reaches the
-        node's controller: none for the local node, the interconnect mesh
-        for another socket's node, the network link for a disaggregated
-        one (whose fetched line then fills the DRAM cache, clean LRU
-        eviction).  The controller, channel and bank stages follow, then
-        the return leg.  ``Engine._run_section_batched`` replays the same
-        pipeline inline; keep the two in lockstep.
+        node's controller: the interconnect mesh (a no-op for the local
+        node) or the network link of a disaggregated node (whose fetched
+        line then fills the DRAM cache, clean LRU eviction).  One
+        controller -> channel -> bank stage (:meth:`_serve`) follows,
+        then the return leg, and the access is booked through
+        :meth:`DramStats.record`.  ``Engine._run_section_batched``
+        replays the same pipeline inline; keep the two in lockstep.
 
         Args:
             paddr: physical byte address of the missing line.
@@ -300,96 +288,46 @@ class DramSystem:
         bank_color = self.frame_bank[paddr >> self._page_bits]
         node = self._bank_node[bank_color]
         stats = self.stats
-        per_node = stats.per_node_accesses
         cache = self._remote_caches.get(node)
-        if cache is not None:
+        if cache is None:
+            interconnect = self.interconnect
+            arrival, hops = interconnect.traverse(core, node, now)
+            back = interconnect._prop[core][node]
+            # Rounding can leave an unqueued crossing a hair below zero.
+            w_link = max(arrival - now - back, 0.0)
+        else:
             line = paddr >> self._line_bits
             if cache.lookup(line):
-                latency = self._cache_hit_ns
                 stats.remote_cache_hits += 1
-                stats.accesses += 1
-                stats.total_latency += latency
-                stats.row_hits += 1
-                stats.local_accesses += 1
-                per_node[node] = per_node.get(node, 0) + 1
+                result = AccessResult(
+                    self.remote.cache_hit_ns, RowKind.HIT, node, bank_color, 0, 0.0
+                )
+                stats.record(result)
                 if self._obs_enabled:
                     self.obs.span(
-                        "dram.remote_cache_hit", now, now + latency,
+                        "dram.remote_cache_hit", now, now + result.latency,
                         track="dram", tid=node,
                         args={"bank": bank_color, "core": core,
                               "write": is_write},
                     )
-                return AccessResult(latency, _HIT, node, bank_color, 0, 0.0)
-            # Network link: one busy-until queue per remote node; one
-            # fabric crossing (hops=1) that bypasses the mesh.
-            busy = self._net_busy[node]
-            link_start = now if now > busy else busy
-            self._net_busy[node] = link_start + self._net_service
-            back = self._net_ns
-            arrival = link_start + back
-            w_link = link_start - now
+                return result
+            stats.remote_cache_misses += 1
+            arrival, w_link = self._network_leg(node, now)
+            back = self.remote.network_ns
             hops = 1
-        else:
-            # Local accesses (0 hops) bypass the traverse call, an exact
-            # no-op for them (arrival = now, return latency = 0.0).
-            interconnect = self.interconnect
-            hops = interconnect._hops[core][node]
-            if hops:
-                arrival, hops = interconnect.traverse(core, node, now)
-                back = interconnect._prop[core][node]
-                w_link = arrival - now - back
-                if w_link < 0.0:
-                    w_link = 0.0
-            else:
-                arrival = now
-                back = w_link = 0.0
-
-        # Controller front-end queue, then the channel data bus.  (max(),
-        # written as conditionals: same floats, no builtin call.)
-        ctrl_busy = self._ctrl_busy
-        busy = ctrl_busy[node]
-        ctrl_start = arrival if arrival > busy else busy
-        ctrl_busy[node] = ctrl_start + self._ctrl_service
-        after_ctrl = ctrl_start + self._ctrl_overhead
-        chan = self._bank_chan[bank_color]
-        chan_busy = self._chan_busy
-        busy = chan_busy[chan]
-        chan_start = after_ctrl if after_ctrl > busy else busy
-        chan_busy[chan] = chan_start + self._channel_service
-        bank_start, service, kind = self.banks[bank_color].access(
-            paddr >> self._row_shift, chan_start, is_write
-        )
-        if cache is not None:
             cache.insert(line)
 
-        done = bank_start + service + back
-        latency = done - now
-        w_ctrl = ctrl_start - arrival
-        w_chan = chan_start - after_ctrl
-        w_bank = bank_start - chan_start
+        finish, kind, w_ctrl, w_chan, w_bank = self._serve(
+            bank_color, node, paddr >> self._row_shift, arrival, is_write
+        )
+        done = finish + back
         queue_wait = w_link + w_ctrl + w_chan + w_bank
-        # DramStats.record(), manually inlined (hot path): one fused
-        # counter update instead of a method call over the result object.
+        result = AccessResult(done - now, kind, node, bank_color, hops, queue_wait)
         stats.wait_link += w_link
         stats.wait_ctrl += w_ctrl
         stats.wait_chan += w_chan
         stats.wait_bank += w_bank
-        stats.accesses += 1
-        stats.total_latency += latency
-        stats.total_queue_wait += queue_wait
-        if kind is _HIT:
-            stats.row_hits += 1
-        elif kind is _MISS:
-            stats.row_misses += 1
-        else:
-            stats.row_conflicts += 1
-        if hops:
-            stats.remote_accesses += 1
-        else:
-            stats.local_accesses += 1
-        if cache is not None:
-            stats.remote_cache_misses += 1
-        per_node[node] = per_node.get(node, 0) + 1
+        stats.record(result)
         if self._obs_enabled:
             args = {"bank": bank_color, "row": kind.value}
             if cache is None:
@@ -399,7 +337,48 @@ class DramSystem:
                 "dram.access" if cache is None else "dram.remote_access",
                 now, done, track="dram", tid=node, args=args,
             )
-        return AccessResult(latency, kind, node, bank_color, hops, queue_wait)
+        return result
+
+    def _network_leg(self, node: int, now: float) -> tuple[float, float]:
+        """Cross a disaggregated node's network link: one busy-until
+        queue per node, one fabric crossing that bypasses the mesh.
+
+        Returns ``(arrival, wait)``: the time the message reaches the far
+        end and how long it queued for the link.
+        """
+        busy = self._net_busy[node]
+        start = now if now > busy else busy
+        self._net_busy[node] = start + self.remote.network_service_ns
+        return start + self.remote.network_ns, start - now
+
+    def _serve(
+        self, bank_color: int, node: int, row: int, arrival: float,
+        is_write: bool,
+    ) -> tuple[float, RowKind, float, float, float]:
+        """Controller front-end queue, channel data bus, then the bank.
+
+        Returns ``(finish, kind, w_ctrl, w_chan, w_bank)``: when the bank
+        has served the request, its row outcome, and the wait at each
+        stage.  (max() written as conditionals: same floats.)
+        """
+        t = self.timing
+        ctrl_busy = self._ctrl_busy
+        busy = ctrl_busy[node]
+        ctrl_start = arrival if arrival > busy else busy
+        ctrl_busy[node] = ctrl_start + t.ctrl_service
+        after_ctrl = ctrl_start + t.ctrl_overhead
+        chan = self._bank_chan[bank_color]
+        chan_busy = self._chan_busy
+        busy = chan_busy[chan]
+        chan_start = after_ctrl if after_ctrl > busy else busy
+        chan_busy[chan] = chan_start + t.channel_service
+        bank_start, service, kind = self.banks[bank_color].access(
+            row, chan_start, is_write
+        )
+        return (
+            bank_start + service, kind, ctrl_start - arrival,
+            chan_start - after_ctrl, bank_start - chan_start,
+        )
 
     def prefetch_fill(self, paddr: int, core: int, now: float) -> None:
         """Serve a prefetch: full bank/channel/controller occupancy, but
@@ -407,24 +386,14 @@ class DramSystem:
         statistics are untouched."""
         bc = self.frame_bank[paddr >> self._page_bits]
         node = self._bank_node[bc]
-        chan = self._bank_chan[bc]
-        row = paddr >> self._row_shift
-        t = self.timing
         if node in self._remote_caches:
             # Prefetchers fill the LLC straight from the far DRAM — the
             # compute-side DRAM cache is demand-filled only, so the fill
             # pays network link occupancy instead of the mesh traverse.
-            busy = self._net_busy[node]
-            start = now if now > busy else busy
-            self._net_busy[node] = start + self._net_service
-            arrival = start + self._net_ns
+            arrival, _ = self._network_leg(node, now)
         else:
             arrival, _ = self.interconnect.traverse(core, node, now)
-        ctrl_start = max(arrival, self._ctrl_busy[node])
-        self._ctrl_busy[node] = ctrl_start + t.ctrl_service
-        chan_start = max(ctrl_start + t.ctrl_overhead, self._chan_busy[chan])
-        self._chan_busy[chan] = chan_start + t.channel_service
-        self.banks[bc].access(row, chan_start, is_write=False)
+        self._serve(bc, node, paddr >> self._row_shift, arrival, False)
         self.stats.prefetch_fills += 1
 
     def writeback(self, paddr: int, now: float) -> None:
@@ -438,15 +407,13 @@ class DramSystem:
                 # its own eviction is folded into the clean-evict model).
                 self.stats.writebacks += 1
                 return
-            busy = self._net_busy[node]
-            start = now if now > busy else busy
-            self._net_busy[node] = start + self._net_service
-            now = start + self._net_ns  # posted write lands at the far end
+            # The posted write lands at the far end.
+            now, _ = self._network_leg(node, now)
         chan = self._bank_chan[bc]
         chan_busy = self._chan_busy
         busy = chan_busy[chan]
         chan_busy[chan] = (
-            (now if now > busy else busy) + self._channel_service
+            (now if now > busy else busy) + self.timing.channel_service
         )
         self.banks[bc].writeback(paddr >> self._row_shift, now)
         self.stats.writebacks += 1

@@ -902,13 +902,15 @@ class Engine:
     ) -> dict[int, float]:
         """The straightforward replay loop (the *slow path*).
 
-        This is the engine as it existed before the fast path: every
-        access enters :meth:`CacheHierarchy.access`, and per-thread
-        counters update one access at a time.  It is kept as the
-        behavioural reference: ``tests/test_sim_engine_equivalence.py``
-        asserts the fast path reproduces its :class:`RunMetrics`
-        bit-for-bit, and ``benchmarks/perf_baseline.py`` measures the
-        fast path's speedup against it.  It also replays the sections
+        Every access enters :meth:`CacheHierarchy.access`, which is
+        built from :class:`~repro.cache.cache.Cache`'s property-tested
+        ``lookup``/``insert``/``mark_dirty`` and
+        :meth:`DramSystem.access`'s stages, and per-thread counters
+        update one access at a time.  It is kept as the behavioural
+        reference: ``tests/test_sim_engine_equivalence.py`` asserts the
+        fast path reproduces its :class:`RunMetrics` bit-for-bit, and
+        ``benchmarks/perf_baseline.py`` measures the fast path's speedup
+        against it.  It also replays the sections
         the fast path cannot plan (first touches, prefetch ablation, row
         bits inside the line offset).
 

@@ -1,7 +1,7 @@
 """Hypothesis properties: LRU cache semantics.
 
 :class:`repro.cache.cache.Cache` (insertion-ordered dict tricks,
-``_ABSENT`` sentinel, inlined index math) must behave exactly like a
+``_ABSENT`` sentinel, hashed set indexing) must behave exactly like a
 brute-force LRU model written with plain lists.
 """
 

@@ -83,8 +83,6 @@ ALLOWED: dict[str, str] = {
     "repro.experiments.configs.ExperimentConfig.nodes_used":
         "thread-config query",
     "repro.workloads.registry.suite_of": "workload-registry query",
-    "repro.cache.cache.Cache.mark_dirty":
-        "cache operation the LRU model-based property test drives",
     "repro.cache.cache.Cache.invalidate":
         "cache operation the LRU model-based property test drives",
     "repro.faultline.hooks.disarm": "the only way to undo a bare arm()",
