@@ -5,8 +5,8 @@ machine:
 
 * **Bit identity** — fast and reference paths produce identical metrics
   on every measured run (the fast path's hard correctness contract).
-* **No regression** — the fast path is never meaningfully slower than
-  the reference loop (small tolerance for wall-clock noise).
+* **No regression** — the fast path keeps its measured lead over the
+  reference loop (see ``test_fast_path_not_slower`` for the bound).
 
 Cross-PR wall-clock progress is *not* asserted here — absolute seconds
 are machine-specific.  That history lives in the BENCH_engine.json
@@ -58,10 +58,24 @@ def test_fast_path_is_bit_identical(measurement):
     )
 
 
+#: Least ref/fast wall-time ratio the default subset must show.
+MIN_SPEEDUP = 1.95
+
+
 def test_fast_path_not_slower(measurement):
+    """The fast path keeps its lead over the reference loop.
+
+    Measured on the default subset (mini profile, lbm + freqmine), one
+    ``measure_pair`` per fresh process, 10 runs on a shared 2-core
+    host: ref/fast 2.48-2.89, median 2.65.  The bound is 1.95: the
+    lowest run clears it by 27% and the median by 36%, so a fast-path
+    slowdown of about 1.36x fails here.  Re-measure when either loop's
+    cost changes: the ratio moves with the reference loop too.
+    """
     fast, ref = measurement["fast_wall_s"], measurement["ref_wall_s"]
-    assert fast <= ref * 1.15, (
-        f"fast path slower than reference: {fast:.2f}s vs {ref:.2f}s"
+    assert ref >= fast * MIN_SPEEDUP, (
+        f"fast path lost its lead: {fast:.2f}s vs reference {ref:.2f}s "
+        f"(ratio {ref / fast:.2f}, bound {MIN_SPEEDUP})"
     )
 
 

@@ -107,6 +107,9 @@ class CacheHierarchy:
         #: ``dram.stats.writebacks`` exactly (a sanitizer invariant).
         self.dirty_evictions = 0
         self._line_bits = topology.llc.offset_bits
+        # LLC victims reach DramSystem.writeback as line numbers.
+        if self._line_bits != dram.mapping.line_bits:
+            raise ValueError("LLC line size differs from the DRAM mapping's")
         # What the engine's batched loop reads: each cache's set dicts
         # (the L2's per core, for L1 victims written down through it),
         # the geometry it indexes them with, and the same sets as 1-D
@@ -253,7 +256,7 @@ class CacheHierarchy:
         victim = self.llc.insert(line, dirty)
         if victim is not None and victim.dirty:
             self.dirty_evictions += 1
-            self.dram.writeback(victim.line_addr << self._line_bits, now)
+            self.dram.writeback(victim.line_addr, now)
 
     # ------------------------------------------------------------------ stats
     def level_stats(self) -> dict[str, CacheLevelStats]:

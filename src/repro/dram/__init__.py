@@ -9,14 +9,12 @@ Reproduces the first-order phenomena the paper builds on (§II-B):
 * write-back traffic occupying banks and disturbing open rows.
 """
 
-from repro.dram.bank import Bank, RowKind
 from repro.dram.interconnect import Interconnect
 from repro.dram.remote import RemoteCache, RemoteTier
-from repro.dram.system import AccessResult, DramStats, DramSystem
+from repro.dram.system import AccessResult, DramStats, DramSystem, RowKind
 from repro.dram.timing import DramTiming
 
 __all__ = [
-    "Bank",
     "RowKind",
     "Interconnect",
     "RemoteCache",

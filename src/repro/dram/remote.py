@@ -17,11 +17,10 @@ Two pieces live here:
 
 Everything is deterministic: the cache is strict LRU over insertion-
 ordered dicts, and the network link is a single ``busy_until`` queue like
-the controller/channel stages, so fast/reference replays stay
-bit-identical.  The engine's batched fast path replays this tier inline
-(``Engine._run_section_batched``): it probes and fills the cache's set
-dicts in place and mirrors the probe counters and network link, so any
-change to the semantics here must be mirrored there.
+the controller/channel stages.  Both replay loops reach this tier through
+:meth:`DramSystem.demand` and :meth:`DramSystem.writeback`, which call
+:meth:`RemoteCache.lookup`, :meth:`~RemoteCache.insert` and
+:meth:`~RemoteCache.touch`.
 """
 
 from __future__ import annotations

@@ -4,19 +4,54 @@ One :class:`DramSystem` owns the mutable timing state of every memory
 resource in the machine and serves line-granular demand accesses and
 posted write-backs.  Banks are identified by their *bank color* (Eq. 1),
 which is globally unique — the same identifier TintMalloc partitions.
+
+Each bank serves one request at a time (``bank_busy`` occupancy) and
+keeps at most one row open.  A request to the open row is cheap (row
+hit), one to another row pays precharge + activate (row conflict), one
+to an idle bank pays activate only (closed miss), and periodic refresh
+closes the row.  This is the mechanism behind the paper's Fig. 8: two
+tasks that interleave rows of a *shared* bank turn each other's row
+hits into row conflicts.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
-from repro.dram.bank import Bank, RowKind
 from repro.dram.interconnect import Interconnect
 from repro.dram.remote import RemoteCache, RemoteTier
 from repro.dram.timing import DEFAULT_TIMING, DramTiming
 from repro.machine.address import AddressMapping
 from repro.machine.topology import MachineTopology
 from repro.obs.observer import NULL_OBSERVER, BaseObserver
+
+
+class RowKind(enum.Enum):
+    """Outcome of a row-buffer lookup."""
+
+    HIT = "hit"
+    MISS = "miss"  # bank idle (no open row): activate + access
+    CONFLICT = "conflict"  # other row open: precharge + activate + access
+
+
+# Outcome codes.  DramSystem.demand returns one per LLC miss: 9 for a
+# far-tier DRAM-cache hit, otherwise its path's base (3 local
+# controller, 6 across the mesh, 10 far tier) plus its row outcome (+0
+# miss, +1 hit, +2 conflict).  The engine's batched loop adds 0 = L1
+# hit, 1 = L2 hit and 2 = LLC hit, and tallies all of them after a
+# section (Engine's _fold_outcomes).
+NCODES = 13
+CACHE_HIT = 9
+ROW_MISS = (3, 6, 10)
+ROW_HIT = (4, 7, 11)
+ROW_CONFLICT = (5, 8, 12)
+MESH = (6, 7, 8)
+FAR_MISS = (10, 11, 12)
+_ROW_KINDS = (RowKind.MISS, RowKind.HIT, RowKind.CONFLICT)
+#: The row outcome of every DRAM code (None for the cache-level codes).
+_CODE_KIND = (None,) * 3 + _ROW_KINDS * 2 + (RowKind.HIT,) + _ROW_KINDS
+
 
 class AccessResult:
     """Outcome of one DRAM demand access (slots class: hot-path object)."""
@@ -44,12 +79,6 @@ class AccessResult:
         """Whether the access crossed the interconnect (hops > 0)."""
         return self.hops > 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AccessResult(latency={self.latency:.1f}, kind={self.row_kind}, "
-            f"node={self.node}, bank={self.bank_color}, hops={self.hops})"
-        )
-
 
 @dataclass(slots=True)
 class DramStats:
@@ -74,10 +103,12 @@ class DramStats:
     per_node_accesses: dict[int, int] = field(default_factory=dict)
 
     def record(self, result: AccessResult) -> None:
-        """Fold one completed access into the aggregate counters."""
+        """Count one completed access by row outcome, locality and node.
+
+        The float sums (latency and the queue waits) are booked by
+        :class:`DramSystem`'s ``demand`` stage, which both loops call.
+        """
         self.accesses += 1
-        self.total_latency += result.latency
-        self.total_queue_wait += result.queue_wait
         if result.row_kind is RowKind.HIT:
             self.row_hits += 1
         elif result.row_kind is RowKind.MISS:
@@ -167,6 +198,15 @@ class DramStats:
 class DramSystem:
     """All DRAM timing state of one machine.
 
+    The state is flat lists, one entry per bank color, controller
+    (node), channel bus or remote node: ``bank_busy``, ``bank_row`` (the
+    open row, None when precharged) and ``bank_epoch`` (the last refresh
+    window the bank saw, a float), plus each bank's ``bank_hits``,
+    ``bank_misses`` and ``bank_conflicts``.  Both replay loops run the
+    same stages over it, ``demand`` for an LLC miss and ``writeback``
+    for a dirty LLC victim (built by :meth:`_bind_stages`).
+    :meth:`reset` clears the lists in place.
+
     Args:
         mapping: the platform's physical address codec.
         topology: socket/node/core layout (for interconnect distances).
@@ -192,19 +232,30 @@ class DramSystem:
         self.timing = timing
         self.obs = observer
         self._obs_enabled = observer.enabled
-        self.banks = [Bank(timing) for _ in range(mapping.num_bank_colors)]
+        nbanks = mapping.num_bank_colors
+        self.bank_busy = [0.0] * nbanks
+        self.bank_row: list[int | None] = [None] * nbanks
+        self.bank_epoch = [-1.0] * nbanks
+        self.bank_misses = [0] * nbanks
+        self.bank_hits = [0] * nbanks
+        self.bank_conflicts = [0] * nbanks
+        self._bank_count = dict(zip(
+            _ROW_KINDS, (self.bank_misses, self.bank_hits, self.bank_conflicts)
+        ))
         self._ctrl_busy = [0.0] * mapping.num_nodes
         # One data bus per (node, channel).
         self._chan_busy = [0.0] * (mapping.num_nodes * mapping.num_channels)
         self.interconnect = Interconnect(topology, timing)
-        self.stats = DramStats()
+        # This run's DramStats in a box the stages share: reset() swaps
+        # in a fresh one, the old one going to the finished RunMetrics.
+        self._stats = [DramStats()]
         # Routing: a frame's bank color (Eq. 1), read from the mapping's
         # per-frame table through a memoryview (plain-int indexing, no
-        # copy), indexes its Bank.  The color is mixed-radix with the node
-        # most significant, so it alone fixes the node and the channel
-        # bus: per-color tables, also used by the engine's batched replay.
+        # copy), indexes the bank lists.  The color is mixed-radix with
+        # the node most significant, so it alone fixes the node and the
+        # channel bus.
         self.frame_bank = memoryview(mapping.frame_color_table()[0])
-        colors = range(mapping.num_bank_colors)
+        colors = range(nbanks)
         self._bank_node = [
             bc // mapping.bank_colors_per_node for bc in colors
         ]
@@ -214,9 +265,10 @@ class DramSystem:
         self._page_bits = mapping.page_bits
         self._row_shift = mapping.row_bits_start
         self._line_bits = mapping.line_bits
-        # Disaggregated tier: per-remote-node DRAM cache + network link.
+        # Disaggregated tier: each node's DRAM cache (None for a node on
+        # the mesh) and each remote node's network link.
         self.remote = remote
-        self._remote_caches: dict[int, RemoteCache] = {}
+        self._remote_caches: list[RemoteCache | None] = [None] * mapping.num_nodes
         self._net_busy: dict[int, float] = {}
         if remote is not None:
             for node in remote.remote_nodes:
@@ -225,6 +277,7 @@ class DramSystem:
                 self._remote_caches[node] = remote.make_cache()
                 self._net_busy[node] = 0.0
         self._register_counters(observer)
+        self._bind_stages()
 
     def _register_counters(self, obs: BaseObserver) -> None:
         """Expose aggregate stats and controller occupancy as counters.
@@ -255,25 +308,21 @@ class DramSystem:
                 lambda now, n=node: max(0.0, self._ctrl_busy[n] - now),
             )
 
+    @property
+    def stats(self) -> DramStats:
+        """This run's aggregate counters (a fresh object after reset)."""
+        return self._stats[0]
+
     # ------------------------------------------------------------------ access
     def access(
         self, paddr: int, core: int, now: float, is_write: bool = False
     ) -> AccessResult:
         """Serve an LLC-miss demand access and return its latency.
 
-        Every path runs one pipeline.  A disaggregated node first probes
-        its compute-side DRAM cache: a hit is a flat
-        :attr:`RemoteTier.cache_hit_ns` that never crosses the fabric or
-        reaches a far bank (booked as a *local* row hit, and counted in
-        ``remote_cache_hits`` so the sanitizer's bank-conservation
-        identity stays checkable).  Otherwise one front leg reaches the
-        node's controller: the interconnect mesh (a no-op for the local
-        node) or the network link of a disaggregated node (whose fetched
-        line then fills the DRAM cache, clean LRU eviction).  One
-        controller -> channel -> bank stage (:meth:`_serve`) follows,
-        then the return leg, and the access is booked through
-        :meth:`DramStats.record`.  ``Engine._run_section_batched``
-        replays the same pipeline inline; keep the two in lockstep.
+        Decodes ``paddr``, serves it through the ``demand`` stage and
+        counts the outcome: per bank, in the DRAM-cache counters and
+        through :meth:`DramStats.record` (a DRAM-cache hit as a local
+        row hit that no bank served).
 
         Args:
             paddr: physical byte address of the missing line.
@@ -286,99 +335,41 @@ class DramSystem:
             and the decoded route/row outcome.
         """
         bank_color = self.frame_bank[paddr >> self._page_bits]
-        node = self._bank_node[bank_color]
-        stats = self.stats
-        cache = self._remote_caches.get(node)
-        if cache is None:
-            interconnect = self.interconnect
-            arrival, hops = interconnect.traverse(core, node, now)
-            back = interconnect._prop[core][node]
-            # Rounding can leave an unqueued crossing a hair below zero.
-            w_link = max(arrival - now - back, 0.0)
-        else:
-            line = paddr >> self._line_bits
-            if cache.lookup(line):
-                stats.remote_cache_hits += 1
-                result = AccessResult(
-                    self.remote.cache_hit_ns, RowKind.HIT, node, bank_color, 0, 0.0
-                )
-                stats.record(result)
-                if self._obs_enabled:
-                    self.obs.span(
-                        "dram.remote_cache_hit", now, now + result.latency,
-                        track="dram", tid=node,
-                        args={"bank": bank_color, "core": core,
-                              "write": is_write},
-                    )
-                return result
-            stats.remote_cache_misses += 1
-            arrival, w_link = self._network_leg(node, now)
-            back = self.remote.network_ns
-            hops = 1
-            cache.insert(line)
-
-        finish, kind, w_ctrl, w_chan, w_bank = self._serve(
-            bank_color, node, paddr >> self._row_shift, arrival, is_write
+        latency, code, queue_wait = self.demand(
+            bank_color, paddr >> self._row_shift, paddr >> self._line_bits,
+            core, now, is_write,
         )
-        done = finish + back
-        queue_wait = w_link + w_ctrl + w_chan + w_bank
-        result = AccessResult(done - now, kind, node, bank_color, hops, queue_wait)
-        stats.wait_link += w_link
-        stats.wait_ctrl += w_ctrl
-        stats.wait_chan += w_chan
-        stats.wait_bank += w_bank
+        node = self._bank_node[bank_color]
+        kind = _CODE_KIND[code]
+        stats = self._stats[0]
+        if code == CACHE_HIT:
+            stats.remote_cache_hits += 1
+            hops = 0
+        else:
+            self._bank_count[kind][bank_color] += 1
+            if code in FAR_MISS:
+                stats.remote_cache_misses += 1
+                hops = 1
+            else:
+                hops = self.interconnect._hops[core][node]
+        result = AccessResult(latency, kind, node, bank_color, hops, queue_wait)
         stats.record(result)
         if self._obs_enabled:
-            args = {"bank": bank_color, "row": kind.value}
-            if cache is None:
-                args["hops"] = hops
-            args.update(core=core, queue_wait=queue_wait, write=is_write)
+            if code == CACHE_HIT:
+                name = "dram.remote_cache_hit"
+                args = {"bank": bank_color, "core": core, "write": is_write}
+            else:
+                args = {"bank": bank_color, "row": kind.value}
+                if code in FAR_MISS:
+                    name = "dram.remote_access"
+                else:
+                    name = "dram.access"
+                    args["hops"] = hops
+                args.update(core=core, queue_wait=queue_wait, write=is_write)
             self.obs.span(
-                "dram.access" if cache is None else "dram.remote_access",
-                now, done, track="dram", tid=node, args=args,
+                name, now, now + latency, track="dram", tid=node, args=args,
             )
         return result
-
-    def _network_leg(self, node: int, now: float) -> tuple[float, float]:
-        """Cross a disaggregated node's network link: one busy-until
-        queue per node, one fabric crossing that bypasses the mesh.
-
-        Returns ``(arrival, wait)``: the time the message reaches the far
-        end and how long it queued for the link.
-        """
-        busy = self._net_busy[node]
-        start = now if now > busy else busy
-        self._net_busy[node] = start + self.remote.network_service_ns
-        return start + self.remote.network_ns, start - now
-
-    def _serve(
-        self, bank_color: int, node: int, row: int, arrival: float,
-        is_write: bool,
-    ) -> tuple[float, RowKind, float, float, float]:
-        """Controller front-end queue, channel data bus, then the bank.
-
-        Returns ``(finish, kind, w_ctrl, w_chan, w_bank)``: when the bank
-        has served the request, its row outcome, and the wait at each
-        stage.  (max() written as conditionals: same floats.)
-        """
-        t = self.timing
-        ctrl_busy = self._ctrl_busy
-        busy = ctrl_busy[node]
-        ctrl_start = arrival if arrival > busy else busy
-        ctrl_busy[node] = ctrl_start + t.ctrl_service
-        after_ctrl = ctrl_start + t.ctrl_overhead
-        chan = self._bank_chan[bank_color]
-        chan_busy = self._chan_busy
-        busy = chan_busy[chan]
-        chan_start = after_ctrl if after_ctrl > busy else busy
-        chan_busy[chan] = chan_start + t.channel_service
-        bank_start, service, kind = self.banks[bank_color].access(
-            row, chan_start, is_write
-        )
-        return (
-            bank_start + service, kind, ctrl_start - arrival,
-            chan_start - after_ctrl, bank_start - chan_start,
-        )
 
     def prefetch_fill(self, paddr: int, core: int, now: float) -> None:
         """Serve a prefetch: full bank/channel/controller occupancy, but
@@ -386,54 +377,208 @@ class DramSystem:
         statistics are untouched."""
         bc = self.frame_bank[paddr >> self._page_bits]
         node = self._bank_node[bc]
-        if node in self._remote_caches:
+        if self._remote_caches[node] is not None:
             # Prefetchers fill the LLC straight from the far DRAM — the
             # compute-side DRAM cache is demand-filled only, so the fill
             # pays network link occupancy instead of the mesh traverse.
             arrival, _ = self._network_leg(node, now)
         else:
             arrival, _ = self.interconnect.traverse(core, node, now)
-        self._serve(bc, node, paddr >> self._row_shift, arrival, False)
+        outcome = self._serve(bc, node, paddr >> self._row_shift, arrival, False)[1]
+        self._bank_count[_ROW_KINDS[outcome]][bc] += 1
         self.stats.prefetch_fills += 1
 
-    def writeback(self, paddr: int, now: float) -> None:
-        """Post an eviction write-back (bank/channel occupancy only)."""
-        bc = self.frame_bank[paddr >> self._page_bits]
-        node = self._bank_node[bc]
-        cache = self._remote_caches.get(node)
-        if cache is not None:
-            if cache.touch(paddr >> self._line_bits):
-                # Absorbed by the compute-side DRAM cache (write-back at
-                # its own eviction is folded into the clean-evict model).
-                self.stats.writebacks += 1
-                return
-            # The posted write lands at the far end.
-            now, _ = self._network_leg(node, now)
-        chan = self._bank_chan[bc]
-        chan_busy = self._chan_busy
-        busy = chan_busy[chan]
-        chan_busy[chan] = (
-            (now if now > busy else busy) + self.timing.channel_service
+    def _bind_stages(self) -> None:
+        """Build ``demand``, ``writeback``, ``_serve`` and
+        ``_network_leg`` as closures.
+
+        They run per LLC miss or posted write in both replay loops, so
+        they read the state lists and timing from closure cells, not
+        attributes.  :meth:`reset` clears the lists in place and swaps
+        the stats box's content, which the stages read per call.  No
+        closure holds ``self``, so a finished run is freed by refcount.
+        """
+        t = self.timing
+        ctrl_service, ctrl_overhead = t.ctrl_service, t.ctrl_overhead
+        channel_service, refresh_interval = t.channel_service, t.refresh_interval
+        row_hit, row_miss, row_conflict = t.row_hit, t.row_miss, t.row_conflict
+        write_recovery = t.write_recovery
+        wb_scale = t.writeback_occupancy_scale
+        ctrl_busy, chan_busy = self._ctrl_busy, self._chan_busy
+        bank_busy, bank_row, bank_epoch = (
+            self.bank_busy, self.bank_row, self.bank_epoch
         )
-        self.banks[bc].writeback(paddr >> self._row_shift, now)
-        self.stats.writebacks += 1
+        bank_node, bank_chan = self._bank_node, self._bank_chan
+        far, frame_bank = self._remote_caches, self.frame_bank
+        page_line_shift = self._page_bits - self._line_bits
+        line_bits, row_shift = self._line_bits, self._row_shift
+        ic = self.interconnect
+        traverse, hops, prop = ic.traverse, ic._hops, ic._prop
+        stats_box, net_busy = self._stats, self._net_busy
+        tier = self.remote
+        if tier is not None:
+            net_ns, cache_hit_ns = tier.network_ns, tier.cache_hit_ns
+            net_service = tier.network_service_ns
+
+        def network_leg(node: int, now: float) -> tuple[float, float]:
+            """Cross a far node's network link; ``(arrival, wait)``."""
+            busy = net_busy[node]
+            start = now if now > busy else busy
+            net_busy[node] = start + net_service
+            return start + net_ns, start - now
+
+        def serve(
+            bank_color: int, node: int, row: int, arrival: float,
+            is_write: bool,
+        ) -> tuple[float, int, float, float, float]:
+            """Controller front-end queue, channel data bus, then the bank.
+
+            Crossing a refresh boundary closes the row buffer (the epoch
+            is kept lazily); then the open row classifies the request,
+            which opens its own row.  Returns ``(finish, outcome, w_ctrl,
+            w_chan, w_bank)``, the outcome 0 miss, 1 hit or 2 conflict.
+            """
+            busy = ctrl_busy[node]
+            ctrl_start = arrival if arrival > busy else busy
+            ctrl_busy[node] = ctrl_start + ctrl_service
+            after_ctrl = ctrl_start + ctrl_overhead
+            chan = bank_chan[bank_color]
+            busy = chan_busy[chan]
+            chan_start = after_ctrl if after_ctrl > busy else busy
+            chan_busy[chan] = chan_start + channel_service
+            busy = bank_busy[bank_color]
+            start = chan_start if chan_start > busy else busy
+            epoch = start // refresh_interval
+            open_row = bank_row[bank_color]
+            if epoch != bank_epoch[bank_color]:
+                bank_epoch[bank_color] = epoch
+                open_row = None
+            if open_row is None:
+                outcome, service = 0, row_miss
+            elif open_row == row:
+                outcome, service = 1, row_hit
+            else:
+                outcome, service = 2, row_conflict
+            bank_row[bank_color] = row
+            bank_busy[bank_color] = start + (
+                service + (write_recovery if is_write else 0.0)
+            )
+            return (
+                start + service, outcome, ctrl_start - arrival,
+                chan_start - after_ctrl, start - chan_start,
+            )
+
+        def demand(
+            bank_color: int, row: int, line: int, core: int, now: float,
+            is_write: bool,
+        ) -> tuple[float, int, float]:
+            """The demand stage: serve one LLC miss.
+
+            A far node's DRAM-cache hit is a flat ``cache_hit_ns`` that
+            reaches no bank.  Otherwise one front leg reaches the node's
+            controller: none for the local node, the mesh link
+            (:meth:`Interconnect.traverse`), or a far node's network
+            link, whose line then fills the DRAM cache.  ``serve`` and
+            the return leg follow.  The waits, the latency and the total
+            wait are booked into :attr:`stats`; the caller counts the
+            code.  Returns ``(latency, code, queue_wait)``, the code from
+            the table above :class:`AccessResult`.
+            """
+            node = bank_node[bank_color]
+            cache = far[node]
+            stats = stats_box[0]
+            if cache is None:
+                if hops[core][node]:
+                    arrival, _ = traverse(core, node, now)
+                    back = prop[core][node]
+                    # Rounding can leave an unqueued crossing a hair
+                    # below 0.
+                    w_link = arrival - now - back
+                    if w_link < 0.0:
+                        w_link = 0.0
+                    code = 6
+                else:
+                    arrival = now
+                    back = w_link = 0.0
+                    code = 3
+            elif cache.lookup(line):
+                # Zero waits: the (never -0.0) wait sums stay as they are.
+                stats.total_latency += cache_hit_ns
+                return cache_hit_ns, CACHE_HIT, 0.0
+            else:
+                arrival, w_link = network_leg(node, now)
+                back = net_ns
+                cache.insert(line)
+                code = 10
+            finish, outcome, w_ctrl, w_chan, w_bank = serve(
+                bank_color, node, row, arrival, is_write
+            )
+            latency = finish + back - now
+            queue_wait = w_link + w_ctrl + w_chan + w_bank
+            stats.wait_link += w_link
+            stats.wait_ctrl += w_ctrl
+            stats.wait_chan += w_chan
+            stats.wait_bank += w_bank
+            stats.total_latency += latency
+            stats.total_queue_wait += queue_wait
+            return latency, code + outcome, queue_wait
+
+        def writeback(line: int, now: float) -> None:
+            """The write-back stage: post a dirty LLC victim's eviction.
+
+            A far node's DRAM cache absorbs the write if it holds the
+            line (an LRU touch); otherwise the write crosses the network
+            link.  Controllers drain posted writes off the critical path:
+            no controller stage, no row opened, the channel occupied in
+            full and the bank for a scaled share of an access — how
+            un-partitioned LLC evictions disturb other threads' banks.
+            """
+            bc = frame_bank[line >> page_line_shift]
+            node = bank_node[bc]
+            cache = far[node]
+            if cache is not None:
+                if cache.touch(line):
+                    stats_box[0].writebacks += 1
+                    return
+                now, _ = network_leg(node, now)
+            chan = bank_chan[bc]
+            busy = chan_busy[chan]
+            chan_busy[chan] = (now if now > busy else busy) + channel_service
+            busy = bank_busy[bc]
+            start = now if now > busy else busy
+            # The refresh rule of serve(); the write opens no row.
+            epoch = start // refresh_interval
+            open_row = bank_row[bc]
+            if epoch != bank_epoch[bc]:
+                bank_epoch[bc] = epoch
+                bank_row[bc] = open_row = None
+            if open_row is None:
+                base = row_miss
+            elif open_row == (line << line_bits) >> row_shift:
+                base = row_hit
+            else:
+                base = row_conflict
+            bank_busy[bc] = start + ((base + write_recovery) * wb_scale)
+            stats_box[0].writebacks += 1
+
+        self._network_leg = network_leg
+        self._serve = serve
+        self.demand = demand
+        self.writeback = writeback
 
     # ------------------------------------------------------------------ misc
-    def bank_of(self, paddr: int) -> Bank:
-        """The :class:`Bank` object a byte address routes to."""
-        return self.banks[self.frame_bank[paddr >> self._page_bits]]
-
     def reset(self) -> None:
-        """Clear all timing state and statistics (fresh run)."""
-        for bank in self.banks:
-            bank.open_row = None
-            bank.busy_until = 0.0
-            bank.refresh_epoch = -1
-            bank.reset_stats()
-        self._ctrl_busy = [0.0] * self.mapping.num_nodes
-        self._chan_busy = [0.0] * (self.mapping.num_nodes * self.mapping.num_channels)
-        self.interconnect = Interconnect(self.topology, self.timing)
-        for node, cache in self._remote_caches.items():
-            cache.reset()
+        """Clear all timing state and statistics (fresh run), in place."""
+        nbanks = len(self.bank_busy)
+        self.bank_busy[:] = [0.0] * nbanks
+        self.bank_row[:] = [None] * nbanks
+        self.bank_epoch[:] = [-1.0] * nbanks
+        for counts in self._bank_count.values():
+            counts[:] = [0] * nbanks
+        self._ctrl_busy[:] = [0.0] * len(self._ctrl_busy)
+        self._chan_busy[:] = [0.0] * len(self._chan_busy)
+        self.interconnect.reset()
+        for node in self._net_busy:
+            self._remote_caches[node].reset()
             self._net_busy[node] = 0.0
-        self.stats = DramStats()
+        self._stats[0] = DramStats()

@@ -1,15 +1,15 @@
 """DRAM-layer checker: bank state-machine legality and queue conservation.
 
-Guards :mod:`repro.dram` (bank.py / system.py): every bank's
-``busy_until`` must stay finite, non-negative, and non-rewinding (the
+Guards :mod:`repro.dram.system`'s flat bank state: every bank's
+``bank_busy`` must stay finite, non-negative, and non-rewinding (the
 occupancy model only ever books time forward); a bank may only hold an
 open row after serving at least one request; and the transaction flow
 must be conserved — every demand access and prefetch fill is served by
-exactly one bank (``sum(bank.total_accesses) == accesses +
-prefetch_fills - remote_cache_hits``, the occupancy model's enqueued ==
-serviced + pending; a compute-side DRAM-cache hit on a disaggregated
-node short-circuits before any bank), with the aggregate stats
-decomposing exactly by row outcome, locality, node, and queue-wait
+exactly one bank (the per-bank hits + misses + conflicts sum to
+``accesses + prefetch_fills - remote_cache_hits``, the occupancy
+model's enqueued == serviced + pending; a compute-side DRAM-cache hit on
+a disaggregated node short-circuits before any bank), with the aggregate
+stats decomposing exactly by row outcome, locality, node, and queue-wait
 component.
 """
 
@@ -37,7 +37,7 @@ class DramChecker(Checker):
 
     def __init__(self, dram: DramSystem) -> None:
         self.dram = dram
-        self._last_busy = [bank.busy_until for bank in dram.banks]
+        self._last_busy = list(dram.bank_busy)
         self._last_stats: dict[str, float] | None = None
 
     # ------------------------------------------------------------------ cheap
@@ -104,8 +104,10 @@ class DramChecker(Checker):
         self.check_fast()
         dram = self.dram
         served = 0
-        for color, bank in enumerate(dram.banks):
-            busy = bank.busy_until
+        for color, (busy, row, hits, misses, conflicts) in enumerate(zip(
+            dram.bank_busy, dram.bank_row, dram.bank_hits, dram.bank_misses,
+            dram.bank_conflicts,
+        )):
             if not math.isfinite(busy) or busy < 0.0:
                 self.fail(
                     "bank-busy-illegal",
@@ -120,27 +122,28 @@ class DramChecker(Checker):
                     bank=color,
                 )
             self._last_busy[color] = busy
-            if bank.hits < 0 or bank.misses < 0 or bank.conflicts < 0:
+            if hits < 0 or misses < 0 or conflicts < 0:
                 self.fail(
                     "bank-counter-negative",
-                    f"bank {color}: hits={bank.hits} misses={bank.misses} "
-                    f"conflicts={bank.conflicts}",
+                    f"bank {color}: hits={hits} misses={misses} "
+                    f"conflicts={conflicts}",
                     bank=color,
                 )
-            if bank.open_row is not None:
-                if bank.open_row < 0:
+            total = hits + misses + conflicts
+            if row is not None:
+                if row < 0:
                     self.fail(
                         "bank-row-illegal",
-                        f"bank {color}: open_row={bank.open_row}", bank=color,
+                        f"bank {color}: open_row={row}", bank=color,
                     )
-                if bank.total_accesses == 0:
+                if total == 0:
                     self.fail(
                         "bank-row-phantom",
-                        f"bank {color} has row {bank.open_row} open but never "
+                        f"bank {color} has row {row} open but never "
                         "served a request — illegal transition out of idle",
                         bank=color,
                     )
-            served += bank.total_accesses
+            served += total
         enqueued = (
             dram.stats.accesses + dram.stats.prefetch_fills
             - dram.stats.remote_cache_hits

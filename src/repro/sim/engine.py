@@ -21,8 +21,10 @@ from repro.obs import metrics as obs_metrics
 from repro.cache.batch import set_index_batch
 from repro.cache.hierarchy import CacheHierarchy, CacheTiming, MemoryLevel
 from repro.core.session import ColoredTeam
-from repro.dram.bank import RowKind
-from repro.dram.system import DramSystem
+from repro.dram.system import (
+    CACHE_HIT, FAR_MISS, MESH, NCODES, ROW_CONFLICT, ROW_HIT, ROW_MISS,
+    DramSystem, RowKind,
+)
 from repro.dram.timing import DEFAULT_TIMING, DramTiming
 from repro.machine.presets import MachineSpec
 from repro.obs.observer import NULL_OBSERVER, BaseObserver
@@ -77,17 +79,9 @@ def _plan_fallback(reason: str) -> None:
 
 # Outcome codes the batched loop records per access (see
 # Engine._run_section_batched): 0 = L1 hit, 1 = L2 hit, 2 = LLC hit,
-# 9 = far-tier DRAM-cache hit.  An access that reaches a bank records
-# its path's base code (3 local controller, 6 across the mesh, 10 far
-# tier) plus its row outcome (+0 miss, +1 hit, +2 conflict).
-_NCODES = 13
-_CACHE_HIT = 9
-_ROW_MISS = [3, 6, 10]
-_ROW_HIT = [4, 7, 11]
-_ROW_CONFLICT = [5, 8, 12]
-_MESH = [6, 7, 8]
-_FAR_MISS = [10, 11, 12]
-_REMOTE = _MESH + _FAR_MISS
+# then DramSystem.demand's code for an LLC miss (3-12; table in
+# repro.dram.system).
+_REMOTE = MESH + FAR_MISS
 
 
 def _fold_outcomes(dram: DramSystem, llc, threads: list) -> None:
@@ -100,16 +94,17 @@ def _fold_outcomes(dram: DramSystem, llc, threads: list) -> None:
     access at a time: per-code totals are its row sums, per-node ones
     its bank columns summed by node.  Integer sums are exact in any
     order, so the counters end up identical; new ``per_node_accesses``
-    keys are added in node order.
+    keys are added in node order.  (The DRAM cache's probe counters and
+    the mesh's transfer count are kept by the demand stage itself.)
     """
-    nbanks = len(dram.banks)
-    tally = np.zeros((_NCODES, nbanks), dtype=np.int64)
+    nbanks = len(dram.bank_busy)
+    tally = np.zeros((NCODES, nbanks), dtype=np.int64)
     for tm, l1, l2, outs, bcs in threads:
         per = np.bincount(
             np.array(outs, dtype=np.int64) * nbanks
             + np.array(bcs, dtype=np.int64),
-            minlength=_NCODES * nbanks,
-        ).reshape(_NCODES, nbanks)
+            minlength=NCODES * nbanks,
+        ).reshape(NCODES, nbanks)
         tally += per
         c = per.sum(axis=1).tolist()
         n = len(outs)
@@ -117,7 +112,7 @@ def _fold_outcomes(dram: DramSystem, llc, threads: list) -> None:
         tm.accesses += n
         tm.dram_accesses += sum(c[3:])
         tm.remote_accesses += sum(c[k] for k in _REMOTE)
-        tm.row_conflicts += sum(c[k] for k in _ROW_CONFLICT)
+        tm.row_conflicts += sum(c[k] for k in ROW_CONFLICT)
         l1.hits += l1_hits
         l1.misses += n - l1_hits
         l2.hits += l2_hits
@@ -129,32 +124,26 @@ def _fold_outcomes(dram: DramSystem, llc, threads: list) -> None:
     llc.misses += dram_n
     stats = dram.stats
     stats.accesses += dram_n
-    stats.row_hits += c[_CACHE_HIT] + sum(c[k] for k in _ROW_HIT)
-    stats.row_misses += sum(c[k] for k in _ROW_MISS)
-    stats.row_conflicts += sum(c[k] for k in _ROW_CONFLICT)
+    stats.row_hits += c[CACHE_HIT] + sum(c[k] for k in ROW_HIT)
+    stats.row_misses += sum(c[k] for k in ROW_MISS)
+    stats.row_conflicts += sum(c[k] for k in ROW_CONFLICT)
     remote = sum(c[k] for k in _REMOTE)
     stats.remote_accesses += remote
     stats.local_accesses += dram_n - remote
-    stats.remote_cache_hits += c[_CACHE_HIT]
-    stats.remote_cache_misses += sum(c[k] for k in _FAR_MISS)
-    dram.interconnect.remote_transfers += sum(c[k] for k in _MESH)
-    by_node = tally.reshape(_NCODES, dram.mapping.num_nodes, -1).sum(axis=2)
+    stats.remote_cache_hits += c[CACHE_HIT]
+    stats.remote_cache_misses += sum(c[k] for k in FAR_MISS)
+    by_node = tally.reshape(NCODES, dram.mapping.num_nodes, -1).sum(axis=2)
     per_node = stats.per_node_accesses
     for ndx, cnt in enumerate(by_node[3:].sum(axis=0).tolist()):
         if cnt:
             per_node[ndx] = per_node.get(ndx, 0) + cnt
-    for ndx, cache in dram._remote_caches.items():
-        cache.hits += int(by_node[_CACHE_HIT, ndx])
-        cache.misses += int(by_node[_FAR_MISS, ndx].sum())
-    for b, hit, miss, conf in zip(
-        dram.banks,
-        tally[_ROW_HIT].sum(axis=0).tolist(),
-        tally[_ROW_MISS].sum(axis=0).tolist(),
-        tally[_ROW_CONFLICT].sum(axis=0).tolist(),
+    for counts, codes in (
+        (dram.bank_hits, ROW_HIT),
+        (dram.bank_misses, ROW_MISS),
+        (dram.bank_conflicts, ROW_CONFLICT),
     ):
-        b.hits += hit
-        b.misses += miss
-        b.conflicts += conf
+        for bc, cnt in enumerate(tally[list(codes)].sum(axis=0).tolist()):
+            counts[bc] += cnt
 
 
 class Engine:
@@ -332,11 +321,13 @@ class Engine:
            :func:`repro.cache.batch.set_index_batch`, gathered from the
            caches' object arrays of sets).
         2. :meth:`_run_section_batched` replays the residual *stateful*
-           work — LRU content, bank/queue occupancies, the disaggregated
-           tier's DRAM-cache sets and network links, the merge order
-           itself — through a lean scalar loop over the plan,
-           bit-identical to the reference loop.  Its event counts are
-           tallied from per-access outcome codes after the section.
+           work — cache LRU content, the merge order itself — through a
+           lean scalar loop over the plan, bit-identical to the
+           reference loop.  An LLC miss and a dirty LLC victim go to
+           :class:`DramSystem`'s demand and write-back stages, the ones
+           the reference loop reaches through :meth:`DramSystem.access`.
+           Event counts are tallied from per-access outcome codes after
+           the section.
 
         A section that first-touches a page, prefetch ablation and a row
         layout with row bits inside the line offset cannot be planned;
@@ -372,24 +363,19 @@ class Engine:
         (fast scalar indexing) of the line address, the L1, L2 and LLC
         set dicts (the core's private sets, the shared LLC's), write
         flag, think time, bank color and row number of every access,
-        then the issuing core's per-node interconnect rows (hops,
-        propagation, link occupancy), the base of its row of the flat
-        link table, its L1 and L2 caches and its L2 set list (for
-        dirty L1 victims).  The set dicts are one gather per level, at
-        the indices :func:`~repro.cache.batch.set_index_batch`
+        then the issuing core, its L1 and L2 caches and its L2 set list
+        (for dirty L1 victims).  The set dicts are one gather per level,
+        at the indices :func:`~repro.cache.batch.set_index_batch`
         computes, from the hierarchy's object arrays of set dicts,
         which stay valid because :meth:`MemorySystem.reset` clears the
         sets in place.
         Bank colors are one gather of the trace's unique frames from the
         mapping's per-frame table (out-of-range frames raise
-        ``ValueError``).  The bank color fixes the node and channel bus
-        (:attr:`DramSystem._bank_node`, :attr:`DramSystem._bank_chan`),
-        so the route needs no other per-access list.  All of it is
-        stateless address math, so it can leave the replay loop;
-        everything computed here is bit-identical to what the reference
-        loop derives per access.  A disaggregated node has hops = -1 in
-        the core's row: its accesses bypass the mesh and replay through
-        the remote-tier branch of :meth:`_run_section_batched`.
+        ``ValueError``); the color fixes the node, so it and the core
+        pick the DRAM route.  All of it is stateless address math, so it
+        can leave the replay loop; everything computed here is
+        bit-identical to what :meth:`DramSystem.access` derives per
+        access.
 
         Returns None — the caller replays through
         :meth:`_run_section_reference` — when a trace touches a page not
@@ -420,8 +406,6 @@ class Engine:
         l1_tables = hierarchy._l1_set_tables
         l2_tables = hierarchy._l2_set_tables
         llc_table = hierarchy._llc_set_table
-        ic = dram.interconnect
-        far_nodes = list(dram._remote_caches)
         page_table_get = self.space.page_table.get
         handles = self.team.handles
         plans: dict[int, tuple] = {}
@@ -434,9 +418,6 @@ class Engine:
             if None in upfns:
                 return _plan_fallback("fault")
             core = handles[tidx].core
-            node_hops = list(ic._hops[core])
-            for nd in far_nodes:
-                node_hops[nd] = -1
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
@@ -464,9 +445,7 @@ class Engine:
                 writes, thinks,
                 bc_u[inv].tolist(),
                 (lines >> row_line_shift).tolist(),
-                node_hops, ic._prop[core], ic._occupancy[core],
-                ic._link_base[core],
-                hierarchy.l1[core], hierarchy.l2[core],
+                core, hierarchy.l1[core], hierarchy.l2[core],
                 hierarchy._l2_sets[core],
             )
         return plans
@@ -483,49 +462,38 @@ class Engine:
         The merge-by-timestamp schedule (heap + batching window) is
         replicated exactly from :meth:`_run_section_reference`; what
         changed is the per-access body: every address-derived value
-        comes from the plan, the whole hierarchy/DRAM call chain is
-        inlined (no :class:`HierarchyResult`/``AccessResult``
-        allocation), and the shared timing state — bank row buffers and
-        occupancies, the mesh's link table, the disaggregated tier's
-        network links and DRAM-cache sets — and the float accumulators
-        (queue waits, total latency) live in section-local mirrors that
-        are loaded once, mutated in execution order (so every float
-        accumulation chain is unchanged), and stored back once.  An LLC
-        miss runs :meth:`DramSystem.access`'s pipeline, inlined once: a
-        disaggregated node's DRAM-cache hit short-circuits, otherwise
-        the hop count of the bank's node picks a front leg — none for
-        the local controller (0), the directed link across the mesh
-        (> 0), the network link of a disaggregated node (-1) — and one
-        controller -> channel -> bank chain serves all three.  Posted
-        write-backs (``wb``) keep their own leg: no controller stage, a
-        scaled bank occupancy, and no row opened.
+        comes from the plan and the cache hierarchy is inlined (no
+        :class:`HierarchyResult`/``AccessResult`` allocation).  DRAM
+        timing is not: an LLC miss calls :meth:`DramSystem.demand` with
+        the plan's bank color and row, and a dirty LLC victim calls
+        :meth:`DramSystem.writeback`, the same stages the reference loop
+        runs, over the same shared state in the same order.
 
         Each thread's state list unpacks the plan tuple (see
         :meth:`_batch_plan`): the per-access lists — line, L1/L2/LLC set
-        dict, write flag, think time, bank color, row — then the core's
-        interconnect rows and its L2 set list, which L1 victims are
-        written down through.  The loop never computes a set index of
-        the accessed line.  Its probes test ``line in s`` and pop and
-        reinsert only on a hit, and its evictions take the LRU line with
-        ``for old in s: break``; the reference path keeps
-        ``pop(line, _ABSENT)`` and ``next(iter(s))``, so the equivalence
-        tests compare two independently written probe and evict idioms.
+        dict, write flag, think time, bank color, row — then the core
+        and its L2 set list, which L1 victims are written down through.
+        The loop never computes a set index of the accessed line.  Its
+        probes test ``line in s`` and pop and reinsert only on a hit,
+        and its evictions take the LRU line with ``for old in s:
+        break``; the reference path keeps ``pop(line, _ABSENT)`` and
+        ``next(iter(s))``, so the equivalence tests compare two
+        independently written probe and evict idioms.
 
         Event counts are not kept in the loop.  Each access that misses
-        the L1 records one outcome code (listed above
-        :func:`_fold_outcomes`) in its thread's list, and
-        :func:`_fold_outcomes` tallies the codes by bank after the
-        section.  Integer sums are exact in any order, so the tally
-        equals the reference loop's per-access increments.
+        the L1 records one outcome code (the demand stage's for an LLC
+        miss) in its thread's list, and :func:`_fold_outcomes` tallies
+        the codes by bank after the section.  Integer sums are exact in
+        any order, so the tally equals the reference loop's per-access
+        increments.
 
         Every page the section touches is resident (:meth:`_batch_plan`
         plans no section that would fault), so no access takes a fault.
-        Keep the replay semantics in lockstep with
-        :meth:`_run_section_reference`.
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
-        stats = dram.stats
+        demand = dram.demand
+        writeback = dram.writeback
         timing = hierarchy.timing
         l1_hit_t = timing.l1_hit
         l2_hit_t = timing.l2_hit
@@ -538,109 +506,12 @@ class Engine:
         l2_mask = hierarchy._l2_mask
         llc_sets = hierarchy._llc_sets
         llc_mask = hierarchy._llc_mask
-        banks = dram.banks
-        bank_node = dram._bank_node
-        bank_chan = dram._bank_chan
-        ctrl_busy = dram._ctrl_busy
-        chan_busy = dram._chan_busy
-        link_busy = dram.interconnect._link_busy
-        frame_bank = dram.frame_bank
-        dt = dram.timing
-        ctrl_service = dt.ctrl_service
-        ctrl_overhead = dt.ctrl_overhead
-        channel_service = dt.channel_service
-        refresh_interval = dt.refresh_interval
-        row_hit_ns = dt.row_hit
-        row_miss_ns = dt.row_miss
-        row_conflict_ns = dt.row_conflict
-        write_recovery = dt.write_recovery
-        wb_scale = dt.writeback_occupancy_scale
-        line_bits = hierarchy._line_bits
-        page_line_shift = dram.mapping.page_bits - line_bits
-        row_line_shift = dram._row_shift - line_bits
         pop = heapq.heappop
         replace = heapq.heapreplace
         slack = self.BATCH_SLACK_NS
         inf = float("inf")
         threads = metrics.threads
-
-        # Section-local mirrors of the shared timing state and float
-        # accumulators the loop touches.  Loaded once, updated in exactly
-        # the order the reference loop would update the originals (same
-        # float accumulation chains), stored back before returning.  A
-        # refresh epoch is kept as the float ``start // interval``, which
-        # compares exactly with the int the bank stored.
-        bank_busy = [b.busy_until for b in banks]
-        bank_row: list[int | None] = [b.open_row for b in banks]
-        bank_epoch = [b.refresh_epoch for b in banks]
-        s_wait_link = stats.wait_link
-        s_wait_ctrl = stats.wait_ctrl
-        s_wait_chan = stats.wait_chan
-        s_wait_bank = stats.wait_bank
-        s_total_latency = stats.total_latency
-        s_total_queue_wait = stats.total_queue_wait
-        s_writebacks = stats.writebacks
         de_n = hierarchy.dirty_evictions
-        # Disaggregated tier, indexed by node (None / unused for nodes
-        # without one): DRAM-cache set tables (mutated in place) and
-        # network-link occupancy.
-        num_nodes = len(ctrl_busy)
-        r_sets: list[list[dict] | None] = [None] * num_nodes
-        net_busy = [0.0] * num_nodes
-        remote_caches = dram._remote_caches
-        for ndx, rcache in remote_caches.items():
-            r_sets[ndx] = rcache._sets
-            net_busy[ndx] = dram._net_busy[ndx]
-        tier = dram.remote
-        if tier is not None:
-            r_mask = tier.num_sets - 1
-            r_ways = tier.cache_ways
-            net_ns = tier.network_ns
-            net_service = tier.network_service_ns
-            cache_hit_ns = tier.cache_hit_ns
-
-        def wb(old: int, now: float) -> None:
-            # DramSystem.writeback(old << line_bits, now), inlined over
-            # the section-local bank/channel tables and routed from the
-            # frame's bank color.  No per-line memo: a line is seldom
-            # written back twice in one section (5-21% of write-backs on
-            # the fig. 11 benches), so a memo costs more than it saves.
-            nonlocal s_writebacks
-            wbc = frame_bank[old >> page_line_shift]
-            wnd = bank_node[wbc]
-            node_sets = r_sets[wnd]
-            if node_sets is not None:
-                # Disaggregated node: the DRAM cache absorbs the write if
-                # it holds the line (LRU touch); otherwise it crosses the
-                # network link and lands at the far bank.
-                rset = node_sets[old & r_mask]
-                if old in rset:
-                    del rset[old]
-                    rset[old] = None
-                    s_writebacks += 1
-                    return
-                busy = net_busy[wnd]
-                wstart = now if now > busy else busy
-                net_busy[wnd] = wstart + net_service
-                now = wstart + net_ns
-            wch = bank_chan[wbc]
-            busy = chan_busy[wch]
-            chan_busy[wch] = (now if now > busy else busy) + channel_service
-            busy = bank_busy[wbc]
-            wstart = now if now > busy else busy
-            epoch = wstart // refresh_interval
-            if epoch != bank_epoch[wbc]:
-                bank_epoch[wbc] = epoch
-                bank_row[wbc] = None
-            orow = bank_row[wbc]
-            if orow is None:
-                base = row_miss_ns
-            elif orow == old >> row_line_shift:
-                base = row_hit_ns
-            else:
-                base = row_conflict_ns
-            bank_busy[wbc] = wstart + ((base + write_recovery) * wb_scale)
-            s_writebacks += 1
 
         def spill_insert(llc_set: dict, line: int, now: float) -> None:
             # Absent-line half of CacheHierarchy._spill_to_llc (callers
@@ -652,7 +523,7 @@ class Engine:
                     break
                 if llc_set.pop(old):
                     de_n += 1
-                    wb(old, now)
+                    writeback(old, now)
             llc_set[line] = True
 
         states: dict[int, list] = {}
@@ -663,9 +534,9 @@ class Engine:
                 continue
             n = len(plan[0])
             # Mutable per-thread state: cursor, trace length, the plan's
-            # per-access lists and per-core rows, the core's L2 set list,
-            # and the outcome code of every access.
-            states[tidx] = [0, n, *plan[:12], plan[14], [0] * n]
+            # per-access lists, the core and its L2 set list, and the
+            # outcome code of every access.
+            states[tidx] = [0, n, *plan[:9], plan[11], [0] * n]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
@@ -674,9 +545,8 @@ class Engine:
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, n, lines, l1s, l2s, llcs, writes, thinks, bcs, rows,
-             node_hops, node_prop, node_occ, link_base, l2_sets_c,
-             outs) = state
+            (i, n, lines, l1s, l2s, llcs, writes, thinks, bcs, rows, core,
+             l2_sets_c, outs) = state
             # Burst window.  The root is peeked, not popped; the heap
             # minimum *after* removing the root is the smaller of the
             # root's two children, so the horizon matches the reference
@@ -713,107 +583,8 @@ class Engine:
                             llc_set[line] = llc_set.pop(line) or is_w
                             lat = llc_hit_t
                         else:
-                            # LLC miss -> DRAM (DramSystem.access inlined
-                            # over the plan's bank color): a far node's
-                            # DRAM-cache hit short-circuits; otherwise one
-                            # front leg per path (hops 0 local, > 0 mesh,
-                            # -1 far tier) sets the arrival, the return
-                            # leg, the link wait and the outcome code's
-                            # base, and one controller -> channel -> bank
-                            # chain follows.
-                            bc = bcs[i]
-                            nd = bank_node[bc]
-                            hp = node_hops[nd]
-                            if hp < 0 and line in (
-                                rset := r_sets[nd][line & r_mask]
-                            ):
-                                # Flat service, booked as a local row
-                                # hit.  Its zero waits leave the (never
-                                # -0.0) wait sums unchanged.
-                                del rset[line]
-                                rset[line] = None
-                                outs[i] = 9
-                                dram_lat = cache_hit_ns
-                                w_link = w_ctrl = w_chan = w_bank = 0.0
-                            else:
-                                if not hp:
-                                    arrival = clock
-                                    back = w_link = 0.0
-                                    code = 3
-                                elif hp > 0:
-                                    # Queue on the directed mesh link.
-                                    link = link_base + nd
-                                    busy = link_busy[link]
-                                    lstart = busy if busy > clock else clock
-                                    back = node_prop[nd]
-                                    link_busy[link] = lstart + node_occ[nd]
-                                    arrival = lstart + back
-                                    w_link = arrival - clock - back
-                                    if w_link < 0.0:
-                                        w_link = 0.0
-                                    code = 6
-                                else:
-                                    # Queue on the network link; the
-                                    # fetched line fills the DRAM cache
-                                    # (clean LRU eviction).
-                                    busy = net_busy[nd]
-                                    lstart = clock if clock > busy else busy
-                                    net_busy[nd] = lstart + net_service
-                                    back = net_ns
-                                    arrival = lstart + back
-                                    w_link = lstart - clock
-                                    if len(rset) >= r_ways:
-                                        for old in rset:
-                                            break
-                                        del rset[old]
-                                    rset[line] = None
-                                    code = 10
-                                busy = ctrl_busy[nd]
-                                ctrl_start = arrival if arrival > busy else busy
-                                ctrl_busy[nd] = ctrl_start + ctrl_service
-                                after_ctrl = ctrl_start + ctrl_overhead
-                                ch = bank_chan[bc]
-                                busy = chan_busy[ch]
-                                chan_start = (
-                                    after_ctrl if after_ctrl > busy else busy
-                                )
-                                chan_busy[ch] = chan_start + channel_service
-                                busy = bank_busy[bc]
-                                bank_start = (
-                                    chan_start if chan_start > busy else busy
-                                )
-                                # Row outcome: code + 0 miss, 1 hit,
-                                # 2 conflict.
-                                epoch = bank_start // refresh_interval
-                                row = rows[i]
-                                orow = bank_row[bc]
-                                if epoch != bank_epoch[bc]:
-                                    bank_epoch[bc] = epoch
-                                    orow = None
-                                if orow is None:
-                                    service = row_miss_ns
-                                elif orow == row:
-                                    service = row_hit_ns
-                                    code += 1
-                                else:
-                                    service = row_conflict_ns
-                                    code += 2
-                                outs[i] = code
-                                bank_row[bc] = row
-                                bank_busy[bc] = bank_start + (
-                                    service + (write_recovery if is_w else 0.0)
-                                )
-                                dram_lat = bank_start + service + back - clock
-                                w_ctrl = ctrl_start - arrival
-                                w_chan = chan_start - after_ctrl
-                                w_bank = bank_start - chan_start
-                            s_wait_link += w_link
-                            s_wait_ctrl += w_ctrl
-                            s_wait_chan += w_chan
-                            s_wait_bank += w_bank
-                            s_total_latency += dram_lat
-                            s_total_queue_wait += (
-                                w_link + w_ctrl + w_chan + w_bank
+                            dram_lat, outs[i], _ = demand(
+                                bcs[i], rows[i], line, core, clock, is_w
                             )
                             # LLC fill: evict the set's LRU line (dirty
                             # victims post write-backs), install the line.
@@ -822,7 +593,7 @@ class Engine:
                                     break
                                 if llc_set.pop(old):
                                     de_n += 1
-                                    wb(old, clock)
+                                    writeback(old, clock)
                             llc_set[line] = is_w
                             lat = llc_hit_t + dram_lat
                         # _fill_private's L2 insert, inlined (the probe
@@ -875,23 +646,9 @@ class Engine:
                     replace(heap, (clock, tidx))
                     break
 
-        # Store the section-local mirrors back into the shared objects.
-        stats.wait_link = s_wait_link
-        stats.wait_ctrl = s_wait_ctrl
-        stats.wait_chan = s_wait_chan
-        stats.wait_bank = s_wait_bank
-        stats.total_latency = s_total_latency
-        stats.total_queue_wait = s_total_queue_wait
-        stats.writebacks = s_writebacks
         hierarchy.dirty_evictions = de_n
-        for ndx in remote_caches:
-            dram._net_busy[ndx] = net_busy[ndx]
-        for b, busy, row, ep in zip(banks, bank_busy, bank_row, bank_epoch):
-            b.busy_until = busy
-            b.open_row = row
-            b.refresh_epoch = int(ep)
         _fold_outcomes(dram, hierarchy.llc, [
-            (threads[tidx], plans[tidx][12], plans[tidx][13], state[15],
+            (threads[tidx], plans[tidx][9], plans[tidx][10], state[12],
              state[8])
             for tidx, state in states.items()
         ])
@@ -908,7 +665,9 @@ class Engine:
         :meth:`DramSystem.access`'s stages, and per-thread counters
         update one access at a time.  It is kept as the behavioural
         reference: ``tests/test_sim_engine_equivalence.py`` asserts the
-        fast path reproduces its :class:`RunMetrics` bit-for-bit, and
+        fast path reproduces its :class:`RunMetrics` bit-for-bit (both
+        loops run the same DRAM stages, so that checks the inlined cache
+        hierarchy, the merge schedule and the outcome tally), and
         ``benchmarks/perf_baseline.py`` measures the fast path's speedup
         against it.  It also replays the sections
         the fast path cannot plan (first touches, prefetch ablation, row

@@ -1,103 +1,149 @@
-"""Unit tests for the bank row-buffer state machine."""
+"""Unit tests for the bank row-buffer rule, driven through DramSystem's
+demand and write-back stages on the ``tiny`` preset.
 
+Every request goes to bank color ``BC`` on node 0 from core 0, so it
+takes the local path: controller -> channel -> bank, no link.  A
+request's bank start is therefore ``now + latency - service``.
+"""
+
+import numpy as np
 import pytest
 
-from repro.dram.bank import Bank, RowKind
+from repro.dram.system import DramSystem, RowKind
 from repro.dram.timing import DramTiming
 
 T = DramTiming()
+BC = 0  # a bank color on node 0, local to core 0
+#: Row outcome and array service of the local path's outcome codes.
+OUTCOME = {
+    3: (RowKind.MISS, T.row_miss),
+    4: (RowKind.HIT, T.row_hit),
+    5: (RowKind.CONFLICT, T.row_conflict),
+}
 
 
 @pytest.fixture
-def bank():
-    return Bank(T)
+def dram(tiny):
+    return DramSystem(tiny.mapping, tiny.topology, T)
+
+
+def access(dram, row, now, is_write=False):
+    """One demand access to bank ``BC``; returns ``(start, service,
+    kind)``: when the bank began serving, its array service time and
+    the row outcome."""
+    latency, code, _ = dram.demand(BC, row, 0, 0, now, is_write)
+    kind, service = OUTCOME[code]
+    return now + latency - service, service, kind
+
+
+def bank_lines(dram):
+    """Two lines of bank ``BC`` in different rows, with those rows."""
+    mapping = dram.mapping
+    frames = np.flatnonzero(np.asarray(dram.frame_bank) == BC)
+    lines, rows = [], []
+    for frame in frames.tolist():
+        line = frame << (mapping.page_bits - mapping.line_bits)
+        row = mapping.row_of(line << mapping.line_bits)
+        if row not in rows:
+            lines.append(line)
+            rows.append(row)
+        if len(lines) == 2:
+            return lines, rows
+    raise AssertionError("bank has fewer than two rows")
 
 
 class TestRowBuffer:
-    def test_first_access_is_closed_miss(self, bank):
-        start, service, kind = bank.access(row=5, now=0.0, is_write=False)
+    def test_first_access_is_closed_miss(self, dram):
+        start, service, kind = access(dram, row=5, now=0.0)
         assert kind is RowKind.MISS
         assert service == T.row_miss
-        assert start == 0.0
+        # Idle controller and channel: the bank starts right after the
+        # controller's pipeline latency.
+        assert start == T.ctrl_overhead
 
-    def test_same_row_hits(self, bank):
-        bank.access(5, 0.0, False)
-        _, service, kind = bank.access(5, 1000.0, False)
+    def test_same_row_hits(self, dram):
+        access(dram, 5, 0.0)
+        _, service, kind = access(dram, 5, 1000.0)
         assert kind is RowKind.HIT
         assert service == T.row_hit
 
-    def test_other_row_conflicts(self, bank):
-        bank.access(5, 0.0, False)
-        _, service, kind = bank.access(6, 1000.0, False)
+    def test_other_row_conflicts(self, dram):
+        access(dram, 5, 0.0)
+        _, service, kind = access(dram, 6, 1000.0)
         assert kind is RowKind.CONFLICT
         assert service == T.row_conflict
 
-    def test_interleaved_rows_thrash(self, bank):
+    def test_interleaved_rows_thrash(self, dram):
         """Two tasks alternating rows turn each other's hits into conflicts
         (the paper's Fig. 8 scenario)."""
-        bank.access(1, 0.0, False)
+        access(dram, 1, 0.0)
         kinds = []
         t = 1000.0
         for row in (2, 1, 2, 1):
-            _, _, kind = bank.access(row, t, False)
+            _, _, kind = access(dram, row, t)
             kinds.append(kind)
             t += 1000.0
         assert kinds == [RowKind.CONFLICT] * 4
 
-    def test_stats_counts(self, bank):
-        bank.access(1, 0.0, False)
-        bank.access(1, 1000.0, False)
-        bank.access(2, 2000.0, False)
-        assert (bank.misses, bank.hits, bank.conflicts) == (1, 1, 1)
-        assert bank.total_accesses == 3
-        bank.reset_stats()
-        assert bank.total_accesses == 0
+    def test_stats_counts(self, dram):
+        # The stage returns the outcome; its caller counts it per bank.
+        (a, b), _ = bank_lines(dram)
+        line_bits = dram.mapping.line_bits
+        for line, now in ((a, 0.0), (a, 1000.0), (b, 2000.0)):
+            dram.access(line << line_bits, 0, now)
+        counts = (dram.bank_misses, dram.bank_hits, dram.bank_conflicts)
+        assert tuple(c[BC] for c in counts) == (1, 1, 1)
+        assert sum(sum(c) for c in counts) == 3
+        dram.reset()
+        assert sum(sum(c) for c in counts) == 0
 
 
 class TestQueueing:
-    def test_back_to_back_requests_queue(self, bank):
-        start1, service1, _ = bank.access(1, 0.0, False)
+    def test_back_to_back_requests_queue(self, dram):
+        start1, service1, _ = access(dram, 1, 0.0)
         # Second request arrives while the bank is still busy.
-        start2, _, _ = bank.access(1, 1.0, False)
+        start2, _, _ = access(dram, 1, 1.0)
         assert start2 == start1 + service1
 
-    def test_write_recovery_extends_occupancy(self, bank):
-        bank.access(1, 0.0, True)
-        start2, _, _ = bank.access(1, 0.0, False)
-        assert start2 == T.row_miss + T.write_recovery
+    def test_write_recovery_extends_occupancy(self, dram):
+        start1, _, _ = access(dram, 1, 0.0, True)
+        start2, _, _ = access(dram, 1, 0.0, False)
+        assert start2 == start1 + T.row_miss + T.write_recovery
 
-    def test_idle_bank_serves_immediately(self, bank):
-        bank.access(1, 0.0, False)
-        start, _, _ = bank.access(1, 10_000.0, False)
-        assert start == 10_000.0
+    def test_idle_bank_serves_immediately(self, dram):
+        access(dram, 1, 0.0)
+        start, _, _ = access(dram, 1, 10_000.0)
+        assert start == 10_000.0 + T.ctrl_overhead
 
 
 class TestRefresh:
-    def test_refresh_closes_row(self, bank):
-        bank.access(7, 0.0, False)
+    def test_refresh_closes_row(self, dram):
+        access(dram, 7, 0.0)
         # Crossing a tREFI boundary flushes the row buffer.
-        _, _, kind = bank.access(7, T.refresh_interval + 1.0, False)
+        _, _, kind = access(dram, 7, T.refresh_interval + 1.0)
         assert kind is RowKind.MISS
 
-    def test_no_refresh_within_interval(self, bank):
-        bank.access(7, 10.0, False)
-        _, _, kind = bank.access(7, T.refresh_interval * 0.5, False)
+    def test_no_refresh_within_interval(self, dram):
+        access(dram, 7, 10.0)
+        _, _, kind = access(dram, 7, T.refresh_interval * 0.5)
         assert kind is RowKind.HIT
 
 
 class TestWriteback:
-    def test_writeback_occupies_but_keeps_row(self, bank):
-        bank.access(3, 0.0, False)
-        busy_before = bank.busy_until
-        bank.writeback(9, busy_before)
-        assert bank.busy_until > busy_before
+    def test_writeback_occupies_but_keeps_row(self, dram):
+        (_, other), (row, _) = bank_lines(dram)
+        access(dram, row, 0.0)
+        busy_before = dram.bank_busy[BC]
+        dram.writeback(other, busy_before)
+        assert dram.bank_busy[BC] > busy_before
         # Posted writes don't steal the open row (write-queue model).
-        assert bank.open_row == 3
+        assert dram.bank_row[BC] == row
 
-    def test_writeback_occupancy_scaled(self, bank):
-        t0 = bank.busy_until
-        bank.writeback(1, 0.0)
-        occupancy = bank.busy_until - max(t0, 0.0)
+    def test_writeback_occupancy_scaled(self, dram):
+        (line, _), _ = bank_lines(dram)
+        t0 = dram.bank_busy[BC]
+        dram.writeback(line, 0.0)
+        occupancy = dram.bank_busy[BC] - max(t0, 0.0)
         full = (T.row_miss + T.write_recovery)
         assert occupancy == pytest.approx(full * T.writeback_occupancy_scale)
 

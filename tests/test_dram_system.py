@@ -6,9 +6,8 @@ import pytest
 from repro.alloc.policies import Policy
 from repro.core.session import ColoredTeam
 from repro.core.tintmalloc import TintMalloc
-from repro.dram.bank import RowKind
 from repro.dram.interconnect import Interconnect
-from repro.dram.system import DramSystem
+from repro.dram.system import DramSystem, RowKind
 from repro.dram.timing import DramTiming
 from repro.kernel.kernel import Kernel
 from repro.machine.presets import PLATFORMS
@@ -28,6 +27,12 @@ def system(tiny):
 
 def addr_on(mapping, node, bank=0, rest=0):
     return mapping.compose(node, 0, 0, bank, rest)
+
+
+def line_on(mapping, node, bank=0, rest=0):
+    """The line number of :func:`addr_on`'s address (write-backs take
+    line numbers)."""
+    return addr_on(mapping, node, bank, rest) >> mapping.line_bits
 
 
 class TestLocality:
@@ -88,7 +93,7 @@ class TestBankBehaviour:
         assert r.row_kind is RowKind.MISS
 
     def test_writeback_counts(self, tiny, system):
-        system.writeback(addr_on(tiny.mapping, 0), now=0.0)
+        system.writeback(line_on(tiny.mapping, 0), now=0.0)
         assert system.stats.writebacks == 1
 
 
@@ -143,22 +148,21 @@ def test_bank_index_table_shared_with_kernel(tiny):
 
 
 def test_bank_index_routes_survive_reset(tiny, system):
-    """reset() clears timing state, not routes: demand accesses and
-    write-backs reach the same Bank before and after."""
+    """reset() clears timing state in place, not routes: demand accesses
+    and write-backs reach the same bank color before and after."""
     addr = addr_on(tiny.mapping, node=1, bank=3)
     bc = tiny.mapping.frame_bank_color(addr >> tiny.mapping.page_bits)
-    bank = system.bank_of(addr)
-    assert bank is system.banks[bc]
+    busy, misses = system.bank_busy, system.bank_misses
     for _ in range(2):
         first = system.access(addr, core=0, now=0.0)
         assert first.bank_color == bc
-        assert bank.misses == 1
-        system.writeback(addr + 64, now=1e4)
-        assert [b.busy_until > 0.0 for b in system.banks] == [
-            i == bc for i in range(len(system.banks))
+        assert misses[bc] == 1
+        system.writeback((addr + 64) >> tiny.mapping.line_bits, now=1e4)
+        assert [b > 0.0 for b in busy] == [
+            i == bc for i in range(len(busy))
         ]
         system.reset()
-        assert system.bank_of(addr) is bank
+        assert system.bank_busy is busy and system.bank_misses is misses
 
 
 def test_bank_index_plan_rejects_out_of_range_frame(tiny):
@@ -186,6 +190,34 @@ class TestQueueWaits:
         assert first.queue_wait == 0.0
         assert second.queue_wait > 0.0
 
+    def test_controller_and_channel_occupancy(self, tiny, system):
+        """Two requests issued together to two banks behind one channel:
+        the second queues ``ctrl_service`` at the controller, then for
+        the rest of the first's channel occupancy."""
+        system.access(addr_on(tiny.mapping, 0, bank=0), 0, 0.0)
+        second = system.access(addr_on(tiny.mapping, 0, bank=1), 0, 0.0)
+        s = system.stats
+        assert s.wait_ctrl == T.ctrl_service
+        assert s.wait_chan == T.channel_service - T.ctrl_service
+        assert s.wait_bank == 0.0
+        assert second.queue_wait == T.channel_service
+
+    def test_writeback_occupies_the_channel(self, tiny, system):
+        """A posted write-back holds the channel bus in full: a demand
+        reaching the bus before it drains waits for it."""
+        system.writeback(line_on(tiny.mapping, 0, bank=0), now=5.0)
+        r = system.access(addr_on(tiny.mapping, 0, bank=1), 0, 0.0)
+        assert r.queue_wait == 5.0 + T.channel_service - T.ctrl_overhead
+
+    def test_link_wait_never_negative(self, tiny, system):
+        """An unqueued mesh crossing waits 0, also where rounding leaves
+        ``(now + hop) - now - hop`` a hair below 0."""
+        now = 2.4
+        assert (now + T.hop_latency) - now - T.hop_latency < 0.0
+        r = system.access(addr_on(tiny.mapping, 1), core=0, now=now)
+        assert r.queue_wait == 0.0
+        assert system.stats.wait_link == 0.0
+
     def test_wait_components_sum(self, tiny, system):
         for i in range(10):
             system.access(addr_on(tiny.mapping, 0) + 64 * i, 0, 0.0)
@@ -197,11 +229,11 @@ class TestQueueWaits:
 class TestReset:
     def test_reset_clears_everything(self, tiny, system):
         system.access(addr_on(tiny.mapping, 0), 0, 0.0)
-        system.writeback(addr_on(tiny.mapping, 1), 0.0)
+        system.writeback(line_on(tiny.mapping, 1), 0.0)
         system.reset()
         assert system.stats.accesses == 0
         assert system.stats.writebacks == 0
-        assert all(b.open_row is None for b in system.banks)
+        assert all(row is None for row in system.bank_row)
         r = system.access(addr_on(tiny.mapping, 0), 0, 0.0)
         assert r.queue_wait == 0.0
 
@@ -227,10 +259,63 @@ class TestFarTier:
     @staticmethod
     def _banks(dram) -> list:
         return [
-            (b.busy_until, b.open_row, b.refresh_epoch, b.hits, b.misses,
-             b.conflicts)
-            for b in dram.banks
+            list(state) for state in (
+                dram.bank_busy, dram.bank_row, dram.bank_epoch,
+                dram.bank_hits, dram.bank_misses, dram.bank_conflicts,
+            )
         ]
+
+    @staticmethod
+    def _set_lines(dram, n) -> list:
+        """``n`` lines of the far node that share one DRAM-cache set."""
+        mapping = dram.mapping
+        mask = dram._remote_caches[1]._num_sets - 1
+        per_frame = 1 << (mapping.page_bits - mapping.line_bits)
+        far_frames = np.flatnonzero(
+            np.asarray(dram._bank_node)[np.asarray(dram.frame_bank)] == 1
+        )
+        lines: list = []
+        for frame in far_frames.tolist():
+            line = frame * per_frame
+            if not lines or line & mask == lines[0] & mask:
+                lines.append(line)
+            if len(lines) == n:
+                return lines
+        raise AssertionError("far node has too few frames")
+
+    def _fill_then_evict(self, dram, use_first) -> list:
+        """Fill one DRAM-cache set, let ``use_first`` touch its oldest
+        line, then miss once more into the set; returns the lines."""
+        bits = dram.mapping.line_bits
+        lines = self._set_lines(dram, dram.remote.cache_ways + 1)
+        now = 0.0
+        for line in lines[:-1]:
+            dram.access(line << bits, core=0, now=now)
+            now += 1000.0
+        use_first(lines[0], now)
+        dram.access(lines[-1] << bits, core=0, now=now + 1000.0)
+        return lines
+
+    def test_hit_refreshes_the_lru_order(self, far):
+        """A DRAM-cache hit promotes its line: the next fill into the
+        full set evicts the line filled after it."""
+        dram, _ = far
+        bits = dram.mapping.line_bits
+        lines = self._fill_then_evict(
+            dram, lambda line, now: dram.access(line << bits, 0, now)
+        )
+        assert dram.stats.remote_cache_hits == 1
+        assert self._cached(dram, lines[0] << bits)
+        assert not self._cached(dram, lines[1] << bits)
+
+    def test_absorbed_writeback_refreshes_the_lru_order(self, far):
+        """A write-back the DRAM cache absorbs promotes its line too."""
+        dram, _ = far
+        bits = dram.mapping.line_bits
+        lines = self._fill_then_evict(dram, dram.writeback)
+        assert dram.stats.writebacks == 1
+        assert self._cached(dram, lines[0] << bits)
+        assert not self._cached(dram, lines[1] << bits)
 
     def test_cold_miss_crosses_the_network(self, far):
         dram, addr = far
@@ -261,7 +346,7 @@ class TestFarTier:
         dram.access(addr, core=0, now=0.0)
         banks = self._banks(dram)
         net_busy = dict(dram._net_busy)
-        dram.writeback(addr, now=1000.0)
+        dram.writeback(addr >> dram.mapping.line_bits, now=1000.0)
         assert dram.stats.writebacks == 1
         assert self._banks(dram) == banks
         assert dram._net_busy == net_busy
@@ -269,12 +354,13 @@ class TestFarTier:
     def test_writeback_to_uncached_line_queues_on_the_link(self, far):
         dram, addr = far
         tier = dram.remote
-        dram.writeback(addr, now=1000.0)
+        dram.writeback(addr >> dram.mapping.line_bits, now=1000.0)
         assert dram.stats.writebacks == 1
         assert dram._net_busy[1] == 1000.0 + tier.network_service_ns
         assert not self._cached(dram, addr)
         # The posted write lands at the far bank one network trip later.
-        assert dram.bank_of(addr).busy_until > 1000.0 + tier.network_ns
+        bc = dram.frame_bank[addr >> dram.mapping.page_bits]
+        assert dram.bank_busy[bc] > 1000.0 + tier.network_ns
         assert dram.stats.remote_cache_misses == 0
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.alloc.policies import Policy
 from repro.core.session import ColoredTeam
 from repro.core.tintmalloc import TintMalloc
+from repro.dram.system import DramSystem
 from repro.experiments.configs import CONFIG_ORDER, CONFIGS
 from repro.experiments.figures import (
     best_other_policy,
@@ -149,8 +150,9 @@ class TestRunLifetime:
             run_benchmark("lbm", Policy.MEM_LLC, "4_threads_4_nodes",
                           profile="mini")
             gc.collect()
-            cyclic = [o for o in gc.garbage
-                      if isinstance(o, (Kernel, TintMalloc, AddressSpace))]
+            cyclic = [o for o in gc.garbage if isinstance(
+                o, (Kernel, TintMalloc, AddressSpace, DramSystem)
+            )]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.alloc.policies import ALL_POLICIES, TINT_VARIANTS, Policy
-from repro.dram.bank import RowKind
-from repro.dram.system import AccessResult, DramStats
+from repro.dram.system import AccessResult, DramStats, RowKind
 from repro.kernel.colorlist import ColorMatrix
 from repro.kernel.frame import FramePool
 from repro.kernel.task import TaskStruct
@@ -63,6 +62,8 @@ class TestDramStats:
         for _ in range(3):
             s.record(self._result(RowKind.HIT))
         s.record(self._result(RowKind.CONFLICT, hops=2))
+        # record() counts; DramSystem.demand books the latency sum.
+        s.total_latency += 4 * 100.0
         assert s.row_hit_rate == 0.75
         assert s.remote_fraction == 0.25
         assert s.mean_latency == pytest.approx(100.0)

@@ -211,9 +211,10 @@ class TestDramInjection:
         run_small_program(team, engine)
         checker = DramChecker(memory.dram)
         checker.check()
-        bank = max(memory.dram.banks, key=lambda b: b.busy_until)
-        assert bank.busy_until > 0.0
-        bank.busy_until *= 0.5  # occupancy may only book forward
+        busy = memory.dram.bank_busy
+        color = max(range(len(busy)), key=busy.__getitem__)
+        assert busy[color] > 0.0
+        busy[color] *= 0.5  # occupancy may only book forward
         with pytest.raises(SanitizeViolation) as exc:
             checker.check()
         assert exc.value.layer == "dram"
@@ -224,8 +225,13 @@ class TestDramInjection:
         run_small_program(team, engine)
         checker = DramChecker(memory.dram)
         checker.check()
-        idle = next(b for b in memory.dram.banks if b.total_accesses == 0)
-        idle.open_row = 5  # a row opened without any request: illegal
+        dram = memory.dram
+        idle = next(
+            c for c, counts in enumerate(zip(
+                dram.bank_hits, dram.bank_misses, dram.bank_conflicts
+            )) if sum(counts) == 0
+        )
+        dram.bank_row[idle] = 5  # a row opened without any request: illegal
         with pytest.raises(SanitizeViolation) as exc:
             checker.check()
         assert exc.value.invariant == "bank-row-phantom"

@@ -57,9 +57,9 @@ ALLOWED: dict[str, str] = {
     # system through; deleting them would push tests into private fields.
     "repro.alloc.heap.HeapAllocator.live_allocations": "heap state accessor",
     "repro.alloc.heap.HeapAllocator.allocation_at": "heap state accessor",
+    "repro.cache.cache.Cache.occupancy": "cache state accessor",
     "repro.cache.cache.Cache.occupancy_of_set": "cache state accessor",
     "repro.cache.hierarchy.CacheHierarchy.core_stats": "cache state accessor",
-    "repro.dram.system.DramSystem.bank_of": "DRAM state accessor",
     "repro.faultline.plan.FaultInjector.fire_count": "fault-plan state accessor",
     "repro.kernel.buddy.BuddyAllocator.free_blocks": "buddy state accessor",
     "repro.kernel.buddy.BuddyAllocator.largest_free_order":
