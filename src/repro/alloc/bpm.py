@@ -64,10 +64,6 @@ def bpm_assignments(
             # All compatible colors taken: fall back to sharing (BPM gives
             # no guarantee here; the paper's BPM partitions best-effort).
             pick = sorted(compatible)[:llc_per]
-        if not pick:
-            raise PlanError(
-                f"BPM thread {i}: no LLC color compatible with banks {mem_of[i]}"
-            )
         taken.update(pick)
         llc_of.append(tuple(pick))
 

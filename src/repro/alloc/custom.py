@@ -59,8 +59,6 @@ class CustomPolicy:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("CustomPolicy needs a non-empty name")
-        if not isinstance(self.assignments, tuple):
-            object.__setattr__(self, "assignments", tuple(self.assignments))
         canon = tuple(
             ColorAssignment(
                 mem_colors=tuple(sorted(set(a.mem_colors))),
@@ -75,11 +73,6 @@ class CustomPolicy:
     def label(self) -> str:
         """Display label, mirroring :attr:`Policy.label`."""
         return self.name
-
-    @property
-    def nthreads(self) -> int:
-        """Number of threads this plan colors."""
-        return len(self.assignments)
 
     # ------------------------------------------------------------ validation
     def validate(

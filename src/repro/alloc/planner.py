@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alloc.bpm import PlanError, bpm_assignments
+from repro.alloc.bpm import bpm_assignments
 from repro.alloc.policies import Policy
 from repro.machine.address import AddressMapping
 from repro.machine.topology import MachineTopology
@@ -49,8 +49,6 @@ def _split_strided(items: range | list[int], parts: int, index: int) -> tuple[in
     """
     items = list(items)
     n = len(items)
-    if parts <= 0:
-        raise ValueError("parts must be positive")
     if parts > n:
         return (items[index % n],)
     return tuple(items[index::parts])
@@ -65,8 +63,6 @@ def _split_evenly(items: range | list[int], parts: int, index: int) -> tuple[int
     """
     items = list(items)
     n = len(items)
-    if parts <= 0:
-        raise ValueError("parts must be positive")
     if parts > n:
         return (items[index % n],)
     base, extra = divmod(n, parts)
@@ -182,7 +178,6 @@ def plan_colors(
         ColorAssignment(mem_colors=mems[i], llc_colors=llcs[i])
         for i in range(nthreads)
     ]
-    _check_compatibility(assignments, mapping)
     return assignments
 
 
@@ -200,30 +195,6 @@ def _llc_pools(
                 lc for bc in mem for lc in mapping.compatible_llc_colors(bc)
             })))
     return pools
-
-
-def _check_compatibility(
-    assignments: list[ColorAssignment], mapping: AddressMapping
-) -> None:
-    """Reject plans where some thread's color pair has no physical frames.
-
-    With the Opteron's overlapping bank/LLC bits this cannot happen for
-    the node-local policies (each thread owns all 8 banks of a channel/
-    rank, covering every shared-bit value), but the check guards custom
-    mappings and configurations.
-    """
-    for i, a in enumerate(assignments):
-        if not a.mem_colors or not a.llc_colors:
-            continue
-        if not any(
-            mapping.colors_compatible(bc, lc)
-            for bc in a.mem_colors
-            for lc in a.llc_colors
-        ):
-            raise PlanError(
-                f"thread {i}: no compatible (bank, LLC) pair in "
-                f"mem={a.mem_colors} llc={a.llc_colors}"
-            )
 
 
 def plan_is_disjoint(assignments: list[ColorAssignment]) -> tuple[bool, bool]:

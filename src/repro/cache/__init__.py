@@ -6,14 +6,13 @@ preset) differ land in disjoint set groups, and threads with disjoint LLC
 colors cannot evict each other's lines (paper Fig. 9).
 """
 
-from repro.cache.cache import Cache, EvictedLine
+from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy, CacheTiming, MemoryLevel
 from repro.cache.prefetch import StridePrefetcher
 from repro.cache.stats import CacheLevelStats
 
 __all__ = [
     "Cache",
-    "EvictedLine",
     "CacheHierarchy",
     "CacheTiming",
     "MemoryLevel",

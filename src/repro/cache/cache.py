@@ -13,24 +13,11 @@ replays the same rules on the set dicts directly (docs/ARCHITECTURE.md,
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.machine.topology import CacheGeometry
 
 #: Miss sentinel for ``dict.pop`` (distinguishes "absent" from a stored
 #: ``False`` dirty bit without a second hash lookup).
 _ABSENT = object()
-
-
-class EvictedLine(NamedTuple):
-    """A line pushed out of a cache by an insertion, with its dirty bit.
-
-    A dirty victim is written down to the next level (the LLC posts it
-    to DRAM); a clean one is dropped.
-    """
-
-    line_addr: int
-    dirty: bool
 
 
 class Cache:
@@ -89,13 +76,15 @@ class Cache:
         self.hits += 1
         return True
 
-    def insert(self, line_addr: int, dirty: bool) -> EvictedLine | None:
+    def insert(self, line_addr: int, dirty: bool) -> int | None:
         """Install a line, evicting the LRU entry of a full set.
 
-        Returns the eviction victim (with its dirty state) or None.
+        Returns the line address of a dirty victim, which the caller
+        writes down to the next level, or None; a clean victim is
+        dropped.
         """
         entries = self._sets[self.set_of_line(line_addr)]
-        victim: EvictedLine | None = None
+        victim = None
         present = entries.pop(line_addr, _ABSENT)
         if present is not _ABSENT:
             # Refresh an already-present line (e.g. refill racing a hit);
@@ -103,7 +92,8 @@ class Cache:
             dirty = present or dirty
         elif len(entries) >= self._ways:
             old = next(iter(entries))
-            victim = EvictedLine(line_addr=old, dirty=entries.pop(old))
+            if entries.pop(old):
+                victim = old
         entries[line_addr] = dirty
         return victim
 
@@ -136,11 +126,6 @@ class Cache:
         """Total lookups (hits + misses)."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of lookups that missed (0.0 when never accessed)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def occupancy(self) -> int:
         """Number of valid lines currently held."""
         return sum(len(s) for s in self._sets)
@@ -155,9 +140,3 @@ class Cache:
             s.clear()
         self.hits = 0
         self.misses = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Cache({self.name}, {self.geometry.size_bytes}B, "
-            f"{self.geometry.ways}-way, {self.num_sets} sets)"
-        )

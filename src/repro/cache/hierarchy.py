@@ -60,9 +60,6 @@ class HierarchyResult:
         self.level = level
         self.dram = dram
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HierarchyResult(latency={self.latency:.1f}, level={self.level})"
-
 
 class CacheHierarchy:
     """Per-core L1/L2 plus the shared LLC, wired to a :class:`DramSystem`."""
@@ -227,18 +224,15 @@ class CacheHierarchy:
     def _fill_l2(self, core: int, line: int, now: float) -> None:
         """Install a clean line in the core's L2; a dirty victim spills."""
         victim = self.l2[core].insert(line, False)
-        if victim is not None and victim.dirty:
-            self._spill_to_llc(victim.line_addr, now)
+        if victim is not None:
+            self._spill_to_llc(victim, now)
 
     def _fill_l1(self, core: int, line: int, dirty: bool, now: float) -> None:
         """Install a line in the core's L1 and write a dirty victim down:
         the L2 absorbs it if it holds the line, else the LLC does."""
         victim = self.l1[core].insert(line, dirty)
-        if (
-            victim is not None and victim.dirty
-            and not self.l2[core].mark_dirty(victim.line_addr)
-        ):
-            self._spill_to_llc(victim.line_addr, now)
+        if victim is not None and not self.l2[core].mark_dirty(victim):
+            self._spill_to_llc(victim, now)
 
     def _spill_to_llc(self, line: int, now: float) -> None:
         """Absorb a dirty private-cache victim into the LLC.
@@ -254,9 +248,9 @@ class CacheHierarchy:
         """Install a line in the LLC; a dirty victim becomes a posted
         DRAM write-back."""
         victim = self.llc.insert(line, dirty)
-        if victim is not None and victim.dirty:
+        if victim is not None:
             self.dirty_evictions += 1
-            self.dram.writeback(victim.line_addr, now)
+            self.dram.writeback(victim, now)
 
     # ------------------------------------------------------------------ stats
     def level_stats(self) -> dict[str, CacheLevelStats]:

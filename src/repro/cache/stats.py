@@ -19,20 +19,9 @@ class CacheLevelStats:
         return self.hits + self.misses
 
     @property
-    def hit_rate(self) -> float:
-        """Hits as a fraction of lookups (0.0 when idle)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
     def miss_rate(self) -> float:
         """Misses as a fraction of lookups (0.0 when idle)."""
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def __add__(self, other: "CacheLevelStats") -> "CacheLevelStats":
-        return CacheLevelStats(
-            name=self.name, hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-        )
 
     def to_json(self) -> dict:
         """Plain-dict form (used by :meth:`RunMetrics.to_json`)."""

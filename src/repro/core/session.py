@@ -68,7 +68,3 @@ class ColoredTeam:
     def nthreads(self) -> int:
         """Team size (one pinned thread per handle)."""
         return len(self.handles)
-
-    def tasks(self):
-        """The kernel ``TaskStruct`` behind each handle, in thread order."""
-        return [h.task for h in self.handles]

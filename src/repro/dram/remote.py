@@ -111,11 +111,10 @@ class RemoteCache:
         return False
 
     def insert(self, line: int) -> None:
-        """Fill ``line``, evicting the set's LRU entry if the set is full."""
+        """Fill ``line`` after a :meth:`lookup` miss, evicting the set's
+        LRU entry if the set is full."""
         s = self._sets[line & (self._num_sets - 1)]
-        if line in s:
-            del s[line]
-        elif len(s) >= self._ways:
+        if len(s) >= self._ways:
             del s[next(iter(s))]
         s[line] = None
 

@@ -23,10 +23,6 @@ class ExperimentConfig:
     name: str
     cores: tuple[int, ...]
 
-    @property
-    def nthreads(self) -> int:
-        return len(self.cores)
-
     def nodes_used(self, topology: MachineTopology) -> tuple[int, ...]:
         return tuple(sorted({topology.node_of_core(c) for c in self.cores}))
 

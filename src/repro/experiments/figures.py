@@ -116,9 +116,6 @@ class GroupedFigure:
             f"{self.title} — {config} (buddy = 1.0)", self.data[config]
         )
 
-    def value(self, config: str, bench: str, policy: str) -> float:
-        return self.data[config][bench][policy].mean
-
 
 def _grouped_figure(
     records: Sequence[RunRecord],

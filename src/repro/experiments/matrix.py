@@ -109,8 +109,6 @@ class MatrixCell:
 
 
 def _divergence(record: RunRecord) -> float:
-    if record.max_thread_runtime <= 0.0:
-        return 0.0
     return record.runtime_spread / record.max_thread_runtime
 
 

@@ -119,10 +119,6 @@ class FaultPlan:
     seed: int = 0
     rules: tuple[FaultRule, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rules, tuple):
-            object.__setattr__(self, "rules", tuple(self.rules))
-
     @property
     def empty(self) -> bool:
         """Whether arming this plan can never inject anything."""

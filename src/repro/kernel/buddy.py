@@ -160,9 +160,8 @@ class BuddyAllocator:
             raise ValueError(f"double free of block at frame {start}")
         while order < MAX_ORDER:
             buddy = start ^ (1 << order)
+            # A free buddy is in range: free blocks only ever are.
             if self._block_order.get(buddy) != order:
-                break
-            if not (self.base <= buddy and buddy + (1 << order) <= self.base + self.num_frames):
                 break
             self._remove(buddy, order)
             start = min(start, buddy)
@@ -256,21 +255,16 @@ class BuddyAllocator:
                     raise AssertionError("overlapping free blocks")
                 seen |= frames
                 # Fully coalesced: buddy of a free block must not be free
-                # at the same order (unless coalescing is blocked by range,
-                # or the allocator was deliberately fragmented).
+                # at the same order (unless the allocator was deliberately
+                # fragmented).
                 buddy = start ^ (1 << order)
                 if (
                     not self.fragmented
                     and order < MAX_ORDER
                     and self._block_order.get(buddy) == order
                 ):
-                    in_range = (
-                        self.base <= buddy
-                        and buddy + (1 << order) <= self.base + self.num_frames
+                    raise AssertionError(
+                        f"uncoalesced buddies at {start}/{buddy} order {order}"
                     )
-                    if in_range:
-                        raise AssertionError(
-                            f"uncoalesced buddies at {start}/{buddy} order {order}"
-                        )
         if len(self._block_order) != sum(self._live):
             raise AssertionError("block index size mismatch")

@@ -22,7 +22,7 @@ LLC color slice may overlap them (caches index independently of DRAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -56,6 +56,7 @@ class AddressMapping:
         row_bits_start: physical bit where the DRAM row number begins; bits
             from there up to ``total_bits`` (excluding any field bits) form
             the row.  Rows only matter for row-buffer hit/miss decisions.
+            It may not lie inside the line offset (``< line_bits``).
     """
 
     total_bits: int
@@ -84,6 +85,12 @@ class AddressMapping:
         object.__setattr__(self, "fields", dict(self.fields))
         # Row: bits above the highest field bit, by default.
         start = self.row_bits_start or (max(seen) + 1 if seen else self.page_bits)
+        if start < self.line_bits:
+            raise ValueError(
+                f"row bits start at bit {start}, inside the "
+                f"{self.line_bits}-bit line offset: a row narrower than "
+                f"a cache line"
+            )
         object.__setattr__(self, "row_bits_start", start)
         # Memo of compatible_llc_colors (bank color -> tuple), per instance.
         object.__setattr__(self, "_compat_llc_rows", {})

@@ -46,12 +46,6 @@ class SpanEvent:
             d["args"] = self.args
         return d
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SpanEvent({self.name!r}, {self.begin:.1f}..{self.end:.1f}, "
-            f"track={self.track!r}, tid={self.tid})"
-        )
-
 
 class InstantEvent:
     """A point-in-time marker (allocation, spill, run boundary, ...)."""
@@ -80,9 +74,6 @@ class InstantEvent:
         if self.args:
             d["args"] = self.args
         return d
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InstantEvent({self.name!r}, ts={self.ts:.1f})"
 
 
 class RingBuffer:

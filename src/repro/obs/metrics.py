@@ -196,14 +196,15 @@ def _quantile(
         return hi
     if rank == 1:
         return lo
+    # zero + the bucket counts == count > rank, so some bucket holds it.
     seen = zero
     for index in sorted(buckets):
         seen += buckets[index]
         if seen >= rank:
-            e, s = divmod(index, sub)
-            mid = math.ldexp(1.0 + (s + 0.5) / sub, e - 1)
-            return min(max(mid, lo), hi)
-    return hi
+            break
+    e, s = divmod(index, sub)
+    mid = math.ldexp(1.0 + (s + 0.5) / sub, e - 1)
+    return min(max(mid, lo), hi)
 
 
 def quantile_from_snapshot(hist: dict, q: float) -> float | None:

@@ -281,7 +281,6 @@ class _DriverBase:
         self.metrics = metrics
         self.outcome = SearchOutcome(settings=settings, driver=self.name)
         self._screened: dict[str, EvalResult] = {}
-        self._fulled: set[str] = set()
 
     # ------------------------------------------------------------ accounting
     @property
@@ -306,13 +305,13 @@ class _DriverBase:
                if k not in ("digest", "label")},
         })
 
-    def _screen(self, gen: int, genome: Genome) -> EvalResult | None:
-        """Screening evaluation; returns None once the budget is spent."""
+    def _screen(self, gen: int, genome: Genome) -> EvalResult:
+        """Screening evaluation, memoized by digest (a restart genome can
+        repeat an earlier screen).  :meth:`_halve` caps new screens below
+        the budget left, so a screen is always affordable."""
         digest = genome.digest()
         if digest in self._screened:
             return self._screened[digest]
-        if self.budget_left <= 0:
-            return None
         result = self.evaluator.evaluate_genome(
             genome, self.settings.screen_reps
         )
@@ -322,15 +321,15 @@ class _DriverBase:
         return result
 
     def _promote(self, gen: int, genome: Genome) -> EvalResult | None:
-        """Full evaluation; winners join the Pareto front."""
-        digest = genome.digest()
-        if digest in self._fulled:
-            return None
+        """Full evaluation; winners join the Pareto front.  Returns None
+        once the budget is spent.  A genome is promoted at most once: it
+        is screened once (restarts happen only while no screen has
+        succeeded, so never after a promotion)."""
         if self.budget_left <= 0:
             return None
+        digest = genome.digest()
         result = self.evaluator.evaluate_genome(genome, self.settings.full_reps)
         self.outcome.evaluations += 1
-        self._fulled.add(digest)
         self._log_eval(gen, "full", genome, result)
         if result.ok:
             self.outcome.front.offer(FrontPoint(
@@ -370,8 +369,6 @@ class _DriverBase:
                 break
             already = genome.digest() in self._screened
             result = self._screen(gen, genome)
-            if result is None:
-                break
             if not already:
                 allowed -= 1
             if result.ok:
@@ -380,7 +377,7 @@ class _DriverBase:
                                       rg[0].digest))
         keep = max(1, math.ceil(len(screened) * self.settings.promote_fraction))
         for result, genome in screened[:keep]:
-            if self._promote(gen, genome) is None and self.budget_left <= 0:
+            if self._promote(gen, genome) is None:
                 break
 
     def _finish(self) -> SearchOutcome:

@@ -104,11 +104,6 @@ class JobHandle:
         return self._job.digest
 
     @property
-    def spec(self) -> JobSpec:
-        """The spec this handle was submitted with."""
-        return self._job.spec
-
-    @property
     def status(self) -> JobStatus:
         """Current lifecycle state."""
         return self._job.status
@@ -122,10 +117,6 @@ class JobHandle:
     def attempts(self) -> list[dict]:
         """Per-attempt outcome history (copies are cheap; don't mutate)."""
         return list(self._job.attempts)
-
-    def done(self) -> bool:
-        """Whether the job completed or failed."""
-        return self._job.done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job is done; True if it finished in time."""

@@ -143,11 +143,6 @@ class ResultStore:
         with self._lock:
             return digest in self._entries
 
-    def digests(self) -> list[str]:
-        """All stored digests (stable snapshot)."""
-        with self._lock:
-            return list(self._entries)
-
     def stats(self) -> dict[str, int]:
         """Counter snapshot: entries / hits / misses / puts / corrupt."""
         with self._lock:

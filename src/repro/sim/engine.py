@@ -329,15 +329,14 @@ class Engine:
            Event counts are tallied from per-access outcome codes after
            the section.
 
-        A section that first-touches a page, prefetch ablation and a row
-        layout with row bits inside the line offset cannot be planned;
-        those sections replay through :meth:`_run_section_reference`,
+        A section that first-touches a page and prefetch ablation cannot
+        be planned; those sections replay through :meth:`_run_section_reference`,
         which takes every demand fault.  Per-stage wall time is recorded
         in the ambient metrics registry (``engine.kernel_ns{kind=decode|
         replay|scalar_replay}``) so ``repro.obs top`` shows where replay
         time goes: ``replay`` is the batched loop, ``scalar_replay`` the
         reference loop.  Each unplannable section is counted by reason
-        (``engine.plan_fallback{reason=fault|prefetch|row_layout}``).
+        (``engine.plan_fallback{reason=fault|prefetch}``).
         """
         t0 = time.perf_counter()
         plan = self._batch_plan(section)
@@ -379,10 +378,9 @@ class Engine:
 
         Returns None — the caller replays through
         :meth:`_run_section_reference` — when a trace touches a page not
-        yet mapped (the reference loop takes the demand fault), when
+        yet mapped (the reference loop takes the demand fault) or when
         prefetchers are on (their fills are not modelled by the batched
-        loop) or when the row layout puts row bits inside the line
-        offset.  Each such fallback is counted by reason when a metrics
+        loop).  Each such fallback is counted by reason when a metrics
         registry is active.
         """
         hierarchy = self.memory.hierarchy
@@ -394,8 +392,6 @@ class Engine:
         page_mask = (1 << page_bits) - 1
         line_bits = hierarchy._line_bits
         row_shift = dram._row_shift
-        if row_shift < line_bits:
-            return _plan_fallback("row_layout")
         page_line_shift = page_bits - line_bits
         row_line_shift = row_shift - line_bits
         topo = hierarchy.topology

@@ -33,7 +33,6 @@ class RngStream:
 
     def __init__(self, master_seed: int, *names: object) -> None:
         self.seed = derive_seed(master_seed, *names)
-        self.names = tuple(str(n) for n in names)
         self.gen = np.random.default_rng(self.seed)
 
     def child(self, *names: object) -> "RngStream":
@@ -52,12 +51,3 @@ class RngStream:
 
     def choice(self, *args, **kwargs):
         return self.gen.choice(*args, **kwargs)
-
-    def normal(self, *args, **kwargs):
-        return self.gen.normal(*args, **kwargs)
-
-    def shuffle(self, *args, **kwargs):
-        return self.gen.shuffle(*args, **kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream(seed={self.seed}, names={'/'.join(self.names)})"

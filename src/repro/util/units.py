@@ -9,11 +9,11 @@ GIB = 1024 * MIB
 
 def format_size(nbytes: int) -> str:
     """Render a byte count with a binary suffix (``12.0MiB``)."""
-    value = float(nbytes)
-    for suffix in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024 or suffix == "TiB":
-            if suffix == "B":
-                return f"{int(value)}B"
+    if nbytes < 1024:
+        return f"{int(nbytes)}B"
+    value = nbytes / 1024
+    for suffix in ("KiB", "MiB", "GiB"):
+        if value < 1024:
             return f"{value:.1f}{suffix}"
         value /= 1024
-    raise AssertionError("unreachable")
+    return f"{value:.1f}TiB"

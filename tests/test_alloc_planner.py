@@ -3,7 +3,12 @@
 import pytest
 
 from repro.alloc.bpm import PlanError, bpm_assignments
-from repro.alloc.planner import plan_colors, plan_is_disjoint
+from repro.alloc.planner import (
+    _split_evenly,
+    _split_strided,
+    plan_colors,
+    plan_is_disjoint,
+)
 from repro.alloc.policies import Policy
 from repro.machine.presets import opteron_6128
 
@@ -109,6 +114,8 @@ class TestPartVariants:
         for i in range(len(all_colors)):
             for j in range(i + 1, len(all_colors)):
                 assert not all_colors[i] & all_colors[j]
+        # Banks private, LLC shared within node groups.
+        assert plan_is_disjoint(assignments) == (True, False)
 
     def test_llc_mem_part_shares_node_banks(self, machine):
         assignments = plan(Policy.LLC_MEM_PART, CORES_16, machine)
@@ -147,6 +154,18 @@ class TestBpm:
         a2 = bpm_assignments(CORES_16, machine.mapping)
         assert a1 == a2
 
+    def test_shares_llc_colors_once_compatible_ones_run_out(self, machine):
+        """13 threads exhaust some bank shares' compatible LLC colors:
+        those threads share colors (BPM is best-effort), still compatible."""
+        assignments = bpm_assignments(list(range(13)), machine.mapping)
+        assert plan_is_disjoint(assignments) == (True, False)
+        mapping = machine.mapping
+        for a in assignments:
+            assert any(
+                mapping.colors_compatible(bc, lc)
+                for bc in a.mem_colors for lc in a.llc_colors
+            )
+
     def test_too_many_threads(self, machine):
         with pytest.raises(PlanError):
             bpm_assignments(list(range(129)), machine.mapping)
@@ -160,3 +179,11 @@ class TestValidation:
     def test_empty_team_rejected(self, machine):
         with pytest.raises(ValueError):
             plan(Policy.MEM, [], machine)
+
+
+@pytest.mark.parametrize("split", [_split_evenly, _split_strided])
+def test_more_shares_than_colors_wrap_around(split):
+    """Each of 5 threads still owns one of 3 colors; threads share."""
+    assert [split(range(3), 5, i) for i in range(5)] == [
+        (0,), (1,), (2,), (0,), (1,)
+    ]

@@ -56,6 +56,11 @@ class TestCharts:
         assert "lbm" in out and "art" in out
         assert out.count("buddy") == 2
 
+    def test_grouped_chart_whiskers_and_empty(self):
+        out = grouped_bar_chart("fig", {"lbm": {"mem": aggregate([0.7, 0.8])}})
+        assert "[0.700 .. 0.800]" in out
+        assert grouped_bar_chart("fig", {}) == "fig\n  (no data)"
+
     def test_series_table_alignment(self):
         out = series_table("t", ["t0", "t1"], {"buddy": [1.0, 2.0]})
         lines = out.splitlines()

@@ -37,19 +37,16 @@ class TestLookupInsert:
 
     def test_capacity_eviction_lru(self, cache):
         a, b, c = (line_in_set(3, t) for t in range(3))
-        cache.insert(a, False)
-        cache.insert(b, False)
-        victim = cache.insert(c, False)
-        assert victim is not None
-        assert victim.line_addr == a  # least recently used
+        cache.insert(a, True)
+        cache.insert(b, True)
+        assert cache.insert(c, False) == a  # least recently used
 
     def test_lookup_refreshes_lru(self, cache):
         a, b, c = (line_in_set(3, t) for t in range(3))
-        cache.insert(a, False)
-        cache.insert(b, False)
+        cache.insert(a, True)
+        cache.insert(b, True)
         cache.lookup(a, False)  # a becomes MRU
-        victim = cache.insert(c, False)
-        assert victim.line_addr == b
+        assert cache.insert(c, False) == b
 
     def test_sets_are_independent(self, cache):
         for s in range(SMALL.num_sets):
@@ -64,16 +61,14 @@ class TestDirty:
         a, b, c = (line_in_set(1, t) for t in range(3))
         cache.insert(a, dirty=True)
         cache.insert(b, dirty=False)
-        victim = cache.insert(c, False)
-        assert victim.line_addr == a and victim.dirty
+        assert cache.insert(c, False) == a
 
     def test_write_hit_sets_dirty(self, cache):
         a, b, c = (line_in_set(1, t) for t in range(3))
         cache.insert(a, False)
         cache.lookup(a, is_write=True)
         cache.insert(b, False)
-        victim = cache.insert(c, False)
-        assert victim.dirty  # a was dirtied by the write hit
+        assert cache.insert(c, False) == a  # dirtied by the write hit
 
     def test_mark_dirty_requires_presence(self, cache):
         assert not cache.mark_dirty(42)
@@ -84,8 +79,8 @@ class TestDirty:
         a, b, c = (line_in_set(1, t) for t in range(3))
         cache.insert(a, False)
         cache.insert(b, False)
-        victim = cache.insert(c, False)
-        assert not victim.dirty
+        assert cache.insert(c, False) is None  # dropped, nothing to write
+        assert not cache.contains(a)
 
 
 class TestInvalidate:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.alloc.policies import Policy
+from repro.cache.hierarchy import CacheHierarchy
 from repro.core.session import ColoredTeam
 from repro.core.tintmalloc import TintMalloc
 from repro.dram.interconnect import Interconnect
@@ -316,6 +317,44 @@ class TestFarTier:
         assert dram.stats.writebacks == 1
         assert self._cached(dram, lines[0] << bits)
         assert not self._cached(dram, lines[1] << bits)
+
+    def test_prefetch_fill_pays_the_link_not_the_dram_cache(self, far):
+        """A prefetch to the far node occupies its network link and one
+        bank, bypasses the compute-side DRAM cache, and leaves the
+        demand counters alone."""
+        dram, addr = far
+        tier = dram.remote
+        dram.prefetch_fill(addr, core=0, now=0.0)
+        assert dram._net_busy[1] == tier.network_service_ns
+        assert not self._cached(dram, addr)
+        bc = dram.frame_bank[addr >> dram.mapping.page_bits]
+        assert dram.bank_misses[bc] == 1
+        assert sum(dram.bank_misses) + sum(dram.bank_hits) + sum(
+            dram.bank_conflicts
+        ) == 1
+        assert dram.bank_busy[bc] == tier.network_ns + T.ctrl_overhead + T.row_miss
+        stats = dram.stats
+        assert stats.prefetch_fills == 1
+        assert stats.accesses == 0
+        assert stats.remote_cache_hits == stats.remote_cache_misses == 0
+
+    def test_prefetch_stream_to_the_far_node(self):
+        """Through a prefetching hierarchy, a far-node stream's prefetch
+        fills cross the link; the DRAM cache holds only demand lines."""
+        machine = FUZZ_PRESETS["tiny_disagg"](16 * MIB)
+        dram = DramSystem(
+            machine.mapping, machine.topology, T, remote=machine.remote
+        )
+        h = CacheHierarchy(machine.topology, dram, prefetch=True)
+        base = addr_on(machine.mapping, node=1)
+        line = machine.mapping.line_bytes
+        for i in range(32):
+            h.access(base + i * line, core=0, now=float(i) * 1000)
+        stats = dram.stats
+        assert stats.prefetch_fills > 0
+        assert dram._net_busy[1] > 0.0
+        held = sum(len(s) for s in dram._remote_caches[1]._sets)
+        assert held == stats.remote_cache_misses
 
     def test_cold_miss_crosses_the_network(self, far):
         dram, addr = far

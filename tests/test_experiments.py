@@ -107,6 +107,19 @@ class TestFigureBuilders:
         # Flat synthetic idles -> zero spread.
         assert fig.spread("lbm", "buddy") == pytest.approx(0.0)
 
+    def test_per_thread_figure_with_gaps(self):
+        """A bench without a buddy run is left out, an all-zero buddy
+        baseline normalizes by 1, and a policy without runs has no row."""
+        records = [
+            fake_record(policy="buddy", idle=0.0),
+            fake_record(policy="mem+llc", idle=8.0),
+            fake_record(bench="art", policy="mem+llc"),
+        ]
+        fig = fig14(records, "16_threads_4_nodes")
+        assert set(fig.data) == {"lbm"}
+        assert set(fig.data["lbm"]) == {"buddy", "mem+llc"}  # no bpm row
+        assert fig.max_value("lbm", "mem+llc") == pytest.approx(2.0)
+
     def test_fig10_requires_buddy(self):
         with pytest.raises(ValueError):
             fig10([fake_record(policy="mem")])

@@ -95,6 +95,19 @@ class TestMainClaims:
         assert not by_id["fig11/lbm-runtime-reduction"].holds
         assert not by_id["fig11/lbm-bpm-loses-to-tintmalloc"].holds
 
+    def test_cross_config_claim_without_lbm_counts_no_gain(self):
+        """Two configs but no lbm runs: both gains fall back to zero, so
+        the headline config cannot show the larger boost."""
+        claims = evaluate_main_claims([
+            record("art", "buddy", 100.0),
+            record("art", "mem+llc", 90.0),
+            record("art", "buddy", 100.0, config="4_threads_4_nodes",
+                   threads=4),
+        ])
+        by_id = {c.claim_id: c for c in claims}
+        boost = by_id["fig11/16t4n-largest-boost"]
+        assert boost.measured == 0.0 and not boost.holds
+
     def test_missing_benchmarks_are_skipped(self):
         claims = evaluate_main_claims([
             record("lbm", "buddy", 100.0),

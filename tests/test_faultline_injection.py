@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.faultline import NO_FAULTS, FaultPlan, FaultRule
+from repro.faultline import campaign
 from repro.faultline.campaign import (
     _run_specs,
     baseline_records,
@@ -34,6 +35,7 @@ from repro.faultline.faults import StoreIOFault
 from repro.faultline.hooks import armed
 from repro.service import (
     JobFailed,
+    JobHandle,
     JobSpec,
     MemoryStore,
     Scheduler,
@@ -273,6 +275,58 @@ class TestCampaign:
 
     def test_run_case_reports_no_violation_for_empty_plan(self):
         assert run_case(NO_FAULTS) is None
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("hang", "not done after 60s", "hung: not done after 60s"),
+        ("untyped", KeyError("k"), "raised an untyped error: KeyError"),
+        ("ok", {"runtime": 2.0}, "not bit-identical to the fault-free"),
+    ])
+    def test_run_case_names_each_violation(self, monkeypatch, kind, payload,
+                                           message):
+        """Each invariant breach the campaign checks is reported."""
+        specs = campaign_specs()
+        baseline = {s.digest(): canonical({"runtime": 1.0}) for s in specs}
+        monkeypatch.setattr(campaign, "_run_specs", lambda specs, executor: {
+            s.digest(): (kind, payload) for s in specs
+        })
+        assert message in run_case(NO_FAULTS, specs, baseline)
+
+    def test_failed_baseline_aborts_the_campaign(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_run_specs", lambda specs, executor: {
+            "d": ("error", "store down")
+        })
+        with pytest.raises(RuntimeError, match="baseline run failed for d"):
+            baseline_records([])
+
+    def test_campaign_stops_at_the_first_violation(self, monkeypatch):
+        monkeypatch.setattr(campaign, "baseline_records",
+                            lambda specs, executor: {})
+        monkeypatch.setattr(
+            campaign, "run_case",
+            lambda plan, specs, baseline, executor:
+            "boom" if plan == random_plan(3, 1) else None,
+        )
+        seen = []
+        result = run_campaign(budget_s=60.0, seed=3,
+                              on_case=lambda i, plan: seen.append(i))
+        assert not result.ok and result.cases_run == 2 and seen == [0, 1]
+        assert result.failure.case_index == 1
+        assert result.failure.detail == "boom"
+        assert run_campaign(budget_s=0.0, seed=3).cases_run == 0
+
+    def test_a_job_past_the_deadline_is_a_hang(self, monkeypatch):
+        monkeypatch.setattr(JobHandle, "wait", lambda self, timeout=None: False)
+        results = _run_specs(campaign_specs()[:1], "inline")
+        assert [kind for kind, _ in results.values()] == ["hang"]
+
+    def test_an_untyped_result_error_is_recorded(self, monkeypatch):
+        def broken(self, timeout=None):
+            raise KeyError("result lost")
+
+        monkeypatch.setattr(JobHandle, "result", broken)
+        results = _run_specs(campaign_specs()[:1], "inline")
+        [(kind, payload)] = results.values()
+        assert kind == "untyped" and isinstance(payload, KeyError)
 
     def test_failing_plan_replays_in_fresh_process(self, tmp_path):
         """Acceptance regression: a serialized plan reproduces the same

@@ -50,6 +50,7 @@ class TestBasics:
         b = BuddyAllocator(0, 4)
         assert b.alloc(2) is not None
         assert b.alloc(0) is None
+        assert b.largest_free_order() is None
 
     def test_nonzero_base(self):
         b = BuddyAllocator(base=1 << 20, num_frames=2048)

@@ -15,6 +15,7 @@ from repro.kernel.mmapi import (
 )
 from repro.kernel.vm import Vma
 from repro.machine.presets import tiny_machine
+from repro.obs.observer import Observer
 from repro.util.units import MIB
 
 
@@ -101,7 +102,8 @@ class TestDemandAllocationPolicies:
             assert kernel.pool.node_of_frame(paddr >> 12) == 1
 
     def test_out_of_colored_memory_raises(self):
-        kernel = Kernel(tiny_machine(memory_bytes=4 * MIB))
+        observer = Observer()
+        kernel = Kernel(tiny_machine(memory_bytes=4 * MIB), observer=observer)
         proc = kernel.create_process()
         task = kernel.create_task(proc, core=0)
         mapping = kernel.mapping
@@ -113,6 +115,11 @@ class TestDemandAllocationPolicies:
         with pytest.raises(OutOfColoredMemory):
             for i in range(budget + 1):
                 proc.address_space.translate(vma.start + i * 4096, task)
+        # The failed colored allocation is traced with the task's colors.
+        failed = [e for e in observer.events if e.name == "kernel.alloc.failed"]
+        assert [e.args for e in failed] == [
+            {"mem_colors": [mem], "llc_colors": [0]}
+        ]
 
     def test_fault_charge_recorded(self, env):
         kernel, proc, task = env

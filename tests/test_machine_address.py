@@ -37,6 +37,20 @@ class TestGeometry:
                 llc_color_positions=(12, 13),
             )
 
+    def test_row_inside_line_offset_rejected(self):
+        fields = {"node": (20,), "channel": (21,), "rank": (22,), "bank": (23,)}
+        with pytest.raises(ValueError, match="inside the 6-bit line offset"):
+            AddressMapping(
+                total_bits=30, line_bits=6, page_bits=12, fields=fields,
+                llc_color_positions=(12, 13), row_bits_start=5,
+            )
+        # A row that starts exactly at the line offset is the narrowest legal one.
+        m = AddressMapping(
+            total_bits=30, line_bits=6, page_bits=12, fields=fields,
+            llc_color_positions=(12, 13), row_bits_start=6,
+        )
+        assert m.row_bits_start == 6
+
     def test_field_names_enforced(self):
         with pytest.raises(ValueError):
             AddressMapping(

@@ -128,6 +128,15 @@ class TestSnapshotAndMerge:
         dst.merge(src)
         assert dst.snapshot() == src
 
+    def test_merge_skips_empty_histograms_and_misses_are_none(self):
+        src = MetricsRegistry()
+        src.histogram("idle")  # registered, never observed
+        dst = MetricsRegistry()
+        dst.merge(src.snapshot())
+        snap = dst.snapshot()
+        assert find_metric(snap, "histograms", "idle")["count"] == 0
+        assert find_metric(snap, "histograms", "idle", shard=1) is None
+
     def test_quantiles_survive_merge(self):
         """Cross-process p99 must come from merged buckets, not samples."""
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -155,6 +164,14 @@ class TestExposition:
         assert "sched_attempt_s_count 1" in text
         # cumulative bucket for the populated upper bound exists
         assert "_bucket{le=" in text
+
+    def test_prometheus_zero_bucket_and_digit_leading_names(self):
+        reg = MetricsRegistry()
+        reg.counter("9lives").inc()
+        reg.histogram("wait_s").observe(0.0)
+        text = render_prometheus(reg.snapshot())
+        assert "_9lives_total 1" in text
+        assert 'wait_s_bucket{le="0"} 1' in text
 
     def test_prometheus_bucket_cumulative_and_bounded(self):
         reg = MetricsRegistry()

@@ -33,6 +33,8 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
     units = tmp_path / "src" / "repro" / "util" / "units.py"
     units.write_text(
         units.read_text() + '\n\ndef planted_orphan() -> int:\n    return 0\n'
+        # A forwarding wrapper: its own body's use of the name is no use.
+        '\n\ndef planted_wrapper(x):\n    return x.planted_wrapper()\n'
     )
     # A caller for an allowlisted orphan makes its entry stale.
     (tmp_path / "examples" / "planted_caller.py").write_text(
@@ -41,6 +43,7 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
     proc = _check(tmp_path)
     assert proc.returncode == 1
     assert "function repro.util.units.planted_orphan" in proc.stdout
+    assert "function repro.util.units.planted_wrapper" in proc.stdout
     assert "ALLOWED entry repro.faultline.hooks.disarm is not an orphan" in (
         proc.stdout
     )

@@ -47,7 +47,9 @@ class ModelLRU:
         if i is not None:
             dirty = entries.pop(i)[1] or dirty
         elif len(entries) >= self.ways:
-            victim = tuple(entries.pop(0))
+            old, old_dirty = entries.pop(0)
+            if old_dirty:
+                victim = old
         entries.append([line, dirty])
         return victim
 
@@ -89,9 +91,7 @@ class TestCacheVsBruteForce:
             if op == "lookup":
                 assert cache.lookup(line, flag) == model.lookup(line, flag)
             elif op == "insert":
-                got = cache.insert(line, flag)
-                want = model.insert(line, flag)
-                assert (tuple(got) if got else None) == want
+                assert cache.insert(line, flag) == model.insert(line, flag)
             elif op == "mark_dirty":
                 entries = model.sets[model.set_of_line(line)]
                 i = model._find(entries, line)

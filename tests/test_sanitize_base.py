@@ -109,8 +109,10 @@ class TestSanitizerObserver:
         obs.span("compute", 0.0, 5.0)
         obs.instant("fault", 1.0)
         obs.maybe_sample(2.0)
+        obs.sample(3.0)  # forwarded; a forced sample is not an event
         assert obs.sanitizer.events_seen == 3
         assert [e.name for e in inner.events] == ["compute", "fault"]
+        assert inner.samples.last()[0] == 3.0
 
     def test_now_proxies_inner_clock(self):
         inner = Observer()

@@ -89,11 +89,24 @@ class TestFlattenAndDiff:
         assert "dram.accesses" in str(exc.value)
 
 
+    def test_report_raises_on_an_analytic_violation(self):
+        report = DiffReport(modes=("fast", "reference"), equal=True,
+                            first=None, analytic=["barriers 2 != 1"])
+        with pytest.raises(SanitizeViolation) as exc:
+            report.raise_on_divergence()
+        assert exc.value.invariant == "analytic-violation"
+        assert "barriers 2 != 1" in str(exc.value)
+
+
 class TestDifferentialRun:
     def test_paths_agree_on_healthy_engine(self):
         report = differential_run(_builder_factory())
         assert report.modes == ("fast", "reference", "traced")
         assert report.clean, report.describe()
+        assert report.describe() == (
+            "paths ('fast', 'reference', 'traced') agree; "
+            "analytic model satisfied"
+        )
         report.raise_on_divergence()  # no-op when clean
 
     def test_injected_fast_path_drift_is_caught(self):
@@ -135,3 +148,41 @@ class TestAnalyticModel:
         flat = flatten_tree(snap)
         assert "runtime" in flat
         assert any(path.startswith("dram.") for path in flat)
+
+
+def _bump(obj, name, delta=1):
+    setattr(obj, name, getattr(obj, name) + delta)
+
+
+def _reverse_first_section(m):
+    m.sections[0].end = m.sections[0].start - 1.0
+
+
+#: analytic_violations message -> one drift of a healthy run's metrics.
+IDENTITIES = {
+    "runtime": lambda m: _bump(m, "runtime", 10.0),
+    "total_idle != sum of section idle": lambda m: _bump(
+        m.threads[0], "idle_time", 10.0),
+    "ends before it starts": _reverse_first_section,
+    "thread faults != section faults": lambda m: _bump(m.sections[0], "faults"),
+    "row hits+misses+conflicts": lambda m: _bump(m.dram, "row_hits"),
+    "local + remote != DRAM accesses": lambda m: _bump(m.dram, "local_accesses"),
+    "per-node accesses do not sum": lambda m: m.dram.per_node_accesses
+    .__setitem__(0, m.dram.per_node_accesses.get(0, 0) + 1),
+    "queue-wait components": lambda m: _bump(m.dram, "wait_ctrl", 1000.0),
+    "thread DRAM accesses": lambda m: _bump(m.threads[0], "dram_accesses"),
+    "thread remote accesses": lambda m: _bump(m.threads[0], "remote_accesses"),
+    "thread row conflicts": lambda m: _bump(m.threads[0], "row_conflicts"),
+    "thread accesses != L1 lookups": lambda m: _bump(m.threads[0], "accesses"),
+    "L1 misses != L2 lookups": lambda m: _bump(m.cache["l1"], "misses"),
+    "L2 misses != LLC lookups": lambda m: _bump(m.cache["l2"], "misses"),
+    "LLC misses != DRAM accesses": lambda m: _bump(m.cache["llc"], "misses"),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_each_analytic_identity_is_checked(identity):
+    metrics = TestAnalyticModel()._metrics()
+    IDENTITIES[identity](metrics)
+    violations = analytic_violations(metrics)
+    assert any(identity in v for v in violations), violations

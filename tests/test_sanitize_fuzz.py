@@ -111,6 +111,24 @@ class TestShrinking:
         shrunk = shrink_case(case, lambda c: True)
         assert shrunk == case
 
+    def test_shrink_steps_one_round_when_halving_loses_it(self):
+        case = FuzzCase(seed=1, nthreads=1, rounds=4, regions_per_thread=1,
+                        region_kib=4, accesses_per_thread=50,
+                        with_serial=False)
+        shrunk = shrink_case(case, lambda c: c.rounds >= 3)
+        assert shrunk.rounds == 3
+
+    def test_shrink_stops_after_max_steps(self):
+        case = FuzzCase(seed=1, nthreads=4, rounds=4)
+        tried = []
+
+        def never(c):
+            tried.append(c)
+            return False
+
+        assert shrink_case(case, never, max_steps=2) == case
+        assert len(tried) == 2
+
     def test_repro_snippet_replays_the_case(self):
         case = FuzzCase.generate(9)
         snippet = repro_snippet(case, "full", 64)
@@ -146,6 +164,20 @@ class TestFuzzLoop:
         assert failure.shrunk.rounds <= 2 and failure.shrunk.nthreads <= 2
         assert "bank-busy-rewind" in failure.violation
         assert "run_case" in failure.snippet
+
+    def test_shrink_candidates_that_run_out_of_memory_do_not_reproduce(
+        self, monkeypatch,
+    ):
+        from repro.kernel.kernel import OutOfMemory
+
+        def fake_run_case(case, level="full", check_every=64):
+            if case.rounds > 1:
+                raise SanitizeViolation("kernel", "owner-stale", "injected")
+            raise OutOfMemory("smaller cases exhaust memory")
+
+        monkeypatch.setattr(fuzz_mod, "run_case", fake_run_case)
+        result = fuzz_mod.fuzz(budget_s=600.0, seed=0, max_cases=50)
+        assert result.failure.shrunk.rounds == 2
 
     def test_out_of_memory_cases_are_skipped(self, monkeypatch):
         from repro.kernel.kernel import OutOfColoredMemory

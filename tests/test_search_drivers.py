@@ -16,9 +16,13 @@ import json
 import pytest
 
 from repro.faultline import FaultPlan, FaultRule, armed
+from repro.alloc.policies import Policy
 from repro.search.drivers import (
+    EvalResult,
+    Evaluator,
     EvolutionDriver,
     GridDriver,
+    SearchOutcome,
     SearchSettings,
     ServiceEvaluator,
 )
@@ -202,3 +206,121 @@ class TestFaultSurvival:
         outcomes = {e["outcome"] for e in out.log if e["event"] == "eval"}
         assert "error" in outcomes
         assert out.evaluations > 0
+
+
+class _ScriptedEvaluator(Evaluator):
+    """No simulation: a genome's objectives are a pure function of its
+    digest, or every evaluation errors."""
+
+    def __init__(self, ok: bool = True) -> None:
+        self.ok = ok
+        self.calls: list[tuple[str, int]] = []
+
+    def _result(self, digest: str, reps: int) -> EvalResult:
+        self.calls.append((digest, reps))
+        if not self.ok:
+            return EvalResult(digest, digest[:6], reps, "error", error="boom")
+        return EvalResult(digest, digest[:6], reps, "ok",
+                          runtime=float(int(digest[:6], 16)),
+                          divergence=float(int(digest[6:9], 16)),
+                          max_slowdown=1.0)
+
+    def evaluate_genome(self, genome, reps):
+        return self._result(genome.digest(), reps)
+
+    def evaluate_policy(self, policy, reps):
+        return self._result(policy.value.encode().hex().ljust(9, "0"), reps)
+
+
+class TestDriverBudgetEdges:
+    """Budget and restart paths, on a scripted evaluator."""
+
+    def test_grid_screens_only_what_the_budget_can_promote(self, space):
+        settings = SearchSettings(**{**SETTINGS.to_json(), "budget": 4})
+        out = GridDriver(space, _ScriptedEvaluator(), settings).run()
+        phases = [e["phase"] for e in out.log if e["event"] == "eval"]
+        # floor(4 / 1.34) = 2 screens leave room for their promotions.
+        assert phases.count("screen") == 2
+        assert out.evaluations <= 4 and len(out.front) > 0
+
+    def test_evolution_stops_once_a_round_spends_the_budget(self, space):
+        settings = SearchSettings(**{**SETTINGS.to_json(), "budget": 1})
+        out = EvolutionDriver(space, _ScriptedEvaluator(), settings).run()
+        assert out.evaluations == 1
+        assert {e.get("gen") for e in out.log if e["event"] == "eval"} == {0}
+
+    def test_evolution_stops_when_breeding_finds_nothing_new(
+        self, space, monkeypatch,
+    ):
+        settings = SearchSettings(**{**SETTINGS.to_json(), "budget": 12})
+        monkeypatch.setattr(EvolutionDriver, "_next_generation",
+                            lambda self, gen, rng: [])
+        out = EvolutionDriver(space, _ScriptedEvaluator(), settings).run()
+        assert {e.get("gen") for e in out.log if e["event"] == "eval"} == {0}
+        assert 0 < out.evaluations < 12
+
+    def test_all_errors_restart_from_random_genomes(self, space, monkeypatch):
+        """With no successful screen there are no parents: the next
+        generation restarts from random genomes.  One that repeats an
+        earlier screen is served from the screen memo, free of budget."""
+        settings = SearchSettings(**{**SETTINGS.to_json(), "budget": 12})
+        evaluator = _ScriptedEvaluator(ok=False)
+        random_genome = space.random_genome
+        repeat = space.paper_genome(Policy.BUDDY)
+        draws = []
+
+        def first_repeats(rng):
+            draws.append(rng)
+            return repeat if len(draws) == 1 else random_genome(rng)
+
+        monkeypatch.setattr(space, "random_genome", first_repeats)
+        out = EvolutionDriver(space, evaluator, settings).run()
+        gens = {e["gen"] for e in out.log if e["event"] == "eval"}
+        assert max(gens) >= 1  # bred past generation 0 with no parents
+        assert draws  # the restart drew random genomes
+        assert len(out.front) == 0
+        assert out.evaluations == 12
+        screened = [d for d, reps in evaluator.calls
+                    if reps == settings.screen_reps]
+        assert len(screened) == len(set(screened)) == 12
+        assert repeat.digest() in screened
+
+
+def test_evaluator_memoizes_per_digest_and_reps(space):
+    with ServiceClient(store=None, executor="inline") as client:
+        evaluator = ServiceEvaluator(client, SETTINGS)
+        genome = space.paper_genome(Policy.MEM_LLC)
+        first = evaluator.evaluate_genome(genome, 1)
+        executed = evaluator.jobs_executed
+        assert evaluator.evaluate_genome(genome, 1) is first
+        assert evaluator.jobs_executed == executed == 1
+
+
+class TestVerdicts:
+    @staticmethod
+    def _outcome(*points):
+        out = SearchOutcome(settings=SETTINGS, driver="grid")
+        for runtime, divergence in points:
+            out.front.offer(FrontPoint(runtime=runtime, divergence=divergence,
+                                       digest=f"{runtime}", label="p"))
+        return out
+
+    @staticmethod
+    def _baseline(outcome="ok", runtime=10.0, divergence=1.0):
+        return EvalResult("b", "mem+llc", 1, outcome, runtime=runtime,
+                          divergence=divergence)
+
+    def test_errored_baseline(self):
+        verdict = verdict_vs_baseline(self._outcome((5.0, 1.0)),
+                                      self._baseline(outcome="error"))
+        assert verdict == ("baseline-error", None)
+
+    def test_dominating_point_is_the_witness(self):
+        verdict, point = verdict_vs_baseline(self._outcome((5.0, 1.0)),
+                                             self._baseline())
+        assert verdict == "dominates" and point["runtime"] == 5.0
+
+    def test_empty_front_report(self):
+        assert "*(empty — no candidate survived full evaluation)*" in (
+            render_report(self._outcome())
+        )

@@ -20,6 +20,19 @@ def test_demo_reports_full_second_pass_reuse(capsys):
     assert "demo ok" in out
 
 
+def test_demo_fails_when_the_second_pass_is_not_served(monkeypatch, capsys):
+    """A store that keeps nothing leaves the second pass to re-simulate:
+    the demo's >= 95 % reuse gate fails it."""
+    from repro.service.store import ResultStore
+
+    monkeypatch.setattr(ResultStore, "put", lambda self, *args: None)
+    assert main(["demo", "--benches", "lbm", "--executor", "inline",
+                 "--workers", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "0/2 cache hits (0%)" in out
+    assert "DEMO FAILED" in err
+
+
 def test_local_submit_caches_and_status_reads_the_store(tmp_path, capsys):
     store = str(tmp_path / "runs.jsonl")
     assert main(["submit", *SYNTHETIC, "--store", store]) == 0

@@ -18,12 +18,14 @@ import pytest
 from repro.alloc.policies import Policy
 from repro.faultline.faults import WorkerKillFault
 from repro.search.space import SearchSpace
+from repro.obs.metrics import MetricsRegistry, find_metric
 from repro.service import (
     JobFailed,
     JobSpec,
     JobStatus,
     MemoryStore,
     Scheduler,
+    ServiceError,
 )
 
 # Specs are distinguished by seed so each gets its own digest.
@@ -101,7 +103,9 @@ class TestCachingAndDedup:
             gate.wait(10)
             return {"seed": s.seed}
 
-        with Scheduler(executor="inline", runner=gated) as sched:
+        registry = MetricsRegistry()
+        with Scheduler(executor="inline", runner=gated,
+                       metrics=registry) as sched:
             first = sched.submit(spec(5))
             # Wait until the job is actually running, then resubmit.
             deadline = time.monotonic() + 5
@@ -114,6 +118,24 @@ class TestCachingAndDedup:
             stats = sched.stats()
         assert calls == [5]
         assert stats["dedup_hits"] == 1
+        assert find_metric(registry.snapshot(), "counters", "sched.jobs",
+                           outcome="dedup")["value"] == 1
+
+    def test_result_times_out_and_shut_down_scheduler_refuses(self):
+        gate = threading.Event()
+
+        def gated(s: JobSpec) -> dict:
+            gate.wait(10)
+            return {"seed": s.seed}
+
+        with Scheduler(executor="inline", runner=gated) as sched:
+            handle = sched.submit(spec(6))
+            with pytest.raises(TimeoutError, match="not done after 0.01s"):
+                handle.result(0.01)
+            gate.set()
+            assert handle.result(10) == {"seed": 6}
+        with pytest.raises(ServiceError, match="shut down"):
+            sched.submit(spec(7))
 
     def test_force_run_bypasses_cache(self):
         store = MemoryStore()

@@ -68,6 +68,32 @@ class TestPersistence:
         assert reopened.get("d2") is None
         reopened.close()
 
+    def test_jsonl_skips_blank_lines(self, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        store = JsonlStore(path)
+        store.put("d1", SPEC, RECORD)
+        store.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n\n")
+        reopened = JsonlStore(path)
+        assert reopened.get("d1") == RECORD and len(reopened) == 1
+        reopened.close()
+
+    def test_sqlite_skips_a_corrupt_payload(self, tmp_path):
+        path = str(tmp_path / "results.sqlite")
+        store = SqliteStore(path)
+        store.put("d1", SPEC, RECORD)
+        store._db.execute(
+            "INSERT INTO results VALUES ('d2', ?, '{not json')",
+            (SCHEMA_VERSION,),
+        )
+        store._db.commit()
+        store.close()
+        reopened = SqliteStore(path)
+        assert reopened.get("d1") == RECORD
+        assert reopened.get("d2") is None
+        reopened.close()
+
     def test_sqlite_survives_reopen(self, tmp_path):
         path = str(tmp_path / "results.sqlite")
         store = SqliteStore(path)

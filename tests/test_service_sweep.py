@@ -39,6 +39,19 @@ class TestSerialFastPath:
                        configs=CONFIGS, reps=1, profile="mini", seed=3)
         assert len(single) == 1
 
+    def test_traced_serial_sweep_exports_one_bundle_per_run(self, tmp_path):
+        """``trace_dir`` (the CLI's ``--trace-out``): each job records its
+        own observer and exports Perfetto, JSONL and counter CSV."""
+        records = sweep(benches=["lbm"], policies=[Policy.BUDDY],
+                        configs=CONFIGS, reps=1, profile="mini", seed=3,
+                        trace_dir=str(tmp_path), parallel=False)
+        assert len(records) == 1
+        names = sorted(p.name for p in tmp_path.iterdir())
+        stem = f"lbm_buddy_{CONFIGS[0]}_rep0"
+        assert any(n.startswith(stem) and n.endswith(".json") for n in names)
+        assert any(n.endswith(".jsonl") for n in names)
+        assert any(n.endswith(".csv") for n in names)
+
     def test_serial_matches_pooled_bit_identically(self):
         serial = sweep(parallel=True, max_workers=1, **KWARGS)
         pooled = sweep(parallel=True, max_workers=4, **KWARGS)

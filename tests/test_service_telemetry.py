@@ -4,28 +4,28 @@ The headline scenario: a chaos-free drain of >= 50 jobs through a
 4-shard scheduler on the process executor yields throughput/latency/
 cache numbers computed from the histogram registry (not from ad-hoc
 timers), including samples recorded inside the forked workers.  The
-dashboard renders that registry's snapshot, and ``python -m repro.obs
-top`` renders the same snapshot from a ``--metrics-out`` file.
+dashboard renders that registry's snapshot, and ``repro.obs top``
+renders the same snapshot from a ``--metrics-out`` file.
 """
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.experiments.__main__ import main as experiments_main
 from repro.obs import metrics as obs_metrics
-from repro.obs.dashboard import counter_total, merge_named_histograms, render_frame
+from repro.obs.__main__ import main as obs_main
+from repro.obs.dashboard import (
+    _fmt_seconds,
+    counter_total,
+    merge_named_histograms,
+    render_frame,
+)
 from repro.obs.metrics import MetricsRegistry, find_metric, quantile_from_snapshot
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import Scheduler
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 
 def _trivial_runner(spec: JobSpec) -> dict:
     """Module-level (fork/pickle-safe) runner: no simulation, just echo."""
@@ -174,17 +174,29 @@ class TestDashboardHelpers:
         frame = render_frame({"counters": [], "gauges": [], "histograms": []})
         assert "no samples" in frame
 
+    def test_render_frame_reports_retries_and_faults(self):
+        reg = MetricsRegistry()
+        reg.counter("sched.retries", shard="0").inc(2)
+        reg.counter("faultline.injections", site="worker.crash").inc(3)
+        frame = render_frame(reg.snapshot())
+        assert "retries: 2   faults injected: 3" in frame
+
+    @pytest.mark.parametrize("value, text", [
+        (None, "    --"), (5e-6, "    5u"), (0.0125, " 12.5m"), (2.5, " 2.50s"),
+    ])
+    def test_seconds_format_by_magnitude(self, value, text):
+        assert _fmt_seconds(value) == text
+
 
 class TestTopFromMetricsFile:
-    """``--metrics-out`` -> ``python -m repro.obs top PATH``, end to end."""
+    """``--metrics-out`` -> ``repro.obs top PATH``, end to end (in this
+    process; ``tools/dashboard_smoke.py`` runs ``python -m repro.obs``)."""
 
     @staticmethod
-    def _top(path) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "repro.obs", "top", str(path)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": SRC},
-        )
+    def _top(path, capsys) -> tuple[int, str, str]:
+        code = obs_main(["top", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
 
     def test_frame_from_a_tune_run(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
@@ -198,20 +210,27 @@ class TestTopFromMetricsFile:
         executed = find_metric(snapshot, "counters", "search.jobs",
                                result="executed")["value"]
         assert executed > 0
-        top = self._top(path)
-        assert top.returncode == 0, top.stderr
-        assert f"completed={executed:.0f}" in top.stdout
-        assert "attempt" in top.stdout and "p99=" in top.stdout
-        assert "queue depth" in top.stdout
+        code, out, err = self._top(path, capsys)
+        assert code == 0, err
+        assert f"completed={executed:.0f}" in out
+        assert "attempt" in out and "p99=" in out
+        assert "queue depth" in out
 
-    @pytest.mark.parametrize("name", ["metrics.prom", "missing.json"])
-    def test_bad_path_is_a_one_line_error(self, tmp_path, name):
+    #: file name -> content written (None: no file).
+    BAD = {
+        "metrics.prom": "sched_jobs_total 1\n",
+        "missing.json": None,
+        "garbled.json": "{",
+        "list.json": "[]",
+    }
+
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_bad_path_is_a_one_line_error(self, tmp_path, capsys, name):
         path = tmp_path / name
-        if path.suffix == ".prom":
-            path.write_text("sched_jobs_total 1\n")
-        top = self._top(path)
-        assert top.returncode != 0
-        assert top.stdout == ""
-        lines = top.stderr.splitlines()
+        if self.BAD[name] is not None:
+            path.write_text(self.BAD[name])
+        code, out, err = self._top(path, capsys)
+        assert code != 0
+        assert out == ""
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("repro.obs top: ")
-        assert "Traceback" not in top.stderr

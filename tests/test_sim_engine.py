@@ -166,3 +166,24 @@ class TestContention:
             Program([Section("parallel", shared_traces)], nthreads=4)
         ).parallel_runtime
         assert shared > disjoint
+
+
+class TestEmptyTraces:
+    def test_reference_loop_skips_empty_traces(self):
+        """Threads with nothing to do in a section end where it starts,
+        in both loops, and an all-empty section takes no time."""
+        empty = Trace(np.zeros(0, np.int64), np.zeros(0, bool))
+        results = []
+        for fast in (True, False):
+            tm, team, engine = build_env()
+            engine.fast_path = fast
+            busy = trace_over(team.handles[0], 8 * 1024)
+            program = Program([
+                Section("parallel", {0: busy, 1: empty}),
+                Section("parallel", {0: empty, 1: empty}),
+            ], nthreads=4)
+            results.append(engine.run(program))
+        fast, ref = results
+        assert fast.runtime == ref.runtime > 0
+        assert ref.sections[1].end == ref.sections[1].start
+        assert ref.threads[1].parallel_runtime == 0.0

@@ -22,6 +22,7 @@ class TestTrace:
         assert len(vas) == len(writes) == len(thinks) == 5
         assert thinks == [2.0] * 5
         assert isinstance(vas[0], int)
+        assert t.total_think_ns == 10.0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

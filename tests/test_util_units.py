@@ -15,3 +15,7 @@ class TestFormatSize:
 
     def test_roundtrip_order(self):
         assert "GiB" in format_size(3 * GIB)
+
+    def test_tib_is_the_largest_suffix(self):
+        assert format_size(3 * 1024 * GIB) == "3.0TiB"
+        assert format_size(2048 * 1024 * GIB) == "2048.0TiB"

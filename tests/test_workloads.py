@@ -110,6 +110,33 @@ class TestPatterns:
         seen = {(int(v) - base) // 64 for v in compute.traces[0].vaddrs}
         assert seen == set(range(lines))
 
+    def test_strided_skips_a_stride_that_divides_the_partition(self, team):
+        spec = SpmdSpec(
+            name="p", per_thread_bytes=68 * 64, shared_bytes=0,
+            master_init_fraction=0.0, passes=1, compute_sections=1,
+            pattern="strided", shared_fraction=0.0, serial_accesses=0,
+        )  # 68 lines: stride 17 would revisit 4 lines, 19 covers all
+        trace = next(
+            s for s in build(spec, team).sections if s.label == "compute[0]"
+        ).traces[0]
+        base = int(min(trace.vaddrs))
+        lines = [(int(v) - base) // 64 for v in trace.vaddrs]
+        assert sorted(lines) == list(range(68))
+        assert lines[1] - lines[0] == 19
+
+    def test_serial_work_without_shared_data_reads_master_partition(self, team):
+        spec = SpmdSpec(
+            name="p", per_thread_bytes=16 * KIB, shared_bytes=0,
+            master_init_fraction=0.0, passes=1, compute_sections=2,
+            pattern="stream", shared_fraction=0.0, serial_accesses=10,
+        )
+        p = build(spec, team)
+        serial = next(s for s in p.sections if s.label == "serial[0]")
+        master = next(
+            s for s in p.sections if s.label == "compute[0]"
+        ).traces[0].vaddrs
+        assert set(serial.traces[0].vaddrs.tolist()) <= set(master.tolist())
+
     def test_random_chunks_are_contiguous_runs(self, team):
         spec = SpmdSpec(
             name="p", per_thread_bytes=16 * KIB, shared_bytes=0,

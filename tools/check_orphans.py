@@ -7,8 +7,10 @@ behaviour of the system.  This scan (stdlib ``ast`` only, like
 ``src/``, ``examples/``, ``tools/``, ``benchmarks/`` and ``perfbench/``
 uses: names, attribute accesses, and identifier-shaped string constants
 such as ``getattr`` keys.  What does not count as a use: docstrings, the
-definition itself, imports, and ``__all__`` lists (the re-exports of
-``__init__.py``).
+definition itself, imports, ``__all__`` lists (the re-exports of
+``__init__.py``), and a use of a name inside the body of a definition
+with that same name (recursion, or a forwarding wrapper such as
+``def normal(self): return self.gen.normal()``).
 
 Checked: module-level functions and classes, and methods of public
 classes, whose dotted path contains no ``_``-prefixed component.
@@ -86,6 +88,18 @@ ALLOWED: dict[str, str] = {
     "repro.cache.cache.Cache.invalidate":
         "cache operation the LRU model-based property test drives",
     "repro.faultline.hooks.disarm": "the only way to undo a bare arm()",
+    # Reset of a built model for reuse.  Every program run builds a fresh
+    # MemorySystem, so only tests reuse one (and pin that a reset leaves
+    # no state behind); each reset calls its parts' reset.
+    **{
+        f"repro.{cls}.reset": "model reset for reuse, exercised by tests"
+        for cls in (
+            "cache.cache.Cache", "cache.hierarchy.CacheHierarchy",
+            "cache.prefetch.StridePrefetcher", "dram.interconnect.Interconnect",
+            "dram.remote.RemoteCache", "dram.system.DramSystem",
+            "sim.engine.MemorySystem",
+        )
+    },
     # Documented API.
     "repro.obs.metrics.Histogram.quantile": "documented in docs/OBSERVABILITY.md",
     "repro.search.report.replay_front": "documented in docs/SEARCH.md",
@@ -137,14 +151,25 @@ def _used(tree: ast.AST) -> set[str]:
         ):
             skip.update(id(n) for n in ast.walk(node.value))
     names: set[str] = set()
-    for node in ast.walk(tree):
+
+    def walk(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip and node.value.isidentifier()):
-            names.add(node.value)
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in inside:
+            names.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
     return names
 
 
