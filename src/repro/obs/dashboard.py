@@ -138,7 +138,9 @@ def read_snapshot(path: "str | Path") -> dict:
     """Load a JSON snapshot written by ``--metrics-out``.
 
     Raises ``ValueError`` with a one-line reason when the file is
-    missing, unreadable, Prometheus text, or not a snapshot.
+    missing, unreadable, Prometheus text, not a snapshot, or has a
+    histogram whose buckets do not add up to its count (the quantiles
+    read them on that premise).
     """
     path = Path(path)
     if path.suffix == ".prom":
@@ -153,4 +155,12 @@ def read_snapshot(path: "str | Path") -> dict:
         raise ValueError(f"{path} is not JSON: {exc}") from None
     if not isinstance(snapshot, dict):
         raise ValueError(f"{path} is not a metrics snapshot")
+    for hist in snapshot.get("histograms", ()):
+        if hist.get("zero", 0) + sum(hist.get("buckets", {}).values()) != (
+            hist.get("count", 0)
+        ):
+            raise ValueError(
+                f"{path}: histogram {hist.get('name')!r} buckets do not add "
+                "up to its count"
+            )
     return snapshot

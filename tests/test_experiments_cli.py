@@ -1,6 +1,7 @@
 """Smoke tests for the ``python -m repro.experiments`` CLI."""
 
 import json
+import sys
 
 import pytest
 
@@ -42,6 +43,23 @@ def test_tune_metrics_out_survives_a_failed_search(tmp_path, monkeypatch):
     assert find_metric(snapshot, "counters", "search.evaluations",
                        outcome="ok")["value"] == 1
     assert obs_metrics.active() is None
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    """``python -m repro.experiments`` calls ``main()`` without argv."""
+    monkeypatch.setattr(sys, "argv", ["repro.experiments", "--profile", "bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_tune_provenance_without_git(tmp_path, monkeypatch):
+    """A host without git records the commit as 'unknown'."""
+    from repro.search import tune
+
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert tune._git_commit() == "unknown"
 
 
 def test_cli_full_sweep_mini(tmp_path, capsys):

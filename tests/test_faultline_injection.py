@@ -207,6 +207,19 @@ class TestSchedulerAndWorkerFaults:
         assert sched.counters["timeouts"] == 1
 
 
+    def test_worker_hang_sleeps_in_the_child_only(self):
+        """``worker.hang`` fires only where ``in_child`` says a forked
+        worker runs; called here in-process with a short hang."""
+        from repro.service.worker import apply_worker_faults
+
+        plan = plan_of(FaultRule(site="worker.hang", arg=0.01))
+        with armed(plan) as injector:
+            apply_worker_faults(stub_spec(), in_child=False)
+            assert injector.fire_count("worker.hang") == 0
+            apply_worker_faults(stub_spec(), in_child=True)
+            assert injector.fire_count("worker.hang") == 1
+
+
 class TestKernelFaults:
     """Kernel-layer faults, driven through the real simulation runner."""
 

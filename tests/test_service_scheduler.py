@@ -381,3 +381,59 @@ class TestWorkerCrashIsolation:
                 handle.result(30)
         assert "exited with code 13" in str(exc.value)
         assert [a["outcome"] for a in exc.value.attempts] == ["crash"] * 2
+
+
+def orphaning_crash_runner(s: JobSpec) -> dict:
+    """Die without reporting while a forked grandchild keeps the result
+    pipe open for two seconds, so the parent never sees its EOF."""
+    if os.fork() == 0:
+        time.sleep(2.0)
+        os._exit(0)
+    os._exit(13)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_dead_worker_is_a_crash_while_its_pipe_stays_open():
+    """A worker that exits while something it forked still holds the
+    pipe is booked as a crash from its exit, not the pipe's EOF."""
+    start = time.monotonic()
+    with Scheduler(executor="process", runner=orphaning_crash_runner) as sched:
+        handle = sched.submit(spec(1, max_retries=0))
+        with pytest.raises(JobFailed, match="exited with code 13"):
+            handle.result(30)
+    assert time.monotonic() - start < 1.5
+    assert [a["outcome"] for a in handle.attempts] == ["crash"]
+
+
+class TestChildMainInProcess:
+    """``child_main`` is the forked worker's body; called here with a
+    pipe in this process, so its reports are checked without a fork."""
+
+    @staticmethod
+    def _run(monkeypatch, runner, metrics: bool) -> tuple:
+        import multiprocessing as mp
+
+        from repro.obs import metrics as obs_metrics
+        from repro.service.worker import child_main
+
+        monkeypatch.setattr(obs_metrics, "_ACTIVE", None)
+        recv, send = mp.Pipe(duplex=False)
+        child_main(send, runner, spec(4), metrics)
+        msg = recv.recv()
+        recv.close()
+        return msg
+
+    def test_ok_with_metrics_sends_result_and_snapshot(self, monkeypatch):
+        msg = self._run(monkeypatch, ok_runner, metrics=True)
+        assert msg[:2] == ("ok", {"bench": "lbm", "seed": 4})
+        assert set(msg[2]) >= {"counters", "gauges", "histograms"}
+
+    def test_error_without_metrics_sends_type_message_and_traceback(
+        self, monkeypatch,
+    ):
+        kind, text, tb, snapshot = self._run(monkeypatch, fail_runner,
+                                             metrics=False)
+        assert kind == "err"
+        assert text == "ValueError: injected failure for seed 4"
+        assert "fail_runner" in tb
+        assert snapshot is None

@@ -222,6 +222,10 @@ class TestTopFromMetricsFile:
         "missing.json": None,
         "garbled.json": "{",
         "list.json": "[]",
+        "short.json": json.dumps({"histograms": [
+            {"name": "sched.attempt_s", "count": 3, "sum": 0.3, "zero": 0,
+             "min": 0.1, "max": 0.1, "buckets": {}},
+        ]}),
     }
 
     @pytest.mark.parametrize("name", list(BAD))

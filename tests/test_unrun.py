@@ -54,23 +54,28 @@ def test_record_traces_the_command_in_process(tmp_path):
     assert 'return f"{value:.1f}TiB"' not in ran
 
 
-def test_keep_entries_hide_their_function_and_go_stale(capsys, monkeypatch):
+def test_keep_entries_hide_their_function_and_pin_its_count(capsys, monkeypatch):
+    """A ``KEEP`` entry hides exactly its pinned number of never-run
+    lines: fewer (a stale entry) or more (a new dead branch) fails."""
     unrun = _load()
     owners = unrun.body_lines()
     monkeypatch.setattr(unrun, "body_lines", lambda: owners)
     everything = {path: set(lines) for path, lines in owners.items()}
-    path, line = "src/repro/util/units.py", None
-    for ln, dotted in owners[path].items():
-        if dotted == "repro.util.units.format_size":
-            line = ln
-    everything[path].discard(line)
+    path = "src/repro/util/units.py"
+    lines = sorted(ln for ln, dotted in owners[path].items()
+                   if dotted == "repro.util.units.format_size")
+    everything[path].discard(lines[-1])
     monkeypatch.setattr(unrun, "KEEP", {})
     assert unrun.report(everything) == 1
     assert "repro.util.units.format_size (1 line)" in capsys.readouterr().out
-    monkeypatch.setattr(unrun, "KEEP", {"repro.util.units.format_size": "r"})
+    monkeypatch.setattr(unrun, "KEEP", {"repro.util.units.format_size": (1, "r")})
     assert unrun.report(everything) == 0
-    everything[path].add(line)
+    capsys.readouterr()
+    everything[path].discard(lines[0])
     assert unrun.report(everything) == 1
-    assert "KEEP entry repro.util.units.format_size has no never-run line" in (
-        capsys.readouterr().out
-    )
+    assert ("KEEP entry repro.util.units.format_size expects 1 never-run "
+            "line(s), has 2") in capsys.readouterr().out
+    everything[path] |= set(lines)
+    assert unrun.report(everything) == 1
+    assert ("KEEP entry repro.util.units.format_size expects 1 never-run "
+            "line(s), has 0") in capsys.readouterr().out

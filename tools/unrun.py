@@ -19,25 +19,24 @@ and CLI subprocesses that a run starts are not traced, so a line that
 only they reach is listed: read its callers before deleting it.
 
 Functions kept on purpose with never-run lines are listed by dotted
-name in ``KEEP``, each with its reason, the way ``ALLOWED`` works in
-``check_orphans.py``; an entry whose function has no never-run line
-(or no longer exists) fails the audit too.  Hypothesis draws vary from
-run to run, so a line that only some examples reach can come and go:
-such a function belongs in ``KEEP`` with that reason.
+name in ``KEEP``, each with the number of its never-run lines and a
+reason, the way ``ALLOWED`` works in ``check_orphans.py``.  An entry
+whose function has a different number of never-run lines (fewer, more,
+or the function is gone) fails the audit, so a kept function cannot hide a
+new dead branch.  Hypothesis draws vary from run to run, so a line that
+only some examples reach can come and go; give it a deterministic test.
 
 Usage (from the repository root; tier-1 traced takes several times its
-untraced time)::
+untraced time, and the four runs go two at a time)::
 
     python tools/unrun.py                      # all four default runs
-    python tools/unrun.py --jobs 2             # two runs at a time
-    python tools/unrun.py --only tier1         # one of the default runs
     python tools/unrun.py --record OUT.json -- pytest -x -q tests/test_cache.py
-    python tools/unrun.py --merge A.json B.json  # report saved records
 
 ``--record`` runs one command (``pytest ARGS``, ``-m MODULE ARGS`` or
-``SCRIPT.py ARGS``) and saves the lines it executed as JSON.  Exit
-status is 1 when a never-run region is outside ``KEEP``, a ``KEEP``
-entry is stale, or a run fails; 0 otherwise.
+``SCRIPT.py ARGS``) and saves the lines it executed as JSON; the
+default runs use it in their child processes.  Exit status is 1 when a
+never-run region is outside ``KEEP``, a ``KEEP`` entry's count is off,
+or a run fails; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -69,31 +68,24 @@ RUNS: dict[str, list[str]] = {
     },
 }
 
-#: Functions kept with never-run lines, by dotted name, each with its
-#: reason.  An entry whose function runs every line fails the audit.
-KEEP: dict[str, str] = {
-    "repro.experiments.__main__.main":
-        "argv=None is the `python -m repro.experiments` entry; tests pass argv",
-    "repro.sanitize.base.Checker.check":
-        "abstract: each of the four layer checkers implements it",
-    "repro.sanitize.base.Checker.check_fast":
-        "default for a checker without a cheap subset; all four override it",
-    "repro.search.drivers.Evaluator.evaluate_genome":
-        "interface: ServiceEvaluator and the tests' scripted one implement it",
-    "repro.search.drivers.Evaluator.evaluate_policy":
-        "interface: ServiceEvaluator and the tests' scripted one implement it",
-    "repro.search.tune._git_commit":
-        "provenance falls back to 'unknown' on a host without git",
-    "repro.service.scheduler.Scheduler._execute_in_process":
-        "a dead worker's closed pipe is seen by whichever of two checks "
-        "polls first",
-    "repro.service.worker.apply_worker_faults":
-        "runs in the forked worker (tests/test_faultline_injection.py)",
-    "repro.service.worker.child_main":
-        "forked worker body (tests/test_service_scheduler.py)",
-    "repro.service.worker.child_main._snapshot":
-        "forked worker body (tests/test_service_scheduler.py)",
+#: Functions kept with never-run lines, by dotted name: how many of its
+#: lines never run, and why.  A different count fails the audit.
+KEEP: dict[str, tuple[int, str]] = {
+    "repro.sanitize.base.Checker.check": (
+        1, "abstract: each of the four layer checkers implements it"),
+    "repro.sanitize.base.Checker.check_fast": (
+        1, "default for a checker without a cheap subset; all four override it"),
+    "repro.search.drivers.Evaluator.evaluate_genome": (
+        1, "interface: ServiceEvaluator and the tests' scripted one implement it"),
+    "repro.search.drivers.Evaluator.evaluate_policy": (
+        1, "interface: ServiceEvaluator and the tests' scripted one implement it"),
+    "repro.service.worker.apply_worker_faults": (
+        1, "worker.kill's os._exit runs only in a forked worker "
+           "(tests/test_faultline_injection.py)"),
 }
+
+#: Default runs made at a time.
+JOBS = min(2, os.cpu_count() or 1)
 
 
 # -- recording ---------------------------------------------------------------
@@ -245,25 +237,28 @@ def report(ran: dict[str, set[int]]) -> int:
     total = sum(len(o) for o in owners.values())
     per_pkg: dict[str, int] = defaultdict(int)
     kept_pkg: dict[str, int] = defaultdict(int)
+    kept: dict[str, int] = defaultdict(int)
     shown = 0
     for path, line, dotted, n in regions:
         pkg = dotted.split(".")[1]
         per_pkg[pkg] += n
         if dotted in KEEP:
             kept_pkg[pkg] += n
+            kept[dotted] += n
             continue
         shown += 1
         print(f"{path}:{line}: {dotted} ({n} line{'s' if n > 1 else ''})")
-    stale = sorted(set(KEEP) - {r[2] for r in regions})
-    for dotted in stale:
-        print(f"tools/unrun.py: KEEP entry {dotted} has no never-run line")
+    off = sorted(d for d, (n, _) in KEEP.items() if kept[d] != n)
+    for dotted in off:
+        print(f"tools/unrun.py: KEEP entry {dotted} expects {KEEP[dotted][0]} "
+              f"never-run line(s), has {kept[dotted]}")
     unrun = sum(per_pkg.values())
     print(f"\n{unrun} of {total} function-body lines never ran "
           f"({sum(kept_pkg.values())} kept); by package:")
     for pkg in sorted(per_pkg, key=lambda p: (-per_pkg[p], p)):
         print(f"  {pkg:12s} {per_pkg[pkg]:5d}  (kept {kept_pkg[pkg]})")
-    print(f"{shown} region(s) outside KEEP; {len(stale)} stale KEEP entr(ies).")
-    return 1 if shown or stale else 0
+    print(f"{shown} region(s) outside KEEP; {len(off)} KEEP count(s) off.")
+    return 1 if shown or off else 0
 
 
 def _load(paths: list[str]) -> dict[str, set[int]]:
@@ -299,14 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", metavar="OUT",
                         help="run the command after -- and save its lines")
-    parser.add_argument("--merge", nargs="+", metavar="JSON",
-                        help="report the union of saved records")
-    parser.add_argument("--only", nargs="+", choices=sorted(RUNS),
-                        help="default runs to make (all by default)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="default runs to make at a time")
-    parser.add_argument("--keep-records", metavar="DIR",
-                        help="save each default run's record in DIR")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -319,15 +306,11 @@ def main(argv: list[str] | None = None) -> int:
             "lines": {p: sorted(s) for p, s in ran.items()},
         }))
         return status
-    if args.merge:
-        return report(_load(args.merge))
 
-    names = args.only or list(RUNS)
+    names = list(RUNS)
     with tempfile.TemporaryDirectory() as tmp:
-        folder = Path(args.keep_records or tmp)
-        folder.mkdir(parents=True, exist_ok=True)
-        outs = {n: folder / f"{n}.json" for n in names}
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        outs = {n: Path(tmp) / f"{n}.json" for n in names}
+        with ThreadPoolExecutor(JOBS) as pool:
             statuses = dict(zip(names, pool.map(
                 lambda n: _child(n, RUNS[n], outs[n]), names)))
         failed = [n for n, s in statuses.items() if s != 0]
