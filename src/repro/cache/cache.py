@@ -133,10 +133,3 @@ class Cache:
     def occupancy_of_set(self, index: int) -> int:
         """Number of valid lines in one set."""
         return len(self._sets[index])
-
-    def reset(self) -> None:
-        """Drop all lines and zero the hit/miss counters."""
-        for s in self._sets:
-            s.clear()
-        self.hits = 0
-        self.misses = 0

@@ -111,8 +111,7 @@ class CacheHierarchy:
         # (the L2's per core, for L1 victims written down through it),
         # the geometry it indexes them with, and the same sets as 1-D
         # object arrays that its plan gathers each access's set dict
-        # from.  All hold references to the sets, which Cache.reset()
-        # clears in place, so they stay valid across resets.
+        # from.
         self._l2_sets = [c._sets for c in self.l2]
         self._llc_sets = self.llc._sets
         self._l2_ib = topology.l2.index_bits
@@ -268,14 +267,3 @@ class CacheHierarchy:
             "l1": CacheLevelStats("l1", self.l1[core].hits, self.l1[core].misses),
             "l2": CacheLevelStats("l2", self.l2[core].hits, self.l2[core].misses),
         }
-
-    def reset(self) -> None:
-        """Empty every cache and zero all counters (fresh-run state)."""
-        self.dirty_evictions = 0
-        for cache in (*self.l1, *self.l2, self.llc):
-            cache.reset()
-        if self.prefetchers is not None:
-            for pf in self.prefetchers:
-                pf.reset()
-        for s in self._prefetched:
-            s.clear()

@@ -57,11 +57,3 @@ class StridePrefetcher:
             self._last_stride = stride
         self._last_line = line_addr
         return prefetches
-
-    def reset(self) -> None:
-        """Forget the stride history and zero the issue counters."""
-        self._last_line = None
-        self._last_stride = 0
-        self._confirmed = False
-        self.issued = 0
-        self.useful = 0

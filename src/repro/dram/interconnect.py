@@ -71,8 +71,3 @@ class Interconnect:
         self._link_busy[link] = start + self._occupancy[core][node]
         self.remote_transfers += 1
         return start + self._prop[core][node], hops
-
-    def reset(self) -> None:
-        """Idle every link and zero the transfer count, in place."""
-        self._link_busy[:] = [0.0] * len(self._link_busy)
-        self.remote_transfers = 0

@@ -117,10 +117,3 @@ class RemoteCache:
         if len(s) >= self._ways:
             del s[next(iter(s))]
         s[line] = None
-
-    def reset(self) -> None:
-        """Empty every set and zero the probe counters (fresh run)."""
-        for s in self._sets:
-            s.clear()
-        self.hits = 0
-        self.misses = 0

@@ -205,7 +205,6 @@ class DramSystem:
     ``bank_misses`` and ``bank_conflicts``.  Both replay loops run the
     same stages over it, ``demand`` for an LLC miss and ``writeback``
     for a dirty LLC victim (built by :meth:`_bind_stages`).
-    :meth:`reset` clears the lists in place.
 
     Args:
         mapping: the platform's physical address codec.
@@ -246,9 +245,8 @@ class DramSystem:
         # One data bus per (node, channel).
         self._chan_busy = [0.0] * (mapping.num_nodes * mapping.num_channels)
         self.interconnect = Interconnect(topology, timing)
-        # This run's DramStats in a box the stages share: reset() swaps
-        # in a fresh one, the old one going to the finished RunMetrics.
-        self._stats = [DramStats()]
+        #: this run's aggregate counters; the stages book into it.
+        self.stats = DramStats()
         # Routing: a frame's bank color (Eq. 1), read from the mapping's
         # per-frame table through a memoryview (plain-int indexing, no
         # copy), indexes the bank lists.  The color is mixed-radix with
@@ -280,11 +278,7 @@ class DramSystem:
         self._bind_stages()
 
     def _register_counters(self, obs: BaseObserver) -> None:
-        """Expose aggregate stats and controller occupancy as counters.
-
-        Callbacks close over ``self`` (not ``self.stats``) so they keep
-        reading the live stats object across :meth:`reset`.
-        """
+        """Expose aggregate stats and controller occupancy as counters."""
         if not obs.enabled:
             return
         obs.register_counter("dram.accesses", lambda now: self.stats.accesses)
@@ -307,11 +301,6 @@ class DramSystem:
                 f"dram.ctrl_queue_ns[{node}]",
                 lambda now, n=node: max(0.0, self._ctrl_busy[n] - now),
             )
-
-    @property
-    def stats(self) -> DramStats:
-        """This run's aggregate counters (a fresh object after reset)."""
-        return self._stats[0]
 
     # ------------------------------------------------------------------ access
     def access(
@@ -341,7 +330,7 @@ class DramSystem:
         )
         node = self._bank_node[bank_color]
         kind = _CODE_KIND[code]
-        stats = self._stats[0]
+        stats = self.stats
         if code == CACHE_HIT:
             stats.remote_cache_hits += 1
             hops = 0
@@ -394,9 +383,8 @@ class DramSystem:
 
         They run per LLC miss or posted write in both replay loops, so
         they read the state lists and timing from closure cells, not
-        attributes.  :meth:`reset` clears the lists in place and swaps
-        the stats box's content, which the stages read per call.  No
-        closure holds ``self``, so a finished run is freed by refcount.
+        attributes.  No closure holds ``self``, so a finished run is
+        freed by refcount.
         """
         t = self.timing
         ctrl_service, ctrl_overhead = t.ctrl_service, t.ctrl_overhead
@@ -414,7 +402,7 @@ class DramSystem:
         line_bits, row_shift = self._line_bits, self._row_shift
         ic = self.interconnect
         traverse, hops, prop = ic.traverse, ic._hops, ic._prop
-        stats_box, net_busy = self._stats, self._net_busy
+        stats, net_busy = self.stats, self._net_busy
         tier = self.remote
         if tier is not None:
             net_ns, cache_hit_ns = tier.network_ns, tier.cache_hit_ns
@@ -486,7 +474,6 @@ class DramSystem:
             """
             node = bank_node[bank_color]
             cache = far[node]
-            stats = stats_box[0]
             if cache is None:
                 if hops[core][node]:
                     arrival, _ = traverse(core, node, now)
@@ -538,7 +525,7 @@ class DramSystem:
             cache = far[node]
             if cache is not None:
                 if cache.touch(line):
-                    stats_box[0].writebacks += 1
+                    stats.writebacks += 1
                     return
                 now, _ = network_leg(node, now)
             chan = bank_chan[bc]
@@ -559,26 +546,9 @@ class DramSystem:
             else:
                 base = row_conflict
             bank_busy[bc] = start + ((base + write_recovery) * wb_scale)
-            stats_box[0].writebacks += 1
+            stats.writebacks += 1
 
         self._network_leg = network_leg
         self._serve = serve
         self.demand = demand
         self.writeback = writeback
-
-    # ------------------------------------------------------------------ misc
-    def reset(self) -> None:
-        """Clear all timing state and statistics (fresh run), in place."""
-        nbanks = len(self.bank_busy)
-        self.bank_busy[:] = [0.0] * nbanks
-        self.bank_row[:] = [None] * nbanks
-        self.bank_epoch[:] = [-1.0] * nbanks
-        for counts in self._bank_count.values():
-            counts[:] = [0] * nbanks
-        self._ctrl_busy[:] = [0.0] * len(self._ctrl_busy)
-        self._chan_busy[:] = [0.0] * len(self._chan_busy)
-        self.interconnect.reset()
-        for node in self._net_busy:
-            self._remote_caches[node].reset()
-            self._net_busy[node] = 0.0
-        self._stats[0] = DramStats()

@@ -323,21 +323,6 @@ def run_synthetic(
 
 
 # ---------------------------------------------------------------------- sweep
-@dataclass(frozen=True)
-class SweepJob:
-    bench: str
-    policy: Policy
-    config: str
-    rep: int
-    profile: str = "scaled"
-    seed: int = 0
-    #: when set, each run records a trace exported into this directory
-    #: (one Perfetto JSON + JSONL + counter CSV per run).
-    trace_dir: str | None = None
-    #: invariant-checking level ("off"/"cheap"/"full"); see repro.sanitize.
-    sanitize: str = "off"
-
-
 def sweep(
     benches: list[str],
     policies: list[Policy],
@@ -346,7 +331,6 @@ def sweep(
     profile: str = "scaled",
     seed: int = 0,
     max_workers: int | None = None,
-    parallel: bool | None = None,
     trace_dir: str | None = None,
     sanitize: str = "off",
     cache=None,
@@ -357,43 +341,39 @@ def sweep(
     :class:`~repro.service.JobSpec` submitted to a scheduler, which
     shards jobs over isolated worker processes when the host has
     multiple CPUs and retries worker crashes instead of aborting the
-    sweep.  With ``max_workers=1``, ``parallel=False``, or a single
-    job, the scheduler runs jobs inline — a serial fast path that never
-    forks a worker process (fork + pickle overhead would only slow a
-    single-core host down).  Results are returned in job submission
-    order either way, bit-identical between the serial and pooled
-    paths.
+    sweep.  ``max_workers`` (default: one per CPU) is capped at the
+    number of jobs; with one worker — ``max_workers=1``, a single job,
+    an empty grid or a single-core host — the scheduler runs jobs
+    inline, a serial fast path that never forks a worker process (fork
+    + pickle overhead would only slow a single-core host down).  Results
+    are returned in job submission order either way, bit-identical
+    between the serial and pooled paths.
 
     ``cache`` (a path or an open :class:`repro.service.ResultStore`)
     enables content-addressed result reuse: a job whose digest is
     already stored returns the persisted record without simulating.
     ``trace_dir`` enables per-run tracing: each job records its own
     :class:`repro.obs.Observer` inside the worker and exports one
-    Perfetto/JSONL/CSV bundle into the directory (traced jobs always
-    re-run so the side-effect files are produced).  ``sanitize`` arms
-    invariant checking in every worker (levels as in
-    :func:`run_benchmark`).
+    Perfetto/JSONL/CSV bundle into the directory (traced jobs are
+    ``force_run``: they always re-run so the side-effect files are
+    produced).  ``sanitize`` arms invariant checking in every worker
+    (levels as in :func:`run_benchmark`).
     """
     # Imported lazily: repro.service sits above the experiments layer
     # (its workers call back into run_benchmark).
     from repro.service import JobSpec, ServiceClient
 
-    jobs = [
-        SweepJob(bench=b, policy=p, config=c, rep=r, profile=profile,
-                 seed=seed, trace_dir=trace_dir, sanitize=sanitize)
+    specs = [
+        JobSpec(bench=b, policy=p.value, config=c, rep=r, profile=profile,
+                seed=seed, sanitize=sanitize, trace_dir=trace_dir,
+                force_run=trace_dir is not None)
         for b in benches
         for c in configs
         for p in policies
         for r in range(reps)
     ]
-    cpus = os.cpu_count() or 1
-    if parallel is None:
-        parallel = cpus > 1
-    workers = max_workers or min(len(jobs), cpus)
-    if not parallel or len(jobs) == 1:
-        workers = 1
+    workers = max(1, min(len(specs), max_workers or os.cpu_count() or 1))
     executor = "inline" if workers == 1 else "process"
-    specs = [JobSpec.from_sweep_job(j) for j in jobs]
     with ServiceClient(
         store=cache, shards=workers, executor=executor
     ) as client:

@@ -39,7 +39,7 @@ from repro.alloc.custom import POLICY_TYPE, CustomPolicy
 from repro.alloc.planner import plan_colors
 from repro.alloc.policies import Policy
 from repro.experiments.configs import CONFIGS
-from repro.experiments.runner import PROFILES, SweepJob, profile_machine
+from repro.experiments.runner import PROFILES, profile_machine
 from repro.sanitize import LEVELS as SANITIZE_LEVELS
 from repro.sim.metrics import SCHEMA_VERSION
 
@@ -214,28 +214,6 @@ class JobSpec:
         """Inverse of :meth:`to_json`; ignores unknown keys."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    @classmethod
-    def from_sweep_job(cls, job: SweepJob, **overrides) -> "JobSpec":
-        """Derive the canonical spec from an experiments-layer SweepJob.
-
-        Traced sweep jobs become ``force_run`` specs: their value is the
-        exported trace files, so a cache hit would be wrong.
-        """
-        kwargs = dict(
-            kind="bench",
-            bench=job.bench,
-            policy=job.policy.value,
-            config=job.config,
-            rep=job.rep,
-            profile=job.profile,
-            seed=job.seed,
-            sanitize=job.sanitize,
-            trace_dir=job.trace_dir,
-            force_run=job.trace_dir is not None,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     @property
     def policy_label(self) -> str:

@@ -59,11 +59,6 @@ class MemorySystem:
         )
         return cls(dram=dram, hierarchy=hierarchy)
 
-    def reset(self) -> None:
-        """Empty all caches and restore every bank/occupancy to idle."""
-        self.dram.reset()
-        self.hierarchy.reset()
-
 
 def _plan_fallback(reason: str) -> None:
     """Count one section :meth:`Engine._batch_plan` could not plan.
@@ -365,9 +360,7 @@ class Engine:
         then the issuing core, its L1 and L2 caches and its L2 set list
         (for dirty L1 victims).  The set dicts are one gather per level,
         at the indices :func:`~repro.cache.batch.set_index_batch`
-        computes, from the hierarchy's object arrays of set dicts,
-        which stay valid because :meth:`MemorySystem.reset` clears the
-        sets in place.
+        computes, from the hierarchy's object arrays of set dicts.
         Bank colors are one gather of the trace's unique frames from the
         mapping's per-frame table (out-of-range frames raise
         ``ValueError``); the color fixes the node, so it and the core
@@ -665,9 +658,8 @@ class Engine:
         loops run the same DRAM stages, so that checks the inlined cache
         hierarchy, the merge schedule and the outcome tally), and
         ``benchmarks/perf_baseline.py`` measures the fast path's speedup
-        against it.  It also replays the sections
-        the fast path cannot plan (first touches, prefetch ablation, row
-        bits inside the line offset).
+        against it.  It also replays the sections the fast path cannot
+        plan (first touches and prefetch ablation).
 
         With tracing on it adds the observability hooks, per access: the
         observer's sim-time cursor (so kernel events carry timestamps), a

@@ -92,13 +92,6 @@ class TestInvalidate:
     def test_invalidate_absent(self, cache):
         assert not cache.invalidate(7)
 
-    def test_reset(self, cache):
-        cache.insert(1, True)
-        cache.lookup(1, False)
-        cache.reset()
-        assert cache.occupancy() == 0
-        assert cache.hits == cache.misses == 0
-
 
 class TestHashedIndexing:
     def test_hash_spreads_fixed_low_bits(self):

@@ -199,14 +199,6 @@ class TestStats:
         assert h.core_stats(2)["l1"].misses == 1
         assert h.core_stats(0)["l1"].accesses == 0
 
-    def test_reset(self, setup):
-        _, _, h = setup
-        h.access(0x100, 0, 0.0)
-        h.reset()
-        stats = h.level_stats()
-        assert stats["l1"].accesses == 0
-        assert h.llc.occupancy() == 0
-
 
 class TestCacheTiming:
     def test_ordering_validated(self):

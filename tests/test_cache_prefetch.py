@@ -40,14 +40,6 @@ class TestStrideDetector:
         for line in (0, 100, 200):
             assert pf.observe(line) == []
 
-    def test_reset(self):
-        pf = StridePrefetcher()
-        for line in (1, 2, 3):
-            pf.observe(line)
-        pf.reset()
-        assert pf.issued == 0
-        assert pf.observe(4) == []
-
 
 class TestHierarchyIntegration:
     def _hierarchy(self, prefetch):
@@ -97,12 +89,3 @@ class TestHierarchyIntegration:
             r = h.access(int(idx) * line, core=0, now=float(i) * 200)
             assert r.level is MemoryLevel.DRAM
         assert dram.stats.prefetch_fills == 0
-
-    def test_reset_clears_prefetch_state(self):
-        tiny, dram, h = self._hierarchy(prefetch=True)
-        line = tiny.mapping.line_bytes
-        for i in range(16):
-            h.access(i * line, core=0, now=float(i) * 200)
-        h.reset()
-        assert h.prefetchers[0].issued == 0
-        assert not h._prefetched[0]

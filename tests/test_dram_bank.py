@@ -94,8 +94,6 @@ class TestRowBuffer:
         counts = (dram.bank_misses, dram.bank_hits, dram.bank_conflicts)
         assert tuple(c[BC] for c in counts) == (1, 1, 1)
         assert sum(sum(c) for c in counts) == 3
-        dram.reset()
-        assert sum(sum(c) for c in counts) == 0
 
 
 class TestQueueing:

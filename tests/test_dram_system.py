@@ -148,22 +148,17 @@ def test_bank_index_table_shared_with_kernel(tiny):
     assert np.shares_memory(np.asarray(dram.frame_bank), bank)
 
 
-def test_bank_index_routes_survive_reset(tiny, system):
-    """reset() clears timing state in place, not routes: demand accesses
-    and write-backs reach the same bank color before and after."""
+def test_bank_index_demand_and_writeback_share_a_bank(tiny, system):
+    """A demand access and a write-back to one frame reach the same bank
+    color, and only that bank's occupancy moves."""
     addr = addr_on(tiny.mapping, node=1, bank=3)
     bc = tiny.mapping.frame_bank_color(addr >> tiny.mapping.page_bits)
-    busy, misses = system.bank_busy, system.bank_misses
-    for _ in range(2):
-        first = system.access(addr, core=0, now=0.0)
-        assert first.bank_color == bc
-        assert misses[bc] == 1
-        system.writeback((addr + 64) >> tiny.mapping.line_bits, now=1e4)
-        assert [b > 0.0 for b in busy] == [
-            i == bc for i in range(len(busy))
-        ]
-        system.reset()
-        assert system.bank_busy is busy and system.bank_misses is misses
+    first = system.access(addr, core=0, now=0.0)
+    assert first.bank_color == bc
+    assert system.bank_misses[bc] == 1
+    system.writeback((addr + 64) >> tiny.mapping.line_bits, now=1e4)
+    busy = system.bank_busy
+    assert [b > 0.0 for b in busy] == [i == bc for i in range(len(busy))]
 
 
 def test_bank_index_plan_rejects_out_of_range_frame(tiny):
@@ -225,18 +220,6 @@ class TestQueueWaits:
         s = system.stats
         total = s.wait_link + s.wait_ctrl + s.wait_chan + s.wait_bank
         assert total == pytest.approx(s.total_queue_wait)
-
-
-class TestReset:
-    def test_reset_clears_everything(self, tiny, system):
-        system.access(addr_on(tiny.mapping, 0), 0, 0.0)
-        system.writeback(line_on(tiny.mapping, 1), 0.0)
-        system.reset()
-        assert system.stats.accesses == 0
-        assert system.stats.writebacks == 0
-        assert all(row is None for row in system.bank_row)
-        r = system.access(addr_on(tiny.mapping, 0), 0, 0.0)
-        assert r.queue_wait == 0.0
 
 
 class TestFarTier:

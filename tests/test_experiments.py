@@ -230,7 +230,7 @@ class TestRunnerIntegration:
     def test_sweep_sequential(self):
         records = sweep(
             ["lbm"], [Policy.BUDDY, Policy.MEM_LLC], ["4_threads_1_nodes"],
-            reps=1, profile="mini", parallel=False,
+            reps=1, profile="mini", max_workers=1,
         )
         assert len(records) == 2
         assert {r.policy for r in records} == {"buddy", "mem+llc"}

@@ -11,7 +11,7 @@ from repro.alloc.custom import CustomPolicy
 from repro.alloc.planner import plan_colors
 from repro.alloc.policies import Policy
 from repro.experiments.configs import CONFIGS
-from repro.experiments.runner import SweepJob, profile_machine, run_benchmark
+from repro.experiments.runner import profile_machine, run_benchmark
 from repro.search.space import SearchSpace
 from repro.service import JobSpec
 
@@ -100,27 +100,6 @@ class TestRoundTrip:
         data = JobSpec().to_json()
         data["added_in_a_future_version"] = 42
         assert JobSpec.from_json(data) == JobSpec()
-
-    def test_from_sweep_job(self):
-        job = SweepJob(bench="lbm", policy=Policy.MEM_LLC,
-                       config="4_threads_4_nodes", rep=1, profile="mini",
-                       seed=9, sanitize="cheap")
-        spec = JobSpec.from_sweep_job(job)
-        assert spec.bench == "lbm"
-        assert spec.policy == "mem+llc"
-        assert Policy(spec.policy) is Policy.MEM_LLC
-        assert (spec.config, spec.rep, spec.profile, spec.seed) == \
-            ("4_threads_4_nodes", 1, "mini", 9)
-        assert spec.sanitize == "cheap"
-        assert not spec.force_run
-
-    def test_traced_sweep_job_forces_run(self):
-        job = SweepJob(bench="lbm", policy=Policy.BUDDY,
-                       config="4_threads_4_nodes", rep=0,
-                       trace_dir="/tmp/traces")
-        spec = JobSpec.from_sweep_job(job)
-        assert spec.force_run
-        assert spec.trace_dir == "/tmp/traces"
 
 
 class TestValidation:

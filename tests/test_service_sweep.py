@@ -31,10 +31,9 @@ class TestSerialFastPath:
             raise AssertionError("serial sweep spawned a worker process")
 
         monkeypatch.setattr(Scheduler, "_execute_in_process", forbidden)
-        records = sweep(parallel=True, max_workers=1, **KWARGS)
+        records = sweep(max_workers=1, **KWARGS)
         assert len(records) == 8
-        # parallel=False and single-job sweeps take the same inline path.
-        assert sweep(parallel=False, **KWARGS) == records
+        # A single-job sweep takes the same inline path.
         single = sweep(benches=["lbm"], policies=[Policy.BUDDY],
                        configs=CONFIGS, reps=1, profile="mini", seed=3)
         assert len(single) == 1
@@ -44,7 +43,7 @@ class TestSerialFastPath:
         own observer and exports Perfetto, JSONL and counter CSV."""
         records = sweep(benches=["lbm"], policies=[Policy.BUDDY],
                         configs=CONFIGS, reps=1, profile="mini", seed=3,
-                        trace_dir=str(tmp_path), parallel=False)
+                        trace_dir=str(tmp_path), max_workers=1)
         assert len(records) == 1
         names = sorted(p.name for p in tmp_path.iterdir())
         stem = f"lbm_buddy_{CONFIGS[0]}_rep0"
@@ -52,18 +51,25 @@ class TestSerialFastPath:
         assert any(n.endswith(".jsonl") for n in names)
         assert any(n.endswith(".csv") for n in names)
 
+    def test_empty_grid_returns_no_records(self):
+        """An empty grid runs nothing on any host, whatever the worker
+        count asked for."""
+        for workers in (None, 1, 4):
+            assert sweep([], [Policy.BUDDY], CONFIGS, reps=1,
+                         max_workers=workers) == []
+
     def test_serial_matches_pooled_bit_identically(self):
-        serial = sweep(parallel=True, max_workers=1, **KWARGS)
-        pooled = sweep(parallel=True, max_workers=4, **KWARGS)
+        serial = sweep(max_workers=1, **KWARGS)
+        pooled = sweep(max_workers=4, **KWARGS)
         assert serial == pooled
 
 
 class TestSweepCaching:
     def test_second_pass_hits_cache_with_identical_records(self):
         store = MemoryStore()
-        first = sweep(parallel=True, max_workers=2, cache=store, **KWARGS)
+        first = sweep(max_workers=2, cache=store, **KWARGS)
         assert store.stats()["puts"] == len(first) == 8
-        second = sweep(parallel=True, max_workers=2, cache=store, **KWARGS)
+        second = sweep(max_workers=2, cache=store, **KWARGS)
         # Acceptance: >= 95% hits on the second pass, records identical.
         assert store.stats()["hits"] >= int(0.95 * len(first))
         assert second == first
@@ -71,15 +77,29 @@ class TestSweepCaching:
 
     def test_cache_shared_across_serial_and_pooled_paths(self):
         store = MemoryStore()
-        serial = sweep(parallel=False, cache=store, **KWARGS)
-        pooled = sweep(parallel=True, max_workers=4, cache=store, **KWARGS)
+        serial = sweep(max_workers=1, cache=store, **KWARGS)
+        pooled = sweep(max_workers=4, cache=store, **KWARGS)
         assert pooled == serial
         assert store.stats()["puts"] == 8
 
+    def test_traced_sweep_reruns_every_job_over_a_warm_store(self, tmp_path):
+        """A traced run's value is its exported files, so a traced sweep
+        never reads the store: every job re-runs and writes a bundle."""
+        grid = dict(benches=["lbm"], policies=POLICIES, configs=CONFIGS,
+                    reps=1, profile="mini", seed=3, max_workers=1)
+        store = MemoryStore()
+        warm = sweep(cache=store, **grid)
+        lookups = store.stats()["hits"] + store.stats()["misses"]
+        traced = sweep(cache=store, trace_dir=str(tmp_path), **grid)
+        assert traced == warm
+        assert store.stats()["hits"] + store.stats()["misses"] == lookups
+        bundles = [p for p in tmp_path.iterdir() if p.suffix == ".jsonl"]
+        assert len(bundles) == len(warm) == 2
+
     def test_jsonl_cache_survives_into_a_new_sweep(self, tmp_path):
         path = str(tmp_path / "sweep_cache.jsonl")
-        first = sweep(parallel=False, cache=path, **KWARGS)
-        second = sweep(parallel=False, cache=path, **KWARGS)
+        first = sweep(max_workers=1, cache=path, **KWARGS)
+        second = sweep(max_workers=1, cache=path, **KWARGS)
         assert second == first
 
 
@@ -108,7 +128,7 @@ class TestSanitizeThroughService:
         not perturb the simulation (traced path equivalence)."""
         base = dict(benches=["lbm"], policies=[Policy.MEM_LLC],
                     configs=CONFIGS, reps=1, profile="mini", seed=3,
-                    parallel=False)
+                    max_workers=1)
         plain = sweep(sanitize="off", **base)
         sanitized = sweep(sanitize="cheap", **base)
         for a, b in zip(plain, sanitized):
@@ -123,7 +143,7 @@ class TestSanitizeThroughService:
 
 class TestSweepFaultTolerance:
     def test_sweep_result_order_matches_job_order(self):
-        records = sweep(parallel=True, max_workers=4, **KWARGS)
+        records = sweep(max_workers=4, **KWARGS)
         expected = [
             (b, p.label, c, r)
             for b in BENCHES for c in CONFIGS for p in POLICIES
@@ -137,4 +157,4 @@ class TestSweepFaultTolerance:
 
         with pytest.raises(JobFailed):
             sweep(benches=["no-such-bench"], policies=[Policy.BUDDY],
-                  configs=CONFIGS, reps=1, profile="mini", parallel=False)
+                  configs=CONFIGS, reps=1, profile="mini", max_workers=1)

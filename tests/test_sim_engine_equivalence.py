@@ -187,9 +187,9 @@ def _check_plan_sets(engine, section) -> int:
 @pytest.mark.parametrize("preset", PLATFORM_GRID)
 def test_plan_pins_cache_sets(preset):
     """The plan hands the batched loop each access's set dicts, not
-    their indices: after a run and a ``MemorySystem.reset()`` every
-    section of the program (now all resident) and a one-access trace
-    on the last thread's core plan to the very dicts the caches index."""
+    their indices: after a run every section of the program (now all
+    resident) and a one-access trace on the last thread's core plan to
+    the very dicts the caches index."""
     import numpy as np
 
     from repro.sim.barrier import Section
@@ -197,8 +197,6 @@ def test_plan_pins_cache_sets(preset):
 
     engine, program = platform_engine(preset, Policy.BUDDY)
     engine.run(program)
-    engine.memory.reset()
-    assert not any(engine.memory.hierarchy.llc._sets)
     for section in program.sections:
         assert _check_plan_sets(engine, section) == section.accesses
     tidx = engine.team.nthreads - 1

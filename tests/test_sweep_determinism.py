@@ -1,11 +1,11 @@
 """Parallel sweeps must be bit-identical to sequential ones.
 
-``sweep()`` fans independent runs out over a ``ProcessPoolExecutor``;
-every worker rebuilds its machine from seeds, so the records must not
-depend on worker count, scheduling, or fork order.  This pins the
-pickling path too: a ``SweepJob`` field that stops pickling cleanly
-(e.g. one holding a live simulator object) breaks here, not in a user's
-eight-hour sweep.
+``sweep()`` fans independent runs out over the job service's process
+executor; every worker rebuilds its machine from seeds, so the records
+must not depend on worker count, scheduling, or fork order.  This pins
+the hand-off to the workers too: a ``JobSpec`` field that stops
+crossing the process boundary cleanly (e.g. one holding a live
+simulator object) breaks here, not in a user's eight-hour sweep.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def test_parallel_sweep_matches_sequential():
         benches=BENCHES, policies=POLICIES, configs=CONFIGS,
         reps=2, profile="mini", seed=3,
     )
-    sequential = sweep(parallel=False, **kwargs)
-    pooled = sweep(parallel=True, max_workers=4, **kwargs)
+    sequential = sweep(max_workers=1, **kwargs)
+    pooled = sweep(max_workers=4, **kwargs)
     assert len(sequential) == len(pooled) == 8
     seq, par = _normalized(sequential), _normalized(pooled)
     assert seq.keys() == par.keys()
@@ -50,8 +50,8 @@ def test_sweep_is_seed_deterministic():
         benches=["lbm"], policies=[Policy.MEM_LLC],
         configs=CONFIGS, reps=1, profile="mini",
     )
-    a = sweep(seed=5, parallel=False, **kwargs)
-    b = sweep(seed=5, parallel=False, **kwargs)
-    c = sweep(seed=6, parallel=False, **kwargs)
+    a = sweep(seed=5, max_workers=1, **kwargs)
+    b = sweep(seed=5, max_workers=1, **kwargs)
+    c = sweep(seed=6, max_workers=1, **kwargs)
     assert a == b
     assert a != c

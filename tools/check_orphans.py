@@ -88,18 +88,6 @@ ALLOWED: dict[str, str] = {
     "repro.cache.cache.Cache.invalidate":
         "cache operation the LRU model-based property test drives",
     "repro.faultline.hooks.disarm": "the only way to undo a bare arm()",
-    # Reset of a built model for reuse.  Every program run builds a fresh
-    # MemorySystem, so only tests reuse one (and pin that a reset leaves
-    # no state behind); each reset calls its parts' reset.
-    **{
-        f"repro.{cls}.reset": "model reset for reuse, exercised by tests"
-        for cls in (
-            "cache.cache.Cache", "cache.hierarchy.CacheHierarchy",
-            "cache.prefetch.StridePrefetcher", "dram.interconnect.Interconnect",
-            "dram.remote.RemoteCache", "dram.system.DramSystem",
-            "sim.engine.MemorySystem",
-        )
-    },
     # Documented API.
     "repro.obs.metrics.Histogram.quantile": "documented in docs/OBSERVABILITY.md",
     "repro.search.report.replay_front": "documented in docs/SEARCH.md",
