@@ -22,13 +22,3 @@ class CacheLevelStats:
     def miss_rate(self) -> float:
         """Misses as a fraction of lookups (0.0 when idle)."""
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def to_json(self) -> dict:
-        """Plain-dict form (used by :meth:`RunMetrics.to_json`)."""
-        return {"name": self.name, "hits": self.hits, "misses": self.misses}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CacheLevelStats":
-        """Inverse of :meth:`to_json`."""
-        return cls(name=data["name"], hits=int(data["hits"]),
-                   misses=int(data["misses"]))

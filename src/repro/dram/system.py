@@ -17,7 +17,7 @@ hits into row conflicts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.dram.interconnect import Interconnect
 from repro.dram.remote import RemoteCache, RemoteTier
@@ -139,60 +139,18 @@ class DramStats:
         return self.total_latency / self.accesses if self.accesses else 0.0
 
     def to_json(self) -> dict:
-        """Plain-dict form (used by :meth:`RunMetrics.to_json`).
+        """Plain-dict form of every field (used by :meth:`RunMetrics.to_json`).
 
         ``per_node_accesses`` keys become strings (JSON objects cannot
         have int keys), in ascending node order whatever order the run
-        filed them in; :meth:`from_json` converts them back.
+        filed them in.
         """
-        return {
-            "accesses": self.accesses,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "row_conflicts": self.row_conflicts,
-            "local_accesses": self.local_accesses,
-            "remote_accesses": self.remote_accesses,
-            "writebacks": self.writebacks,
-            "prefetch_fills": self.prefetch_fills,
-            "remote_cache_hits": self.remote_cache_hits,
-            "remote_cache_misses": self.remote_cache_misses,
-            "total_latency": self.total_latency,
-            "total_queue_wait": self.total_queue_wait,
-            "wait_link": self.wait_link,
-            "wait_ctrl": self.wait_ctrl,
-            "wait_chan": self.wait_chan,
-            "wait_bank": self.wait_bank,
-            "per_node_accesses": {
-                str(node): count
-                for node, count in sorted(self.per_node_accesses.items())
-            },
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_node_accesses"] = {
+            str(node): count
+            for node, count in sorted(self.per_node_accesses.items())
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DramStats":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            accesses=int(data["accesses"]),
-            row_hits=int(data["row_hits"]),
-            row_misses=int(data["row_misses"]),
-            row_conflicts=int(data["row_conflicts"]),
-            local_accesses=int(data["local_accesses"]),
-            remote_accesses=int(data["remote_accesses"]),
-            writebacks=int(data["writebacks"]),
-            prefetch_fills=int(data["prefetch_fills"]),
-            remote_cache_hits=int(data.get("remote_cache_hits", 0)),
-            remote_cache_misses=int(data.get("remote_cache_misses", 0)),
-            total_latency=float(data["total_latency"]),
-            total_queue_wait=float(data["total_queue_wait"]),
-            wait_link=float(data["wait_link"]),
-            wait_ctrl=float(data["wait_ctrl"]),
-            wait_chan=float(data["wait_chan"]),
-            wait_bank=float(data["wait_bank"]),
-            per_node_accesses=dict(sorted(
-                (int(node), int(count))
-                for node, count in data["per_node_accesses"].items()
-            )),
-        )
+        return out
 
 
 class DramSystem:

@@ -14,7 +14,7 @@ worker processes and cache by content digest.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from repro.alloc.policies import Policy
@@ -116,31 +116,17 @@ class RunRecord:
         return max(self.thread_idles)
 
     def to_json(self) -> dict:
-        """Lossless plain-dict form, tagged with ``schema_version``.
+        """Lossless plain-dict form of every field, ``schema_version`` first.
 
         This is the payload the service result store persists; floats
         survive ``json.dumps``/``loads`` exactly (shortest-repr), so a
         cache hit reconstructs a bit-identical record.
         """
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "bench": self.bench,
-            "policy": self.policy,
-            "config": self.config,
-            "rep": self.rep,
-            "runtime": self.runtime,
-            "parallel_runtime": self.parallel_runtime,
-            "serial_runtime": self.serial_runtime,
-            "total_idle": self.total_idle,
-            "thread_runtimes": list(self.thread_runtimes),
-            "thread_idles": list(self.thread_idles),
-            "remote_fraction": self.remote_fraction,
-            "row_hit_rate": self.row_hit_rate,
-            "row_conflicts": self.row_conflicts,
-            "llc_miss_rate": self.llc_miss_rate,
-            "dram_accesses": self.dram_accesses,
-            "faults": self.faults,
-        }
+        out = {"schema_version": SCHEMA_VERSION}
+        out.update({f.name: getattr(self, f.name) for f in fields(self)})
+        out["thread_runtimes"] = list(self.thread_runtimes)
+        out["thread_idles"] = list(self.thread_idles)
+        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":

@@ -157,7 +157,6 @@ class Observer(BaseObserver):
         self.dropped_events = 0
         self.now = 0.0
         self._counters: list[tuple[str, CounterFn]] = []
-        self._counter_names: set[str] = set()
         self._next_sample = 0.0
         # Open-span stacks per (track, tid) lane for span_begin/span_end.
         self._open: dict[tuple[str, int], list[tuple[str, float, dict | None]]] = {}
@@ -166,26 +165,12 @@ class Observer(BaseObserver):
     def register_counter(self, name: str, fn: CounterFn) -> None:
         """Register a named counter/gauge callback (evaluated at samples).
 
-        Re-registering an existing name *replaces* its callback in
-        place (same sample-row column, new closure) and records a debug
-        instant.  This is what makes observers reusable across machine
-        rebuilds: constructing a second :class:`~repro.kernel.Kernel`
-        against the same observer, or re-running ``sweep()``, must
-        sample the *live* component — the old behavior (raising, or
-        silently stacking stale closures) left the ring buffer reading
-        freed state.
+        An observer records one run: every run builds its own, and each
+        component of that run registers its counters once.  A name
+        registered twice is a ``ValueError``.
         """
-        if name in self._counter_names:
-            for i, (existing, _) in enumerate(self._counters):
-                if existing == name:
-                    self._counters[i] = (name, fn)
-                    break
-            self.instant(
-                "obs.counter.reregistered", self.now, track="obs",
-                args={"name": name},
-            )
-            return
-        self._counter_names.add(name)
+        if name in self.counter_names:
+            raise ValueError(f"counter {name!r} already registered")
         self._counters.append((name, fn))
 
     @property

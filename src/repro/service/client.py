@@ -8,6 +8,8 @@ builds a scheduler over it, and converts record-JSON results back into
 
 from __future__ import annotations
 
+import os
+
 from repro.experiments.runner import RunRecord
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -21,10 +23,11 @@ class ServiceClient:
     """Submit simulation jobs and gather typed results.
 
     Args:
-        store: ``None`` (no caching), a path (``.jsonl``/``.sqlite``
-            opened via :func:`~repro.service.store.open_store`), or an
-            already-open :class:`ResultStore` (shared across clients;
-            not closed by this one).
+        store: ``None`` (no caching), a path (str or path-like,
+            ``.jsonl``/``.sqlite``, opened via
+            :func:`~repro.service.store.open_store` and closed with this
+            client), or an already-open :class:`ResultStore` (shared
+            across clients; not closed by this one).
         shards / executor / runner: forwarded to :class:`Scheduler`.
         metrics: labeled metrics registry shared with the scheduler
             (defaults to the process-ambient registry; None = off).
@@ -32,13 +35,13 @@ class ServiceClient:
 
     def __init__(
         self,
-        store: "str | ResultStore | None" = None,
+        store: "str | os.PathLike | ResultStore | None" = None,
         shards: int = 1,
         executor: str = "process",
         runner=execute_jobspec,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._owns_store = isinstance(store, str)
+        self._owns_store = not isinstance(store, ResultStore)
         self.store = None if store is None else open_store(store)
         self.metrics = metrics if metrics is not None else obs_metrics.active()
         self.scheduler = Scheduler(

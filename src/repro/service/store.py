@@ -239,8 +239,9 @@ class SqliteStore(ResultStore):
         self._db.close()
 
 
-def open_store(target: "str | ResultStore | None") -> ResultStore:
-    """Open a store from a path or pass an existing one through.
+def open_store(target: "str | os.PathLike | ResultStore | None") -> ResultStore:
+    """Open a store from a path (str or path-like) or pass an existing
+    one through.
 
     ``None`` / ``":memory:"`` -> :class:`MemoryStore`; paths ending in
     ``.sqlite``/``.db`` -> :class:`SqliteStore`; anything else ->
@@ -250,6 +251,7 @@ def open_store(target: "str | ResultStore | None") -> ResultStore:
         return MemoryStore()
     if isinstance(target, ResultStore):
         return target
+    target = os.fspath(target)
     if target.endswith((".sqlite", ".db", ".sqlite3")):
         return SqliteStore(target)
     return JsonlStore(target)

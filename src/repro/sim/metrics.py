@@ -10,20 +10,32 @@ plus cache/DRAM counter roll-ups used for analysis and ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.cache.stats import CacheLevelStats
 from repro.dram.system import DramStats
 
-#: Version of the serialized metrics/record schema.  Bump whenever a
-#: field is added, removed, or changes meaning; the service result store
-#: treats entries with a different version as cache misses rather than
-#: deserializing them wrongly.
+#: Version of the serialized metrics/record schema.  The ``to_json``
+#: forms are built from the dataclass fields, so adding, removing or
+#: renaming a field of ThreadMetrics, SectionMetrics, CacheLevelStats,
+#: DramStats, RunMetrics or RunRecord changes the serialized form by
+#: itself and needs a bump, as does a field that changes meaning.  The
+#: service result store treats entries with a different version as
+#: cache misses rather than deserializing them wrongly.
 #: v2: JobSpec.policy may be a structured policy dict (CustomPolicy
 #: payload) in addition to the original named-policy strings.
 #: v3: DramStats grew remote_cache_hits / remote_cache_misses (the
 #: disaggregated-tier counters), changing every metrics snapshot.
 SCHEMA_VERSION = 3
+
+
+def _field_dict(obj) -> dict:
+    """Shallow ``{field name: value}`` dict of a dataclass instance.
+
+    Not :func:`dataclasses.asdict`: that deep-copies every value and
+    costs several times as much per object.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(slots=True)
@@ -49,37 +61,6 @@ class ThreadMetrics:
         """Share of this thread's DRAM accesses served by a remote node."""
         return self.remote_accesses / self.dram_accesses if self.dram_accesses else 0.0
 
-    def to_json(self) -> dict:
-        """Plain-dict form (used by :meth:`RunMetrics.to_json`)."""
-        return {
-            "thread": self.thread,
-            "core": self.core,
-            "parallel_runtime": self.parallel_runtime,
-            "idle_time": self.idle_time,
-            "accesses": self.accesses,
-            "dram_accesses": self.dram_accesses,
-            "remote_accesses": self.remote_accesses,
-            "row_conflicts": self.row_conflicts,
-            "faults": self.faults,
-            "fault_ns": self.fault_ns,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ThreadMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            thread=int(data["thread"]),
-            core=int(data["core"]),
-            parallel_runtime=float(data["parallel_runtime"]),
-            idle_time=float(data["idle_time"]),
-            accesses=int(data["accesses"]),
-            dram_accesses=int(data["dram_accesses"]),
-            remote_accesses=int(data["remote_accesses"]),
-            row_conflicts=int(data["row_conflicts"]),
-            faults=int(data["faults"]),
-            fault_ns=float(data["fault_ns"]),
-        )
-
 
 @dataclass(slots=True)
 class SectionMetrics:
@@ -104,33 +85,6 @@ class SectionMetrics:
     def ns_per_access(self) -> float:
         """Mean cost of one access in this section, ns (0 if empty)."""
         return self.duration / self.accesses if self.accesses else 0.0
-
-    def to_json(self) -> dict:
-        """Plain-dict form (used by :meth:`RunMetrics.to_json`)."""
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-            "idle": self.idle,
-            "accesses": self.accesses,
-            "faults": self.faults,
-            "fault_ns": self.fault_ns,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SectionMetrics":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            label=data["label"],
-            kind=data["kind"],
-            start=float(data["start"]),
-            end=float(data["end"]),
-            idle=float(data["idle"]),
-            accesses=int(data["accesses"]),
-            faults=int(data["faults"]),
-            fault_ns=float(data["fault_ns"]),
-        )
 
 
 @dataclass
@@ -212,54 +166,19 @@ class RunMetrics:
         return [t.idle_time for t in self.threads]
 
     def to_json(self) -> dict:
-        """Lossless plain-dict form of the full metrics tree.
+        """Plain-dict form of the full metrics tree, built from the fields.
 
-        The result contains only JSON-native types (dict/list/str/
-        int/float/None) and carries ``schema_version`` so readers can
-        refuse payloads written by an incompatible build.  Floats
-        round-trip exactly through ``json.dumps``/``loads`` (shortest-
-        repr encoding), which the service's cache-hit bit-identity
-        guarantee relies on.
+        JSON-native types only, ``schema_version`` first.  Floats
+        survive ``json.dumps`` exactly (shortest-repr encoding), so run
+        digests over this form are stable.  Nothing reads it back: the
+        result store persists :class:`~repro.experiments.runner.RunRecord`.
         """
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "policy": self.policy,
-            "nthreads": self.nthreads,
-            "runtime": self.runtime,
-            "parallel_runtime": self.parallel_runtime,
-            "serial_runtime": self.serial_runtime,
-            "threads": [t.to_json() for t in self.threads],
-            "sections": [s.to_json() for s in self.sections],
-            "dram": self.dram.to_json() if self.dram else None,
-            "cache": {name: c.to_json() for name, c in self.cache.items()},
-            "barriers": self.barriers,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RunMetrics":
-        """Inverse of :meth:`to_json`; raises on schema mismatch."""
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"RunMetrics schema_version {version!r} != {SCHEMA_VERSION}"
-            )
-        return cls(
-            name=data["name"],
-            policy=data["policy"],
-            nthreads=int(data["nthreads"]),
-            runtime=float(data["runtime"]),
-            parallel_runtime=float(data["parallel_runtime"]),
-            serial_runtime=float(data["serial_runtime"]),
-            threads=[ThreadMetrics.from_json(t) for t in data["threads"]],
-            sections=[SectionMetrics.from_json(s) for s in data["sections"]],
-            dram=DramStats.from_json(data["dram"]) if data["dram"] else None,
-            cache={
-                name: CacheLevelStats.from_json(c)
-                for name, c in data["cache"].items()
-            },
-            barriers=int(data["barriers"]),
-        )
+        out = {"schema_version": SCHEMA_VERSION, **_field_dict(self)}
+        out["threads"] = [_field_dict(t) for t in self.threads]
+        out["sections"] = [_field_dict(s) for s in self.sections]
+        out["dram"] = self.dram.to_json() if self.dram else None
+        out["cache"] = {name: _field_dict(c) for name, c in self.cache.items()}
+        return out
 
     def summary(self) -> dict[str, float]:
         """Flat dict of headline numbers (CSV/report friendly)."""

@@ -90,37 +90,14 @@ class TestCounters:
         obs.register_counter("a", lambda now: 2)
         assert obs.counter_names == ["b", "a"]
 
-    def test_duplicate_name_replaces_in_place(self):
-        """Re-registration swaps the callback, keeps the column order,
-        and records a debug instant (regression: used to raise, which
-        broke rebuilding a component against a long-lived observer)."""
+    def test_duplicate_name_raises(self):
+        """An observer records one run, whose components each register
+        their counters once; a second registration of a name is a bug."""
         obs = Observer()
         obs.register_counter("x", lambda now: 1)
-        obs.register_counter("y", lambda now: 10)
-        obs.register_counter("x", lambda now: 2)
-        assert obs.counter_names == ["x", "y"]  # order preserved
-        obs.sample(0.0)
-        assert obs.samples.last()[1] == [2, 10]  # new closure sampled
-        instants = [e for e in obs.events
-                    if getattr(e, "name", "") == "obs.counter.reregistered"]
-        assert len(instants) == 1
-        assert instants[0].args == {"name": "x"}
-
-    def test_reregistration_across_component_rebuilds(self):
-        """Two kernels sharing one observer must both register their
-        counters; the second rebuild samples the live component."""
-        from repro.kernel.kernel import Kernel
-        from repro.machine.presets import opteron_6128_scaled
-
-        machine = opteron_6128_scaled(64 * 2**20)
-        obs = Observer()
-        Kernel(machine, observer=obs)
-        # Second machine against the same observer: replaces, not raises.
-        live = Kernel(machine, observer=obs)
-        live.page_allocator.colored_allocs = 7
-        obs.sample(1.0)
-        row = dict(zip(obs.counter_names, obs.samples.last()[1]))
-        assert row["kernel.colored_allocs"] == 7  # live kernel, not stale
+        with pytest.raises(ValueError, match="'x' already registered"):
+            obs.register_counter("x", lambda now: 2)
+        assert obs.counter_names == ["x"]
 
     def test_sampling_cadence(self):
         """maybe_sample only fires once per interval of sim time."""

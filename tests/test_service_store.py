@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
-from repro.service import JsonlStore, MemoryStore, SqliteStore, open_store
+from repro.service import (
+    JsonlStore,
+    MemoryStore,
+    ServiceClient,
+    SqliteStore,
+    open_store,
+)
 from repro.service.store import ResultStore
 from repro.sim.metrics import SCHEMA_VERSION
 
@@ -133,6 +140,30 @@ class TestOpenStore:
         assert isinstance(open_store(str(tmp_path / "a.jsonl")), JsonlStore)
         assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteStore)
         assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
+
+    def test_open_store_accepts_a_path(self, tmp_path):
+        """A pathlib.Path target dispatches on its suffix like a str."""
+        sqlite = open_store(tmp_path / "c.sqlite")
+        jsonl = open_store(tmp_path / "c.jsonl")
+        assert isinstance(sqlite, SqliteStore)
+        assert isinstance(jsonl, JsonlStore)
+        sqlite.close()
+        jsonl.close()
+
+    def test_client_closes_the_store_it_opened_from_a_path(self, tmp_path):
+        with ServiceClient(store=tmp_path / "c.sqlite",
+                           executor="inline") as client:
+            store = client.store
+            assert isinstance(store, SqliteStore)
+        with pytest.raises(sqlite3.ProgrammingError):
+            store._db.execute("SELECT 1")
+
+    def test_client_leaves_a_passed_store_open(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "c.sqlite"))
+        with ServiceClient(store=store, executor="inline"):
+            pass
+        store._db.execute("SELECT 1")
+        store.close()
 
     def test_open_store_passthrough(self):
         store = MemoryStore()

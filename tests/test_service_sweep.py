@@ -102,6 +102,14 @@ class TestSweepCaching:
         second = sweep(max_workers=1, cache=path, **KWARGS)
         assert second == first
 
+    def test_sqlite_cache_given_as_a_path(self, tmp_path):
+        """``cache`` takes a pathlib.Path as well as a str."""
+        path = tmp_path / "c.sqlite"
+        first = sweep(max_workers=1, cache=path, **KWARGS)
+        second = sweep(max_workers=1, cache=path, **KWARGS)
+        assert second == first
+        assert path.exists()
+
 
 class TestServiceSweepTwicePattern:
     def test_demo_pattern_full_hit_rate(self):
