@@ -3,16 +3,12 @@
 
 Replays a Fig. 10-style synthetic run (alternating-stride writes, the
 pattern behind the paper's interference argument) with tracing enabled
-and writes three artefacts:
-
-* ``<out>/<stem>.trace.json`` — Chrome/Perfetto ``trace_event`` JSON;
-  open it in ``chrome://tracing`` or https://ui.perfetto.dev to see the
-  section spans, per-thread barrier waits, page-fault services, and
-  every DRAM transaction on its controller lane.
-* ``<out>/<stem>.events.jsonl`` — the same events, one JSON per line.
-* ``<out>/<stem>.counters.csv`` — counter timelines (row hits/misses/
-  conflicts, remote accesses, per-controller queue gauges, cache
-  hit/miss, color-list fill) on the sampling cadence.
+and writes ``<out>/<stem>.trace.json``, Chrome/Perfetto ``trace_event``
+JSON.  Open it in ``chrome://tracing`` or https://ui.perfetto.dev to
+see the section spans, per-thread barrier waits, page-fault services,
+every DRAM transaction on its controller lane, and the counter
+timelines (row hits/misses/conflicts, remote accesses, per-controller
+queue gauges, cache hit/miss, color-list fill) on the sampling cadence.
 
 Run:  python examples/trace_explorer.py [policy] [outdir]
       python examples/trace_explorer.py buddy traces
@@ -65,11 +61,9 @@ def main() -> None:
         print(f"  {key:<24} {final[names.index(key)]:.0f}")
 
     stem = f"synthetic_{policy.label.replace('+', '_').replace('(', '').replace(')', '')}"
-    paths = export_run(obs, outdir, stem)
-    print("\nwrote:")
-    for kind, path in paths.items():
-        print(f"  {kind:<9} {path}")
-    print("\nopen the .trace.json in chrome://tracing or ui.perfetto.dev")
+    path = export_run(obs, outdir, stem)
+    print(f"\nwrote {path}")
+    print("open it in chrome://tracing or ui.perfetto.dev")
 
 
 if __name__ == "__main__":

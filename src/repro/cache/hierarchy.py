@@ -70,7 +70,6 @@ class CacheHierarchy:
         dram: DramSystem,
         timing: CacheTiming = CacheTiming(),
         prefetch: bool = False,
-        prefetch_depth: int = 2,
         observer: BaseObserver = NULL_OBSERVER,
     ) -> None:
         self.topology = topology
@@ -79,7 +78,7 @@ class CacheHierarchy:
         # Optional per-core stride prefetchers (ablation feature; the
         # paper's synthetic benchmark is designed to defeat them).
         self.prefetchers = (
-            [StridePrefetcher(depth=prefetch_depth)
+            [StridePrefetcher()
              for _ in range(topology.num_cores)]
             if prefetch
             else None

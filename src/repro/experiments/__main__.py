@@ -40,6 +40,7 @@ from repro.experiments.figures import FIG10_POLICIES, fig10, fig11, fig12, fig13
 from repro.experiments.report import write_csv
 from repro.experiments.runner import run_synthetic, sweep
 from repro.obs import NULL_OBSERVER, Observer, export_run
+from repro.service.store import STORE_SUFFIXES
 from repro.workloads.registry import BENCH_ORDER
 
 
@@ -70,9 +71,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(EXPERIMENTS.md) to PATH")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="record an observability trace per run into "
-                             "DIR: Perfetto trace_event JSON (open in "
-                             "chrome://tracing or ui.perfetto.dev), JSONL "
-                             "event log, and a counter-timeline CSV")
+                             "DIR: one Perfetto trace_event JSON file "
+                             "(open in chrome://tracing or "
+                             "ui.perfetto.dev)")
     parser.add_argument("--sanitize", default="off",
                         choices=["off", "cheap", "full"],
                         help="arm runtime invariant checking (repro.sanitize)"
@@ -81,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
                              "'off' costs nothing")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="content-addressed result store for the main "
-                             "sweep (.jsonl or .sqlite, via repro.service); "
+                             "sweep (a .sqlite, .sqlite3 or .db file, via "
+                             "repro.service); "
                              "reruns reuse any (config, policy, seed) run "
                              "already stored instead of simulating it again")
     parser.add_argument("--faultline", default=None, metavar="PLAN.json",
@@ -92,9 +94,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="install an ambient repro.obs metrics registry "
                              "for the whole invocation and write the final "
-                             "snapshot to PATH (.prom for Prometheus text, "
-                             "anything else for the JSON snapshot)")
+                             "snapshot to PATH as JSON (read by "
+                             "python -m repro.obs top)")
     args = parser.parse_args(argv)
+    # The sweep opens the store only after Fig. 10 has run.
+    if args.cache is not None and not args.cache.endswith(STORE_SUFFIXES):
+        parser.error(f"--cache must end in {', '.join(STORE_SUFFIXES)}")
 
     registry = None
     if args.metrics_out is not None:
@@ -146,11 +151,11 @@ def _run(args, registry) -> int:
                               sanitize=args.sanitize)
             )
             if args.trace_out is not None:
-                paths = export_run(
+                path = export_run(
                     observer, args.trace_out,
                     f"synthetic_{policy.label}_rep{rep}",
                 )
-                print(f"  trace: {paths['perfetto']}")
+                print(f"  trace: {path}")
     write_csv(fig10_records, str(out / "fig10.csv"))
     f10 = fig10(fig10_records)
     print(f10.render())

@@ -118,7 +118,6 @@ def run_matrix(
     reps: int = 2,
     memory_bytes: int = 256 * MIB,
     scale: float = 0.05,
-    policies=MATRIX_POLICIES,
     equivalence: bool = True,
     progress=None,
 ) -> list[MatrixCell]:
@@ -135,7 +134,7 @@ def run_matrix(
         config = headline_config(machine)
         by_policy: dict[tuple[str, str], list[RunRecord]] = {}
         for bench in benches:
-            for pol in policies:
+            for pol in MATRIX_POLICIES:
                 records = [
                     run_benchmark(
                         bench, pol, config, rep=rep, machine=machine,
@@ -150,7 +149,7 @@ def run_matrix(
             buddy = _mean(
                 [r.runtime for r in by_policy[(bench, Policy.BUDDY.label)]]
             )
-            for pol in policies:
+            for pol in MATRIX_POLICIES:
                 records = by_policy[(bench, pol.label)]
                 runtime = _mean([r.runtime for r in records])
                 payoff = 100.0 * (buddy - runtime) / buddy if buddy else 0.0

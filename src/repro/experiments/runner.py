@@ -273,7 +273,6 @@ def run_synthetic(
     config_name: str | ExperimentConfig = "16_threads_4_nodes",
     rep: int = 0,
     spec: SyntheticSpec | None = None,
-    machine: MachineSpec | None = None,
     profile: str = "full",
     observer: BaseObserver = NULL_OBSERVER,
     sanitize: str = "off",
@@ -287,9 +286,8 @@ def run_synthetic(
     (:meth:`SyntheticSpec.for_machine`) — identical to the historic
     fixed formula on every 4-node preset.
     """
-    config = _resolve_config(config_name, machine)
-    if machine is None and profile != "full":
-        machine = profile_machine(profile)
+    config = _resolve_config(config_name, None)
+    machine = profile_machine(profile) if profile != "full" else None
     if spec is None:
         spec = SyntheticSpec.for_machine(
             machine if machine is not None else opteron_6128(EXPERIMENT_MEMORY),
@@ -340,7 +338,7 @@ def sweep(
     already stored returns the persisted record without simulating.
     ``trace_dir`` enables per-run tracing: each job records its own
     :class:`repro.obs.Observer` inside the worker and exports one
-    Perfetto/JSONL/CSV bundle into the directory (traced jobs are
+    Perfetto trace file into the directory (traced jobs are
     ``force_run``: they always re-run so the side-effect files are
     produced).  ``sanitize`` arms invariant checking in every worker
     (levels as in :func:`run_benchmark`).

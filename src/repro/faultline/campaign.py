@@ -91,10 +91,10 @@ def _run_specs(specs, executor: str) -> dict[str, tuple[str, object]]:
     exception — an invariant violation), or ``"hang"`` (deadline hit).
     """
     from repro.service.scheduler import Scheduler, ServiceError
-    from repro.service.store import MemoryStore
+    from repro.service.store import ResultStore
 
     out: dict[str, tuple[str, object]] = {}
-    with Scheduler(store=MemoryStore(), shards=2, executor=executor) as sched:
+    with Scheduler(store=ResultStore(), shards=2, executor=executor) as sched:
         handles = [sched.submit(spec) for spec in specs]
         deadline = time.monotonic() + CASE_DEADLINE_S
         for handle in handles:

@@ -23,6 +23,13 @@ from repro.machine.pci import probe_address_mapping
 from repro.machine.presets import MachineSpec
 from repro.obs.observer import NULL_OBSERVER, BaseObserver
 
+#: Cost of a minor page fault (trap + buddy pop), ns.
+FAULT_BASE_NS = 1200.0
+#: Extra fault cost per buddy block examined or shattered during a colored
+#: allocation, ns: the paper's "overhead of colored allocations is higher
+#: for the first heap requests".
+REFILL_BLOCK_NS = 150.0
+
 
 class OutOfMemory(Exception):
     """No frame can satisfy an uncolored allocation."""
@@ -76,10 +83,6 @@ class Kernel:
 
     Args:
         machine: full machine description (topology + PCI register file).
-        fault_base_ns: cost of a minor page fault (trap + buddy pop).
-        refill_block_ns: extra cost per buddy block examined/shattered
-            during a colored allocation — the paper's "overhead of colored
-            allocations is higher for the first heap requests".
         aged: when True, boot into an *aged-system* state: all free memory
             fragmented into randomly ordered order-0 frames (see
             :meth:`~repro.kernel.buddy.BuddyAllocator.fragment`).  Default
@@ -91,8 +94,6 @@ class Kernel:
     def __init__(
         self,
         machine: MachineSpec,
-        fault_base_ns: float = 1200.0,
-        refill_block_ns: float = 150.0,
         aged: bool = False,
         age_seed: int = 0,
         observer: BaseObserver = NULL_OBSERVER,
@@ -113,8 +114,6 @@ class Kernel:
         self._register_counters(observer)
         if aged:
             self._age_system(age_seed)
-        self.fault_base_ns = fault_base_ns
-        self.refill_block_ns = refill_block_ns
         self.tasks: dict[int, TaskStruct] = {}
         self.processes: dict[int, Process] = {}
         self._next_tid = 1
@@ -264,8 +263,8 @@ class Kernel:
                 )
             raise OutOfMemory(f"task {task.tid}: physical memory exhausted")
         self.last_fault_charge = FaultCharge(
-            base_ns=self.fault_base_ns,
-            refill_ns=self.refill_block_ns * outcome.refills,
+            base_ns=FAULT_BASE_NS,
+            refill_ns=REFILL_BLOCK_NS * outcome.refills,
         )
         return outcome.pfn
 

@@ -4,8 +4,8 @@ The simulator's hot layers (engine, kernel page allocation, cache
 hierarchy, DRAM system) accept an observer object.  The default
 :data:`NULL_OBSERVER` disables everything at effectively zero cost; an
 :class:`Observer` records structured spans, instant events, and counter
-time series that export to JSONL, Chrome/Perfetto ``trace_event`` JSON,
-and flat CSV.
+time series that export to one Chrome/Perfetto ``trace_event`` JSON file
+per run.
 
 Typical use::
 
@@ -21,24 +21,15 @@ The metrics registry (:mod:`repro.obs.metrics`) adds the service-side
 layer: labeled counters/gauges/log-linear latency histograms in a
 :class:`MetricsRegistry`, installed process-ambient and merged across
 worker processes.  ``--metrics-out PATH`` on the experiments and tune
-CLIs writes its final snapshot, and ``python -m repro.obs top PATH``
-renders that file as a dashboard frame.
+CLIs writes its final snapshot as JSON, and ``python -m repro.obs top
+PATH`` renders that file as a dashboard frame.
 """
 
 from repro.obs.events import InstantEvent, RingBuffer, SpanEvent
-from repro.obs.exporters import (
-    counters_to_csv,
-    export_run,
-    to_jsonl,
-    to_perfetto,
-    write_counters_csv,
-    write_jsonl,
-    write_perfetto,
-)
+from repro.obs.exporters import export_run, to_perfetto, write_perfetto
 from repro.obs.metrics import (
     MetricsRegistry,
     quantile_from_snapshot,
-    render_prometheus,
     write_snapshot,
 )
 from repro.obs.observer import NULL_OBSERVER, BaseObserver, NullObserver, Observer
@@ -53,13 +44,8 @@ __all__ = [
     "NULL_OBSERVER",
     "MetricsRegistry",
     "quantile_from_snapshot",
-    "render_prometheus",
     "write_snapshot",
-    "to_jsonl",
     "to_perfetto",
-    "counters_to_csv",
-    "write_jsonl",
     "write_perfetto",
-    "write_counters_csv",
     "export_run",
 ]

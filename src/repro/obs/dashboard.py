@@ -138,15 +138,11 @@ def read_snapshot(path: "str | Path") -> dict:
     """Load a JSON snapshot written by ``--metrics-out``.
 
     Raises ``ValueError`` with a one-line reason when the file is
-    missing, unreadable, Prometheus text, not a snapshot, or has a
+    missing, unreadable, not JSON, not a snapshot, or has a
     histogram whose buckets do not add up to its count (the quantiles
     read them on that premise).
     """
     path = Path(path)
-    if path.suffix == ".prom":
-        raise ValueError(
-            f"{path} is Prometheus text; rerun with a .json --metrics-out"
-        )
     try:
         snapshot = json.loads(path.read_text())
     except OSError as exc:

@@ -37,15 +37,6 @@ class SpanEvent:
     def duration(self) -> float:
         return self.end - self.begin
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "type": "span", "name": self.name, "begin": self.begin,
-            "end": self.end, "track": self.track, "tid": self.tid,
-        }
-        if self.args:
-            d["args"] = self.args
-        return d
-
 
 class InstantEvent:
     """A point-in-time marker (allocation, spill, run boundary, ...)."""
@@ -65,15 +56,6 @@ class InstantEvent:
         self.track = track
         self.tid = tid
         self.args = args
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "type": "instant", "name": self.name, "ts": self.ts,
-            "track": self.track, "tid": self.tid,
-        }
-        if self.args:
-            d["args"] = self.args
-        return d
 
 
 class RingBuffer:

@@ -1,19 +1,14 @@
-"""Trace exporters: JSONL, Chrome/Perfetto ``trace_event`` JSON, CSV.
+"""Trace exporter: Chrome/Perfetto ``trace_event`` JSON.
 
-* JSONL — one JSON object per line, one line per event, in emission
-  order; the grep/jq-friendly archival format.
-* Perfetto — the ``trace_event`` schema understood by ``chrome://tracing``
-  and https://ui.perfetto.dev: complete spans as ``"X"`` events, instants
-  as ``"i"``, counter samples as ``"C"``.  Timestamps are microseconds
-  per the spec; simulated nanoseconds divide by 1000.
-* CSV — the counter time-series ring flattened to ``ts_ns`` plus one
-  column per registered counter, for ``repro.analysis`` / pandas.
+The ``trace_event`` schema is understood by ``chrome://tracing`` and
+https://ui.perfetto.dev: complete spans become ``"X"`` events, instants
+``"i"`` and counter samples ``"C"`` (one per sample and counter).
+Timestamps are microseconds per the spec; simulated nanoseconds divide
+by 1000.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
@@ -37,24 +32,6 @@ def _json_default(value):
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable"
     )
-
-
-# ---------------------------------------------------------------------- JSONL
-def to_jsonl(obs: Observer) -> str:
-    """Serialise events (then counter samples) one JSON object per line."""
-    lines = [json.dumps(e.to_dict(), default=_json_default)
-             for e in obs.events]
-    names = obs.counter_names
-    for ts, row in obs.samples:
-        lines.append(json.dumps(
-            {"type": "sample", "ts": ts, "values": dict(zip(names, row))},
-            default=_json_default,
-        ))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(obs: Observer, path: str) -> None:
-    Path(path).write_text(to_jsonl(obs))
 
 
 # ------------------------------------------------------------------- Perfetto
@@ -130,41 +107,15 @@ def write_perfetto(obs: Observer, path: str) -> None:
     Path(path).write_text(json.dumps(to_perfetto(obs), default=_json_default))
 
 
-# ------------------------------------------------------------------------ CSV
-def counters_to_csv(obs: Observer) -> str:
-    """Counter timeline as CSV: ``ts_ns`` + one column per counter.
+# ------------------------------------------------------------------ run export
+def export_run(obs: Observer, directory: str, stem: str) -> str:
+    """Write one run's Perfetto trace; returns its path.
 
-    Rows are the surviving ring-buffer samples, oldest first.  When the
-    ring evicted samples the timeline is a suffix of the run — check
-    ``obs.samples.evicted`` (also surfaced by :func:`export_run`).
-    """
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["ts_ns", *obs.counter_names])
-    for ts, row in obs.samples:
-        writer.writerow([ts, *row])
-    return out.getvalue()
-
-
-def write_counters_csv(obs: Observer, path: str) -> None:
-    Path(path).write_text(counters_to_csv(obs))
-
-
-# -------------------------------------------------------------------- bundles
-def export_run(obs: Observer, directory: str, stem: str) -> dict[str, str]:
-    """Write all three artefacts for one run; returns {kind: path}.
-
-    Produces ``<stem>.trace.json`` (Perfetto), ``<stem>.events.jsonl``
-    and ``<stem>.counters.csv`` under ``directory`` (created if needed).
+    Produces ``<stem>.trace.json`` under ``directory`` (created if
+    needed).
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "perfetto": str(out / f"{stem}.trace.json"),
-        "jsonl": str(out / f"{stem}.events.jsonl"),
-        "counters": str(out / f"{stem}.counters.csv"),
-    }
-    write_perfetto(obs, paths["perfetto"])
-    write_jsonl(obs, paths["jsonl"])
-    write_counters_csv(obs, paths["counters"])
-    return paths
+    path = str(out / f"{stem}.trace.json")
+    write_perfetto(obs, path)
+    return path

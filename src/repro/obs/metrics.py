@@ -318,89 +318,15 @@ def find_metric(snapshot: dict, kind: str, name: str, **labels) -> dict | None:
     return None
 
 
-# ------------------------------------------------------------------ exposition
-def _prom_name(name: str) -> str:
-    out = [ch if ch.isalnum() or ch == "_" else "_" for ch in name]
-    if out and out[0].isdigit():
-        out.insert(0, "_")
-    return "".join(out)
-
-
-def _prom_labels(labels: dict, extra: dict | None = None) -> str:
-    items = {**labels, **(extra or {})}
-    if not items:
-        return ""
-    body = ",".join(
-        f'{_prom_name(k)}="{str(v)}"' for k, v in sorted(items.items())
-    )
-    return "{" + body + "}"
-
-
-def render_prometheus(snapshot: dict) -> str:
-    """Prometheus text exposition (format 0.0.4) of a snapshot.
-
-    Histograms render natively: cumulative ``_bucket{le=...}`` series
-    over the log-linear upper bounds actually populated, plus ``_sum``
-    and ``_count`` — scrapeable by a stock Prometheus and readable by
-    ``promtool``.
-    """
-    lines: list[str] = []
-    seen_types: set[str] = set()
-
-    def _head(name: str, kind: str) -> None:
-        if name not in seen_types:
-            seen_types.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for c in snapshot.get("counters", ()):
-        name = _prom_name(c["name"]) + "_total"
-        _head(name, "counter")
-        lines.append(f"{name}{_prom_labels(c.get('labels', {}))} {c['value']:g}")
-    for g in snapshot.get("gauges", ()):
-        name = _prom_name(g["name"])
-        _head(name, "gauge")
-        lines.append(f"{name}{_prom_labels(g.get('labels', {}))} {g['value']:g}")
-    for h in snapshot.get("histograms", ()):
-        name = _prom_name(h["name"])
-        _head(name, "histogram")
-        labels = h.get("labels", {})
-        sub = h.get("sub", 16)
-        cum = h.get("zero", 0)
-        if cum:
-            lines.append(
-                f"{name}_bucket{_prom_labels(labels, {'le': '0'})} {cum}"
-            )
-        for index in sorted(int(k) for k in h.get("buckets", {})):
-            cum += h["buckets"][str(index)]
-            e, s = divmod(index, sub)
-            upper = math.ldexp(1.0 + (s + 1) / sub, e - 1)
-            lines.append(
-                f"{name}_bucket{_prom_labels(labels, {'le': f'{upper:g}'})} "
-                f"{cum}"
-            )
-        lines.append(
-            f"{name}_bucket{_prom_labels(labels, {'le': '+Inf'})} "
-            f"{h.get('count', 0)}"
-        )
-        lines.append(f"{name}_sum{_prom_labels(labels)} {h.get('sum', 0.0):g}")
-        lines.append(f"{name}_count{_prom_labels(labels)} {h.get('count', 0)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
+# ------------------------------------------------------------------ on disk
 def write_snapshot(path: "str | Path", snapshot: dict) -> Path:
-    """Write ``snapshot`` to ``path``; returns the path written.
-
-    A ``.prom`` suffix writes Prometheus text
-    (:func:`render_prometheus`); anything else writes the JSON snapshot
-    that ``python -m repro.obs top`` reads.  Missing parent directories
-    are created.
+    """Write ``snapshot`` to ``path`` as the JSON that ``python -m
+    repro.obs top`` reads; returns the path written.  Missing parent
+    directories are created.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".prom":
-        path.write_text(render_prometheus(snapshot))
-    else:
-        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
     return path
 
 

@@ -33,6 +33,9 @@ MODES = ("fast", "reference", "traced")
 #: (sums of the same floats in a different association order).
 ANALYTIC_REL_TOL = 1e-9
 
+#: Divergent fields a report lists in full (the total is always counted).
+MAX_FIELDS = 16
+
 
 def metrics_snapshot(metrics: RunMetrics) -> dict:
     """The full metrics tree as plain, exactly comparable values."""
@@ -129,7 +132,7 @@ class DiffReport:
 
 
 def diff_trees(
-    snapshots: dict[str, dict], max_fields: int = 16
+    snapshots: dict[str, dict],
 ) -> tuple[FieldDiff | None, list[FieldDiff], int]:
     """Compare snapshot trees leaf by leaf.
 
@@ -153,7 +156,7 @@ def diff_trees(
         diff = FieldDiff(path, values)
         if first is None:
             first = diff
-        if len(divergent) < max_fields:
+        if len(divergent) < MAX_FIELDS:
             divergent.append(diff)
     return first, divergent, total
 
@@ -235,7 +238,6 @@ EnvBuilder = Callable[[BaseObserver], tuple[Any, Any]]
 def differential_run(
     builder: EnvBuilder,
     include_traced: bool = True,
-    max_fields: int = 16,
 ) -> DiffReport:
     """Run one program through every engine path and diff the outcomes."""
     snapshots: dict[str, dict] = {}
@@ -251,7 +253,7 @@ def differential_run(
         snapshots[mode] = metrics_snapshot(metrics)
         if mode == "reference":
             reference_metrics = metrics
-    first, divergent, total = diff_trees(snapshots, max_fields=max_fields)
+    first, divergent, total = diff_trees(snapshots)
     assert reference_metrics is not None
     return DiffReport(
         modes=tuple(modes),

@@ -155,9 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=4,
                         help="scheduler shards (process executor)")
     parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="content-addressed result store (.jsonl or "
-                             ".sqlite); a warm store replays the whole "
-                             "search without simulating")
+                        help="content-addressed result store (a .sqlite, "
+                             ".sqlite3 or .db file); a warm store replays "
+                             "the whole search without simulating")
     parser.add_argument("--out", default="benchmarks/out")
     parser.add_argument("--update-bench", default=None, metavar="PATH",
                         nargs="?", const="BENCH_search.json",
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
                              "kills via the scheduler's retries)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the search.* metrics snapshot to PATH "
-                             "(.prom for Prometheus text, else JSON)")
+                             "as JSON (read by python -m repro.obs top)")
     args = parser.parse_args(argv)
 
     if args.faultline is not None:

@@ -4,8 +4,8 @@ Turns the simulator into a long-lived evaluation service:
 
 * :class:`JobSpec` — canonical job model with a stable content digest
   over (machine preset, policy, workload, seed).
-* :class:`ResultStore` and friends — content-addressed result cache
-  (memory / JSONL / SQLite), versioned by the record schema.
+* :class:`ResultStore` — content-addressed result cache in one SQLite
+  table (a file or in memory), versioned by the record schema.
 * :class:`Scheduler` — store lookup, twin reuse and in-flight dedup in
   front of one FIFO drained by N executor slots (isolated worker
   processes or inline).  An attempt may carry a timeout; a crash or
@@ -18,14 +18,7 @@ Turns the simulator into a long-lived evaluation service:
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec, JobStatus
 from repro.service.scheduler import JobFailed, JobHandle, Scheduler, ServiceError
-from repro.service.store import (
-    JsonlStore,
-    MemoryStore,
-    ResultStore,
-    SqliteStore,
-    open_store,
-    record_checksum,
-)
+from repro.service.store import ResultStore, open_store, record_checksum
 from repro.service.worker import execute_jobspec
 
 __all__ = [
@@ -33,13 +26,10 @@ __all__ = [
     "JobHandle",
     "JobSpec",
     "JobStatus",
-    "JsonlStore",
-    "MemoryStore",
     "ResultStore",
     "Scheduler",
     "ServiceClient",
     "ServiceError",
-    "SqliteStore",
     "execute_jobspec",
     "open_store",
     "record_checksum",

@@ -12,8 +12,11 @@ Examples::
 
     python -m repro.service demo --profile mini --workers 2
     python -m repro.service submit --bench lbm --policy mem+llc \\
-        --config 4_threads_4_nodes --store results.jsonl
-    python -m repro.service status --store results.jsonl
+        --config 4_threads_4_nodes --store results.sqlite
+    python -m repro.service status --store results.sqlite
+
+A store path ends in ``.sqlite``, ``.sqlite3`` or ``.db``; without
+``--store`` the service keeps results in memory.
 """
 
 from __future__ import annotations
@@ -147,19 +150,22 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--executor", default="process",
                    choices=["process", "inline"])
     p.add_argument("--store", default=None,
-                   help="store path (.jsonl/.sqlite); default in-memory")
+                   help="store file (.sqlite/.sqlite3/.db); "
+                        "default in-memory")
     p.set_defaults(fn=cmd_demo)
 
     p = sub.add_parser("submit", help="run one job")
     _add_job_args(p)
-    p.add_argument("--store", default=None)
+    p.add_argument("--store", default=None,
+                   help="store file (.sqlite/.sqlite3/.db); "
+                        "default in-memory")
     p.add_argument("--executor", default="process",
                    choices=["process", "inline"])
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("status", help="print store stats")
     p.add_argument("--store", required=True,
-                   help="an existing store file (.jsonl/.sqlite)")
+                   help="an existing store file (.sqlite/.sqlite3/.db)")
     p.set_defaults(fn=cmd_status)
 
     args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ class ServiceClient:
 
     Args:
         store: ``None`` (no caching), a path (str or path-like,
-            ``.jsonl``/``.sqlite``, opened via
+            ``.sqlite``/``.sqlite3``/``.db``, opened via
             :func:`~repro.service.store.open_store` and closed with this
             client), or an already-open :class:`ResultStore` (shared
             across clients; not closed by this one).

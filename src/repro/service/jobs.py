@@ -125,7 +125,7 @@ class JobSpec:
     #: direct run_benchmark() call would.
     sanitize: str = "off"
     # ------------------------------------------------- execution parameters
-    #: when set, the worker exports a Perfetto/JSONL/CSV trace bundle here.
+    #: when set, the worker exports a Perfetto trace file here.
     trace_dir: str | None = None
     #: bypass the result-store lookup (used for traced runs, whose value
     #: is the side-effect files, and for cache-busting reruns).

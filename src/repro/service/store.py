@@ -1,16 +1,14 @@
-"""Content-addressed result stores for the simulation-job service.
+"""The content-addressed result store of the simulation-job service.
 
 A store maps a :meth:`JobSpec.digest` to the serialized
 :class:`~repro.experiments.runner.RunRecord` that evaluation produced
-(plus the spec that produced it, for auditability).  Three backends
-share one interface:
-
-* :class:`MemoryStore` — dict-backed, per-process; the default when the
-  service runs without persistence.
-* :class:`JsonlStore` — append-only JSONL file; human-greppable,
-  crash-safe (a torn final line is ignored on load), last write wins.
-* :class:`SqliteStore` — stdlib ``sqlite3``; constant-memory lookups
-  for large result sets, safe for concurrent readers.
+(plus the spec that produced it, for auditability).  One class,
+:class:`ResultStore`, keeps the entries in one stdlib ``sqlite3``
+table: in a file (``.sqlite``, ``.sqlite3`` or ``.db``) or in SQLite's
+own ``":memory:"`` database, which lives and dies with the process.
+Opening a file loads every row into an in-memory index, so ``get``
+never touches the database; ``put`` upserts one row and commits it, and
+a commit is atomic, so a crash costs at most the entry being written.
 
 Entries are versioned: every payload carries the serialization
 ``schema_version``, and :meth:`ResultStore.get` treats a version
@@ -18,9 +16,10 @@ mismatch as a miss (never deserializes a stale layout wrongly).
 Entries written by this build also carry a ``record_sha`` integrity
 checksum over the canonical record JSON; a lookup whose payload fails
 the checksum is booked as a *corrupt miss* instead of being returned,
-so a torn or bit-flipped store entry costs a re-simulation, never a
-wrong result.  Stores count ``hits``/``misses``/``puts``/``corrupt``;
-``Scheduler.stats()`` reports them under ``"store"``.
+so a bit-flipped store entry costs a re-simulation, never a wrong
+result.  A row whose payload is not JSON is skipped on load.  Stores
+count ``hits``/``misses``/``puts``/``corrupt``; ``Scheduler.stats()``
+reports them under ``"store"``.
 
 Hook points for :mod:`repro.faultline` cover the failure modes a real
 backing medium has: ``store.get.io`` / ``store.put.io`` raise a typed
@@ -50,21 +49,49 @@ def record_checksum(record: dict) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-class ResultStore:
-    """Base class: thread-safe digest -> entry mapping with counters.
+#: File suffixes :class:`ResultStore` opens as SQLite databases.
+STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
-    Subclasses implement ``_load`` (optional) and ``_persist``; the base
-    keeps an in-memory index so ``get`` never blocks on I/O.  An *entry*
-    is ``{"digest", "schema_version", "spec", "record", "created_at"}``.
+
+class ResultStore:
+    """Thread-safe digest -> entry mapping over one SQLite table.
+
+    ``path`` is ``":memory:"`` (the default) or a file ending in one of
+    :data:`STORE_SUFFIXES`; any other path raises ``ValueError``.  An
+    in-memory index answers ``get``; ``put`` writes through to the
+    table.  An *entry* is ``{"digest", "schema_version", "spec",
+    "record", "record_sha", "created_at"}``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
+        if path != ":memory:" and not path.endswith(STORE_SUFFIXES):
+            raise ValueError(
+                f"store path {path!r} must end in {', '.join(STORE_SUFFIXES)}"
+            )
+        self.path = path
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.corrupt = 0
+        if path != ":memory:":
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        self._db = sqlite3.connect(path, check_same_thread=False)
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS results ("
+            "  digest TEXT PRIMARY KEY,"
+            "  schema_version INTEGER NOT NULL,"
+            "  payload TEXT NOT NULL)"
+        )
+        self._db.commit()
+        for digest, payload in self._db.execute(
+            "SELECT digest, payload FROM results"
+        ):
+            try:
+                self._entries[digest] = json.loads(payload)
+            except json.JSONDecodeError:
+                continue
 
     # ----------------------------------------------------------------- access
     def get(self, digest: str) -> dict | None:
@@ -127,7 +154,14 @@ class ResultStore:
         }
         with self._lock:
             self._entries[digest] = entry
-            self._persist(entry)
+            self._db.execute(
+                "INSERT INTO results (digest, schema_version, payload) "
+                "VALUES (?, ?, ?) ON CONFLICT(digest) DO UPDATE SET "
+                "schema_version = excluded.schema_version, "
+                "payload = excluded.payload",
+                (digest, SCHEMA_VERSION, json.dumps(entry)),
+            )
+            self._db.commit()
             self.puts += 1
         if registry is not None:
             registry.histogram("store.put_s").observe(
@@ -155,87 +189,7 @@ class ResultStore:
             }
 
     def close(self) -> None:
-        """Release backend resources (no-op for memory/JSONL)."""
-
-    # ---------------------------------------------------------------- backend
-    def _persist(self, entry: dict) -> None:
-        """Write one entry to the backing medium (called under the lock)."""
-
-
-class MemoryStore(ResultStore):
-    """Purely in-memory store (lives and dies with the process)."""
-
-
-class JsonlStore(ResultStore):
-    """Append-only JSONL-backed store.
-
-    Each ``put`` appends one line and flushes; loading replays the file
-    with last-write-wins semantics and skips torn/corrupt lines, so a
-    crash mid-append costs at most the interrupted entry.
-    """
-
-    def __init__(self, path: str) -> None:
-        super().__init__()
-        self.path = path
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        self._entries[entry["digest"]] = entry
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # torn tail line from a crashed writer
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def _persist(self, entry: dict) -> None:
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        """Close the append handle (the in-memory index stays usable)."""
-        self._fh.close()
-
-
-class SqliteStore(ResultStore):
-    """SQLite-backed store (stdlib ``sqlite3``, one table, upserts)."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__()
-        self.path = path
-        if os.path.dirname(os.path.abspath(path)):
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        self._db = sqlite3.connect(path, check_same_thread=False)
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            "  digest TEXT PRIMARY KEY,"
-            "  schema_version INTEGER NOT NULL,"
-            "  payload TEXT NOT NULL)"
-        )
-        self._db.commit()
-        for digest, payload in self._db.execute(
-            "SELECT digest, payload FROM results"
-        ):
-            try:
-                self._entries[digest] = json.loads(payload)
-            except json.JSONDecodeError:
-                continue
-
-    def _persist(self, entry: dict) -> None:
-        self._db.execute(
-            "INSERT INTO results (digest, schema_version, payload) "
-            "VALUES (?, ?, ?) ON CONFLICT(digest) DO UPDATE SET "
-            "schema_version = excluded.schema_version, "
-            "payload = excluded.payload",
-            (entry["digest"], entry["schema_version"], json.dumps(entry)),
-        )
-        self._db.commit()
-
-    def close(self) -> None:
-        """Close the SQLite connection."""
+        """Close the SQLite connection (the in-memory index stays usable)."""
         self._db.close()
 
 
@@ -243,15 +197,10 @@ def open_store(target: "str | os.PathLike | ResultStore | None") -> ResultStore:
     """Open a store from a path (str or path-like) or pass an existing
     one through.
 
-    ``None`` / ``":memory:"`` -> :class:`MemoryStore`; paths ending in
-    ``.sqlite``/``.db`` -> :class:`SqliteStore`; anything else ->
-    :class:`JsonlStore`.
+    ``None`` / ``":memory:"`` -> an in-memory store; a path ending in
+    ``.sqlite``, ``.sqlite3`` or ``.db`` -> that file; any other path
+    raises ``ValueError``.
     """
-    if target is None or target == ":memory:":
-        return MemoryStore()
     if isinstance(target, ResultStore):
         return target
-    target = os.fspath(target)
-    if target.endswith((".sqlite", ".db", ".sqlite3")):
-        return SqliteStore(target)
-    return JsonlStore(target)
+    return ResultStore(":memory:" if target is None else os.fspath(target))

@@ -24,6 +24,15 @@ def test_cli_fig10_only(tmp_path, capsys):
     assert header.startswith("bench,policy")
 
 
+def test_cache_with_another_suffix_fails_before_any_run(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--profile", "mini", "--out", str(tmp_path / "out"),
+              "--cache", str(tmp_path / "old.jsonl")])
+    assert exc.value.code == 2
+    assert "--cache must end in .sqlite, .sqlite3, .db" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tune_metrics_out_survives_a_failed_search(tmp_path, monkeypatch):
     """The snapshot is written even when the search raises."""
     from repro.obs import metrics as obs_metrics

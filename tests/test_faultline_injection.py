@@ -37,7 +37,7 @@ from repro.service import (
     JobFailed,
     JobHandle,
     JobSpec,
-    MemoryStore,
+    ResultStore,
     Scheduler,
     ServiceError,
 )
@@ -68,7 +68,7 @@ def plan_of(*rules: FaultRule, seed: int = 0) -> FaultPlan:
 
 class TestStoreFaults:
     def test_get_io_fault_is_a_typed_oserror(self):
-        store = MemoryStore()
+        store = ResultStore()
         store.put("d" * 64, {"bench": "x"}, {"v": 1})
         with armed(plan_of(FaultRule(site="store.get.io"))):
             with pytest.raises(StoreIOFault) as exc_info:
@@ -78,7 +78,7 @@ class TestStoreFaults:
     def test_scheduler_absorbs_get_io_fault(self):
         plan = plan_of(FaultRule(site="store.get.io", max_fires=1))
         with armed(plan):
-            with Scheduler(store=MemoryStore(), executor="inline",
+            with Scheduler(store=ResultStore(), executor="inline",
                            runner=ok_runner) as sched:
                 record = sched.submit(stub_spec()).result(timeout=30)
         assert record["bench"] == "lbm"
@@ -86,7 +86,7 @@ class TestStoreFaults:
 
     def test_persistent_store_errors_are_counted_misses(self):
         plan = plan_of(FaultRule(site="store.get.io"))
-        store = MemoryStore()
+        store = ResultStore()
         with armed(plan):
             with Scheduler(store=store, executor="inline",
                            runner=ok_runner) as sched:
@@ -103,7 +103,7 @@ class TestStoreFaults:
         assert len(store) == 2  # writes still land
 
     def test_corrupt_entry_is_never_returned(self):
-        store = MemoryStore()
+        store = ResultStore()
         store.put("e" * 64, {"bench": "x"}, {"v": 1})
         with armed(plan_of(FaultRule(site="store.get.corrupt"))):
             assert store.get("e" * 64) is None
@@ -111,7 +111,7 @@ class TestStoreFaults:
         assert store.get("e" * 64) == {"v": 1}  # entry itself is intact
 
     def test_corrupt_cache_recovers_bit_identical(self):
-        store = MemoryStore()
+        store = ResultStore()
         with Scheduler(store=store, executor="inline",
                        runner=ok_runner) as sched:
             first = sched.submit(stub_spec()).result(timeout=30)
@@ -125,7 +125,7 @@ class TestStoreFaults:
         assert store.corrupt == 1
 
     def test_put_io_fault_does_not_fail_the_job(self):
-        store = MemoryStore()
+        store = ResultStore()
         with armed(plan_of(FaultRule(site="store.put.io"))):
             with Scheduler(store=store, executor="inline",
                            runner=ok_runner) as sched:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import mmapi
-from repro.kernel.kernel import Kernel, OutOfColoredMemory
+from repro.kernel.kernel import FAULT_BASE_NS, Kernel, OutOfColoredMemory
 from repro.kernel.mmapi import (
     COLOR_ALLOC,
     PROT_RW,
@@ -128,7 +128,7 @@ class TestDemandAllocationPolicies:
         proc.address_space.translate(vma.start, task)
         charge = kernel.last_fault_charge
         assert charge is not None
-        assert charge.base_ns == kernel.fault_base_ns
+        assert charge.base_ns == FAULT_BASE_NS
         assert charge.refill_ns > 0  # first colored fault scans buddy blocks
 
 

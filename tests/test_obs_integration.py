@@ -1,21 +1,19 @@
 """End-to-end observability: a traced synthetic run (acceptance tests).
 
 Covers the PR's acceptance criteria: the Perfetto export of a full
-synthetic run is schema-valid trace_event JSON, and the counter CSV's
-row-conflict / remote-access timelines agree with the RunMetrics rollups
-to within 1%.  Also checks determinism: identical seeds yield identical
+synthetic run is schema-valid trace_event JSON, and its row-conflict /
+remote-access counter timelines (the ``"C"`` events) agree with the
+RunMetrics rollups to within 1%.  Also checks determinism: identical seeds yield identical
 traces.
 """
 
-import csv
-import io
 import json
 
 import pytest
 
 from repro.alloc.policies import Policy
 from repro.experiments.runner import run_synthetic
-from repro.obs import Observer, counters_to_csv, to_perfetto
+from repro.obs import Observer, to_perfetto
 from repro.obs.events import SpanEvent
 from repro.workloads.synthetic import SyntheticSpec
 
@@ -96,10 +94,17 @@ class TestPerfettoSchema:
 
 
 class TestCounterTimelines:
-    def _timeline(self, obs, name):
-        rows = list(csv.reader(io.StringIO(counters_to_csv(obs))))
-        col = rows[0].index(name)
-        return [float(r[col]) for r in rows[1:]]
+    @pytest.fixture(scope="class")
+    def counter_events(self, traced):
+        obs, _ = traced
+        events = [e for e in to_perfetto(obs)["traceEvents"] if e["ph"] == "C"]
+        # One "C" event per (sample, counter).
+        assert len(events) == len(obs.samples) * len(obs.counter_names)
+        return events
+
+    def _timeline(self, counter_events, name):
+        return [float(e["args"]["value"]) for e in counter_events
+                if e["name"] == name]
 
     def _timeline_total(self, series):
         """First value plus the per-interval deltas — the 'timeline sum'."""
@@ -107,27 +112,26 @@ class TestCounterTimelines:
             b - a for a, b in zip(series, series[1:])
         )
 
-    def test_row_conflict_timeline_matches_rollup(self, traced):
+    def test_row_conflict_timeline_matches_rollup(self, traced, counter_events):
         obs, record = traced
         assert obs.samples.evicted == 0  # full timeline retained
-        series = self._timeline(obs, "dram.row_conflicts")
+        series = self._timeline(counter_events, "dram.row_conflicts")
         total = self._timeline_total(series)
         assert record.row_conflicts > 0
         assert total == pytest.approx(record.row_conflicts, rel=0.01)
 
-    def test_remote_access_timeline_matches_rollup(self, traced):
-        obs, record = traced
-        series = self._timeline(obs, "dram.remote_accesses")
+    def test_remote_access_timeline_matches_rollup(self, traced, counter_events):
+        _, record = traced
+        series = self._timeline(counter_events, "dram.remote_accesses")
         total = self._timeline_total(series)
         remote_rollup = record.remote_fraction * record.dram_accesses
         assert remote_rollup > 0
         assert total == pytest.approx(remote_rollup, rel=0.01)
 
-    def test_monotonic_counters(self, traced):
-        obs, _ = traced
+    def test_monotonic_counters(self, counter_events):
         for name in ("dram.accesses", "cache.llc.misses",
                      "kernel.colored_allocs"):
-            series = self._timeline(obs, name)
+            series = self._timeline(counter_events, name)
             assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_final_sample_at_run_end(self, traced):
@@ -142,9 +146,7 @@ class TestDeterminism:
         obs_a, rec_a = traced_run()
         obs_b, rec_b = traced_run()
         assert rec_a.runtime == rec_b.runtime
-        assert [e.to_dict() for e in obs_a.events] == [
-            e.to_dict() for e in obs_b.events
-        ]
+        assert to_perfetto(obs_a) == to_perfetto(obs_b)
         assert list(obs_a.samples) == list(obs_b.samples)
 
 

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     find_metric,
     quantile_from_snapshot,
-    render_prometheus,
     write_snapshot,
 )
 
@@ -109,7 +108,6 @@ class TestSnapshotAndMerge:
     def test_empty_registry_snapshot(self):
         snap = MetricsRegistry().snapshot()
         assert snap == {"counters": [], "gauges": [], "histograms": []}
-        assert render_prometheus(snap) == ""
 
     def test_merge_adds_counters_and_buckets(self):
         a, b = self._loaded(), self._loaded()
@@ -149,51 +147,15 @@ class TestSnapshotAndMerge:
         assert quantile_from_snapshot(snap, 1.0) == 10.0
 
 
-class TestExposition:
-    def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
-        reg.counter("sched.jobs", outcome="ok").inc(2)
-        reg.gauge("sched.queue_depth").set(3)
-        reg.histogram("sched.attempt_s").observe(0.5)
-        text = render_prometheus(reg.snapshot())
-        assert '# TYPE sched_jobs_total counter' in text
-        assert 'sched_jobs_total{outcome="ok"} 2' in text
-        assert "sched_queue_depth 3" in text
-        assert "# TYPE sched_attempt_s histogram" in text
-        assert 'sched_attempt_s_bucket{le="+Inf"} 1' in text
-        assert "sched_attempt_s_count 1" in text
-        # cumulative bucket for the populated upper bound exists
-        assert "_bucket{le=" in text
-
-    def test_prometheus_zero_bucket_and_digit_leading_names(self):
-        reg = MetricsRegistry()
-        reg.counter("9lives").inc()
-        reg.histogram("wait_s").observe(0.0)
-        text = render_prometheus(reg.snapshot())
-        assert "_9lives_total 1" in text
-        assert 'wait_s_bucket{le="0"} 1' in text
-
-    def test_prometheus_bucket_cumulative_and_bounded(self):
-        reg = MetricsRegistry()
-        for v in (0.1, 0.2, 0.4, 0.8):
-            reg.histogram("lat").observe(v)
-        text = render_prometheus(reg.snapshot())
-        counts = [
-            int(line.rsplit(" ", 1)[1])
-            for line in text.splitlines()
-            if line.startswith("lat_bucket")
-        ]
-        assert counts == sorted(counts)  # cumulative
-        assert counts[-1] == 4           # +Inf bucket == count
-
-    def test_write_snapshot_picks_format_by_suffix(self, tmp_path):
+class TestWriteSnapshot:
+    def test_writes_json_whatever_the_suffix(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("sched.jobs", outcome="ok").inc(2)
         snap = reg.snapshot()
-        prom = write_snapshot(tmp_path / "a" / "m.prom", snap)
-        assert prom.read_text() == render_prometheus(snap)
-        doc = write_snapshot(tmp_path / "b" / "m.json", snap)
-        assert json.loads(doc.read_text()) == snap
+        for name in ("b/m.json", "a/m.prom"):
+            doc = write_snapshot(tmp_path / name, snap)
+            assert doc == tmp_path / name
+            assert json.loads(doc.read_text()) == snap
 
 
 class TestAmbient:
@@ -216,9 +178,9 @@ class TestAmbient:
         assert obs_metrics.active() is None
 
     def test_store_records_into_ambient_registry(self):
-        from repro.service.store import MemoryStore
+        from repro.service.store import ResultStore
 
-        store = MemoryStore()
+        store = ResultStore()
         with obs_metrics.installed(MetricsRegistry()) as reg:
             store.put("d" * 64, {"spec": 1}, {"record": 1})
             assert store.get("d" * 64) is not None

@@ -35,15 +35,25 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
         units.read_text() + '\n\ndef planted_orphan() -> int:\n    return 0\n'
         # A forwarding wrapper: its own body's use of the name is no use.
         '\n\ndef planted_wrapper(x):\n    return x.planted_wrapper()\n'
+        # Two classes sharing a method name; program code calls only
+        # PlantedA's, written through the class.
+        '\n\nclass PlantedA:\n    @staticmethod\n'
+        '    def planted_shared() -> int:\n        return 1\n'
+        '\n\nclass PlantedB:\n    @staticmethod\n'
+        '    def planted_shared() -> int:\n        return 2\n'
     )
     # A caller for an allowlisted orphan makes its entry stale.
     (tmp_path / "examples" / "planted_caller.py").write_text(
-        "from repro.faultline.hooks import disarm\n\ndisarm()\n"
+        "from repro.faultline.hooks import disarm\n"
+        "from repro.util.units import PlantedA, PlantedB\n\n"
+        "disarm()\nprint(PlantedA.planted_shared(), PlantedB)\n"
     )
     proc = _check(tmp_path)
     assert proc.returncode == 1
     assert "function repro.util.units.planted_orphan" in proc.stdout
     assert "function repro.util.units.planted_wrapper" in proc.stdout
+    assert "method repro.util.units.PlantedB.planted_shared" in proc.stdout
+    assert "PlantedA.planted_shared" not in proc.stdout
     assert "ALLOWED entry repro.faultline.hooks.disarm is not an orphan" in (
         proc.stdout
     )

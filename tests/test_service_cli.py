@@ -34,7 +34,7 @@ def test_demo_fails_when_the_second_pass_is_not_served(monkeypatch, capsys):
 
 
 def test_local_submit_caches_and_status_reads_the_store(tmp_path, capsys):
-    store = str(tmp_path / "runs.jsonl")
+    store = str(tmp_path / "runs.sqlite")
     assert main(["submit", *SYNTHETIC, "--store", store]) == 0
     first = json.loads(capsys.readouterr().out)
     assert main(["submit", *SYNTHETIC, "--store", store]) == 0

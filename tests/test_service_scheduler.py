@@ -23,7 +23,7 @@ from repro.service import (
     JobFailed,
     JobSpec,
     JobStatus,
-    MemoryStore,
+    ResultStore,
     Scheduler,
     ServiceError,
 )
@@ -81,7 +81,7 @@ class TestHappyPath:
 
 class TestCachingAndDedup:
     def test_cache_hit_returns_identical_payload(self):
-        store = MemoryStore()
+        store = ResultStore()
         with Scheduler(executor="inline", runner=ok_runner,
                        store=store) as sched:
             cold = sched.submit(spec(3))
@@ -138,7 +138,7 @@ class TestCachingAndDedup:
             sched.submit(spec(7))
 
     def test_force_run_bypasses_cache(self):
-        store = MemoryStore()
+        store = ResultStore()
         with Scheduler(executor="inline", runner=ok_runner,
                        store=store) as sched:
             sched.submit(spec(7)).result(10)
@@ -149,14 +149,14 @@ class TestCachingAndDedup:
         assert stats["cache_hits"] == 0
 
 
-class _FailingGetStore(MemoryStore):
+class _FailingGetStore(ResultStore):
     """A store whose reads always fail."""
 
     def get(self, digest: str):
         raise OSError("injected store read failure")
 
 
-class _LosingPutStore(MemoryStore):
+class _LosingPutStore(ResultStore):
     """A store that acknowledges writes but keeps none of them."""
 
     def put(self, digest: str, spec: dict, record: dict) -> None:
@@ -184,7 +184,7 @@ class TestTwinReuse:
 
     def test_named_spec_reuses_completed_custom_twin(self):
         custom, named = self._twins()
-        store = MemoryStore()
+        store = ResultStore()
         calls, runner = self._counting_runner()
         with Scheduler(executor="inline", runner=runner,
                        store=store) as sched:
@@ -204,7 +204,7 @@ class TestTwinReuse:
         custom, named = self._twins()
         calls, runner = self._counting_runner()
         with Scheduler(executor="inline", runner=runner,
-                       store=MemoryStore()) as sched:
+                       store=ResultStore()) as sched:
             sched.submit(named).result(10)
             second = sched.submit(custom)
             assert second.from_cache
@@ -248,7 +248,7 @@ class TestTwinReuse:
     def test_config_outside_configs_still_runs(self):
         calls, runner = self._counting_runner()
         with Scheduler(executor="inline", runner=runner,
-                       store=MemoryStore()) as sched:
+                       store=ResultStore()) as sched:
             for policy in ("buddy", "mem+llc"):
                 handle = sched.submit(spec(policy=policy, config="cfg"))
                 assert handle.result(10)["policy"] == policy

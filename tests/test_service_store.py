@@ -1,4 +1,4 @@
-"""Result stores: round trips, persistence, schema versioning."""
+"""Result store: round trips, persistence, schema versioning."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ import sqlite3
 
 import pytest
 
-from repro.service import (
-    JsonlStore,
-    MemoryStore,
-    ServiceClient,
-    SqliteStore,
-    open_store,
-)
-from repro.service.store import ResultStore
+from repro.service import ResultStore, ServiceClient, open_store
 from repro.sim.metrics import SCHEMA_VERSION
 
 SPEC = {"bench": "lbm", "policy": "mem+llc"}
@@ -22,11 +15,7 @@ RECORD = {"schema_version": SCHEMA_VERSION, "bench": "lbm", "runtime": 1.5}
 
 
 def _backends(tmp_path):
-    return [
-        MemoryStore(),
-        JsonlStore(str(tmp_path / "results.jsonl")),
-        SqliteStore(str(tmp_path / "results.sqlite")),
-    ]
+    return [ResultStore(), ResultStore(str(tmp_path / "results.sqlite"))]
 
 
 class TestCommonBehavior:
@@ -52,43 +41,22 @@ class TestCommonBehavior:
             assert len(store) == 1
             store.close()
 
+    def test_in_memory_store_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = ResultStore()
+        store.put("d1", SPEC, RECORD)
+        store.put("d2", SPEC, {**RECORD, "runtime": 2.0})
+        assert store.get("d1") == RECORD
+        assert store.get("d2")["runtime"] == 2.0
+        assert store.path == ":memory:"
+        store.close()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPersistence:
-    def test_jsonl_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        store = JsonlStore(path)
-        store.put("d1", SPEC, RECORD)
-        store.close()
-        reopened = JsonlStore(path)
-        assert reopened.get("d1") == RECORD
-        reopened.close()
-
-    def test_jsonl_ignores_torn_tail_line(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        store = JsonlStore(path)
-        store.put("d1", SPEC, RECORD)
-        store.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"digest": "d2", "truncated...')
-        reopened = JsonlStore(path)
-        assert reopened.get("d1") == RECORD
-        assert reopened.get("d2") is None
-        reopened.close()
-
-    def test_jsonl_skips_blank_lines(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        store = JsonlStore(path)
-        store.put("d1", SPEC, RECORD)
-        store.close()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n\n")
-        reopened = JsonlStore(path)
-        assert reopened.get("d1") == RECORD and len(reopened) == 1
-        reopened.close()
-
     def test_sqlite_skips_a_corrupt_payload(self, tmp_path):
         path = str(tmp_path / "results.sqlite")
-        store = SqliteStore(path)
+        store = ResultStore(path)
         store.put("d1", SPEC, RECORD)
         store._db.execute(
             "INSERT INTO results VALUES ('d2', ?, '{not json')",
@@ -96,17 +64,17 @@ class TestPersistence:
         )
         store._db.commit()
         store.close()
-        reopened = SqliteStore(path)
+        reopened = ResultStore(path)
         assert reopened.get("d1") == RECORD
         assert reopened.get("d2") is None
         reopened.close()
 
     def test_sqlite_survives_reopen(self, tmp_path):
         path = str(tmp_path / "results.sqlite")
-        store = SqliteStore(path)
+        store = ResultStore(path)
         store.put("d1", SPEC, RECORD)
         store.close()
-        reopened = SqliteStore(path)
+        reopened = ResultStore(path)
         assert reopened.get("d1") == RECORD
         reopened.close()
 
@@ -115,18 +83,22 @@ class TestSchemaVersioning:
     def test_version_mismatch_is_a_miss(self, tmp_path):
         """An entry written by a different schema version is never
         deserialized — it reads as a miss and the job re-runs."""
-        path = str(tmp_path / "results.jsonl")
-        store = JsonlStore(path)
+        path = str(tmp_path / "results.sqlite")
+        store = ResultStore(path)
         store.put("d1", SPEC, RECORD)
-        store.close()
-        # Simulate a stale entry from an older build.
-        entry = {
+        # Simulate a stale row from an older build.
+        stale = json.dumps({
             "digest": "old", "schema_version": SCHEMA_VERSION - 1,
             "spec": SPEC, "record": {"bench": "stale"}, "created_at": 0.0,
-        }
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
-        reopened = JsonlStore(path)
+        })
+        store._db.execute(
+            "INSERT INTO results VALUES ('old', ?, ?)",
+            (SCHEMA_VERSION - 1, stale),
+        )
+        store._db.commit()
+        store.close()
+        reopened = ResultStore(path)
+        assert "old" in reopened
         assert reopened.get("old") is None
         assert reopened.get("d1") == RECORD
         assert reopened.stats()["misses"] == 1
@@ -135,40 +107,54 @@ class TestSchemaVersioning:
 
 class TestOpenStore:
     def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(None), MemoryStore)
-        assert isinstance(open_store(":memory:"), MemoryStore)
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), JsonlStore)
-        assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteStore)
-        assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
+        for target in (None, ":memory:"):
+            store = open_store(target)
+            assert isinstance(store, ResultStore) and store.path == ":memory:"
+        for name in ("a.sqlite", "a.sqlite3", "a.db"):
+            store = open_store(str(tmp_path / name))
+            store.put("d1", SPEC, RECORD)
+            store.close()
+            assert (tmp_path / name).is_file()
+
+    def test_open_store_rejects_other_suffixes(self, tmp_path):
+        """An old JSONL store is refused by name, not opened as SQLite."""
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"digest": "d1"}\n')
+        with pytest.raises(ValueError) as err:
+            open_store(path)
+        message = str(err.value)
+        assert "\n" not in message
+        assert ".sqlite, .sqlite3, .db" in message
+        assert path.read_text() == '{"digest": "d1"}\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_store_rejects_an_unknown_suffix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError):
+            ResultStore("no-suffix")
+        assert list(tmp_path.iterdir()) == []
 
     def test_open_store_accepts_a_path(self, tmp_path):
-        """A pathlib.Path target dispatches on its suffix like a str."""
-        sqlite = open_store(tmp_path / "c.sqlite")
-        jsonl = open_store(tmp_path / "c.jsonl")
-        assert isinstance(sqlite, SqliteStore)
-        assert isinstance(jsonl, JsonlStore)
-        sqlite.close()
-        jsonl.close()
+        """A pathlib.Path target opens like a str."""
+        store = open_store(tmp_path / "c.sqlite")
+        assert store.path == str(tmp_path / "c.sqlite")
+        store.close()
 
     def test_client_closes_the_store_it_opened_from_a_path(self, tmp_path):
         with ServiceClient(store=tmp_path / "c.sqlite",
                            executor="inline") as client:
             store = client.store
-            assert isinstance(store, SqliteStore)
+            assert isinstance(store, ResultStore)
         with pytest.raises(sqlite3.ProgrammingError):
             store._db.execute("SELECT 1")
 
     def test_client_leaves_a_passed_store_open(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "c.sqlite"))
+        store = ResultStore(str(tmp_path / "c.sqlite"))
         with ServiceClient(store=store, executor="inline"):
             pass
         store._db.execute("SELECT 1")
         store.close()
 
     def test_open_store_passthrough(self):
-        store = MemoryStore()
+        store = ResultStore()
         assert open_store(store) is store
-
-    def test_base_store_is_memory_only(self):
-        with pytest.raises(TypeError):
-            ResultStore("no-positional-args")

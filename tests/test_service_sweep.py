@@ -12,7 +12,7 @@ import pytest
 
 from repro.alloc.policies import Policy
 from repro.experiments.runner import sweep
-from repro.service import JobSpec, MemoryStore, ServiceClient
+from repro.service import JobSpec, ResultStore, ServiceClient
 from repro.service.scheduler import Scheduler
 
 BENCHES = ["lbm", "blackscholes"]
@@ -40,16 +40,13 @@ class TestSerialFastPath:
 
     def test_traced_serial_sweep_exports_one_bundle_per_run(self, tmp_path):
         """``trace_dir`` (the CLI's ``--trace-out``): each job records its
-        own observer and exports Perfetto, JSONL and counter CSV."""
+        own observer and exports one Perfetto trace file."""
         records = sweep(benches=["lbm"], policies=[Policy.BUDDY],
                         configs=CONFIGS, reps=1, profile="mini", seed=3,
                         trace_dir=str(tmp_path), max_workers=1)
         assert len(records) == 1
-        names = sorted(p.name for p in tmp_path.iterdir())
-        stem = f"lbm_buddy_{CONFIGS[0]}_rep0"
-        assert any(n.startswith(stem) and n.endswith(".json") for n in names)
-        assert any(n.endswith(".jsonl") for n in names)
-        assert any(n.endswith(".csv") for n in names)
+        names = [p.name for p in tmp_path.iterdir()]
+        assert names == [f"lbm_buddy_{CONFIGS[0]}_rep0.trace.json"]
 
     def test_empty_grid_returns_no_records(self):
         """An empty grid runs nothing on any host, whatever the worker
@@ -66,7 +63,7 @@ class TestSerialFastPath:
 
 class TestSweepCaching:
     def test_second_pass_hits_cache_with_identical_records(self):
-        store = MemoryStore()
+        store = ResultStore()
         first = sweep(max_workers=2, cache=store, **KWARGS)
         assert store.stats()["puts"] == len(first) == 8
         second = sweep(max_workers=2, cache=store, **KWARGS)
@@ -76,7 +73,7 @@ class TestSweepCaching:
         assert store.stats()["puts"] == 8  # nothing re-ran, nothing re-stored
 
     def test_cache_shared_across_serial_and_pooled_paths(self):
-        store = MemoryStore()
+        store = ResultStore()
         serial = sweep(max_workers=1, cache=store, **KWARGS)
         pooled = sweep(max_workers=4, cache=store, **KWARGS)
         assert pooled == serial
@@ -84,20 +81,21 @@ class TestSweepCaching:
 
     def test_traced_sweep_reruns_every_job_over_a_warm_store(self, tmp_path):
         """A traced run's value is its exported files, so a traced sweep
-        never reads the store: every job re-runs and writes a bundle."""
+        never reads the store: every job re-runs and writes its trace."""
         grid = dict(benches=["lbm"], policies=POLICIES, configs=CONFIGS,
                     reps=1, profile="mini", seed=3, max_workers=1)
-        store = MemoryStore()
+        store = ResultStore()
         warm = sweep(cache=store, **grid)
         lookups = store.stats()["hits"] + store.stats()["misses"]
         traced = sweep(cache=store, trace_dir=str(tmp_path), **grid)
         assert traced == warm
         assert store.stats()["hits"] + store.stats()["misses"] == lookups
-        bundles = [p for p in tmp_path.iterdir() if p.suffix == ".jsonl"]
-        assert len(bundles) == len(warm) == 2
+        traces = list(tmp_path.iterdir())
+        assert all(p.name.endswith(".trace.json") for p in traces)
+        assert len(traces) == len(warm) == 2
 
-    def test_jsonl_cache_survives_into_a_new_sweep(self, tmp_path):
-        path = str(tmp_path / "sweep_cache.jsonl")
+    def test_sqlite_cache_survives_into_a_new_sweep(self, tmp_path):
+        path = str(tmp_path / "sweep_cache.sqlite")
         first = sweep(max_workers=1, cache=path, **KWARGS)
         second = sweep(max_workers=1, cache=path, **KWARGS)
         assert second == first

@@ -14,8 +14,11 @@ with that same name (recursion, or a forwarding wrapper such as
 
 Checked: module-level functions and classes, and methods of public
 classes, whose dotted path contains no ``_``-prefixed component.
-Dunders are exempt (the language calls them).  Matching is by name, so
-a method counts as used when any call site anywhere uses that name.
+Dunders are exempt (the language calls them).  Matching is by name, with
+one exception: a use written ``ClassName.method``, where ``ClassName`` is
+a class defined in ``src/repro``, counts only for that class's
+``method``.  Any other attribute use, such as ``x.method``, counts for
+every method of that name.
 Definitions kept on purpose with no program caller are listed by dotted
 name in ``ALLOWED``, each with its reason.
 
@@ -91,29 +94,28 @@ ALLOWED: dict[str, str] = {
     # Documented API.
     "repro.obs.metrics.Histogram.quantile": "documented in docs/OBSERVABILITY.md",
     "repro.search.report.replay_front": "documented in docs/SEARCH.md",
-    # Replaced by the paired-difference helper of ROADMAP item 2.
-    "repro.analysis.compare.compare": "replaced under ROADMAP item 2",
-    "repro.analysis.compare.comparison_table": "replaced under ROADMAP item 2",
 }
 
 
 def _defined(
-    node: ast.AST, prefix: str, path: Path, out: list[tuple[Path, int, str, str, str]]
+    node: ast.AST, prefix: str, owner: str | None, path: Path,
+    out: list[tuple[Path, int, str, str, str, str | None]],
 ) -> None:
-    """Collect public (path, line, kind, dotted, name) definitions."""
+    """Collect public (path, line, kind, dotted, name, owner) definitions;
+    ``owner`` is the name of the class a definition sits in, or None."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             if child.name.startswith("_"):
                 continue
             out.append((path, child.lineno, "class", f"{prefix}.{child.name}",
-                        child.name))
-            _defined(child, f"{prefix}.{child.name}", path, out)
+                        child.name, owner))
+            _defined(child, f"{prefix}.{child.name}", child.name, path, out)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if child.name.startswith("_"):
                 continue
-            kind = "method" if isinstance(node, ast.ClassDef) else "function"
+            kind = "method" if owner is not None else "function"
             out.append((path, child.lineno, kind, f"{prefix}.{child.name}",
-                        child.name))
+                        child.name, owner))
 
 
 def _docstring_nodes(tree: ast.AST) -> set[int]:
@@ -130,8 +132,17 @@ def _docstring_nodes(tree: ast.AST) -> set[int]:
     return ids
 
 
-def _used(tree: ast.AST) -> set[str]:
-    """Identifiers *tree* uses, per the rules in the module docstring."""
+def _class_names(tree: ast.AST) -> set[str]:
+    """Names of every class *tree* defines, at any depth."""
+    return {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+
+
+def _used(
+    tree: ast.AST, classes: set[str]
+) -> tuple[set[str], set[tuple[str, str]]]:
+    """Identifiers *tree* uses, per the rules in the module docstring:
+    bare names, and ``(class, attribute)`` pairs for the uses written
+    ``ClassName.attribute`` with ``ClassName`` in *classes*."""
     skip = _docstring_nodes(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -139,10 +150,17 @@ def _used(tree: ast.AST) -> set[str]:
         ):
             skip.update(id(n) for n in ast.walk(node.value))
     names: set[str] = set()
+    qualified: set[tuple[str, str]] = set()
 
     def walk(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, ast.Name):
             name = node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in classes):
+            if node.attr not in inside:
+                qualified.add((node.value.id, node.attr))
+            name = None
         elif isinstance(node, ast.Attribute):
             name = node.attr
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -158,7 +176,7 @@ def _used(tree: ast.AST) -> set[str]:
             walk(child, inside)
 
     walk(tree, frozenset())
-    return names
+    return names, qualified
 
 
 def find_orphans() -> tuple[list[tuple[Path, int, str, str]], list[str]]:
@@ -166,23 +184,33 @@ def find_orphans() -> tuple[list[tuple[Path, int, str, str]], list[str]]:
     public definition in ``src/repro`` that no caller directory names and
     ``ALLOWED`` does not list, and the ``ALLOWED`` entries that name no
     orphan."""
-    defined: list[tuple[Path, int, str, str, str]] = []
-    used: set[str] = set()
+    trees: list[tuple[Path, ast.AST]] = []
     for top in CALLER_DIRS:
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             if path == Path(__file__).resolve():
                 continue  # the allowlist names what it allows
-            tree = ast.parse(path.read_text(), filename=str(path))
-            used |= _used(tree)
-            if not path.is_relative_to(PACKAGE):
-                continue
-            rel = path.relative_to(SRC).with_suffix("")
-            parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
-            if any(p.startswith("_") and p not in ("__init__", "__main__")
-                   for p in parts):
-                continue
-            _defined(tree, ".".join(parts), path, defined)
-    unused = [d for d in defined if d[4] not in used]
+            trees.append((path, ast.parse(path.read_text(), filename=str(path))))
+    classes: set[str] = set()
+    for path, tree in trees:
+        if path.is_relative_to(PACKAGE):
+            classes |= _class_names(tree)
+    defined: list[tuple[Path, int, str, str, str, str | None]] = []
+    used: set[str] = set()
+    qualified: set[tuple[str, str]] = set()
+    for path, tree in trees:
+        names, pairs = _used(tree, classes)
+        used |= names
+        qualified |= pairs
+        if not path.is_relative_to(PACKAGE):
+            continue
+        rel = path.relative_to(SRC).with_suffix("")
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        if any(p.startswith("_") and p not in ("__init__", "__main__")
+               for p in parts):
+            continue
+        _defined(tree, ".".join(parts), None, path, defined)
+    unused = [d for d in defined
+              if d[4] not in used and (d[5], d[4]) not in qualified]
     orphans = [d[:4] for d in unused if d[3] not in ALLOWED]
     stale = sorted(set(ALLOWED) - {d[3] for d in unused})
     return orphans, stale
