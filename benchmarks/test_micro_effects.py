@@ -49,6 +49,8 @@ def bank_hit_rate(interleaved: bool, n: int = 400) -> float:
     # Bank color 0 sits on node 0, local to core 0; the caller of the
     # demand stage counts its outcomes, so read the hits off the code.
     dram = DramSystem(SPEC.mapping, SPEC.topology, T)
+    # The demand stage tags a line's row with its bits above the row start.
+    row_shift = SPEC.mapping.row_bits_start - SPEC.mapping.line_bits
     hits = 0
     t = 0.0
     for i in range(n):
@@ -56,7 +58,7 @@ def bank_hit_rate(interleaved: bool, n: int = 400) -> float:
             row = (100, 200)[i % 2]  # two tasks, two rows, one bank
         else:
             row = 100  # single task streaming its row
-        _, code, _ = dram.demand(0, row, 0, 0, t, False)
+        _, code, _ = dram.demand(0, row << row_shift, 0, t, False)
         hits += code in ROW_HIT
         t += 100.0
     return hits / n

@@ -283,8 +283,7 @@ class DramSystem:
         """
         bank_color = self.frame_bank[paddr >> self._page_bits]
         latency, code, queue_wait = self.demand(
-            bank_color, paddr >> self._row_shift, paddr >> self._line_bits,
-            core, now, is_write,
+            bank_color, paddr >> self._line_bits, core, now, is_write
         )
         node = self._bank_node[bank_color]
         kind = _CODE_KIND[code]
@@ -357,7 +356,7 @@ class DramSystem:
         bank_node, bank_chan = self._bank_node, self._bank_chan
         far, frame_bank = self._remote_caches, self.frame_bank
         page_line_shift = self._page_bits - self._line_bits
-        line_bits, row_shift = self._line_bits, self._row_shift
+        row_line_shift = self._row_shift - self._line_bits
         ic = self.interconnect
         traverse, hops, prop = ic.traverse, ic._hops, ic._prop
         stats, net_busy = self.stats, self._net_busy
@@ -415,8 +414,7 @@ class DramSystem:
             )
 
         def demand(
-            bank_color: int, row: int, line: int, core: int, now: float,
-            is_write: bool,
+            bank_color: int, line: int, core: int, now: float, is_write: bool,
         ) -> tuple[float, int, float]:
             """The demand stage: serve one LLC miss.
 
@@ -425,10 +423,12 @@ class DramSystem:
             controller: none for the local node, the mesh link
             (:meth:`Interconnect.traverse`), or a far node's network
             link, whose line then fills the DRAM cache.  ``serve`` and
-            the return leg follow.  The waits, the latency and the total
-            wait are booked into :attr:`stats`; the caller counts the
-            code.  Returns ``(latency, code, queue_wait)``, the code from
-            the table above :class:`AccessResult`.
+            the return leg follow; ``serve`` opens the row tagged by the
+            line's bits above the row start (within a bank, its row).
+            The waits, the latency and the total wait are booked into
+            :attr:`stats`; the caller counts the code.  Returns
+            ``(latency, code, queue_wait)``, the code from the table
+            above :class:`AccessResult`.
             """
             node = bank_node[bank_color]
             cache = far[node]
@@ -456,7 +456,7 @@ class DramSystem:
                 cache.insert(line)
                 code = 10
             finish, outcome, w_ctrl, w_chan, w_bank = serve(
-                bank_color, node, row, arrival, is_write
+                bank_color, node, line >> row_line_shift, arrival, is_write
             )
             latency = finish + back - now
             queue_wait = w_link + w_ctrl + w_chan + w_bank
@@ -499,7 +499,7 @@ class DramSystem:
                 bank_row[bc] = open_row = None
             if open_row is None:
                 base = row_miss
-            elif open_row == (line << line_bits) >> row_shift:
+            elif open_row == line >> row_line_shift:
                 base = row_hit
             else:
                 base = row_conflict

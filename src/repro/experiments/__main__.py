@@ -40,7 +40,7 @@ from repro.experiments.figures import FIG10_POLICIES, fig10, fig11, fig12, fig13
 from repro.experiments.report import write_csv
 from repro.experiments.runner import run_synthetic, sweep
 from repro.obs import NULL_OBSERVER, Observer, export_run
-from repro.service.store import STORE_SUFFIXES
+from repro.service.store import check_store_arg
 from repro.workloads.registry import BENCH_ORDER
 
 
@@ -98,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
                              "python -m repro.obs top)")
     args = parser.parse_args(argv)
     # The sweep opens the store only after Fig. 10 has run.
-    if args.cache is not None and not args.cache.endswith(STORE_SUFFIXES):
-        parser.error(f"--cache must end in {', '.join(STORE_SUFFIXES)}")
+    check_store_arg(parser, "--cache", args.cache)
 
     registry = None
     if args.metrics_out is not None:

@@ -40,6 +40,7 @@ from repro.search.report import (
 )
 from repro.search.space import SearchSpace
 from repro.service.client import ServiceClient
+from repro.service.store import check_store_arg
 
 
 def _git_commit() -> str:
@@ -171,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the search.* metrics snapshot to PATH "
                              "as JSON (read by python -m repro.obs top)")
     args = parser.parse_args(argv)
+    check_store_arg(parser, "--cache", args.cache)
 
     if args.faultline is not None:
         from repro.faultline import FaultPlan, arm

@@ -29,6 +29,7 @@ import time
 
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
+from repro.service.store import check_store_arg
 
 
 def _spec_from_args(args) -> JobSpec:
@@ -169,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_status)
 
     args = parser.parse_args(argv)
+    # status reports a missing store as such, whatever its name.
+    if args.command != "status" or os.path.isfile(args.store):
+        check_store_arg(parser, "--store", args.store)
     return args.fn(args)
 
 

@@ -53,6 +53,14 @@ def record_checksum(record: dict) -> str:
 STORE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
+def check_store_arg(parser, flag: str, path: str | None) -> None:
+    """A CLI's parse-time store check: exit 2 through the argparse
+    ``parser``, with one line on stderr, on a path of another suffix."""
+    if path not in (None, ":memory:") and not path.endswith(STORE_SUFFIXES):
+        parser.exit(2, f"{parser.prog}: error: {flag} must end in "
+                       f"{', '.join(STORE_SUFFIXES)}, not {path!r}\n")
+
+
 class ResultStore:
     """Thread-safe digest -> entry mapping over one SQLite table.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,8 +312,8 @@ class Engine:
            for the whole section with numpy — address translation
            (unique-page gather), physical line construction, bank
            colors (one gather from the mapping's per-frame table,
-           :meth:`AddressMapping.frame_bank_colors`), row numbers, and
-           each access's set dict at every cache level (indices from
+           :meth:`AddressMapping.frame_bank_colors`) and each access's
+           set dict at every cache level (indices from
            :func:`repro.cache.batch.set_index_batch`, gathered from the
            caches' object arrays of sets).
         2. :meth:`_run_section_batched` replays the residual *stateful*
@@ -353,21 +354,22 @@ class Engine:
     def _batch_plan(self, section: Section) -> dict[int, tuple] | None:
         """Vectorised per-access precompute for one section, or None.
 
-        Returns one plan tuple per non-empty trace: plain Python lists
-        (fast scalar indexing) of the line address, the L1, L2 and LLC
-        set dicts (the core's private sets, the shared LLC's), write
-        flag, think time, bank color and row number of every access,
-        then the issuing core, its L1 and L2 caches and its L2 set list
-        (for dirty L1 victims).  The set dicts are one gather per level,
-        at the indices :func:`~repro.cache.batch.set_index_batch`
-        computes, from the hierarchy's object arrays of set dicts.
-        Bank colors are one gather of the trace's unique frames from the
-        mapping's per-frame table (out-of-range frames raise
-        ``ValueError``); the color fixes the node, so it and the core
-        pick the DRAM route.  All of it is stateless address math, so it
-        can leave the replay loop; everything computed here is
-        bit-identical to what :meth:`DramSystem.access` derives per
-        access.
+        Returns one plan tuple per non-empty trace: every access's line
+        address, packed in an ``array("q")`` (8 bytes each); plain lists
+        of every access's L1, L2 and LLC set dict (the core's private
+        sets, the shared LLC's) and write flag; the trace's think time;
+        every access's bank color; then the issuing core, its L1 and L2
+        caches and its L2 set list (for dirty L1 victims).  The set dicts
+        are one gather per level, at the indices
+        :func:`~repro.cache.batch.set_index_batch` computes, from the
+        hierarchy's object arrays of set dicts.  Bank colors are one
+        gather of the trace's unique frames from the mapping's per-frame
+        table (out-of-range frames raise ``ValueError``); the color fixes
+        the node, so it and the core pick the DRAM route, and the demand
+        stage derives the row from the line.  All of it is stateless
+        address math, so it can leave the replay loop; everything
+        computed here is bit-identical to what
+        :meth:`DramSystem.access` derives per access.
 
         Returns None — the caller replays through
         :meth:`_run_section_reference` — when a trace touches a page not
@@ -384,9 +386,7 @@ class Engine:
         page_bits = mapping.page_bits
         page_mask = (1 << page_bits) - 1
         line_bits = hierarchy._line_bits
-        row_shift = dram._row_shift
         page_line_shift = page_bits - line_bits
-        row_line_shift = row_shift - line_bits
         topo = hierarchy.topology
         l1_geom, l2_geom = topo.l1, topo.l2
         l1_set_mask = l1_geom.num_sets - 1
@@ -412,18 +412,10 @@ class Engine:
                 (va & page_mask) >> line_bits
             )
             bc_u = mapping.frame_bank_colors(pfns_u)
-            writes = trace.writes.tolist()
-            tn = trace.think_ns
-            thinks = (
-                tn.astype(float).tolist()
-                if isinstance(tn, np.ndarray)
-                else [float(tn)] * len(va)
-            )
-            # Plain lists: the replay loop indexes them per access.  The
-            # set lists hold each access's set dict itself, one gather
-            # per level from the cache's object array of sets.
+            # The set lists hold each access's set dict itself, one
+            # gather per level from the cache's object array of sets.
             plans[tidx] = (
-                lines.tolist(),
+                array("q", lines.tobytes()),
                 l1_tables[core][set_index_batch(
                     lines, l1_geom.index_bits, l1_set_mask, True
                 )].tolist(),
@@ -431,9 +423,8 @@ class Engine:
                     lines, l2_geom.index_bits, l2_set_mask, True
                 )].tolist(),
                 llc_table[lines & llc_mask].tolist(),
-                writes, thinks,
+                trace.writes.tolist(), trace.think_ns,
                 bc_u[inv].tolist(),
-                (lines >> row_line_shift).tolist(),
                 core, hierarchy.l1[core], hierarchy.l2[core],
                 hierarchy._l2_sets[core],
             )
@@ -454,14 +445,14 @@ class Engine:
         comes from the plan and the cache hierarchy is inlined (no
         :class:`HierarchyResult`/``AccessResult`` allocation).  DRAM
         timing is not: an LLC miss calls :meth:`DramSystem.demand` with
-        the plan's bank color and row, and a dirty LLC victim calls
+        the plan's bank color and the line, and a dirty LLC victim calls
         :meth:`DramSystem.writeback`, the same stages the reference loop
         runs, over the same shared state in the same order.
 
         Each thread's state list unpacks the plan tuple (see
-        :meth:`_batch_plan`): the per-access lists — line, L1/L2/LLC set
-        dict, write flag, think time, bank color, row — then the core
-        and its L2 set list, which L1 victims are written down through.
+        :meth:`_batch_plan`): the per-access sequences — line, L1/L2/LLC
+        set dict, write flag — the think time, the bank colors, then the
+        core and its L2 set list, which L1 victims are written down through.
         The loop never computes a set index of the accessed line.  Its
         probes test ``line in s`` and pop and reinsert only on a hit,
         and its evictions take the LRU line with ``for old in s:
@@ -523,9 +514,9 @@ class Engine:
                 continue
             n = len(plan[0])
             # Mutable per-thread state: cursor, trace length, the plan's
-            # per-access lists, the core and its L2 set list, and the
-            # outcome code of every access.
-            states[tidx] = [0, n, *plan[:9], plan[11], [0] * n]
+            # per-access sequences and think time, the core and its L2
+            # set list, and the outcome code of every access.
+            states[tidx] = [0, n, *plan[:8], plan[10], [0] * n]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
@@ -534,7 +525,7 @@ class Engine:
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, n, lines, l1s, l2s, llcs, writes, thinks, bcs, rows, core,
+            (i, n, lines, l1s, l2s, llcs, writes, think, bcs, core,
              l2_sets_c, outs) = state
             # Burst window.  The root is peeked, not popped; the heap
             # minimum *after* removing the root is the smaller of the
@@ -573,7 +564,7 @@ class Engine:
                             lat = llc_hit_t
                         else:
                             dram_lat, outs[i], _ = demand(
-                                bcs[i], rows[i], line, core, clock, is_w
+                                bcs[i], line, core, clock, is_w
                             )
                             # LLC fill: evict the set's LRU line (dirty
                             # victims post write-backs), install the line.
@@ -623,7 +614,7 @@ class Engine:
                                     spill_insert(sset, old, clock)
                     else:
                         entries[line] = is_w
-                clock += thinks[i] + lat
+                clock += think + lat
 
                 i += 1
                 if i == n:
@@ -637,7 +628,7 @@ class Engine:
 
         hierarchy.dirty_evictions = de_n
         _fold_outcomes(dram, hierarchy.llc, [
-            (threads[tidx], plans[tidx][9], plans[tidx][10], state[12],
+            (threads[tidx], plans[tidx][8], plans[tidx][9], state[11],
              state[8])
             for tidx, state in states.items()
         ])
@@ -673,9 +664,9 @@ class Engine:
         for tidx, trace in section.traces.items():
             if len(trace) == 0:
                 continue
-            vaddrs, writes, thinks = trace.as_lists()
+            vaddrs, writes, think = trace.as_lists()
             handle = self.team.handles[tidx]
-            states[tidx] = [0, vaddrs, writes, thinks, handle.task, handle.core]
+            states[tidx] = [0, vaddrs, writes, think, handle.task, handle.core]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
         if not heap:
@@ -700,7 +691,7 @@ class Engine:
         while heap:
             clock, tidx = pop(heap)
             state = states[tidx]
-            i, vaddrs, writes, thinks, task, core = state
+            i, vaddrs, writes, think, task, core = state
             tm = threads[tidx]
             n = len(vaddrs)
             # Run this thread until it overtakes the next-soonest thread
@@ -739,7 +730,7 @@ class Engine:
                     if dram.row_kind is CONFLICT:
                         tm.row_conflicts += 1
 
-                clock += thinks[i] + result.latency + fault_ns
+                clock += think + result.latency + fault_ns
                 if tracing:
                     obs.maybe_sample(clock)
                 i += 1

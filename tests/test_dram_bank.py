@@ -27,23 +27,30 @@ def dram(tiny):
     return DramSystem(tiny.mapping, tiny.topology, T)
 
 
+def line_of(dram, row):
+    """A line whose row-buffer tag is ``row``: the demand stage tags a
+    line with its bits above the mapping's row start."""
+    mapping = dram.mapping
+    return row << (mapping.row_bits_start - mapping.line_bits)
+
+
 def access(dram, row, now, is_write=False):
-    """One demand access to bank ``BC``; returns ``(start, service,
-    kind)``: when the bank began serving, its array service time and
-    the row outcome."""
-    latency, code, _ = dram.demand(BC, row, 0, 0, now, is_write)
+    """One demand access to row ``row`` of bank ``BC``; returns
+    ``(start, service, kind)``: when the bank began serving, its array
+    service time and the row outcome."""
+    latency, code, _ = dram.demand(BC, line_of(dram, row), 0, now, is_write)
     kind, service = OUTCOME[code]
     return now + latency - service, service, kind
 
 
 def bank_lines(dram):
-    """Two lines of bank ``BC`` in different rows, with those rows."""
+    """Two lines of bank ``BC`` in different rows, with their row tags."""
     mapping = dram.mapping
     frames = np.flatnonzero(np.asarray(dram.frame_bank) == BC)
     lines, rows = [], []
     for frame in frames.tolist():
         line = frame << (mapping.page_bits - mapping.line_bits)
-        row = mapping.row_of(line << mapping.line_bits)
+        row = line >> (mapping.row_bits_start - mapping.line_bits)
         if row not in rows:
             lines.append(line)
             rows.append(row)

@@ -1,7 +1,11 @@
 """Unit tests for the DRAM system facade and interconnect."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.alloc.policies import Policy
 from repro.cache.hierarchy import CacheHierarchy
@@ -11,12 +15,13 @@ from repro.dram.interconnect import Interconnect
 from repro.dram.system import DramSystem, RowKind
 from repro.dram.timing import DramTiming
 from repro.kernel.kernel import Kernel
-from repro.machine.presets import PLATFORMS
+from repro.machine.presets import PLATFORMS, platform
 from repro.sanitize.fuzz import FUZZ_PRESETS
 from repro.sim.barrier import Section
 from repro.sim.engine import Engine, MemorySystem
 from repro.sim.trace import Trace
 from repro.util.units import MIB
+from tests.test_sim_engine_equivalence import PLATFORM_GRID
 
 T = DramTiming()
 
@@ -384,6 +389,55 @@ class TestFarTier:
         bc = dram.frame_bank[addr >> dram.mapping.page_bits]
         assert dram.bank_busy[bc] > 1000.0 + tier.network_ns
         assert dram.stats.remote_cache_misses == 0
+
+
+@lru_cache(maxsize=None)
+def _row_tag_machine(preset):
+    if preset == "tiny_disagg":
+        return FUZZ_PRESETS[preset](16 * MIB)
+    return platform(preset, 256 * MIB)
+
+
+class TestRowTag:
+    @pytest.mark.parametrize("preset", [*PLATFORM_GRID, "tiny_disagg"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tag_names_the_row_within_a_bank(self, preset, data):
+        """The demand stage tags the row it opens with the line's bits
+        above the row start.  For two lines of one bank color the tags
+        are equal exactly when :meth:`AddressMapping.row_of` is, so the
+        open-row rule compares DRAM rows, not some coarser or finer
+        slice of the address.  A drawn line is paired with a line of
+        its own frame, of every frame one flipped frame bit away in the
+        same bank (rows that differ in a single bit) and of any frame
+        of the bank."""
+        machine = _row_tag_machine(preset)
+        mapping = machine.mapping
+        table = mapping.frame_color_table()[0]
+        page_line_shift = mapping.page_bits - mapping.line_bits
+        offset = st.integers(0, (1 << page_line_shift) - 1)
+        frame = data.draw(st.integers(0, mapping.num_frames - 1))
+        bc = int(table[frame])
+        same_bank = np.flatnonzero(table == bc)
+        partners = [frame, int(same_bank[
+            data.draw(st.integers(0, len(same_bank) - 1))
+        ])]
+        for bit in range((mapping.num_frames - 1).bit_length()):
+            if table[frame ^ (1 << bit)] == bc:
+                partners.append(frame ^ (1 << bit))
+
+        def tag_and_row(f):
+            line = (f << page_line_shift) | data.draw(offset)
+            # A fresh system per line: no DRAM-cache hit skips the bank.
+            dram = DramSystem(mapping, machine.topology, T)
+            dram.demand(bc, line, 0, 0.0, False)
+            return dram.bank_row[bc], mapping.row_of(line << mapping.line_bits)
+
+        tag, row = tag_and_row(frame)
+        assert tag is not None
+        for f in partners:
+            other_tag, other_row = tag_and_row(f)
+            assert (other_tag == tag) == (other_row == row), (frame, f)
 
 
 class TestInterconnect:

@@ -33,6 +33,24 @@ def test_cache_with_another_suffix_fails_before_any_run(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tune_cache_with_another_suffix_fails_before_any_search(
+    tmp_path, capsys
+):
+    """One line on stderr, exit 2, nothing written: no traceback from
+    the store opening the path mid-search."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--profile", "mini", "--budget", "4",
+              "--out", str(tmp_path / "out"),
+              "--metrics-out", str(tmp_path / "m.json"),
+              "--cache", str(tmp_path / "old.jsonl")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--cache must end in .sqlite, .sqlite3, .db" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tune_metrics_out_survives_a_failed_search(tmp_path, monkeypatch):
     """The snapshot is written even when the search raises."""
     from repro.obs import metrics as obs_metrics

@@ -59,6 +59,25 @@ def test_status_on_a_missing_store_fails_and_creates_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["demo", "submit"])
+def test_store_with_another_suffix_fails_before_any_job(
+    tmp_path, capsys, command
+):
+    """One line on stderr, exit 2, nothing written: no traceback from
+    the store opening the path."""
+    args = ["--executor", "inline"]
+    if command == "submit":
+        args = SYNTHETIC
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--store", str(tmp_path / "old.jsonl")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--store must end in .sqlite, .sqlite3, .db" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_status_requires_a_store(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["status"])

@@ -545,12 +545,12 @@ def _inline_fault_builder(engines: list):
     from repro.util.units import KIB, MIB
 
     def trace(vaddrs, rng, label):
-        # Fractional think times, so a reassociated clock sum rounds
-        # differently from the reference loop's.
+        # A fractional think time per trace, so a reassociated clock sum
+        # rounds differently from the reference loop's.
         return Trace(
             vaddrs=np.asarray(vaddrs, dtype=np.int64),
             writes=rng.random(len(vaddrs)) < 0.5,
-            think_ns=rng.random(len(vaddrs)) * 3.0, label=label,
+            think_ns=rng.random() * 3.0, label=label,
         )
 
     def builder(observer):
@@ -706,7 +706,8 @@ def test_burst_horizon_tie_matches_reference():
     Integer think times and integer latencies make the tie exact.  Both
     threads start each section at the same clock, so thread 0's burst
     runs to the horizon ``start + BATCH_SLACK_NS``; its first access hits
-    the L1 with a think time that lands the clock on the horizon.  In
+    the L1, and its think time (one per trace, ``BATCH_SLACK_NS -
+    l1_hit`` in every section) lands the clock on the horizon.  In
     ``tie`` its second access is the first touch of a fresh page.  In
     ``tie-resident`` it is a DRAM access that books the node's controller
     before thread 1's earlier-clocked one, which then queues behind it;
@@ -727,11 +728,10 @@ def test_burst_horizon_tie_matches_reference():
     slack = Engine.BATCH_SLACK_NS
     observers: list = []
 
-    def trace(vaddrs, thinks):
+    def trace(vaddrs, think):
         return Trace(
             vaddrs=np.asarray(vaddrs, dtype=np.int64),
-            writes=np.zeros(len(vaddrs), dtype=bool),
-            think_ns=np.asarray(thinks, dtype=np.int64),
+            writes=np.zeros(len(vaddrs), dtype=bool), think_ns=think,
         )
 
     def builder(observer):
@@ -751,15 +751,16 @@ def test_burst_horizon_tie_matches_reference():
         base = team.handles[0].malloc(2 * 4096, label="pair")
         other = team.handles[1].malloc(4096, label="other")
         fresh = base + 4096  # the page after base's: untouched until "tie"
-        warm = {0: trace([base], [1]), 1: trace([other], [1])}
+        think0 = slack - l1_hit
+        warm = {0: trace([base], think0), 1: trace([other], 1)}
         tie = {
-            0: trace([base, fresh, fresh + 64], [slack - l1_hit, 1, 1]),
-            1: trace([other, other + 64], [1, 1]),
+            0: trace([base, fresh, fresh + 64], think0),
+            1: trace([other, other + 64], 1),
         }
         # Every page resident; the lines at +128 are in no cache yet.
         resident = {
-            0: trace([base, fresh + 128], [slack - l1_hit, 1]),
-            1: trace([other + 128], [1]),
+            0: trace([base, fresh + 128], think0),
+            1: trace([other + 128], 1),
         }
         program = Program(
             sections=[

@@ -17,10 +17,10 @@ def make_trace(n=10, think=1.0):
 
 class TestTrace:
     def test_length_and_lists(self):
-        t = make_trace(5, think=2.0)
-        vas, writes, thinks = t.as_lists()
-        assert len(vas) == len(writes) == len(thinks) == 5
-        assert thinks == [2.0] * 5
+        t = make_trace(5, think=2)
+        vas, writes, think = t.as_lists()
+        assert len(vas) == len(writes) == 5
+        assert think == 2.0 and type(think) is float
         assert isinstance(vas[0], int)
         assert t.total_think_ns == 10.0
 
@@ -28,17 +28,14 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(np.zeros(3, np.int64), np.zeros(2, bool))
 
-    def test_per_access_think(self):
-        t = Trace(
-            np.zeros(3, np.int64), np.zeros(3, bool),
-            think_ns=np.array([1.0, 2.0, 3.0]),
-        )
-        assert t.total_think_ns == 6.0
-
-    def test_per_access_think_length_checked(self):
-        with pytest.raises(ValueError):
-            Trace(np.zeros(3, np.int64), np.zeros(3, bool),
-                  think_ns=np.array([1.0]))
+    @pytest.mark.parametrize("think", [np.array([1.0, 2.0, 3.0]),
+                                       np.array([1.0])])
+    def test_think_array_rejected(self, think):
+        """One think time per trace: an array, even of one element,
+        raises a one-line TypeError."""
+        with pytest.raises(TypeError) as err:
+            Trace(np.zeros(3, np.int64), np.zeros(3, bool), think_ns=think)
+        assert "\n" not in str(err.value) and "think_ns" in str(err.value)
 
 
 class TestSection:
