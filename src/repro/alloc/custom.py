@@ -10,8 +10,9 @@ policy value:
 * per-thread :class:`~repro.alloc.planner.ColorAssignment`\\ s applied
   exactly like a planner-produced plan (same ``mmap()`` directives);
 * ``aged`` — boot the kernel with fragmented, shuffled free lists
-  (:meth:`~repro.kernel.buddy.BuddyAllocator.fragment`), the aging
-  state the paper's error bars come from;
+  (:meth:`~repro.kernel.buddy.BuddyAllocator.fragment`); named policies
+  boot pristine, and the paper's error bars come from the workloads'
+  ``os_noise`` jitter, not from aging;
 * ``hugepages`` — back the workload heap with 2 MiB pages, which
   bypass coloring entirely (paper §III-C) — a legal, sometimes-winning
   corner of the space the search must be able to reach.

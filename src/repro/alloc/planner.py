@@ -1,30 +1,73 @@
 """Color planners: carve the machine's colors across a thread team.
 
-Implements the paper's partitioning rules (§V-B):
+A planning rule is a :class:`Recipe`: one bank mode crossed with one LLC
+mode.  The paper's partitioning rules (§V-B) are six of the nine
+recipes (:data:`RECIPES`):
 
-* **MEM / controller-aware bank coloring** — each thread owns an equal,
-  disjoint share of its *local* node's bank colors; threads pinned to the
-  same node split that node's colors.
-* **LLC coloring** — the 32 LLC colors are split evenly and disjointly
-  over all threads ("for 16 threads each thread has two private LLC
-  colors; for 8 threads, four").
-* **MEM+LLC(part)** — private bank colors, but LLC colors are owned by
-  *groups* (one group per node): "for 16 threads we create 4 thread
-  groups, each with its private 8 LLC colors shared by the 4 threads in
-  this group".
-* **LLC+MEM(part)** — private LLC colors, bank colors shared group-wide:
-  every thread of a node may use all of that node's bank colors.
-* **BPM** — see :mod:`repro.alloc.bpm`.
+* **MEM / controller-aware bank coloring** (bank ``private``) — each
+  thread owns an equal, disjoint share of its *local* node's bank
+  colors; threads pinned to the same node split that node's colors.
+* **LLC coloring** (LLC ``private``) — the 32 LLC colors are split
+  evenly and disjointly over all threads ("for 16 threads each thread
+  has two private LLC colors; for 8 threads, four").
+* **MEM+LLC(part)** (bank ``private``, LLC ``group``) — private bank
+  colors, but LLC colors are owned by *groups* (one group per node):
+  "for 16 threads we create 4 thread groups, each with its private 8 LLC
+  colors shared by the 4 threads in this group".
+* **LLC+MEM(part)** (bank ``node``, LLC ``private``) — private LLC
+  colors, bank colors shared group-wide: every thread of a node may use
+  all of that node's bank colors.
+* **BPM** — not a recipe; see :mod:`repro.alloc.bpm`.
+
+The policy search's grid (:meth:`repro.search.space.SearchSpace.grid`)
+plans all nine recipes through :func:`plan_colors`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.alloc.bpm import bpm_assignments
 from repro.alloc.policies import Policy
 from repro.machine.address import AddressMapping
 from repro.machine.topology import MachineTopology
+
+#: Bank modes: uncolored; a private share of the local node's bank
+#: colors; all of the local node's bank colors (node-shared).
+BANK_MODES = ("none", "private", "node")
+#: LLC modes: uncolored; a private strided share of the thread's
+#: compatible LLC pool; one strided share per node group, shared by the
+#: group's threads.
+LLC_MODES = ("none", "private", "group")
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A planning rule: a bank mode (:data:`BANK_MODES`) crossed with an
+    LLC mode (:data:`LLC_MODES`)."""
+
+    bank: str
+    llc: str
+
+    @property
+    def label(self) -> str:
+        return f"mem={self.bank}/llc={self.llc}"
+
+
+#: Every recipe, bank mode major.
+ALL_RECIPES = tuple(Recipe(b, lc) for b in BANK_MODES for lc in LLC_MODES)
+
+#: The named policies that are recipes (BPM is planned by
+#: :func:`~repro.alloc.bpm.bpm_assignments`).
+RECIPES: dict[Policy, Recipe] = {
+    Policy.BUDDY: Recipe("none", "none"),
+    Policy.LLC: Recipe("none", "private"),
+    Policy.MEM: Recipe("private", "none"),
+    Policy.MEM_LLC: Recipe("private", "private"),
+    Policy.MEM_LLC_PART: Recipe("private", "group"),
+    Policy.LLC_MEM_PART: Recipe("node", "private"),
+}
 
 
 @dataclass(frozen=True)
@@ -39,7 +82,7 @@ class ColorAssignment:
         return bool(self.mem_colors) or bool(self.llc_colors)
 
 
-def _split_strided(items: range | list[int], parts: int, index: int) -> tuple[int, ...]:
+def _split_strided(items: Sequence[int], parts: int, index: int) -> tuple[int, ...]:
     """Share ``index`` of a *strided* disjoint split: {index, index+parts, ...}.
 
     Used for LLC colors: strided shares span different values of the LLC
@@ -54,7 +97,7 @@ def _split_strided(items: range | list[int], parts: int, index: int) -> tuple[in
     return tuple(items[index::parts])
 
 
-def _split_evenly(items: range | list[int], parts: int, index: int) -> tuple[int, ...]:
+def _split_evenly(items: Sequence[int], parts: int, index: int) -> tuple[int, ...]:
     """Slice ``items`` into ``parts`` contiguous shares; return share ``index``.
 
     When ``parts`` exceeds ``len(items)``, shares wrap around so every
@@ -80,10 +123,12 @@ def plan_colors(
     """Compute per-thread color assignments.
 
     Args:
-        policy: the coloring policy — a named :class:`Policy`, or a
-            structured :class:`~repro.alloc.custom.CustomPolicy` whose
-            explicit per-thread assignments are validated against the
-            machine and returned as-is.
+        policy: the coloring policy — a named :class:`Policy` (planned by
+            its :data:`RECIPES` row, or by BPM's rule), a
+            :class:`Recipe`, or a structured
+            :class:`~repro.alloc.custom.CustomPolicy` whose explicit
+            per-thread assignments are validated against the machine and
+            returned as-is.
         cores: pinned core of each thread, thread i -> cores[i].  The
             master thread is thread 0, as in OpenMP.
         mapping: platform address codec (color space sizes).
@@ -98,41 +143,34 @@ def plan_colors(
     if len(set(cores)) != len(cores):
         raise ValueError("threads must be pinned to distinct cores")
 
-    if not isinstance(policy, Policy):
+    if policy is Policy.BPM:
+        return bpm_assignments(cores, mapping)
+    if isinstance(policy, Policy):
+        policy = RECIPES[policy]
+    if not isinstance(policy, Recipe):
         # Structured policy: an explicit plan, not a planning rule.
         policy.validate(mapping, topology, nthreads=nthreads)
         return list(policy.assignments)
 
-    if policy is Policy.BUDDY:
-        return [ColorAssignment()] * nthreads
-    if policy is Policy.BPM:
-        return bpm_assignments(cores, mapping)
-
-    # Group threads by their local node, preserving thread order.
+    # Group threads by their local node, preserving thread order.  Node
+    # groups in first-appearance order are the paper's "thread groups".
     node_of = [topology.node_of_core(c) for c in cores]
     peers_by_node: dict[int, list[int]] = {}
     for i, node in enumerate(node_of):
         peers_by_node.setdefault(node, []).append(i)
 
-    # Node groups in first-appearance order — these are the paper's
-    # "thread groups" for the (part) policies.
-    group_order = list(dict.fromkeys(node_of))
-
     # Bank colors first: the LLC split below depends on them.
     mems: list[tuple[int, ...]] = []
-    for i in range(nthreads):
-        node = node_of[i]
-        peers = peers_by_node[node]
-        mem: tuple[int, ...] = ()
-        if policy in (Policy.MEM, Policy.MEM_LLC, Policy.MEM_LLC_PART):
-            # Private share of the local node's bank colors.
-            mem = _split_evenly(
+    for i, node in enumerate(node_of):
+        if policy.bank == "private":
+            peers = peers_by_node[node]
+            mems.append(_split_evenly(
                 mapping.bank_colors_of_node(node), len(peers), peers.index(i)
-            )
-        elif policy is Policy.LLC_MEM_PART:
-            # Group-shared: all of the local node's bank colors.
-            mem = tuple(mapping.bank_colors_of_node(node))
-        mems.append(mem)
+            ))
+        elif policy.bank == "node":
+            mems.append(tuple(mapping.bank_colors_of_node(node)))
+        else:
+            mems.append(())
 
     # LLC colors are split within each thread's *compatible pool* — the
     # LLC colors its bank share can physically host (all colors when the
@@ -143,42 +181,37 @@ def plan_colors(
     # bits per thread (e.g. RoCoRaBaCh's channel bits) each pool's
     # owners split only their own pool, keeping shares non-empty,
     # compatible and pairwise disjoint.
-    pools = _llc_pools(mems, mapping)
-    llcs: list[tuple[int, ...]]
-    if policy in (Policy.LLC, Policy.MEM_LLC, Policy.LLC_MEM_PART):
-        # Private LLC share: threads with the same pool split that pool.
+    llcs: list[tuple[int, ...]] = [()] * nthreads
+    if policy.llc == "private":
+        # Threads with the same pool split that pool.
+        pools = _llc_pools(mems, mapping)
         owners_of: dict[tuple[int, ...], list[int]] = {}
         for i, pool in enumerate(pools):
             owners_of.setdefault(pool, []).append(i)
         llcs = [
             _split_strided(
-                list(pools[i]), len(owners_of[pools[i]]),
-                owners_of[pools[i]].index(i),
+                pools[i], len(owners_of[pools[i]]), owners_of[pools[i]].index(i)
             )
             for i in range(nthreads)
         ]
-    elif policy is Policy.MEM_LLC_PART:
+    elif policy.llc == "group":
         # One LLC share per node group, shared by the group's threads:
         # each distinct pool is split among the groups whose threads use
         # it, and a group's share is the union over its threads' pools.
+        pools = _llc_pools(mems, mapping)
         groups_of: dict[tuple[int, ...], list[int]] = {}
         for i, pool in enumerate(pools):
             owners = groups_of.setdefault(pool, [])
             if node_of[i] not in owners:
                 owners.append(node_of[i])
-        shares: dict[int, set[int]] = {g: set() for g in group_order}
+        shares: dict[int, set[int]] = {g: set() for g in peers_by_node}
         for pool, owners in groups_of.items():
             for idx, g in enumerate(owners):
-                shares[g].update(_split_strided(list(pool), len(owners), idx))
-        llcs = [tuple(sorted(shares[node_of[i]])) for i in range(nthreads)]
-    else:
-        llcs = [()] * nthreads
+                shares[g].update(_split_strided(pool, len(owners), idx))
+        llcs = [tuple(sorted(shares[node])) for node in node_of]
 
-    assignments = [
-        ColorAssignment(mem_colors=mems[i], llc_colors=llcs[i])
-        for i in range(nthreads)
-    ]
-    return assignments
+    return [ColorAssignment(mem_colors=m, llc_colors=lc)
+            for m, lc in zip(mems, llcs)]
 
 
 def _llc_pools(

@@ -118,19 +118,21 @@ def run_matrix(
     reps: int = 2,
     memory_bytes: int = 256 * MIB,
     scale: float = 0.05,
-    equivalence: bool = True,
     progress=None,
 ) -> list[MatrixCell]:
-    """Run the sweep over the platform grid and aggregate cells."""
+    """Run the sweep over the platform grid and aggregate cells.
+
+    Each platform first passes :func:`check_equivalence` (fast ==
+    reference, bit-identical) on ``benches[0]``, or the matrix aborts.
+    """
     say = progress if progress is not None else (lambda msg: None)
     cells: list[MatrixCell] = []
     for pname in platforms:
         machine = platform(pname, memory_bytes)
-        if equivalence:
-            t0 = time.time()
-            check_equivalence(machine, benches[0], scale)
-            say(f"[{pname}] fast == reference: bit-identical "
-                f"({time.time() - t0:.1f}s)")
+        t0 = time.time()
+        check_equivalence(machine, benches[0], scale)
+        say(f"[{pname}] fast == reference: bit-identical "
+            f"({time.time() - t0:.1f}s)")
         config = headline_config(machine)
         by_policy: dict[tuple[str, str], list[RunRecord]] = {}
         for bench in benches:
@@ -249,10 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--memory-mib", type=int, default=256)
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--out", default="benchmarks/out")
-    parser.add_argument(
-        "--skip-equivalence", action="store_true",
-        help="skip the per-platform fast-vs-reference bit-identity check",
-    )
     args = parser.parse_args(argv)
 
     platforms = (
@@ -267,7 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         reps=args.reps,
         memory_bytes=args.memory_mib * MIB,
         scale=args.scale,
-        equivalence=not args.skip_equivalence,
         progress=print,
     )
     table = render_markdown(cells)

@@ -238,8 +238,9 @@ def run_benchmark(
     :class:`~repro.alloc.custom.CustomPolicy` (the search genome's
     phenotype): its explicit per-thread assignments are applied verbatim,
     its ``aged`` flag boots the kernel on a fragmented free-list state
-    (seeded from ``seed + rep``, like the buddy error bars), and its
-    ``hugepages`` flag backs the workload heap with 2 MiB pages.
+    seeded from ``seed + rep`` (a named policy always boots pristine;
+    run-to-run error bars come from the workload's ``os_noise``), and
+    its ``hugepages`` flag backs the workload heap with 2 MiB pages.
 
     ``config_name`` may also be an :class:`ExperimentConfig` object (any
     core pinning, e.g. from :func:`configs_for` on a non-Opteron

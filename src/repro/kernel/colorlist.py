@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.kernel.frame import FramePool
 
 
@@ -25,8 +23,6 @@ class ColorMatrix:
 
     def __init__(self, pool: FramePool) -> None:
         self.pool = pool
-        self.num_mem = pool.mapping.num_bank_colors
-        self.num_llc = pool.mapping.num_llc_colors
         # Per-frame colors as memoryviews: a read is a plain int, ~3x
         # cheaper than a numpy scalar.
         self._bank = memoryview(pool.bank_color)
@@ -42,26 +38,17 @@ class ColorMatrix:
         self._cursor = 0
 
     # ------------------------------------------------------------------ push
-    def push(self, pfn: int) -> None:
-        """Add a free order-0 frame under its (bank, LLC) colors."""
-        mem = self._bank[pfn]
-        llc = self._llc[pfn]
-        self.pool.mark_colored_free(pfn)
-        key = (mem, llc)
-        bucket = self._lists.get(key)
-        if bucket is None:
-            bucket = self._lists[key] = deque()
-        bucket.append(pfn)
-        self._llc_of_mem.setdefault(mem, {})[llc] = None
-        self._mem_of_llc.setdefault(llc, {})[mem] = None
-        self.total_free += 1
+    def push_frames(self, pfns: Sequence[int]) -> None:
+        """Add free order-0 frames, in order, under their (bank, LLC) colors.
 
-    def push_frames(self, pfns: list[int]) -> None:
-        """Add free order-0 frames, equal to :meth:`push` on each in turn.
-
-        The double-push check runs on all of ``pfns`` before anything is
-        mutated (as in :meth:`push_block`), so a rejected batch leaves the
-        matrix and the pool untouched.
+        The one way frames enter the color lists: a colored free passes
+        one frame, a refill its order-0 misses, and Algorithm 2
+        (``create_color_list``) a shattered buddy block's ascending
+        ``range``.  Each frame is appended to its bucket, and a bucket
+        that was empty joins both non-empty indexes at that point.  The
+        double-push check runs on all of ``pfns`` before anything is
+        mutated, so a rejected batch leaves the matrix and the pool
+        untouched.
         """
         self.pool.mark_frames_colored_free(pfns)
         bank = self._bank
@@ -76,53 +63,12 @@ class ColorMatrix:
             bucket = lists.get(key)
             if not bucket:
                 # An empty key is missing from both indexes; a non-empty
-                # one is already in them, where push's re-insert is a no-op.
+                # one is already in them.
                 if bucket is None:
                     bucket = lists[key] = deque()
                 llc_of_mem.setdefault(mem, {})[llc] = None
                 mem_of_llc.setdefault(llc, {})[mem] = None
             bucket.append(pfn)
-        self.total_free += len(pfns)
-
-    def push_block(self, start_pfn: int, order: int) -> None:
-        """Algorithm 2 (``create_color_list``): split a buddy block of
-        ``2**order`` frames into single pages appended to their color lists.
-
-        Equivalent to :meth:`push` on each frame in ascending order, done
-        in bulk: the double-push check runs on the whole block before
-        anything is mutated; each (bank, LLC) bucket is extended with its
-        frames in ascending order, and buckets are visited in the order
-        their first frame appears, so both non-empty indexes gain keys in
-        the same insertion order the per-frame loop would give them.
-        """
-        end = start_pfn + (1 << order)
-        pool = self.pool
-        pool.mark_range_colored_free(start_pfn, end)
-        mem = pool.bank_color[start_pfn:end]
-        llc = pool.llc_color[start_pfn:end]
-        keys = mem.astype(np.int32) * self.num_llc + llc
-        perm = np.argsort(keys, kind="stable")
-        sorted_keys = keys[perm]
-        heads = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-        # perm[heads] is each bucket's lowest offset (the sort is stable).
-        firsts = perm[heads]
-        bounds = heads.tolist() + [len(perm)]
-        pfns = (perm + start_pfn).tolist()
-        group_mem = mem[firsts].tolist()
-        group_llc = llc[firsts].tolist()
-        lists = self._lists
-        llc_of_mem = self._llc_of_mem
-        mem_of_llc = self._mem_of_llc
-        for g in np.argsort(firsts).tolist():
-            m = group_mem[g]
-            lc = group_llc[g]
-            key = (m, lc)
-            bucket = lists.get(key)
-            if bucket is None:
-                bucket = lists[key] = deque()
-            bucket.extend(pfns[bounds[g]:bounds[g + 1]])
-            llc_of_mem.setdefault(m, {})[lc] = None
-            mem_of_llc.setdefault(lc, {})[m] = None
         self.total_free += len(pfns)
 
     # ------------------------------------------------------------------ pop
@@ -141,18 +87,12 @@ class ColorMatrix:
         self,
         mem_colors: Sequence[int] | None,
         llc_colors: Sequence[int] | None,
-        mem_preference: Sequence[int] | None = None,
     ) -> int | None:
         """Pop a frame matching the constraints, or None.
 
         ``mem_colors``/``llc_colors`` are the task's owned color sets; None
         means unconstrained on that axis (paper: only ``using_bank`` or only
         ``using_llc`` set).  At least one must be given.
-
-        ``mem_preference`` (only meaningful when ``mem_colors`` is None)
-        orders the unconstrained bank-color search — the kernel passes the
-        local node's colors first, mirroring Linux's zone-local preference
-        for allocations that don't pin the controller.
         """
         if mem_colors is None and llc_colors is None:
             raise ValueError("pop_matching needs at least one constraint")
@@ -183,15 +123,6 @@ class ColorMatrix:
                     return self._pop_key((mem, keys[idx]))
             return None
         assert llc_colors is not None
-        if mem_preference is not None:
-            for mem in mem_preference:
-                available = self._llc_of_mem.get(mem)
-                if not available:
-                    continue
-                for i in range(len(llc_colors)):
-                    llc = llc_colors[(self._cursor + i) % len(llc_colors)]
-                    if llc in available:
-                        return self._pop_key((mem, llc))
         for i in range(len(llc_colors)):
             llc = llc_colors[(self._cursor + i) % len(llc_colors)]
             available = self._mem_of_llc.get(llc)

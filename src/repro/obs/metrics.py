@@ -88,9 +88,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def to_snapshot(self) -> dict:
         return {"name": self.name, "labels": dict(self.labels),
                 "value": self.value}

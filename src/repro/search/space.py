@@ -30,16 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.alloc.custom import CustomPolicy
-from repro.alloc.planner import (
-    ColorAssignment,
-    _llc_pools,
-    _split_evenly,
-    _split_strided,
-    plan_colors,
-)
+from repro.alloc.planner import ALL_RECIPES, ColorAssignment, Recipe, plan_colors
 from repro.alloc.policies import Policy
 from repro.experiments.configs import CONFIGS
 from repro.experiments.runner import profile_machine
@@ -152,8 +146,7 @@ class SearchSpace:
         profile: run profile ("mini"/"scaled"/"full") — fixes the
             machine preset the genomes are validated against.
         machine: explicit preset overriding the profile's machine, so
-            the genome space closes over any platform (the matrix's
-            "tuned" column searches non-Opteron presets this way).
+            the genome space closes over any platform preset.
         cores: explicit thread pinning overriding the named config —
             required when ``machine``'s topology does not carry the
             paper's core numbering.
@@ -169,10 +162,10 @@ class SearchSpace:
         self.topology = self.machine.topology
         self.cores = list(cores) if cores is not None else list(CONFIGS[config].cores)
         self.nthreads = len(self.cores)
-        #: each thread's local node and that node's bank colors.
-        self.node_of = [self.topology.node_of_core(c) for c in self.cores]
+        #: each thread's local node's bank colors.
         self.local_banks = [
-            tuple(self.mapping.bank_colors_of_node(n)) for n in self.node_of
+            tuple(self.mapping.bank_colors_of_node(self.topology.node_of_core(c)))
+            for c in self.cores
         ]
         self.all_llc = tuple(range(self.mapping.num_llc_colors))
         self.all_banks = tuple(range(self.mapping.num_bank_colors))
@@ -190,8 +183,8 @@ class SearchSpace:
         )
 
     # ----------------------------------------------------------- seed points
-    def paper_genome(self, policy: Policy) -> Genome:
-        """Encode one of the paper's named policies as a genome."""
+    def paper_genome(self, policy: Policy | Recipe) -> Genome:
+        """Encode a named policy, or a planner recipe, as a genome."""
         assignments = plan_colors(
             policy, self.cores, self.mapping, self.topology
         )
@@ -201,87 +194,29 @@ class SearchSpace:
         )
 
     def grid(self) -> list[tuple[str, Genome]]:
-        """The exhaustive small grid: planner-style recipes x flags.
+        """The exhaustive small grid: the planner's recipes x flags.
 
-        Mem modes: uncolored / private share of the local node's banks /
-        all local banks (node-shared).  LLC modes: uncolored / private
-        strided share / node-group strided share.  Crossed with the
-        ``aged`` and ``hugepages`` flags: 36 recipe genomes, deduplicated
-        by digest (labels keep the first recipe that produced a genome).
+        Every :data:`~repro.alloc.planner.ALL_RECIPES` entry (bank mode
+        uncolored / private / node-shared crossed with LLC mode
+        uncolored / private / node-group), planned by
+        :func:`~repro.alloc.planner.plan_colors` and crossed with the
+        ``aged`` and ``hugepages`` flags: 36 genomes, deduplicated by
+        digest (labels keep the first recipe that produced a genome).
         """
-        peers_by_node: dict[int, list[int]] = {}
-        for i, node in enumerate(self.node_of):
-            peers_by_node.setdefault(node, []).append(i)
-
-        def mem_gene(mode: str, i: int) -> tuple[int, ...]:
-            peers = peers_by_node[self.node_of[i]]
-            if mode == "none":
-                return ()
-            if mode == "private":
-                return _split_evenly(
-                    list(self.local_banks[i]), len(peers), peers.index(i)
-                )
-            return tuple(self.local_banks[i])  # "node"
-
-        def llc_genes(
-            mode: str, mems: tuple[tuple[int, ...], ...]
-        ) -> tuple[tuple[int, ...], ...]:
-            # Splits happen inside each thread's *compatible* LLC pool
-            # (all colors when its mem gene is empty) — a naive stride
-            # over all_llc would produce zero-frame (bank, LLC) combos
-            # on presets whose channel/bank bits sit inside the LLC
-            # color slice (see plan_colors, same pool logic).
-            if mode == "none":
-                return tuple(() for _ in range(self.nthreads))
-            pools = _llc_pools(list(mems), self.mapping)
-            if mode == "private":
-                owners_of: dict[tuple[int, ...], list[int]] = {}
-                for i, pool in enumerate(pools):
-                    owners_of.setdefault(pool, []).append(i)
-                return tuple(
-                    _split_strided(
-                        list(pools[i]), len(owners_of[pools[i]]),
-                        owners_of[pools[i]].index(i),
-                    )
-                    for i in range(self.nthreads)
-                )
-            groups_of: dict[tuple[int, ...], list[int]] = {}  # "group"
-            for i, pool in enumerate(pools):
-                users = groups_of.setdefault(pool, [])
-                if self.node_of[i] not in users:
-                    users.append(self.node_of[i])
-            return tuple(
-                _split_strided(
-                    list(pools[i]), len(groups_of[pools[i]]),
-                    groups_of[pools[i]].index(self.node_of[i]),
-                )
-                for i in range(self.nthreads)
-            )
-
         out: list[tuple[str, Genome]] = []
         seen: set[str] = set()
-        for mem_mode in ("none", "private", "node"):
-            mems = tuple(
-                mem_gene(mem_mode, i) for i in range(self.nthreads)
-            )
-            for llc_mode in ("none", "private", "group"):
-                llcs = llc_genes(llc_mode, mems)
-                for aged in (False, True):
-                    for huge in (False, True):
-                        genome = Genome(
-                            mem=mems,
-                            llc=llcs,
-                            aged=aged,
-                            hugepages=huge,
-                        )
-                        digest = genome.digest()
-                        if digest in seen:
-                            continue
-                        seen.add(digest)
-                        label = (f"mem={mem_mode}/llc={llc_mode}"
-                                 f"{'/aged' if aged else ''}"
-                                 f"{'/huge' if huge else ''}")
-                        out.append((label, genome))
+        for recipe in ALL_RECIPES:
+            base = self.paper_genome(recipe)
+            for aged in (False, True):
+                for huge in (False, True):
+                    genome = replace(base, aged=aged, hugepages=huge)
+                    digest = genome.digest()
+                    if digest in seen:
+                        continue
+                    seen.add(digest)
+                    label = (f"{recipe.label}{'/aged' if aged else ''}"
+                             f"{'/huge' if huge else ''}")
+                    out.append((label, genome))
         return out
 
     # ------------------------------------------------------------- operators

@@ -89,10 +89,6 @@ class ServiceClient:
         """Scheduler + store counter snapshot."""
         return self.scheduler.stats()
 
-    def metrics_snapshot(self) -> dict | None:
-        """Labeled-metrics snapshot (None when metrics are off)."""
-        return None if self.metrics is None else self.metrics.snapshot()
-
     def close(self) -> None:
         """Shut the scheduler down; close the store if this client opened it."""
         self.scheduler.shutdown()

@@ -70,8 +70,3 @@ class Program:
     def total_accesses(self) -> int:
         """Memory accesses summed over every section."""
         return sum(s.accesses for s in self.sections)
-
-    @property
-    def parallel_sections(self) -> list[Section]:
-        """The sections replayed by the whole team, in program order."""
-        return [s for s in self.sections if s.kind == "parallel"]

@@ -58,11 +58,10 @@ class SpmdSpec:
             section between compute sections.
         serial_think_ns: think time per serial access (sets the serial
             fraction of the benchmark, cf. blackscholes).
-        init_think_ns: think time per init access.
-        init_page_granular: when True (default), init phases touch one
-            line per page instead of every line.  First-touch placement —
-            the property init exists for — is identical; the trace is 32x
-            shorter.  Set False for full-fidelity init sweeps.
+        init_think_ns: think time per init access.  Init phases touch
+            one line per page: first-touch placement, the property init
+            exists for, is the same as touching every line, and the
+            trace is 32x shorter.
         os_noise: relative jitter applied to each thread's per-section
             think time (uniform in ±os_noise), modelling OS noise and
             microarchitectural variation between repetitions — the source
@@ -83,7 +82,6 @@ class SpmdSpec:
     serial_accesses: int = 2000
     serial_think_ns: float = 20.0
     init_think_ns: float = 2.0
-    init_page_granular: bool = True
     os_noise: float = 0.05
 
     def __post_init__(self) -> None:
@@ -117,7 +115,7 @@ class _Layout:
     shared_base: int = 0
     shared_lines: int = 0
     line_bytes: int = 0
-    init_stride: int = 1  # lines per init touch (lines-per-page when page-granular)
+    init_stride: int = 1  # lines per init touch: one touch per page
 
 
 def build_spmd_program(
@@ -138,9 +136,8 @@ def build_spmd_program(
     line = mapping.line_bytes
     master = team.master
 
-    layout = _Layout(line_bytes=line)
-    if spec.init_page_granular:
-        layout.init_stride = max(1, mapping.page_bytes // line)
+    layout = _Layout(line_bytes=line,
+                     init_stride=max(1, mapping.page_bytes // line))
     layout.partition_lines = max(1, spec.per_thread_bytes // line)
     part_bytes = layout.partition_lines * line
     array_va = master.malloc(

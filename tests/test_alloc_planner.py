@@ -1,16 +1,24 @@
 """Unit tests for the color planners (paper §V-B partitioning rules)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.alloc.bpm import PlanError, bpm_assignments
 from repro.alloc.planner import (
+    ALL_RECIPES,
+    RECIPES,
     _split_evenly,
     _split_strided,
     plan_colors,
     plan_is_disjoint,
 )
 from repro.alloc.policies import Policy
+from repro.experiments.configs import CONFIGS
+from repro.experiments.runner import PROFILES
 from repro.machine.presets import opteron_6128
+from repro.search.space import SearchSpace
 
 
 @pytest.fixture(scope="module")
@@ -181,9 +189,67 @@ class TestValidation:
             plan(Policy.MEM, [], machine)
 
 
+class TestRecipes:
+    def test_every_policy_but_bpm_is_a_recipe(self):
+        assert set(RECIPES) == set(Policy) - {Policy.BPM}
+        assert len(set(RECIPES.values())) == len(RECIPES)
+        assert set(RECIPES.values()) < set(ALL_RECIPES)
+        assert len(ALL_RECIPES) == 9
+
+
 @pytest.mark.parametrize("split", [_split_evenly, _split_strided])
 def test_more_shares_than_colors_wrap_around(split):
     """Each of 5 threads still owns one of 3 colors; threads share."""
     assert [split(range(3), 5, i) for i in range(5)] == [
         (0,), (1,), (2,), (0,), (1,)
     ]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+#: sha256 of each config's search grid (labels and genome digests, in
+#: grid order) and of its plan_colors output for every Policy, the same
+#: under every profile (they share the Opteron's color geometry).  Every
+#: run's colors come from one of these, so a refactor of the planner or
+#: the grid must leave the table as it is.
+PLAN_PIN = {
+    "16_threads_4_nodes": (
+        "0fc38aa402711731345f09c18f6069810aff701f0f45ca21ee3390bb31f9513b",
+        "da111ec26429f774a42c4bb3a5bb9928c746c1b4eef1cf3b18b42df49ea06a42"),
+    "8_threads_4_nodes": (
+        "35dcd27efd58301c16892da566e5bc550393ca00f910aba4b07a89d6b9d0ce71",
+        "99b901ca1a733c937af75d8366f2c5acbff184dbf85c26cda03abfdf16130992"),
+    "8_threads_2_nodes": (
+        "cc7688749ae1a62e18e52d67e520e428ce0687bb142acca2683e2178ed2c67ba",
+        "ea4825ed3c0c25435b73186da9162e9c07c5b73c4962e6c60c6e3d0df4579e99"),
+    "4_threads_4_nodes": (
+        "dda179c7b723becc4fff41d2b127929d002615c4fe470734012e85d6832a650f",
+        "3068e7e7698d4797fbd055c235d71b01d503e01b41df9647d0f7f841302a7952"),
+    "4_threads_1_nodes": (
+        "5842fe67d4287379b30056ad7ff358429ed45837c2ce58e7be105b6ce7fbfc15",
+        "92b1c189c45f1d4c9ce2e1dcec1e47b9a71ee512e57c34d7c8dee426069033f0"),
+}
+
+
+def test_plan_pin_covers_every_config():
+    assert set(PLAN_PIN) == set(CONFIGS)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_grid_and_plans_match_the_pin(profile, config):
+    space = SearchSpace(config, profile)
+    grid = [[label, genome.digest()] for label, genome in space.grid()]
+    plans = {
+        policy.value: [
+            [list(a.mem_colors), list(a.llc_colors)]
+            for a in plan_colors(policy, space.cores, space.mapping,
+                                 space.topology)
+        ]
+        for policy in Policy
+    }
+    assert (_sha256(grid), _sha256(plans)) == PLAN_PIN[config]

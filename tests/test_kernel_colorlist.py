@@ -1,5 +1,7 @@
 """Unit + property tests for the colored free-page matrix."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,23 @@ def matrix(pool):
     return ColorMatrix(pool)
 
 
+def push_reference(matrix, pfn):
+    """File one free frame under its (bank, LLC) colors, the per-frame
+    step of Algorithm 2: the oracle ``ColorMatrix.push_frames`` must
+    equal on each frame in turn."""
+    pool = matrix.pool
+    if pool.state[pfn] == FrameState.COLORED_FREE:
+        raise ValueError(f"frame {pfn} already on a color list")
+    pool.state[pfn] = FrameState.COLORED_FREE
+    pool.owner[pfn] = -1
+    mem = int(pool.bank_color[pfn])
+    llc = int(pool.llc_color[pfn])
+    matrix._lists.setdefault((mem, llc), deque()).append(pfn)
+    matrix._llc_of_mem.setdefault(mem, {})[llc] = None
+    matrix._mem_of_llc.setdefault(llc, {})[mem] = None
+    matrix.total_free += 1
+
+
 def find_frame(pool, mem=None, llc=None, exclude=()):
     for pfn in range(pool.num_frames):
         if pfn in exclude:
@@ -36,7 +55,7 @@ class TestPushPop:
     def test_push_then_pop_exact(self, pool, matrix):
         pfn = find_frame(pool, mem=3)
         llc = int(pool.llc_color[pfn])
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
         assert matrix.total_free == 1
         got = matrix.pop_matching([3], [llc])
         assert got == pfn
@@ -44,13 +63,13 @@ class TestPushPop:
 
     def test_pop_respects_mem_constraint(self, pool, matrix):
         pfn = find_frame(pool, mem=3)
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
         assert matrix.pop_matching([4], None) is None
         assert matrix.pop_matching([3], None) == pfn
 
     def test_pop_respects_llc_constraint(self, pool, matrix):
         pfn = find_frame(pool, llc=1)
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
         assert matrix.pop_matching(None, [0]) is None
         assert matrix.pop_matching(None, [1]) == pfn
 
@@ -58,7 +77,7 @@ class TestPushPop:
         a = find_frame(pool, mem=0)
         llc_a = int(pool.llc_color[a])
         other_llc = (llc_a + 1) % pool.mapping.num_llc_colors
-        matrix.push(a)
+        matrix.push_frames([a])
         assert matrix.pop_matching([0], [other_llc]) is None
         assert matrix.pop_matching([0], [llc_a]) == a
 
@@ -67,13 +86,13 @@ class TestPushPop:
             matrix.pop_matching(None, None)
 
     def test_push_updates_frame_state(self, pool, matrix):
-        matrix.push(0)
+        matrix.push_frames([0])
         assert pool.state[0] == FrameState.COLORED_FREE
 
     def test_double_push_rejected(self, pool, matrix):
-        matrix.push(0)
+        matrix.push_frames([0])
         with pytest.raises(ValueError):
-            matrix.push(0)
+            matrix.push_frames([0])
 
 
 class TestRotation:
@@ -87,7 +106,7 @@ class TestRotation:
                     pool, mem=mc,
                     exclude={p for b in matrix._lists.values() for p in b},
                 )
-                matrix.push(pfn)
+                matrix.push_frames([pfn])
         got_colors = [
             int(pool.bank_color[matrix.pop_matching(mem_colors, None)])
             for _ in range(4)
@@ -96,34 +115,21 @@ class TestRotation:
 
 
 class TestPreference:
-    def test_mem_preference_orders_unconstrained_pop(self, pool, matrix):
-        llc = 0
-        # Pick bank colors compatible with llc 0 on each node.
-        mapping = pool.mapping
-        local_color = mapping.compatible_bank_colors(llc, node=0)[0]
-        remote_color = mapping.compatible_bank_colors(llc, node=1)[0]
-        remote = find_frame(pool, mem=remote_color, llc=llc)
-        local = find_frame(pool, mem=local_color, llc=llc)
-        matrix.push(remote)
-        matrix.push(local)
-        node0 = list(pool.mapping.bank_colors_of_node(0))
-        got = matrix.pop_matching(None, [llc], mem_preference=node0)
-        assert got == local
-
     def test_preference_falls_back_to_any(self, pool, matrix):
+        """An LLC-only pop takes a matching frame from any node: node
+        preference is the page allocator's nearest-first walk, not the
+        matrix's."""
         llc = 0
         remote = find_frame(pool, mem=16, llc=llc)
-        matrix.push(remote)
-        node0 = list(pool.mapping.bank_colors_of_node(0))
-        got = matrix.pop_matching(None, [llc], mem_preference=node0)
-        assert got == remote
+        matrix.push_frames([remote])
+        assert matrix.pop_matching(None, [llc]) == remote
 
 
 class TestHasMatching:
     def test_has_matching_all_modes(self, pool, matrix):
         pfn = find_frame(pool, mem=2)
         llc = int(pool.llc_color[pfn])
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
         assert matrix.has_matching([2], None)
         assert matrix.has_matching(None, [llc])
         assert matrix.has_matching([2], [llc])
@@ -138,7 +144,7 @@ class TestPropertyBased:
         pool = FramePool(tiny_machine().mapping)
         matrix = ColorMatrix(pool)
         for pfn in pfns:
-            matrix.push(pfn)
+            matrix.push_frames([pfn])
         matrix.check_invariants()
         popped = []
         while True:
@@ -160,19 +166,13 @@ class TestPropertyBased:
         pool = FramePool(tiny_machine().mapping)
         matrix = ColorMatrix(pool)
         for pfn in pfns:
-            matrix.push(pfn)
+            matrix.push_frames([pfn])
         while True:
             pfn = matrix.pop_matching([mem_color], None)
             if pfn is None:
                 break
             assert int(pool.bank_color[pfn]) == mem_color
         matrix.check_invariants()
-
-
-def _push_block_reference(matrix, start, order):
-    """Algorithm 2 one frame at a time: what push_block must equal."""
-    for pfn in range(start, start + (1 << order)):
-        matrix.push(pfn)
 
 
 def _snapshot(matrix):
@@ -212,7 +212,7 @@ def _build_prestate(prefill, pops, readd, allocated):
     pool = FramePool(tiny_machine().mapping)
     matrix = ColorMatrix(pool)
     for pfn in prefill:
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
     popped = []
     for mem in pops:
         pfn = matrix.pop_matching([mem], None)
@@ -220,29 +220,33 @@ def _build_prestate(prefill, pops, readd, allocated):
             popped.append(pfn)
     # Re-adding popped frames re-creates keys an earlier pop emptied.
     for pfn in popped[:readd]:
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
     for pfn in allocated:
         if pool.state[pfn] != FrameState.COLORED_FREE:
             pool.mark_allocated(pfn, owner=7)
     return matrix
 
 
-class TestPushBlockBulk:
+class TestPushFramesOracle:
     @settings(max_examples=60, deadline=None)
     @given(_block_and_prestate())
-    def test_bulk_push_block_equals_loop_of_push(self, case):
+    def test_range_push_equals_loop_of_push_reference(self, case):
+        """Shattering a buddy block (Algorithm 2) files its ascending
+        range exactly as the per-frame oracle does."""
         start, order, *script = case
         reference = _build_prestate(*script)
         bulk = _build_prestate(*script)
         _assert_same(_snapshot(reference), _snapshot(bulk))
-        _push_block_reference(reference, start, order)
-        bulk.push_block(start, order)
+        block = range(start, start + (1 << order))
+        for pfn in block:
+            push_reference(reference, pfn)
+        bulk.push_frames(block)
         _assert_same(_snapshot(reference), _snapshot(bulk))
         bulk.check_invariants()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 7), st.data())
-    def test_colored_free_frame_in_block_rejected_untouched(self, order, data):
+    def test_colored_free_frame_in_range_rejected_untouched(self, order, data):
         start = data.draw(st.integers(0, (2048 >> order) - 1)) << order
         inside = start + data.draw(st.integers(0, (1 << order) - 1))
         outside = data.draw(st.lists(
@@ -253,8 +257,8 @@ class TestPushBlockBulk:
         pool = FramePool(tiny_machine().mapping)
         matrix = ColorMatrix(pool)
         for pfn in outside + [inside]:
-            matrix.push(pfn)
+            matrix.push_frames([pfn])
         before = _snapshot(matrix)
         with pytest.raises(ValueError, match=f"frame {inside} "):
-            matrix.push_block(start, order)
+            matrix.push_frames(range(start, start + (1 << order)))
         _assert_same(before, _snapshot(matrix))

@@ -14,6 +14,7 @@ from repro.kernel.pagealloc import PageAllocator
 from repro.kernel.task import TaskStruct
 from repro.machine.presets import tiny_machine
 from repro.util.units import MIB
+from tests.test_kernel_colorlist import push_reference
 
 
 @pytest.fixture
@@ -196,8 +197,8 @@ def _pull_refill_block_reference(self, nodes):
 
 
 def _pop_or_refill_reference(self, task, mem_colors, llc_colors, nodes=None):
-    """Algorithm 1's refill one buddy block at a time, each order-0 miss
-    filed with a single-frame push: what ``_pop_or_refill`` must equal."""
+    """Algorithm 1's refill one buddy block at a time, each frame filed
+    by the per-frame oracle push: what ``_pop_or_refill`` must equal."""
     refills = 0
     pfn = self.colors.pop_matching(mem_colors, llc_colors)
     if pfn is not None:
@@ -222,9 +223,10 @@ def _pop_or_refill_reference(self, task, mem_colors, llc_colors, nodes=None):
                 or int(self.pool.llc_color[start]) in llc_set
             ):
                 return start, refills
-            self.colors.push(start)
+            push_reference(self.colors, start)
             continue
-        self.colors.push_block(start, order)
+        for frame in range(start, start + (1 << order)):
+            push_reference(self.colors, frame)
         pfn = self.colors.pop_matching(mem_colors, llc_colors)
         if pfn is not None:
             return pfn, refills
@@ -343,17 +345,6 @@ class TestBulkRefill:
 
 
 class TestBulkPush:
-    def test_push_frames_equals_loop_of_push(self, tiny):
-        pfns = [17, 3, 900, 18, 2048, 5]
-        bulk = ColorMatrix(FramePool(tiny.mapping))
-        loop = ColorMatrix(FramePool(tiny.mapping))
-        loop.push(4)  # a key present before the batch
-        bulk.push(4)
-        bulk.push_frames(pfns)
-        for pfn in pfns:
-            loop.push(pfn)
-        assert _colors_snapshot(bulk) == _colors_snapshot(loop)
-
     @pytest.mark.parametrize("pfns, bad", [
         ([1, 2, 7, 3], 7),   # already on a color list
         ([1, 2, 1, 7], 1),   # listed twice: stops at the second entry
@@ -361,7 +352,7 @@ class TestBulkPush:
     ])
     def test_push_frames_rejects_before_mutating(self, tiny, pfns, bad):
         matrix = ColorMatrix(FramePool(tiny.mapping))
-        matrix.push(7)
+        matrix.push_frames([7])
         before = _colors_snapshot(matrix)
         with pytest.raises(ValueError, match=f"frame {bad} "):
             matrix.push_frames(pfns)

@@ -98,7 +98,7 @@ class TestColorMatrixCounters:
         pfn = 0
         mem = int(pool.bank_color[pfn])
         llc = int(pool.llc_color[pfn])
-        matrix.push(pfn)
+        matrix.push_frames([pfn])
         assert matrix.free_count(mem, llc) == 1
         assert matrix.free_count_mem(mem) == 1
         assert matrix.free_count(mem, (llc + 1) % 4) == 0

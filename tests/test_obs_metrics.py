@@ -39,7 +39,7 @@ class TestGauges:
         g = MetricsRegistry().gauge("depth", shard=0)
         g.set(5)
         g.inc()
-        g.dec(2.0)
+        g.inc(-2.0)
         assert g.value == 4.0
 
 

@@ -41,12 +41,19 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
         '    def planted_shared() -> int:\n        return 1\n'
         '\n\nclass PlantedB:\n    @staticmethod\n'
         '    def planted_shared() -> int:\n        return 2\n'
+        # Methods whose names program code uses only as a bare function
+        # and as a local variable.
+        '\n\nclass PlantedC:\n    def planted_hidden(self) -> int:\n'
+        '        return 3\n\n    def planted_local(self) -> int:\n'
+        '        return 4\n'
     )
     # A caller for an allowlisted orphan makes its entry stale.
     (tmp_path / "examples" / "planted_caller.py").write_text(
         "from repro.faultline.hooks import disarm\n"
-        "from repro.util.units import PlantedA, PlantedB\n\n"
-        "disarm()\nprint(PlantedA.planted_shared(), PlantedB)\n"
+        "from repro.util.units import PlantedA, PlantedB, PlantedC\n\n\n"
+        "def planted_hidden():\n    planted_local = PlantedC\n"
+        "    return planted_local\n\n\n"
+        "disarm()\nprint(PlantedA.planted_shared(), PlantedB, planted_hidden())\n"
     )
     proc = _check(tmp_path)
     assert proc.returncode == 1
@@ -54,6 +61,9 @@ def test_planted_orphan_and_stale_entry_are_reported(tmp_path):
     assert "function repro.util.units.planted_wrapper" in proc.stdout
     assert "method repro.util.units.PlantedB.planted_shared" in proc.stdout
     assert "PlantedA.planted_shared" not in proc.stdout
+    assert "method repro.util.units.PlantedC.planted_hidden" in proc.stdout
+    assert "method repro.util.units.PlantedC.planted_local" in proc.stdout
+    assert "class repro.util.units.PlantedC" not in proc.stdout
     assert "ALLOWED entry repro.faultline.hooks.disarm is not an orphan" in (
         proc.stdout
     )

@@ -661,7 +661,7 @@ COLOR_BREAKS = {
 @pytest.mark.parametrize("message", sorted(COLOR_BREAKS))
 def test_color_matrix_check_invariants_raises(message):
     colors = ColorMatrix(FramePool(tiny_machine(8 * MIB).mapping))
-    colors.push(0)
+    colors.push_frames([0])
     colors.check_invariants()
     COLOR_BREAKS[message](colors)
     with pytest.raises(AssertionError, match=message):

@@ -157,7 +157,6 @@ class TestMetricsOff:
             for h in handles:
                 h.result(timeout=60)
             assert client.scheduler.metrics is None
-            assert client.metrics_snapshot() is None
         assert obs_metrics.active() is None
 
 

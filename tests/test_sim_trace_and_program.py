@@ -71,4 +71,3 @@ class TestProgram:
             nthreads=2,
         )
         assert p.total_accesses == 8
-        assert len(p.parallel_sections) == 1

@@ -14,11 +14,14 @@ with that same name (recursion, or a forwarding wrapper such as
 
 Checked: module-level functions and classes, and methods of public
 classes, whose dotted path contains no ``_``-prefixed component.
-Dunders are exempt (the language calls them).  Matching is by name, with
-one exception: a use written ``ClassName.method``, where ``ClassName`` is
-a class defined in ``src/repro``, counts only for that class's
-``method``.  Any other attribute use, such as ``x.method``, counts for
-every method of that name.
+Dunders are exempt (the language calls them).  Matching is by name,
+with two exceptions.  A use written ``ClassName.method``, where
+``ClassName`` is a class defined in ``src/repro``, counts only for that
+class's ``method``; any other attribute use, such as ``x.method``,
+counts for every method of that name.  And a method is used only
+through an attribute access, a ``ClassName.method`` use or a string
+constant: a bare name (a function or variable that shares the method's
+name) does not count for it.
 Definitions kept on purpose with no program caller are listed by dotted
 name in ``ALLOWED``, each with its reason.
 
@@ -139,9 +142,10 @@ def _class_names(tree: ast.AST) -> set[str]:
 
 def _used(
     tree: ast.AST, classes: set[str]
-) -> tuple[set[str], set[tuple[str, str]]]:
+) -> tuple[set[str], set[str], set[tuple[str, str]]]:
     """Identifiers *tree* uses, per the rules in the module docstring:
-    bare names, and ``(class, attribute)`` pairs for the uses written
+    bare names; attribute names and string constants; and
+    ``(class, attribute)`` pairs for the uses written
     ``ClassName.attribute`` with ``ClassName`` in *classes*."""
     skip = _docstring_nodes(tree)
     for node in ast.walk(tree):
@@ -149,12 +153,15 @@ def _used(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             skip.update(id(n) for n in ast.walk(node.value))
+    bare: set[str] = set()
     names: set[str] = set()
     qualified: set[tuple[str, str]] = set()
 
     def walk(node: ast.AST, inside: frozenset[str]) -> None:
         if isinstance(node, ast.Name):
-            name = node.id
+            if node.id not in inside:
+                bare.add(node.id)
+            name = None
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.value, ast.Name)
               and node.value.id in classes):
@@ -176,7 +183,7 @@ def _used(
             walk(child, inside)
 
     walk(tree, frozenset())
-    return names, qualified
+    return bare, names, qualified
 
 
 def find_orphans() -> tuple[list[tuple[Path, int, str, str]], list[str]]:
@@ -195,11 +202,13 @@ def find_orphans() -> tuple[list[tuple[Path, int, str, str]], list[str]]:
         if path.is_relative_to(PACKAGE):
             classes |= _class_names(tree)
     defined: list[tuple[Path, int, str, str, str, str | None]] = []
+    bare: set[str] = set()
     used: set[str] = set()
     qualified: set[tuple[str, str]] = set()
     for path, tree in trees:
-        names, pairs = _used(tree, classes)
-        used |= names
+        names, attrs, pairs = _used(tree, classes)
+        bare |= names
+        used |= attrs
         qualified |= pairs
         if not path.is_relative_to(PACKAGE):
             continue
@@ -210,7 +219,8 @@ def find_orphans() -> tuple[list[tuple[Path, int, str, str]], list[str]]:
             continue
         _defined(tree, ".".join(parts), None, path, defined)
     unused = [d for d in defined
-              if d[4] not in used and (d[5], d[4]) not in qualified]
+              if d[4] not in used and (d[5], d[4]) not in qualified
+              and (d[2] == "method" or d[4] not in bare)]
     orphans = [d[:4] for d in unused if d[3] not in ALLOWED]
     stale = sorted(set(ALLOWED) - {d[3] for d in unused})
     return orphans, stale
