@@ -29,7 +29,6 @@ See :mod:`repro.experiments.matrix`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -108,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         obs_metrics.install(registry)
 
     try:
-        return _run(args, registry)
+        return _run(args)
     finally:
         if registry is not None:
             from repro.obs import metrics as obs_metrics
@@ -119,18 +118,21 @@ def main(argv: list[str] | None = None) -> int:
             print(f"metrics snapshot: {path}")
 
 
-def _run(args, registry) -> int:
+def _run(args) -> int:
+    """The figures, under ``--faultline``'s plan for this call only."""
+    if args.faultline is None:
+        return _figures(args)
+    from repro.faultline import FaultPlan, armed
 
-    if args.faultline is not None:
-        from repro.faultline import FaultPlan, arm
+    plan = FaultPlan.loads(Path(args.faultline).read_text())
+    print(f"faultline: armed plan seed={plan.seed} "
+          f"rules={len(plan.rules)} from {args.faultline}")
+    with armed(plan):
+        return _figures(args)
 
-        plan = FaultPlan.from_json(
-            json.loads(Path(args.faultline).read_text())
-        )
-        arm(plan)
-        print(f"faultline: armed plan seed={plan.seed} "
-              f"rules={len(plan.rules)} from {args.faultline}")
 
+def _figures(args) -> int:
+    """Fig. 10, then (unless ``--skip-sweep``) the sweep and Figs. 11-14."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     configs = (

@@ -323,12 +323,13 @@ def sweep(
     """Run the full cross product; this powers Figs. 11-14 in one pass.
 
     A thin client of :mod:`repro.service`: every run becomes a
-    :class:`~repro.service.JobSpec` submitted to a scheduler, which
-    shards jobs over isolated worker processes when the host has
+    :class:`~repro.service.JobSpec` submitted to a
+    :class:`~repro.service.ServiceClient`, which shards jobs over
+    isolated worker processes when the host has
     multiple CPUs and retries worker crashes instead of aborting the
     sweep.  ``max_workers`` (default: one per CPU) is capped at the
     number of jobs; with one worker — ``max_workers=1``, a single job,
-    an empty grid or a single-core host — the scheduler runs jobs
+    an empty grid or a single-core host — the service runs jobs
     inline, a serial fast path that never forks a worker process (fork
     + pickle overhead would only slow a single-core host down).  Results
     are returned in job submission order either way, bit-identical

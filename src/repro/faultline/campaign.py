@@ -84,18 +84,18 @@ def baseline_records(specs, executor: str = "inline") -> dict[str, str]:
 
 
 def _run_specs(specs, executor: str) -> dict[str, tuple[str, object]]:
-    """Run all specs on a fresh scheduler; digest -> (outcome, payload).
+    """Run all specs on a fresh service; digest -> (outcome, payload).
 
     Outcome is ``"ok"`` (payload = record), ``"error"`` (payload = the
     typed :class:`ServiceError`), ``"untyped"`` (payload = any other
     exception — an invariant violation), or ``"hang"`` (deadline hit).
     """
-    from repro.service.scheduler import Scheduler, ServiceError
-    from repro.service.store import ResultStore
+    from repro.service.client import ServiceClient, ServiceError
 
     out: dict[str, tuple[str, object]] = {}
-    with Scheduler(store=ResultStore(), shards=2, executor=executor) as sched:
-        handles = [sched.submit(spec) for spec in specs]
+    with ServiceClient(store=":memory:", shards=2,
+                       executor=executor) as client:
+        handles = client.submit_many(specs)
         deadline = time.monotonic() + CASE_DEADLINE_S
         for handle in handles:
             remaining = max(0.0, deadline - time.monotonic())

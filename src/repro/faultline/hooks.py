@@ -8,7 +8,7 @@ discipline the observers use.  Arming an *empty* plan
 (:data:`~repro.faultline.plan.NO_FAULTS`) is also a no-op: behaviour
 and cost are bit-identical to the unarmed process.
 
-Arming is process-global on purpose: the scheduler's fork-based
+Arming is process-global on purpose: the service's fork-based
 executor inherits the armed injector into worker children, so a plan
 armed once in the parent injects faults on both sides of the process
 boundary with the same deterministic decisions (decisions hash the

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field, fields
 #: reference sites listed here — a typo'd site would otherwise silently
 #: never fire and a campaign would "pass" without testing anything.
 SITES = (
-    # repro.service.store (the scheduler books each as a cache miss)
+    # repro.service.store (the service books each as a cache miss)
     "store.get.io",        # lookup raises StoreIOFault
     "store.get.corrupt",   # lookup returns a bit-flipped payload
     "store.put.io",        # persist raises StoreIOFault
-    # repro.service.scheduler / worker (a crash or timeout is retried)
+    # repro.service.client / worker (a crash or timeout is retried)
     "sched.attempt.kill",  # attempt synthesized as a worker crash
     "worker.kill",         # worker process hard-exits mid-attempt
     "worker.hang",         # worker blocks (parent must enforce timeout_s)

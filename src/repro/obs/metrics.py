@@ -18,7 +18,7 @@ instants half lives in :mod:`repro.obs.observer`).  A
 Everything snapshots to plain JSON (:meth:`MetricsRegistry.snapshot`)
 and *merges* (:meth:`MetricsRegistry.merge`): a forked worker records
 into a fresh registry, ships the snapshot back over its result pipe,
-and the scheduler folds it into the service-wide registry — counters
+and the service client folds it into the service-wide registry — counters
 and histogram buckets add, gauges last-write-win.  :func:`write_snapshot`
 saves one to disk (what ``--metrics-out`` writes and
 ``python -m repro.obs top`` renders).

@@ -12,7 +12,7 @@ with Markdown reporting against the paper's baselines
 Every candidate evaluation is a content-addressed
 :class:`~repro.service.JobSpec` submitted through
 :class:`~repro.service.ServiceClient`, so searches dedup repeated
-genomes, survive worker crashes via the scheduler's retry machinery,
+genomes, survive worker crashes via the service's retry machinery,
 and replay from the result cache for free.
 
 Entry point: ``python -m repro.experiments tune --bench <name>``.

@@ -9,7 +9,7 @@ and whole repeat *searches*, are free), in-flight dedup by digest,
 crash retry, and either executor — serial inline or a process pool.
 A baseline whose planned colors equal a genome's phenotype (the paper
 policies are seeded as genomes) is the same simulation under another
-label, and the scheduler serves it from the genome's stored record.
+label, and the service serves it from the genome's stored record.
 
 Early stopping is successive halving: every candidate is *screened* at
 ``screen_reps`` repetitions (cheap, noisy), only the top

@@ -145,22 +145,16 @@ class SearchSpace:
         config: experiment configuration name (thread pinning).
         profile: run profile ("mini"/"scaled"/"full") — fixes the
             machine preset the genomes are validated against.
-        machine: explicit preset overriding the profile's machine, so
-            the genome space closes over any platform preset.
-        cores: explicit thread pinning overriding the named config —
-            required when ``machine``'s topology does not carry the
-            paper's core numbering.
     """
 
     def __init__(self, config: str = "16_threads_4_nodes",
-                 profile: str = "scaled",
-                 machine=None, cores: list[int] | None = None) -> None:
+                 profile: str = "scaled") -> None:
         self.config = config
         self.profile = profile
-        self.machine = machine if machine is not None else profile_machine(profile)
-        self.mapping = self.machine.mapping
-        self.topology = self.machine.topology
-        self.cores = list(cores) if cores is not None else list(CONFIGS[config].cores)
+        machine = profile_machine(profile)
+        self.mapping = machine.mapping
+        self.topology = machine.topology
+        self.cores = list(CONFIGS[config].cores)
         self.nthreads = len(self.cores)
         #: each thread's local node's bank colors.
         self.local_banks = [

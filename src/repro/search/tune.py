@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--executor", default="inline",
                         choices=["inline", "process"])
     parser.add_argument("--shards", type=int, default=4,
-                        help="scheduler shards (process executor)")
+                        help="service shards (process executor)")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="content-addressed result store (a .sqlite, "
                              ".sqlite3 or .db file); a warm store replays "
@@ -167,21 +167,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--faultline", default=None, metavar="PLAN.json",
                         help="arm a serialized FaultPlan for the whole "
                              "search (the driver must survive worker "
-                             "kills via the scheduler's retries)")
+                             "kills via the service's retries)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the search.* metrics snapshot to PATH "
                              "as JSON (read by python -m repro.obs top)")
     args = parser.parse_args(argv)
     check_store_arg(parser, "--cache", args.cache)
+    if args.faultline is None:
+        return _tune(args)
+    from repro.faultline import FaultPlan, armed
 
-    if args.faultline is not None:
-        from repro.faultline import FaultPlan, arm
+    plan = FaultPlan.loads(Path(args.faultline).read_text())
+    print(f"faultline: armed plan seed={plan.seed} "
+          f"rules={len(plan.rules)} from {args.faultline}")
+    with armed(plan):
+        return _tune(args)
 
-        plan = FaultPlan.from_json(json.loads(Path(args.faultline).read_text()))
-        arm(plan)
-        print(f"faultline: armed plan seed={plan.seed} "
-              f"rules={len(plan.rules)} from {args.faultline}")
 
+def _tune(args) -> int:
+    """Run the search and write its log, report and bench entry."""
     settings = SearchSettings(
         bench=args.bench, config=args.config, profile=args.profile,
         seed=args.seed, budget=args.budget, full_reps=args.reps,

@@ -8,13 +8,13 @@ description of that point.  Two keys are derived from it:
   pair.  It covers the policy's display name, because a stored record
   carries that name, so a named ``"mem+llc"`` spec and the search
   genome that plans the same colors under a ``tuned:…`` name have
-  different digests.  The result store keys on it and the scheduler
+  different digests.  The result store keys on it and the service
   deduplicates in-flight work by it.
 * :meth:`JobSpec.evaluation_digest` identifies the simulation itself:
   it replaces the policy by what the run applies (planned colors plus
   the ``aged``/``hugepages`` flags), so those two specs share it and
-  the scheduler runs their simulation once (see
-  :class:`~repro.service.scheduler.Scheduler`).
+  the service runs their simulation once (see
+  :class:`~repro.service.client.ServiceClient`).
 
 Both cover *identity* fields only — everything that changes the
 simulated result, including the machine fingerprint the profile resolves

@@ -18,7 +18,7 @@ checksum over the canonical record JSON; a lookup whose payload fails
 the checksum is booked as a *corrupt miss* instead of being returned,
 so a bit-flipped store entry costs a re-simulation, never a wrong
 result.  A row whose payload is not JSON is skipped on load.  Stores
-count ``hits``/``misses``/``puts``/``corrupt``; ``Scheduler.stats()``
+count ``hits``/``misses``/``puts``/``corrupt``; ``ServiceClient.stats()``
 reports them under ``"store"``.
 
 Hook points for :mod:`repro.faultline` cover the failure modes a real

@@ -1,6 +1,6 @@
 """Worker entry points: execute one JobSpec in this or a child process.
 
-:func:`execute_jobspec` is the default runner the scheduler invokes —
+:func:`execute_jobspec` is the default runner the service invokes —
 it rebuilds the full simulated machine from the spec's seeds (exactly
 as :func:`repro.experiments.runner.run_benchmark` would) and returns the
 ``RunRecord.to_json()`` dict, which is the one canonical result shape
@@ -9,7 +9,7 @@ on every path (inline, child process, cache hit).
 :func:`child_main` is the ``multiprocessing.Process`` target for the
 isolated executor: it ships the outcome back over a pipe and lets any
 crash (``os._exit``, segfault, OOM kill) surface as a silent pipe EOF
-the scheduler converts into a retryable *crash* outcome.
+the service converts into a retryable *crash* outcome.
 """
 
 from __future__ import annotations

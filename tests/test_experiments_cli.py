@@ -92,22 +92,18 @@ def test_tune_provenance_without_git(tmp_path, monkeypatch):
 def test_cli_full_sweep_mini(tmp_path, capsys):
     """The whole sweep path: an armed (empty) fault plan, Figs. 10-14,
     the sweep CSV, the EXPERIMENTS.md ledger and a metrics snapshot."""
-    from repro.faultline import hooks
     from repro.obs import metrics as obs_metrics
 
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"seed": 3, "rules": []}))
     ledger = tmp_path / "EXPERIMENTS.md"
     snapshot = tmp_path / "metrics.json"
-    try:
-        rc = main([
-            "--profile", "mini", "--reps", "1",
-            "--configs", "4_threads_1_nodes", "--out", str(tmp_path),
-            "--faultline", str(plan), "--experiments-md", str(ledger),
-            "--metrics-out", str(snapshot),
-        ])
-    finally:
-        hooks.disarm()
+    rc = main([
+        "--profile", "mini", "--reps", "1",
+        "--configs", "4_threads_1_nodes", "--out", str(tmp_path),
+        "--faultline", str(plan), "--experiments-md", str(ledger),
+        "--metrics-out", str(snapshot),
+    ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "faultline: armed plan seed=3 rules=0" in out
@@ -125,7 +121,6 @@ def test_tune_appends_bench_entries_and_flags_an_empty_front(
 ):
     """``--update-bench`` creates then extends the trajectory file, and a
     search whose front is empty exits 1 with a warning."""
-    from repro.faultline import hooks
     from repro.search import tune
     from repro.search.drivers import EvalResult, SearchOutcome
 
@@ -142,11 +137,8 @@ def test_tune_appends_bench_entries_and_flags_an_empty_front(
     argv = ["--bench", "lbm", "--profile", "mini", "--budget", "4",
             "--out", str(tmp_path / "out"), "--update-bench", str(bench),
             "--faultline", str(plan)]
-    try:
-        assert tune.main(argv) == 1
-        assert tune.main(argv) == 1
-    finally:
-        hooks.disarm()
+    assert tune.main(argv) == 1
+    assert tune.main(argv) == 1
     out = capsys.readouterr().out
     assert "faultline: armed plan seed=5 rules=0" in out
     assert "warning: empty Pareto front" in out
@@ -157,3 +149,46 @@ def test_tune_appends_bench_entries_and_flags_an_empty_front(
     assert entries[0]["evaluations"] == 0 and entries[0]["front"] == []
     assert entries[0]["verdicts"] == {"mem+llc": "dominated"}
     assert entries[0]["baselines"]["mem+llc"]["runtime"] == 1.0
+
+
+def _unfireable_plan(path):
+    """A one-rule plan on a site the run below never reaches."""
+    from repro.faultline import FaultPlan, FaultRule
+
+    path.write_text(FaultPlan(seed=9, rules=(
+        FaultRule(site="store.put.io"),)).dumps())
+    return path
+
+
+def test_faultline_plan_is_disarmed_when_main_returns(tmp_path, capsys):
+    from repro.faultline import hooks
+
+    plan = _unfireable_plan(tmp_path / "plan.json")
+    assert main(["--profile", "mini", "--reps", "1", "--skip-sweep",
+                 "--out", str(tmp_path / "out"),
+                 "--faultline", str(plan)]) == 0
+    assert "faultline: armed plan seed=9 rules=1" in capsys.readouterr().out
+    assert hooks.active() is None
+
+
+def test_tune_faultline_plan_is_disarmed_when_main_returns(
+    tmp_path, monkeypatch, capsys,
+):
+    from repro.faultline import hooks
+    from repro.search import tune
+    from repro.search.drivers import SearchOutcome
+
+    armed_during_search = []
+
+    def no_search(settings, **kwargs):
+        armed_during_search.append(hooks.active() is not None)
+        return SearchOutcome(settings=settings, driver="evolution")
+
+    monkeypatch.setattr(tune, "run_search", no_search)
+    plan = _unfireable_plan(tmp_path / "plan.json")
+    assert tune.main(["--bench", "lbm", "--profile", "mini",
+                      "--out", str(tmp_path / "out"),
+                      "--faultline", str(plan)]) == 1
+    assert "faultline: armed plan seed=9 rules=1" in capsys.readouterr().out
+    assert armed_during_search == [True]
+    assert hooks.active() is None

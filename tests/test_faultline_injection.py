@@ -38,7 +38,7 @@ from repro.service import (
     JobHandle,
     JobSpec,
     ResultStore,
-    Scheduler,
+    ServiceClient,
     ServiceError,
 )
 
@@ -78,28 +78,28 @@ class TestStoreFaults:
     def test_scheduler_absorbs_get_io_fault(self):
         plan = plan_of(FaultRule(site="store.get.io", max_fires=1))
         with armed(plan):
-            with Scheduler(store=ResultStore(), executor="inline",
-                           runner=ok_runner) as sched:
-                record = sched.submit(stub_spec()).result(timeout=30)
+            with ServiceClient(store=ResultStore(), executor="inline",
+                               runner=ok_runner) as client:
+                record = client.submit(stub_spec()).result(timeout=30)
         assert record["bench"] == "lbm"
-        assert sched.counters["store_errors"] == 1
+        assert client.counters["store_errors"] == 1
 
     def test_persistent_store_errors_are_counted_misses(self):
         plan = plan_of(FaultRule(site="store.get.io"))
         store = ResultStore()
         with armed(plan):
-            with Scheduler(store=store, executor="inline",
-                           runner=ok_runner) as sched:
-                assert sched.submit(stub_spec(rep=0)).result(timeout=30)
-                assert sched.submit(stub_spec(rep=1)).result(timeout=30)
+            with ServiceClient(store=store, executor="inline",
+                               runner=ok_runner) as client:
+                assert client.submit(stub_spec(rep=0)).result(timeout=30)
+                assert client.submit(stub_spec(rep=1)).result(timeout=30)
                 # Every lookup fails, so even a resubmission that would
                 # have been a cache hit runs again; no job fails.
-                assert sched.submit(stub_spec(rep=0)).result(timeout=30)
+                assert client.submit(stub_spec(rep=0)).result(timeout=30)
         # Three lookups.  The resubmission's completed twin is the first
         # rep=0 run, i.e. its own digest, so it is not read a second time.
-        assert sched.counters["store_errors"] == 3
-        assert sched.counters["cache_hits"] == 0
-        assert sched.counters["completed"] == 3
+        assert client.counters["store_errors"] == 3
+        assert client.counters["cache_hits"] == 0
+        assert client.counters["completed"] == 3
         assert len(store) == 2  # writes still land
 
     def test_corrupt_entry_is_never_returned(self):
@@ -112,50 +112,50 @@ class TestStoreFaults:
 
     def test_corrupt_cache_recovers_bit_identical(self):
         store = ResultStore()
-        with Scheduler(store=store, executor="inline",
-                       runner=ok_runner) as sched:
-            first = sched.submit(stub_spec()).result(timeout=30)
+        with ServiceClient(store=store, executor="inline",
+                           runner=ok_runner) as client:
+            first = client.submit(stub_spec()).result(timeout=30)
         plan = plan_of(FaultRule(site="store.get.corrupt", max_fires=1))
         with armed(plan):
-            with Scheduler(store=store, executor="inline",
-                           runner=ok_runner) as sched:
-                again = sched.submit(stub_spec()).result(timeout=30)
+            with ServiceClient(store=store, executor="inline",
+                               runner=ok_runner) as client:
+                again = client.submit(stub_spec()).result(timeout=30)
         assert canonical(again) == canonical(first)
-        assert sched.counters["cache_hits"] == 0  # corrupt booked as miss
+        assert client.counters["cache_hits"] == 0  # corrupt booked as miss
         assert store.corrupt == 1
 
     def test_put_io_fault_does_not_fail_the_job(self):
         store = ResultStore()
         with armed(plan_of(FaultRule(site="store.put.io"))):
-            with Scheduler(store=store, executor="inline",
-                           runner=ok_runner) as sched:
-                record = sched.submit(stub_spec()).result(timeout=30)
+            with ServiceClient(store=store, executor="inline",
+                               runner=ok_runner) as client:
+                record = client.submit(stub_spec()).result(timeout=30)
         assert record["bench"] == "lbm"
-        assert sched.counters["store_errors"] == 1
+        assert client.counters["store_errors"] == 1
         assert len(store) == 0  # the write really was lost
 
 
 class TestSchedulerAndWorkerFaults:
     def test_attempt_kill_is_retried_and_recovers(self):
         spec = stub_spec(max_retries=2)
-        with Scheduler(executor="inline", runner=ok_runner) as sched:
-            baseline = sched.submit(spec).result(timeout=30)
+        with ServiceClient(executor="inline", runner=ok_runner) as client:
+            baseline = client.submit(spec).result(timeout=30)
         plan = plan_of(FaultRule(site="sched.attempt.kill",
                                  scopes=(f"{spec.digest()[:12]}#a0",)))
         with armed(plan):
-            with Scheduler(executor="inline", runner=ok_runner) as sched:
-                handle = sched.submit(spec)
+            with ServiceClient(executor="inline", runner=ok_runner) as client:
+                handle = client.submit(spec)
                 record = handle.result(timeout=30)
         assert canonical(record) == canonical(baseline)
         assert [a["outcome"] for a in handle.attempts] == ["crash", "ok"]
-        assert sched.counters["crashes"] == 1
-        assert sched.counters["retries"] == 1
+        assert client.counters["crashes"] == 1
+        assert client.counters["retries"] == 1
 
     def test_unbounded_kills_surface_typed_jobfailed(self):
         plan = plan_of(FaultRule(site="sched.attempt.kill"))
         with armed(plan):
-            with Scheduler(executor="inline", runner=ok_runner) as sched:
-                handle = sched.submit(stub_spec(max_retries=1))
+            with ServiceClient(executor="inline", runner=ok_runner) as client:
+                handle = client.submit(stub_spec(max_retries=1))
                 with pytest.raises(JobFailed) as exc_info:
                     handle.result(timeout=30)
         assert isinstance(exc_info.value, ServiceError)
@@ -164,8 +164,8 @@ class TestSchedulerAndWorkerFaults:
     def test_worker_kill_inline_books_a_crash(self):
         plan = plan_of(FaultRule(site="worker.kill"))
         with armed(plan):
-            with Scheduler(executor="inline", runner=ok_runner) as sched:
-                handle = sched.submit(stub_spec(max_retries=0))
+            with ServiceClient(executor="inline", runner=ok_runner) as client:
+                handle = client.submit(stub_spec(max_retries=0))
                 with pytest.raises(JobFailed, match="faultline"):
                     handle.result(timeout=30)
         assert handle.attempts[0]["outcome"] == "crash"
@@ -175,20 +175,20 @@ class TestSchedulerAndWorkerFaults:
         # and the parent books a crash — same typed surface as inline.
         plan = plan_of(FaultRule(site="worker.kill"))
         with armed(plan):
-            with Scheduler(executor="process", runner=ok_runner) as sched:
-                handle = sched.submit(stub_spec(max_retries=1, timeout_s=30))
+            with ServiceClient(executor="process", runner=ok_runner) as client:
+                handle = client.submit(stub_spec(max_retries=1, timeout_s=30))
                 with pytest.raises(JobFailed):
                     handle.result(timeout=60)
         assert [a["outcome"] for a in handle.attempts] \
             == ["crash", "crash"]
 
     def test_worker_slow_start_delays_but_recovers(self):
-        with Scheduler(executor="inline", runner=ok_runner) as sched:
-            baseline = sched.submit(stub_spec()).result(timeout=30)
+        with ServiceClient(executor="inline", runner=ok_runner) as client:
+            baseline = client.submit(stub_spec()).result(timeout=30)
         plan = plan_of(FaultRule(site="worker.slow_start", arg=0.01))
         with armed(plan) as injector:
-            with Scheduler(executor="inline", runner=ok_runner) as sched:
-                record = sched.submit(stub_spec()).result(timeout=30)
+            with ServiceClient(executor="inline", runner=ok_runner) as client:
+                record = client.submit(stub_spec()).result(timeout=30)
             assert injector.fire_count("worker.slow_start") == 1
         assert canonical(record) == canonical(baseline)
 
@@ -197,14 +197,14 @@ class TestSchedulerAndWorkerFaults:
         # the only thing standing between that and a hung campaign.
         plan = plan_of(FaultRule(site="worker.hang"))
         with armed(plan):
-            with Scheduler(executor="process", runner=ok_runner) as sched:
-                handle = sched.submit(
+            with ServiceClient(executor="process", runner=ok_runner) as client:
+                handle = client.submit(
                     stub_spec(max_retries=0, timeout_s=0.5)
                 )
                 with pytest.raises(JobFailed, match="exceeded"):
                     handle.result(timeout=60)
         assert handle.attempts[0]["outcome"] == "timeout"
-        assert sched.counters["timeouts"] == 1
+        assert client.counters["timeouts"] == 1
 
 
     def test_worker_hang_sleeps_in_the_child_only(self):
@@ -226,8 +226,8 @@ class TestKernelFaults:
     def test_frame_exhaustion_surfaces_typed_error(self):
         plan = plan_of(FaultRule(site="kernel.pagealloc.exhaust"))
         with armed(plan):
-            with Scheduler(executor="inline") as sched:
-                handle = sched.submit(mini_spec())
+            with ServiceClient(executor="inline") as client:
+                handle = client.submit(mini_spec())
                 with pytest.raises(JobFailed) as exc_info:
                     handle.result(timeout=60)
         assert isinstance(exc_info.value, ServiceError)
@@ -236,8 +236,8 @@ class TestKernelFaults:
     def test_mmap_failure_surfaces_typed_error(self):
         plan = plan_of(FaultRule(site="kernel.mmap.fail"))
         with armed(plan):
-            with Scheduler(executor="inline") as sched:
-                handle = sched.submit(mini_spec())
+            with ServiceClient(executor="inline") as client:
+                handle = client.submit(mini_spec())
                 with pytest.raises(JobFailed, match="InjectedMmapError"):
                     handle.result(timeout=60)
         assert handle.attempts[0]["outcome"] == "err"
@@ -250,15 +250,15 @@ class TestKernelFaults:
         fails typed after one attempt despite its retry budget.  A
         resubmission runs afresh and matches the fault-free record."""
         spec = mini_spec(max_retries=2)
-        with Scheduler(executor="inline") as sched:
-            baseline = sched.submit(spec).result(timeout=60)
+        with ServiceClient(executor="inline") as client:
+            baseline = client.submit(spec).result(timeout=60)
         plan = plan_of(FaultRule(site=site, max_fires=1))
         with armed(plan) as injector:
-            with Scheduler(executor="inline") as sched:
-                faulted = sched.submit(spec)
+            with ServiceClient(executor="inline") as client:
+                faulted = client.submit(spec)
                 with pytest.raises(JobFailed):
                     faulted.result(timeout=60)
-                record = sched.submit(spec).result(timeout=60)
+                record = client.submit(spec).result(timeout=60)
             assert injector.fire_count(site) == 1
         assert [a["outcome"] for a in faulted.attempts] == ["err"]
         assert canonical(record) == canonical(baseline)

@@ -35,7 +35,7 @@ from repro.obs.observer import Observer
 from repro.search.drivers import SearchSettings
 from repro.search.report import replay_front
 from repro.search.space import Genome
-from repro.service.scheduler import Scheduler
+from repro.service.client import ServiceClient
 from repro.util.units import MIB
 from repro.workloads.registry import get_workload
 
@@ -233,9 +233,9 @@ CASES = {
     "search-log-schema": (lambda: replay_front({"schema": 0}, None),
                           ValueError, "search log schema 0"),
     # service
-    "scheduler-shards": (lambda: Scheduler(shards=0), ValueError,
+    "scheduler-shards": (lambda: ServiceClient(shards=0), ValueError,
                          "shards must be >= 1"),
-    "scheduler-executor": (lambda: Scheduler(executor="fleet"), ValueError,
+    "scheduler-executor": (lambda: ServiceClient(executor="fleet"), ValueError,
                            "unknown executor 'fleet'"),
     # workloads
     **{

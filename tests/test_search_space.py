@@ -186,41 +186,3 @@ class TestSeedDeterminism:
         )
         repaired = space._repair(broken)
         space.validate(repaired)
-
-
-class TestNonOpteronPresets:
-    """The genome space must close over any platform-family preset."""
-
-    @pytest.fixture(scope="class", params=["modern_8ch", "bigbank_4n",
-                                           "disagg_2n"])
-    def platform_space(self, request) -> SearchSpace:
-        from repro.experiments.configs import configs_for
-        from repro.machine.presets import platform
-        from repro.util.units import MIB
-
-        machine = platform(request.param, 256 * MIB)
-        config = next(iter(configs_for(machine.topology).values()))
-        return SearchSpace(config.name, PROFILE, machine=machine,
-                           cores=list(config.cores))
-
-    def test_paper_policies_encode_and_validate(self, platform_space):
-        for policy in (Policy.BUDDY, Policy.MEM, Policy.LLC, Policy.MEM_LLC):
-            platform_space.validate(platform_space.paper_genome(policy))
-
-    def test_operators_stay_closed(self, platform_space):
-        rng = RngStream(5, "plat")
-        g = platform_space.random_genome(rng.child("g"))
-        platform_space.validate(g)
-        for i in range(8):
-            g = platform_space.mutate(g, rng.child("m", i))
-            platform_space.validate(g)
-
-    def test_grid_recipes_all_validate(self, platform_space):
-        grid = platform_space.grid()
-        assert grid
-        for _label, genome in grid:
-            platform_space.validate(genome)
-
-    def test_machine_overrides_profile_preset(self, platform_space):
-        assert platform_space.machine.topology.name != "opteron_6128_scaled"
-        assert platform_space.nthreads == len(platform_space.cores)

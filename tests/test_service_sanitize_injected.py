@@ -5,7 +5,7 @@ JobSpec (proving ``--sanitize`` survives the spec round trip into a
 worker), injects one cache corruption mid-job, and the resulting
 SanitizeViolation must come back as a structured job failure — through
 a real child process for the process executor — without damaging the
-scheduler.
+service.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.tintmalloc import TintMalloc
 from repro.kernel.kernel import Kernel
 from repro.machine.presets import tiny_machine
 from repro.sanitize import SanitizerObserver
-from repro.service import JobFailed, JobSpec, Scheduler
+from repro.service import JobFailed, JobSpec, ServiceClient
 from repro.sim.barrier import Program, Section
 from repro.sim.engine import Engine, MemorySystem
 from repro.sim.trace import Trace
@@ -68,9 +68,9 @@ def corrupting_sanitized_runner(spec: JobSpec) -> dict:
 def test_injected_corruption_fails_the_job(executor):
     spec = JobSpec(bench="lbm", profile="mini", sanitize="full",
                    max_retries=1)
-    with Scheduler(executor=executor,
-                   runner=corrupting_sanitized_runner) as sched:
-        handle = sched.submit(spec)
+    with ServiceClient(executor=executor,
+                       runner=corrupting_sanitized_runner) as client:
+        handle = client.submit(spec)
         with pytest.raises(JobFailed) as exc:
             handle.result(60)
         # The violation is attributed, not swallowed: layer + invariant
@@ -81,8 +81,8 @@ def test_injected_corruption_fails_the_job(executor):
         # Deterministic corruption fails the same way every time, so
         # the error is final: one attempt despite the retry budget.
         assert [a["outcome"] for a in exc.value.attempts] == ["err"]
-        # The scheduler itself is unharmed: a healthy job still runs.
-        stats = sched.stats()
+        # The service itself is unharmed: a healthy job still runs.
+        stats = client.stats()
     assert stats["failed"] == 1
     assert stats["crashes"] == 0  # a violation is an error, not a crash
 
@@ -94,7 +94,7 @@ def test_healthy_sanitized_job_completes(tmp_path):
     spec = JobSpec(bench="lbm", policy="mem+llc",
                    config="4_threads_4_nodes", profile="mini",
                    sanitize="cheap", seed=3)
-    with Scheduler(executor="process") as sched:
-        record = sched.submit(spec).result(120)
+    with ServiceClient(executor="process") as client:
+        record = client.submit(spec).result(120)
     assert record["bench"] == "lbm"
     assert record["faults"] > 0

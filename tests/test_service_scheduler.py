@@ -1,6 +1,6 @@
-"""Scheduler semantics: caching, dedup, FIFO order, failure paths.
+"""Job-service semantics: caching, dedup, FIFO order, failure paths.
 
-Fault injection happens at the ``runner`` seam: the scheduler executes
+Fault injection happens at the ``runner`` seam: the service executes
 an arbitrary ``(JobSpec) -> dict`` callable per attempt, so tests
 substitute runners that block, raise, sleep, or ``os._exit`` — the last
 one exercising real child-process crashes that must not take down the
@@ -24,7 +24,7 @@ from repro.service import (
     JobSpec,
     JobStatus,
     ResultStore,
-    Scheduler,
+    ServiceClient,
     ServiceError,
 )
 
@@ -64,17 +64,17 @@ def crash_once_runner(s: JobSpec) -> dict:
 
 class TestHappyPath:
     def test_inline_completes_and_counts(self):
-        with Scheduler(executor="inline", runner=ok_runner) as sched:
-            handle = sched.submit(spec(1))
+        with ServiceClient(executor="inline", runner=ok_runner) as client:
+            handle = client.submit(spec(1))
             assert handle.result(10) == {"bench": "lbm", "seed": 1}
             assert handle.status is JobStatus.COMPLETED
-            stats = sched.stats()
+            stats = client.stats()
         assert stats["completed"] == 1
         assert stats["failed"] == 0
 
     def test_results_keyed_by_submission_not_completion(self):
-        with Scheduler(executor="inline", runner=ok_runner, shards=4) as sched:
-            handles = [sched.submit(spec(i)) for i in range(8)]
+        with ServiceClient(executor="inline", runner=ok_runner, shards=4) as client:
+            handles = [client.submit(spec(i)) for i in range(8)]
             results = [h.result(10) for h in handles]
         assert [r["seed"] for r in results] == list(range(8))
 
@@ -82,14 +82,14 @@ class TestHappyPath:
 class TestCachingAndDedup:
     def test_cache_hit_returns_identical_payload(self):
         store = ResultStore()
-        with Scheduler(executor="inline", runner=ok_runner,
-                       store=store) as sched:
-            cold = sched.submit(spec(3))
+        with ServiceClient(executor="inline", runner=ok_runner,
+                           store=store) as client:
+            cold = client.submit(spec(3))
             cold_result = cold.result(10)
-            hit = sched.submit(spec(3))
+            hit = client.submit(spec(3))
             assert hit.from_cache
             assert hit.result(10) == cold_result
-            stats = sched.stats()
+            stats = client.stats()
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
         assert store.stats()["puts"] == 1
@@ -104,18 +104,18 @@ class TestCachingAndDedup:
             return {"seed": s.seed}
 
         registry = MetricsRegistry()
-        with Scheduler(executor="inline", runner=gated,
-                       metrics=registry) as sched:
-            first = sched.submit(spec(5))
+        with ServiceClient(executor="inline", runner=gated,
+                           metrics=registry) as client:
+            first = client.submit(spec(5))
             # Wait until the job is actually running, then resubmit.
             deadline = time.monotonic() + 5
             while first.status is JobStatus.QUEUED:
                 assert time.monotonic() < deadline
                 time.sleep(0.005)
-            dup = sched.submit(spec(5))
+            dup = client.submit(spec(5))
             gate.set()
             assert first.result(10) == dup.result(10) == {"seed": 5}
-            stats = sched.stats()
+            stats = client.stats()
         assert calls == [5]
         assert stats["dedup_hits"] == 1
         assert find_metric(registry.snapshot(), "counters", "sched.jobs",
@@ -128,24 +128,24 @@ class TestCachingAndDedup:
             gate.wait(10)
             return {"seed": s.seed}
 
-        with Scheduler(executor="inline", runner=gated) as sched:
-            handle = sched.submit(spec(6))
+        with ServiceClient(executor="inline", runner=gated) as client:
+            handle = client.submit(spec(6))
             with pytest.raises(TimeoutError, match="not done after 0.01s"):
                 handle.result(0.01)
             gate.set()
             assert handle.result(10) == {"seed": 6}
         with pytest.raises(ServiceError, match="shut down"):
-            sched.submit(spec(7))
+            client.submit(spec(7))
 
     def test_force_run_bypasses_cache(self):
         store = ResultStore()
-        with Scheduler(executor="inline", runner=ok_runner,
-                       store=store) as sched:
-            sched.submit(spec(7)).result(10)
-            forced = sched.submit(spec(7, force_run=True))
+        with ServiceClient(executor="inline", runner=ok_runner,
+                           store=store) as client:
+            client.submit(spec(7)).result(10)
+            forced = client.submit(spec(7, force_run=True))
             assert forced.result(10) == {"bench": "lbm", "seed": 7}
             assert not forced.from_cache
-            stats = sched.stats()
+            stats = client.stats()
         assert stats["cache_hits"] == 0
 
 
@@ -186,14 +186,14 @@ class TestTwinReuse:
         custom, named = self._twins()
         store = ResultStore()
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner,
-                       store=store) as sched:
-            first = sched.submit(custom)
+        with ServiceClient(executor="inline", runner=runner,
+                           store=store) as client:
+            first = client.submit(custom)
             assert first.result(10)["policy"] == custom.policy_label
-            second = sched.submit(named)
+            second = client.submit(named)
             assert second.from_cache
             assert second.result(10) == {"policy": "mem+llc", "seed": 0}
-            stats = sched.stats()
+            stats = client.stats()
         assert calls == [custom.digest()]
         assert store.get(named.digest())["policy"] == "mem+llc"
         assert store.get(custom.digest())["policy"] == custom.policy_label
@@ -203,10 +203,10 @@ class TestTwinReuse:
     def test_custom_spec_reuses_completed_named_twin(self):
         custom, named = self._twins()
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner,
-                       store=ResultStore()) as sched:
-            sched.submit(named).result(10)
-            second = sched.submit(custom)
+        with ServiceClient(executor="inline", runner=runner,
+                           store=ResultStore()) as client:
+            client.submit(named).result(10)
+            second = client.submit(custom)
             assert second.from_cache
             assert second.result(10)["policy"] == custom.policy_label
         assert calls == [named.digest()]
@@ -214,22 +214,22 @@ class TestTwinReuse:
     def test_without_store_both_twins_run(self):
         custom, named = self._twins()
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner) as sched:
-            sched.submit(custom).result(10)
-            assert not sched.submit(named).from_cache
-            sched.drain(10)
+        with ServiceClient(executor="inline", runner=runner) as client:
+            client.submit(custom).result(10)
+            assert not client.submit(named).from_cache
+            client.drain(10)
         assert calls == [custom.digest(), named.digest()]
 
     def test_failing_store_runs_both_twins(self):
         custom, named = self._twins()
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner,
-                       store=_FailingGetStore()) as sched:
-            sched.submit(custom).result(10)
-            named_handle = sched.submit(named)
+        with ServiceClient(executor="inline", runner=runner,
+                           store=_FailingGetStore()) as client:
+            client.submit(custom).result(10)
+            named_handle = client.submit(named)
             assert named_handle.result(10)["policy"] == "mem+llc"
             assert not named_handle.from_cache
-            stats = sched.stats()
+            stats = client.stats()
         assert calls == [custom.digest(), named.digest()]
         # The custom lookup, the named lookup and the twin's record read.
         assert stats["store_errors"] == 3
@@ -238,19 +238,19 @@ class TestTwinReuse:
     def test_missing_twin_record_falls_back_to_running(self):
         custom, named = self._twins()
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner,
-                       store=_LosingPutStore()) as sched:
-            sched.submit(custom).result(10)
-            assert not sched.submit(named).from_cache
-            sched.drain(10)
+        with ServiceClient(executor="inline", runner=runner,
+                           store=_LosingPutStore()) as client:
+            client.submit(custom).result(10)
+            assert not client.submit(named).from_cache
+            client.drain(10)
         assert calls == [custom.digest(), named.digest()]
 
     def test_config_outside_configs_still_runs(self):
         calls, runner = self._counting_runner()
-        with Scheduler(executor="inline", runner=runner,
-                       store=ResultStore()) as sched:
+        with ServiceClient(executor="inline", runner=runner,
+                           store=ResultStore()) as client:
             for policy in ("buddy", "mem+llc"):
-                handle = sched.submit(spec(policy=policy, config="cfg"))
+                handle = client.submit(spec(policy=policy, config="cfg"))
                 assert handle.result(10)["policy"] == policy
                 assert not handle.from_cache
         assert len(calls) == 2
@@ -269,16 +269,16 @@ class TestFifo:
             return {}
 
         try:
-            with Scheduler(executor="inline", runner=recording,
-                           shards=1) as sched:
-                blocker = sched.submit(spec(0, bench="gate"))
+            with ServiceClient(executor="inline", runner=recording,
+                               shards=1) as client:
+                blocker = client.submit(spec(0, bench="gate"))
                 deadline = time.monotonic() + 5
                 while blocker.status is JobStatus.QUEUED:
                     assert time.monotonic() < deadline
                     time.sleep(0.005)
                 seeds = [5, 1, 4, 2, 3]
-                handles = [sched.submit(spec(seed)) for seed in seeds]
-                assert sched.stats()["queue_depth"] == len(seeds)
+                handles = [client.submit(spec(seed)) for seed in seeds]
+                assert client.stats()["queue_depth"] == len(seeds)
                 gate.set()
                 for handle in handles:
                     handle.result(10)
@@ -297,11 +297,11 @@ class TestFailurePaths:
 
         # A deterministic simulation that raised raises again: an err
         # outcome is final, whatever the retry budget.
-        with Scheduler(executor="inline", runner=flaky) as sched:
-            handle = sched.submit(spec(1, max_retries=2))
+        with ServiceClient(executor="inline", runner=flaky) as client:
+            handle = client.submit(spec(1, max_retries=2))
             with pytest.raises(JobFailed, match="always fails") as exc:
                 handle.result(20)
-            stats = sched.stats()
+            stats = client.stats()
         assert [a["outcome"] for a in exc.value.attempts] == ["err"]
         assert [a["attempt"] for a in exc.value.attempts] == [0]
         assert len(calls) == 1
@@ -318,18 +318,18 @@ class TestFailurePaths:
                 raise WorkerKillFault("worker.kill", "test")  # a crash
             return {"recovered": True}
 
-        with Scheduler(executor="inline", runner=transient) as sched:
-            handle = sched.submit(spec(1, max_retries=2))
+        with ServiceClient(executor="inline", runner=transient) as client:
+            handle = client.submit(spec(1, max_retries=2))
             assert handle.result(20) == {"recovered": True}
             assert [a["outcome"] for a in handle.attempts] == ["crash", "ok"]
-            assert sched.stats()["retries"] == 1
+            assert client.stats()["retries"] == 1
 
     def test_job_timeout_enforced_and_counted(self):
-        with Scheduler(executor="process", runner=sleep_runner) as sched:
-            handle = sched.submit(spec(1, timeout_s=0.2, max_retries=1))
+        with ServiceClient(executor="process", runner=sleep_runner) as client:
+            handle = client.submit(spec(1, timeout_s=0.2, max_retries=1))
             with pytest.raises(JobFailed) as exc:
                 handle.result(30)
-            stats = sched.stats()
+            stats = client.stats()
         assert [a["outcome"] for a in exc.value.attempts] == ["timeout"] * 2
         assert stats["timeouts"] == 2
         assert "0.2" in str(exc.value)
@@ -337,13 +337,13 @@ class TestFailurePaths:
 
 class TestWorkerCrashIsolation:
     def test_crash_is_retried_and_recovers(self, tmp_path):
-        with Scheduler(executor="process", runner=crash_once_runner) as sched:
-            handle = sched.submit(
+        with ServiceClient(executor="process", runner=crash_once_runner) as client:
+            handle = client.submit(
                 spec(1, trace_dir=str(tmp_path), force_run=True,
                      max_retries=2)
             )
             result = handle.result(30)
-            stats = sched.stats()
+            stats = client.stats()
         assert result["recovered"] is True
         assert [a["outcome"] for a in handle.attempts] == ["crash", "ok"]
         assert stats["crashes"] == 1
@@ -357,16 +357,16 @@ class TestWorkerCrashIsolation:
                 return crash_once_runner(s)
             return {"bench": s.bench, "seed": s.seed}
 
-        with Scheduler(executor="process", runner=mixed, shards=2) as sched:
+        with ServiceClient(executor="process", runner=mixed, shards=2) as client:
             handles = []
             for i in range(3):
-                handles.append(sched.submit(
+                handles.append(client.submit(
                     spec(i, bench="crashy", trace_dir=str(tmp_path),
                          force_run=True, max_retries=2)
                 ))
-                handles.append(sched.submit(spec(i, bench="healthy")))
+                handles.append(client.submit(spec(i, bench="healthy")))
             results = [h.result(60) for h in handles]
-            stats = sched.stats()
+            stats = client.stats()
         assert all(r is not None for r in results)
         assert stats["completed"] == 6
         assert stats["crashes"] == 3
@@ -375,8 +375,8 @@ class TestWorkerCrashIsolation:
         assert stats["failed"] == 0
 
     def test_exhausted_crash_retries_fail_cleanly(self):
-        with Scheduler(executor="process", runner=crash_runner) as sched:
-            handle = sched.submit(spec(1, max_retries=1))
+        with ServiceClient(executor="process", runner=crash_runner) as client:
+            handle = client.submit(spec(1, max_retries=1))
             with pytest.raises(JobFailed) as exc:
                 handle.result(30)
         assert "exited with code 13" in str(exc.value)
@@ -397,8 +397,8 @@ def test_dead_worker_is_a_crash_while_its_pipe_stays_open():
     """A worker that exits while something it forked still holds the
     pipe is booked as a crash from its exit, not the pipe's EOF."""
     start = time.monotonic()
-    with Scheduler(executor="process", runner=orphaning_crash_runner) as sched:
-        handle = sched.submit(spec(1, max_retries=0))
+    with ServiceClient(executor="process", runner=orphaning_crash_runner) as client:
+        handle = client.submit(spec(1, max_retries=0))
         with pytest.raises(JobFailed, match="exited with code 13"):
             handle.result(30)
     assert time.monotonic() - start < 1.5

@@ -148,6 +148,18 @@ class TestOpenStore:
         with pytest.raises(sqlite3.ProgrammingError):
             store._db.execute("SELECT 1")
 
+    @pytest.mark.parametrize("name, kwargs, match", [
+        ("x.sqlite", {"shards": 0}, "shards must be >= 1"),
+        ("y.sqlite", {"executor": "fleet"}, "unknown executor 'fleet'"),
+    ], ids=["shards", "executor"])
+    def test_bad_client_arguments_open_no_store(self, tmp_path, name,
+                                                kwargs, match):
+        """Arguments are checked before the store path is opened, so a
+        rejected client leaves no file behind."""
+        with pytest.raises(ValueError, match=match):
+            ServiceClient(store=tmp_path / name, **kwargs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_client_leaves_a_passed_store_open(self, tmp_path):
         store = ResultStore(str(tmp_path / "c.sqlite"))
         with ServiceClient(store=store, executor="inline"):

@@ -13,7 +13,6 @@ import pytest
 from repro.alloc.policies import Policy
 from repro.experiments.runner import sweep
 from repro.service import JobSpec, ResultStore, ServiceClient
-from repro.service.scheduler import Scheduler
 
 BENCHES = ["lbm", "blackscholes"]
 POLICIES = [Policy.BUDDY, Policy.MEM_LLC]
@@ -30,7 +29,7 @@ class TestSerialFastPath:
         def forbidden(self, job):
             raise AssertionError("serial sweep spawned a worker process")
 
-        monkeypatch.setattr(Scheduler, "_execute_in_process", forbidden)
+        monkeypatch.setattr(ServiceClient, "_execute_in_process", forbidden)
         records = sweep(max_workers=1, **KWARGS)
         assert len(records) == 8
         # A single-job sweep takes the same inline path.

@@ -1,7 +1,7 @@
 """Acceptance tests for the service metrics plane.
 
 The headline scenario: a chaos-free drain of >= 50 jobs through a
-4-shard scheduler on the process executor yields throughput/latency/
+4-shard service on the process executor yields throughput/latency/
 cache numbers computed from the histogram registry (not from ad-hoc
 timers), including samples recorded inside the forked workers.  The
 dashboard renders that registry's snapshot, and ``repro.obs top``
@@ -25,7 +25,6 @@ from repro.obs.dashboard import (
 from repro.obs.metrics import MetricsRegistry, find_metric, quantile_from_snapshot
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
-from repro.service.scheduler import Scheduler
 
 def _trivial_runner(spec: JobSpec) -> dict:
     """Module-level (fork/pickle-safe) runner: no simulation, just echo."""
@@ -129,11 +128,11 @@ class TestCacheAndDedupOutcomes:
 class TestFailurePathMetrics:
     def test_retries_and_failed_outcome(self):
         registry = MetricsRegistry()
-        with Scheduler(shards=1, executor="process", runner=_crashing_runner,
-                       metrics=registry) as sched:
+        with ServiceClient(shards=1, executor="process", runner=_crashing_runner,
+                           metrics=registry) as client:
             spec = JobSpec(bench="b", policy="buddy", config="cfg",
                            max_retries=1)
-            handle = sched.submit(spec)
+            handle = client.submit(spec)
             handle.wait(60)
         snap = registry.snapshot()
         assert find_metric(snap, "counters", "sched.retries",
@@ -156,7 +155,7 @@ class TestMetricsOff:
             handles = client.submit_many(_specs(4))
             for h in handles:
                 h.result(timeout=60)
-            assert client.scheduler.metrics is None
+            assert client.metrics is None
         assert obs_metrics.active() is None
 
 
